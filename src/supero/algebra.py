@@ -14,6 +14,8 @@ A grading is a diagonal matrix D in t acting by ad; it is stored as the
 vector of its diagonal entries, and deg x = <wt x, D>.
 """
 
+from itertools import product
+
 from .errors import GradingError, InvalidAlgebraError
 from .linalg import Echelon, SparseMatrix, vec_add_into
 from .rational import QQ, ZERO, as_int, rat_str
@@ -448,7 +450,7 @@ def _q_indices(label):
 # validation
 
 
-def validate_algebra(g, full_jacobi=True):
+def validate_algebra(g):
     """Check the superalgebra axioms and (if graded) the grading axioms.
 
     Returns a report dict with a `passed` flag and a list of failure
@@ -500,19 +502,7 @@ def validate_algebra(g, full_jacobi=True):
                 )
 
     # Jacobi
-    if full_jacobi:
-        triples = (
-            (a, b, c) for a in range(dim) for b in range(dim) for c in range(dim)
-        )
-    else:
-        import random
-
-        rng = random.Random(0)
-        triples = (
-            (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-            for _ in range(2000)
-        )
-    for a, b, c in triples:
+    for a, b, c in product(range(dim), repeat=3):
         checks["triples"] += 1
         lhs = {}
         for k, v in g.bracket(b, c).items():
@@ -572,13 +562,6 @@ def validate_algebra(g, full_jacobi=True):
 
 def _fmt_vec(g, vec):
     return " + ".join(f"{rat_str(c)}*{g.label(k)}" for k, c in sorted(vec.items()))
-
-
-def assert_valid(g, full_jacobi=True):
-    report = validate_algebra(g, full_jacobi=full_jacobi)
-    if not report["passed"]:
-        raise InvalidAlgebraError(report["failures"][0], witness=report["failures"])
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,6 @@ class ContravariantForm:
             self._ranks = {w: mat.rank() for w, mat in self.gram.items()}
         return self._ranks
 
-    def rank_character(self):
-        """Dict weight -> rank of the Gram block (drops rank-0 weights)."""
-        return {w: r for w, r in self.ranks().items() if r}
-
     def radical_vectors(self):
         """Canonical homogeneous basis of the radical, in module coordinates."""
         out = []

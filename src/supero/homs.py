@@ -70,6 +70,11 @@ def hom_space(src, dst, parity=None, limits=DEFAULT_LIMITS):
             for j, var in by_row.get(k, ()):
                 row = equations.setdefault((x, i, j), {})
                 row[var] = row.get(var, ZERO) - sign * v
+    if len(variables) > limits.max_hom_vars:
+        raise ResourceLimitError(
+            f"hom_space system has {len(variables)} unknowns and "
+            f"{len(equations)} equations; max_hom_vars is {limits.max_hom_vars}"
+        )
 
     mat = SparseMatrix(len(equations), len(variables))
     for r, key in enumerate(sorted(equations)):
@@ -265,21 +270,26 @@ def end_ring(module, limits=DEFAULT_LIMITS):
         raise ResourceLimitError(
             f"endomorphism ring dimension {e} exceeds bound {limits.max_end_dim}"
         )
+    # Each basis matrix carries a tag entry (n, k) after its (i, j) entries.
+    # The echelon rows mix basis matrices, so a product is expressed in the
+    # basis through its normal form: that is zero on the matrix entries and
+    # minus the product's basis coordinates on the tags.
     ech = Echelon()
-    lead_to_idx = {}
+    tag = module.dim
     for k, F in enumerate(basis):
-        lead = ech.add(dict(F.data))
-        if lead is None:
+        vec = dict(F.data)
+        vec[(tag, k)] = ONE
+        lead = ech.add(vec)
+        if lead is None or lead[0] == tag:
             raise AssertionError("hom basis is dependent")
-        lead_to_idx[lead] = k
     products = []
     for a in range(e):
         row = []
         for b in range(e):
-            coords = ech.express(dict((basis[a] @ basis[b]).data))
-            if coords is None:
+            rest = ech.reduce(dict((basis[a] @ basis[b]).data))
+            if any(i != tag for i, _ in rest):
                 raise AssertionError("endomorphism ring not closed")
-            row.append({lead_to_idx[lk]: c for lk, c in coords.items()})
+            row.append({k: -c for (_, k), c in rest.items()})
         products.append(row)
     radical = algebra_radical(products, e, limits=limits, check_associative=False)
     return {
@@ -352,14 +362,12 @@ def _find_split_idempotent(module, ring, limits):
 
 def _min_poly_by_powers(z, n, bound):
     powers = [SparseMatrix.identity(n)]
-    flat_ech = Echelon()
-    flat_ech.add(dict(powers[0].data))
+    flat_ech = Echelon([dict(powers[0].data)])
     cur = powers[0]
     for _ in range(n + 1):
         cur = cur @ z
-        if flat_ech.contains(dict(cur.data)):
+        if flat_ech.add(dict(cur.data)) is None:
             return _min_poly_by_solve(powers, cur)
-        flat_ech.add(dict(cur.data))
         powers.append(cur)
     raise AssertionError("minimal polynomial computation ran away")
 

@@ -1,12 +1,20 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are dicts ``{index: nonzero rational}``; matrices store a dict
-``{(row, col): nonzero rational}``.  Elimination never leaves the rationals
-and pivoting is deterministic (rows are processed in order, each reduced row
-pivots on its leading column), so echelon forms, ranks and kernel bases are
-reproducible across runs.  The reduced row echelon form itself is unique, so
-nothing downstream depends on the sweep order.
+``{(row, col): nonzero rational}``.  Every elimination (rank, reduced row
+echelon form, kernels, solves, spans) goes through one engine, ``Echelon``,
+which works on primitive integer rows: fraction-free elimination with the
+content of each row divided out after every step (Bareiss, Math. Comp. 22,
+1968).  Rationals appear only at its boundary, in the vectors it is given
+and the vectors and coefficients it returns.  Pivoting is deterministic
+(rows are processed in order, each reduced row pivots on its leading
+column), so echelon forms, ranks and kernel bases are reproducible across
+runs.  The reduced row echelon form itself is unique, so nothing downstream
+depends on the sweep order or on the integer scaling of the rows.
 """
+
+from itertools import product
+from math import gcd, lcm
 
 from .config import DEFAULT_LIMITS
 from .errors import InvalidAlgebraError, ResourceLimitError
@@ -27,12 +35,6 @@ def vec_add_into(target, source, coeff=1):
         else:
             target.pop(k, None)
     return target
-
-
-def vec_scale(vector, coeff):
-    if not coeff:
-        return {}
-    return {k: coeff * v for k, v in vector.items()}
 
 
 def vec_dot(u, v):
@@ -66,10 +68,6 @@ class SparseMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls(nrows, ncols)
-
-    @classmethod
     def identity(cls, n):
         m = cls(n, n)
         for i in range(n):
@@ -90,18 +88,6 @@ class SparseMatrix:
                     m.data[(i, j)] = q
         return m
 
-    @classmethod
-    def from_rows(cls, rows, ncols):
-        """rows: iterable of dict-vectors."""
-        rows = list(rows)
-        m = cls(len(rows), ncols)
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                q = QQ(v)
-                if q:
-                    m.data[(i, j)] = q
-        return m
-
     # -- basic accessors ---------------------------------------------------
 
     def rows(self):
@@ -109,9 +95,6 @@ class SparseMatrix:
         for (i, j), v in self.data.items():
             out[i][j] = v
         return out
-
-    def row(self, i):
-        return {j: v for (r, j), v in self.data.items() if r == i}
 
     def col(self, j):
         return {i: v for (i, c), v in self.data.items() if c == j}
@@ -124,9 +107,6 @@ class SparseMatrix:
 
     def is_zero(self):
         return not self.data
-
-    def nnz(self):
-        return len(self.data)
 
     def __eq__(self, other):
         return (
@@ -228,15 +208,6 @@ class SparseMatrix:
     def trace(self):
         return sum((v for (i, j), v in self.data.items() if i == j), ZERO)
 
-    def submatrix(self, row_indices, col_indices):
-        rmap = {r: i for i, r in enumerate(row_indices)}
-        cmap = {c: j for j, c in enumerate(col_indices)}
-        out = SparseMatrix(len(row_indices), len(col_indices))
-        for (i, j), v in self.data.items():
-            if i in rmap and j in cmap:
-                out.data[(rmap[i], cmap[j])] = v
-        return out
-
     @classmethod
     def vstack(cls, matrices):
         ncols = matrices[0].ncols
@@ -271,17 +242,12 @@ class SparseMatrix:
         Returns (rows, pivot_cols): rows are dict-vectors sorted by pivot
         column, each with leading coefficient one.
         """
-        ech = Echelon()
-        for row in self.rows():
-            ech.add(row)
+        ech = Echelon(self.rows())
         ech.full_reduce()
         return ech.basis(), ech.pivot_cols()
 
     def rank(self):
-        ech = Echelon()
-        for row in self.rows():
-            ech.add(row)
-        return len(ech.pivots)
+        return len(Echelon(self.rows()))
 
     def kernel_basis(self):
         """Basis of the right kernel, one dict-vector per free column.
@@ -290,18 +256,15 @@ class SparseMatrix:
         its free column, so the basis is canonical.
         """
         rows, piv_cols = self.rref()
-        piv_set = set(piv_cols)
-        by_piv = dict(zip(piv_cols, rows))
+        pivots = dict(zip(piv_cols, rows))
         basis = []
         for free in range(self.ncols):
-            if free in piv_set:
-                continue
-            vec = {free: QQ(1)}
-            for p in piv_cols:
-                coeff = by_piv[p].get(free)
-                if coeff:
-                    vec[p] = -coeff
-            basis.append(vec)
+            if free not in pivots:
+                vec = {free: QQ(1)}
+                for p, row in pivots.items():
+                    if free in row:
+                        vec[p] = -row[free]
+                basis.append(vec)
         return basis
 
     def solve(self, rhs):
@@ -322,83 +285,164 @@ class SparseMatrix:
         rows, piv_cols = aug.rref()
         solutions = [dict() for _ in rhs_list]
         for p, row in zip(piv_cols, rows):
-            if p >= n:
-                # zero on all variable columns: every rhs hit by this row is
-                # inconsistent
-                for j in row:
-                    if j >= n:
-                        solutions[j - n] = None
-                continue
-            for k in range(len(rhs_list)):
-                v = row.get(n + k)
-                if v and solutions[k] is not None:
-                    solutions[k][p] = v
+            for j, v in row.items():
+                if j < n:
+                    continue
+                if p >= n:
+                    # zero on all variable columns: rhs j - n is inconsistent
+                    solutions[j - n] = None
+                elif solutions[j - n] is not None:
+                    solutions[j - n][p] = v
         return solutions
 
 
 class Echelon:
-    """Incremental row echelon over QQ with deterministic leading-column pivots."""
+    """Incremental row echelon over QQ with deterministic leading-column pivots.
 
-    def __init__(self):
-        self.pivots = {}  # leading col -> normalized row (dict)
+    Pivot rows are primitive integer rows with positive leading entry; an
+    incoming vector is cleared of denominators once and each step is
+    ``v <- a*v - b*p`` (see ``_eliminate``).  Rationals appear only in what
+    ``reduce``, ``express``, ``pivot_row`` and ``basis`` return.  Keys may
+    be any mutually orderable values.
+    """
 
-    def reduce(self, vector):
-        """Return vector reduced against the current span (a fresh dict)."""
-        vec = dict(vector)
+    def __init__(self, vectors=()):
+        self._rows = {}  # leading key -> primitive integer row (dict)
+        for v in vectors:
+            self.add(v)
+
+    def _head_reduce(self, vec):
+        """Eliminate vec's leading entries in place while they sit on
+        pivots; returns the leading key left, or None when vec vanishes."""
+        rows = self._rows
         while vec:
             lead = min(vec)
-            piv = self.pivots.get(lead)
+            piv = rows.get(lead)
             if piv is None:
-                return vec
-            vec_add_into(vec, piv, -vec[lead])
-        return vec
+                return lead
+            _eliminate(vec, piv, lead)
+        return None
 
     def add(self, vector):
         """Insert a vector; returns its pivot column, or None if dependent."""
-        vec = self.reduce(vector)
-        if not vec:
-            return None
-        lead = min(vec)
-        inv = 1 / vec[lead]
-        self.pivots[lead] = {k: v * inv for k, v in vec.items()}
+        vec = _integral(vector)[0]
+        lead = self._head_reduce(vec)
+        if lead is not None:
+            if vec[lead] < 0:
+                for k in vec:
+                    vec[k] = -vec[k]
+            self._rows[lead] = vec
         return lead
 
     def contains(self, vector):
-        return not self.reduce(vector)
+        return self._head_reduce(_integral(vector)[0]) is None
+
+    def reduce(self, vector):
+        """Normal form of vector modulo the span: the unique vector in
+        vector + span with no entry on a pivot column (a fresh dict)."""
+        vec, num, den = _integral(vector)
+        rows = self._rows
+        while True:
+            lead = min((k for k in vec if k in rows), default=None)
+            if lead is None:
+                return {k: QQ(x * num, den) for k, x in vec.items()}
+            a, c = _eliminate(vec, rows[lead], lead)
+            num, den = _scaled(num, den, c, a)
 
     def express(self, vector):
-        """Coefficients {pivot_col: c} with vector = sum c * pivot_row, or None."""
-        vec = dict(vector)
-        coeffs = {}
+        """Coefficients {pivot_col: c} with vector = sum c * pivot_row(col),
+        or None when vector is outside the span."""
+        vec, num, den = _integral(vector)
+        rows = self._rows
+        steps = []
         while vec:
             lead = min(vec)
-            piv = self.pivots.get(lead)
+            piv = rows.get(lead)
             if piv is None:
                 return None
-            c = vec[lead]
-            coeffs[lead] = c
-            vec_add_into(vec, piv, -c)
-        return coeffs
+            # vector minus what is expressed so far is vec * num / den, and
+            # pivot_row(lead) has a one at lead
+            steps.append((lead, vec[lead] * num, den))
+            a, c = _eliminate(vec, piv, lead)
+            num, den = _scaled(num, den, c, a)
+        return {lead: QQ(n, d) for lead, n, d in steps}
 
     def full_reduce(self):
         """Eliminate every pivot column from the other rows (RREF)."""
-        for lead in sorted(self.pivots, reverse=True):
-            piv = self.pivots[lead]
-            for other_lead, row in self.pivots.items():
-                if other_lead == lead:
-                    continue
-                c = row.get(lead)
-                if c:
-                    vec_add_into(row, piv, -c)
+        rows = self._rows
+        for lead in sorted(rows, reverse=True):
+            piv = rows[lead]
+            for other_lead, row in rows.items():
+                if other_lead != lead and lead in row:
+                    _eliminate(row, piv, lead)
+
+    def pivot_row(self, lead):
+        """The pivot row at column lead, scaled to leading coefficient one."""
+        row = self._rows[lead]
+        d = row[lead]
+        return {k: QQ(x, d) for k, x in row.items()}
 
     def basis(self):
-        return [dict(self.pivots[c]) for c in sorted(self.pivots)]
+        return [self.pivot_row(c) for c in sorted(self._rows)]
 
     def pivot_cols(self):
-        return sorted(self.pivots)
+        return sorted(self._rows)
 
     def __len__(self):
-        return len(self.pivots)
+        return len(self._rows)
+
+
+def _integral(vector):
+    """(ints, num, den): a primitive integer dict-vector and the rational
+    num/den with vector == ints * num / den; zero entries are dropped."""
+    den = lcm(*(int(v.denominator) for v in vector.values()))
+    ints = {
+        k: int(v.numerator) * (den // int(v.denominator))
+        for k, v in vector.items()
+        if v
+    }
+    num = gcd(*ints.values()) or 1
+    if num > 1:
+        ints = {k: x // num for k, x in ints.items()}
+    g = gcd(num, den)
+    return ints, num // g, den // g
+
+
+def _eliminate(vec, piv, lead):
+    """vec <- (a*vec - b*piv) / content in place, clearing vec[lead].
+
+    piv has positive leading entry piv[lead]; a and b are piv[lead] and
+    vec[lead] divided by their gcd, so a > 0.  Returns (a, content), which
+    is what a caller tracking vec's rational scale needs.
+    """
+    a = piv[lead]
+    b = vec[lead]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        for k in vec:
+            vec[k] *= a
+    for k, x in piv.items():
+        s = vec.get(k, 0) - b * x
+        if s:
+            vec[k] = s
+        else:
+            del vec[k]
+    c = gcd(*vec.values())
+    if c > 1:
+        for k in vec:
+            vec[k] //= c
+    return a, c
+
+
+def _scaled(num, den, c, a):
+    """num/den * c/a in lowest terms."""
+    num *= c
+    den *= a
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +465,7 @@ def algebra_radical(products, dim, limits=DEFAULT_LIMITS, check_associative=True
         raise ValueError("products table must be dim x dim")
 
     if check_associative:
-        _associativity_check(products, dim, limits)
+        _associativity_check(products, dim)
 
     # L[i] as dict (out_index, j) -> coeff ; trace(L_i L_j) via entry pairing
     left = []
@@ -452,18 +496,8 @@ def algebra_radical(products, dim, limits=DEFAULT_LIMITS, check_associative=True
     return gram.kernel_basis()
 
 
-def _associativity_check(products, dim, limits):
-    import random
-
-    rng = random.Random(limits.seed)
-    if dim <= 8:
-        triples = [(i, j, k) for i in range(dim) for j in range(dim) for k in range(dim)]
-    else:
-        triples = [
-            (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-            for _ in range(max(200, 4 * dim))
-        ]
-    for i, j, k in triples:
+def _associativity_check(products, dim):
+    for i, j, k in product(range(dim), repeat=3):
         lhs = {}
         for t, c in products[i][j].items():
             vec_add_into(lhs, products[t][k], c)

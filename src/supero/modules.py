@@ -84,14 +84,6 @@ class ExplicitModule:
         """Apply a basis element to a vector (dict index -> coefficient)."""
         return self.action[x_id].apply(vec)
 
-    def act_vector(self, xvec, vec):
-        """Apply an algebra element given as a dict id -> coefficient."""
-        out = {}
-        for x, c in xvec.items():
-            if c:
-                vec_add_into(out, self.action[x].apply(vec), c)
-        return out
-
     def act_word(self, word, vec):
         """Apply a product of basis elements, rightmost factor first."""
         cur = vec
@@ -460,7 +452,6 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
         or max_length is not None or fiber.truncated
     )
 
-    wlen = g.weight_len
     weights = []
     parities = []
     labels = []
@@ -478,7 +469,6 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
             labels.append(f"{ms}.{fiber.labels[j]}")
             word_wt.append(mw)
             word_deg.append(md)
-    del wlen
 
     sub_local = {sid: r for r, sid in enumerate(sub_ids)}
     action = {}
@@ -631,7 +621,7 @@ def _closure_echelon(module, vectors):
     for v in vectors:
         lead = ech.add(v)
         if lead is not None:
-            frontier.append(dict(ech.pivots[lead]))
+            frontier.append(ech.pivot_row(lead))
     while frontier:
         next_frontier = []
         for v in frontier:
@@ -639,7 +629,7 @@ def _closure_echelon(module, vectors):
                 img = module.act(x, v)
                 lead = ech.add(img)
                 if lead is not None:
-                    next_frontier.append(dict(ech.pivots[lead]))
+                    next_frontier.append(ech.pivot_row(lead))
         frontier = next_frontier
     ech.full_reduce()
     return ech

@@ -81,13 +81,6 @@ class PbwAlgebra:
         self._cache[word] = result
         return result
 
-    def straighten(self, element):
-        """Normalize a dict word -> coefficient."""
-        out = {}
-        for word, c in element.items():
-            vec_add_into(out, self.straighten_word(word), c)
-        return out
-
     def multiply(self, a, b):
         out = {}
         for wa, ca in a.items():

@@ -164,12 +164,7 @@ class KacExtensions:
         cols, zs, bs = self._cocycle_data(tuple(QQ(c) for c in w), p)
         if not cols:
             return 0
-        ech = Echelon()
-        rank_b = 0
-        for b in bs:
-            if ech.add(b) is not None:
-                rank_b += 1
-        return len(zs) - rank_b
+        return len(zs) - len(Echelon(bs))
 
     def h1_dimension(self):
         return sum(
@@ -216,11 +211,7 @@ class KacExtensions:
         if not zs:
             self._hw_cache[key] = 0
             return 0
-        ech_b = Echelon()
-        rank_b = 0
-        for b in bs:
-            if ech_b.add(b) is not None:
-                rank_b += 1
+        rank_b = len(Echelon(bs))
         raisings = self._simple_raisings()
         if not raisings:
             dim = len(zs) - rank_b
@@ -264,13 +255,8 @@ class KacExtensions:
                 ent[(r, c)] = v
         sols = SparseMatrix(len(rows), nvars, ent).kernel_basis()
         # dimension of the z-projection of the solution space
-        proj = Echelon()
-        dim_proj = 0
-        for s in sols:
-            zpart = {k: v for k, v in s.items() if k < nz}
-            if zpart and proj.add(zpart) is not None:
-                dim_proj += 1
-        dim = dim_proj - rank_b
+        proj = Echelon({k: v for k, v in s.items() if k < nz} for s in sols)
+        dim = len(proj) - rank_b
         if dim < 0:
             raise AssertionError("coboundaries escaped the solution space")
         self._hw_cache[key] = dim

@@ -63,10 +63,6 @@ def parse_weight(text):
     return tuple(QQ(p.strip()) for p in body.split(","))
 
 
-def is_integral_difference(lo, hi):
-    return all(is_integer(x - y) for x, y in zip(hi, lo))
-
-
 def root_leq(lo, hi):
     """lo <= hi in the root order (prefix-sum test)."""
     if len(lo) != len(hi):
@@ -103,10 +99,6 @@ def maximal_weights(weights):
     ws = list(dict.fromkeys(weights))
     out = [w for w in ws if not any(root_lt(w, other) for other in ws)]
     return sorted(out, reverse=True)
-
-
-def sort_weights(weights):
-    return sorted(weights)
 
 
 def weights_between(lo, hi, steps):

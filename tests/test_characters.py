@@ -378,3 +378,19 @@ def test_matrix_json_dict():
         "cols": ["(0|0)", "(-1|1)"],
         "entries": [[1, 1], [0, 1]],
     }
+
+
+def test_decomposition_matrix_gl31_is_unitriangular():
+    g = install_grading(build_gl(3, 1), "compatible")
+    W = window_from_box(g, 0, 1)
+    D = decomposition_matrix(g, W)
+    k = len(D.weights)
+    assert k > 1
+    for i in range(k):
+        assert D.entries[i][i] == 1
+        for j in range(i):
+            assert D.entries[i][j] == 0
+    # Kac multiplicities of gl(m|n) are 0 or 1, and this window has some
+    # off the diagonal
+    assert {e for row in D.entries for e in row} == {0, 1}
+    assert sum(map(sum, D.entries)) > k

@@ -168,3 +168,14 @@ def test_q_algebra_has_no_windows(capsys):
     code, _, err = run(capsys, "decompose", "--algebra", "q:2", "--box=0..0")
     assert code == 2
     assert "gl" in err
+
+
+def test_decompose_gl31_exits_zero(capsys):
+    code, out, err = run(capsys, "decompose", "--algebra", "gl:3,1", "--box=0..1")
+    assert code == 0, err
+    header, *rows = out.splitlines()
+    assert len(rows) == len(header.split("\t")) - 1 > 1
+    for i, line in enumerate(rows):
+        cells = line.split("\t")[1:]
+        assert cells[i] == "1"
+        assert set(cells[:i]) <= {"0"}

@@ -21,6 +21,7 @@ from supero.forms import (
     induced_projective,
     kac_module,
     simple_even_module,
+    simple_module,
     verma_module_truncated,
 )
 from supero.modules import direct_sum, submodule_module, validate_module
@@ -223,6 +224,21 @@ def test_simple_quotient_character_gl21():
     L, _ = form_quotient(K)
     assert L.dim < K.dim
     assert L.weight_space((QQ(0), QQ(0), QQ(0)))
+    assert validate_module(L)["passed"]
+
+
+def test_simple_natural_gl31():
+    """L(1,0,0|0) of gl(3|1) is the natural module C^{3|1}.
+
+    Projecting onto the quotient by the radical meets vectors whose leading
+    coordinate is off the pivots but which have entries on later pivot
+    columns, so it needs the full normal form.
+    """
+    g = install_grading(build_gl(3, 1), "compatible")
+    L = simple_module(g, (1, 0, 0, 0))
+    assert L.dim == 4
+    unit = [tuple(QQ(int(i == k)) for i in range(4)) for k in range(4)]
+    assert L.character() == {w: 1 for w in unit}
     assert validate_module(L)["passed"]
 
 

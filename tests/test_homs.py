@@ -98,10 +98,39 @@ def test_end_ring_of_atypical_projective():
     assert ring["local"]
 
 
+def test_end_ring_products_are_basis_coordinates():
+    """The product table holds the coordinates of F_a F_b in the basis
+    itself, even where the basis matrices share leading entries."""
+    P = induced_projective(gl21c(), (1, 0, 0))
+    ring = end_ring(P)
+    basis = ring["basis"]
+    for a, F in enumerate(basis):
+        for b, G in enumerate(basis):
+            acc = SparseMatrix(P.dim, P.dim)
+            for k, c in ring["products"][a][b].items():
+                acc = acc + basis[k].scale(c)
+            assert acc == F @ G
+
+
 def test_end_ring_dimension_guard():
     P = induced_projective(gl11(), (0, 0))
     with pytest.raises(ResourceLimitError):
         end_ring(P, limits=Limits(max_end_dim=1))
+
+
+def test_hom_space_unknowns_guard():
+    P = induced_projective(gl11(), (0, 0))
+    unknowns = sum(
+        P.weights[i] == P.weights[j] and P.parities[i] == P.parities[j]
+        for i in range(P.dim)
+        for j in range(P.dim)
+    )
+    assert hom_space(P, P, parity=0, limits=Limits(max_hom_vars=unknowns))
+    with pytest.raises(ResourceLimitError) as err:
+        hom_space(P, P, parity=0, limits=Limits(max_hom_vars=unknowns - 1))
+    message = str(err.value)
+    assert f"{unknowns} unknowns" in message and "equations" in message
+    assert f"max_hom_vars is {unknowns - 1}" in message
 
 
 # -- fitting decomposition -------------------------------------------------

@@ -129,7 +129,7 @@ def test_transpose_twists_bracket(builder):
 
 @pytest.mark.parametrize("m,n", GL_SIZES)
 def test_gl_axioms(m, n):
-    report = validate_algebra(build_gl(m, n), full_jacobi=(m + n <= 4))
+    report = validate_algebra(build_gl(m, n))
     assert report["passed"], report["failures"][:3]
 
 
