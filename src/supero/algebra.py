@@ -39,7 +39,10 @@ class LieSuperAlgebra:
     """A finite-dimensional Lie superalgebra with a distinguished torus.
 
     The object is treated as immutable once built; install_grading returns a
-    new instance.
+    new instance.  Its one mutable attribute is ``memo``, a dict in which
+    the module builders of ``forms`` and ``structure`` keep their results
+    per (builder, weight, Limits), so a memoised module lives exactly as
+    long as the algebra it is a module over.
     """
 
     def __init__(
@@ -70,6 +73,7 @@ class LieSuperAlgebra:
         self.degrees = degrees
         self.bar_after = bar_after
         self.by_label = {b.label: b.index for b in basis}
+        self.memo = {}
 
     # -- trivia ------------------------------------------------------------
 

@@ -14,7 +14,7 @@ would silently misreport the numbers the identities quantify over.
 
 from .rational import QQ, as_int
 from .linalg import SparseMatrix
-from .weights import wadd, wsub, is_dominant_gl
+from .weights import dominant_weights_in_box, wadd, wsub, is_dominant_gl
 from .algebra import beta_weight, w0_action
 from .config import DEFAULT_LIMITS
 from .errors import DominanceError, GradingError, WindowError
@@ -126,34 +126,12 @@ def simple_character(g, lam, limits=DEFAULT_LIMITS):
 # windows
 
 
-def dominant_weights_in_box(g, lo, hi):
-    """All dominant integral weights with coordinates in [lo, hi],
-    lexicographically descending."""
-    m, n = g.params
-
-    def side(k):
-        if k == 0:
-            return [()]
-        out = []
-        for rest in side(k - 1):
-            start = rest[-1] if rest else hi
-            for v in range(start, lo - 1, -1):
-                out.append(rest + (v,))
-        return out
-
-    window = []
-    for l in side(m):
-        for r in side(n):
-            window.append(tuple(QQ(c) for c in l + r))
-    return sorted(window, reverse=True)
-
-
 def window_from_box(g, lo, hi, support_closure=True, reflect=False):
     """Window construction: dominant weights in the box, extended by the
     dominant support of their induced characters, and optionally by the
     duality reflection lam -> beta - w0.lam (needed when projective /
     tilting data over the window is compared across the reflection)."""
-    window = set(dominant_weights_in_box(g, lo, hi))
+    window = set(dominant_weights_in_box(*g.params, lo, hi))
     if support_closure:
         extra = set()
         for mu in window:

@@ -71,7 +71,7 @@ class ContravariantForm:
         return all(self.ranks()[w] == len(spaces[w]) for w in self.gram)
 
 
-def contravariant_form(module, limits=DEFAULT_LIMITS):
+def contravariant_form(module):
     """Compute the contravariant form of a cyclic highest-weight module.
 
     Requires a recorded highest weight whose space generates the module;
@@ -199,29 +199,20 @@ def even_levi(g):
     return g.subalgebra(h_ids, degrees=degs, family_tag="levi"), h_ids
 
 
-def _cache_key(g, lam):
-    return (g.family, tuple(g.params), g.grading_kind, tuple(QQ(c) for c in lam))
-
-
-_SIMPLE_EVEN_CACHE = {}
-_KAC_CACHE = {}
-_SIMPLE_CACHE = {}
-
-
 def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
     """The simple module of the even part gl(m) + gl(n) at a dominant weight.
 
     Built exactly: a Verma module of the Levi restricted to the weight
     interval [w0.lam, lam] (which contains the full support of the simple
     quotient), then the quotient by the radical of the contravariant form.
-    The result is a module over the Levi subalgebra.  Results are cached
-    per (algebra, weight); callers must not mutate them.
+    The result is a module over the Levi subalgebra.  Memoised on the
+    algebra per (weight, Limits); callers must not mutate the result.
     """
-    key = _cache_key(g, lam)
-    if key in _SIMPLE_EVEN_CACHE:
-        return _SIMPLE_EVEN_CACHE[key]
-    m, n = g.params
     lam = tuple(QQ(c) for c in lam)
+    key = ("simple_even_module", lam, limits)
+    if key in g.memo:
+        return g.memo[key]
+    m, n = g.params
     if not is_dominant_gl(lam, m, n):
         raise DominanceError(
             f"{g.weight_str(lam)} is not dominant for gl({m})+gl({n})"
@@ -238,7 +229,7 @@ def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
     )
     V, _ = form_quotient(slice_, kind="simple_even")
     V.truncated = False  # support of the simple is inside the window
-    _SIMPLE_EVEN_CACHE[key] = V
+    g.memo[key] = V
     return V
 
 
@@ -252,12 +243,15 @@ def _borel_ids(g):
 
 def kac_module(g, lam, limits=DEFAULT_LIMITS):
     """Induce the even-part simple V(lam) through the parabolic with the
-    odd raisings acting by zero.  Dimension 2^(m n) * dim V(lam)."""
+    odd raisings acting by zero.  Dimension 2^(m n) * dim V(lam).
+    Memoised on the algebra per (weight, Limits); callers must not mutate
+    the result."""
     if g.family != "gl" or g.grading_kind != "compatible":
         raise GradingError("this induction needs gl with the compatible grading")
-    key = _cache_key(g, lam)
-    if key in _KAC_CACHE:
-        return _KAC_CACHE[key]
+    lam = tuple(QQ(c) for c in lam)
+    key = ("kac_module", lam, limits)
+    if key in g.memo:
+        return g.memo[key]
     m, n = g.params
     V = simple_even_module(g, lam, limits=limits)
     b_ids = _borel_ids(g)
@@ -270,19 +264,22 @@ def kac_module(g, lam, limits=DEFAULT_LIMITS):
     if K.dim != expected:
         raise AssertionError(f"induced dimension {K.dim}, expected {expected}")
     K.meta["fiber_dim"] = V.dim
-    _KAC_CACHE[key] = K
+    g.memo[key] = K
     return K
 
 
 def simple_module(g, lam, limits=DEFAULT_LIMITS):
     """The simple highest-weight module L(lam): the quotient of the
-    induced module at lam by the radical of its contravariant form."""
-    key = _cache_key(g, lam)
-    if key in _SIMPLE_CACHE:
-        return _SIMPLE_CACHE[key]
+    induced module at lam by the radical of its contravariant form.
+    Memoised on the algebra per (weight, Limits); callers must not mutate
+    the result."""
+    lam = tuple(QQ(c) for c in lam)
+    key = ("simple_module", lam, limits)
+    if key in g.memo:
+        return g.memo[key]
     K = kac_module(g, lam, limits=limits)
     L, _ = form_quotient(K, kind="simple")
-    _SIMPLE_CACHE[key] = L
+    g.memo[key] = L
     return L
 
 

@@ -378,11 +378,9 @@ def _image_split(module, proj):
     comp = SparseMatrix.identity(n) - proj
     out = []
     for p in (proj, comp):
-        cols = [p.col(j) for j in range(n)]
-        cols = [c for c in cols if c]
-        sub, include = submodule_module(module, cols)
-        rhs = [p.col(j) for j in range(n)]
-        sols = include.solve_multi(rhs)
+        cols = p.cols()
+        sub, include = submodule_module(module, [c for c in cols if c])
+        sols = include.solve_multi(cols)
         project = SparseMatrix(sub.dim, n)
         for j, sol in enumerate(sols):
             if sol is None:

@@ -37,17 +37,6 @@ def vec_add_into(target, source, coeff=1):
     return target
 
 
-def vec_dot(u, v):
-    if len(u) > len(v):
-        u, v = v, u
-    total = ZERO
-    for k, a in u.items():
-        b = v.get(k)
-        if b is not None:
-            total += a * b
-    return total
-
-
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over QQ."""
 
@@ -91,13 +80,18 @@ class SparseMatrix:
     # -- basic accessors ---------------------------------------------------
 
     def rows(self):
-        out = [dict() for _ in range(self.nrows)]
+        """The row view: one dict {col: entry} per row, empty rows included."""
+        out = [{} for _ in range(self.nrows)]
         for (i, j), v in self.data.items():
             out[i][j] = v
         return out
 
-    def col(self, j):
-        return {i: v for (i, c), v in self.data.items() if c == j}
+    def cols(self):
+        """The column view: one dict {row: entry} per column."""
+        out = [{} for _ in range(self.ncols)]
+        for (i, j), v in self.data.items():
+            out[j][i] = v
+        return out
 
     def to_dense(self):
         out = [[ZERO] * self.ncols for _ in range(self.nrows)]
@@ -164,15 +158,10 @@ class SparseMatrix:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        other_rows = {}
-        for (k, j), v in other.data.items():
-            other_rows.setdefault(k, []).append((j, v))
+        other_rows = other.rows()
         acc = {}
         for (i, k), a in self.data.items():
-            hits = other_rows.get(k)
-            if not hits:
-                continue
-            for j, b in hits:
+            for j, b in other_rows[k].items():
                 key = (i, j)
                 s = acc.get(key, ZERO) + a * b
                 if s:
@@ -204,35 +193,6 @@ class SparseMatrix:
         return SparseMatrix(
             self.ncols, self.nrows, {(j, i): v for (i, j), v in self.data.items()}
         )
-
-    def trace(self):
-        return sum((v for (i, j), v in self.data.items() if i == j), ZERO)
-
-    @classmethod
-    def vstack(cls, matrices):
-        ncols = matrices[0].ncols
-        data = {}
-        offset = 0
-        for m in matrices:
-            if m.ncols != ncols:
-                raise ValueError("vstack column mismatch")
-            for (i, j), v in m.data.items():
-                data[(i + offset, j)] = v
-            offset += m.nrows
-        return cls(offset, ncols, data)
-
-    @classmethod
-    def hstack(cls, matrices):
-        nrows = matrices[0].nrows
-        data = {}
-        offset = 0
-        for m in matrices:
-            if m.nrows != nrows:
-                raise ValueError("hstack row mismatch")
-            for (i, j), v in m.data.items():
-                data[(i, j + offset)] = v
-            offset += m.ncols
-        return cls(nrows, offset, data)
 
     # -- elimination -------------------------------------------------------
 

@@ -192,7 +192,7 @@ def _truncation_guard(module):
     return guard
 
 
-def validate_module(module, limits=DEFAULT_LIMITS):
+def validate_module(module):
     """Check that the stored matrices really define a weight supermodule.
 
     Verifies torus diagonality, weight and parity additivity of every
@@ -298,8 +298,8 @@ def validate_module(module, limits=DEFAULT_LIMITS):
     }
 
 
-def assert_valid_module(module, limits=DEFAULT_LIMITS):
-    report = validate_module(module, limits)
+def assert_valid_module(module):
+    report = validate_module(module)
     if not report["passed"]:
         raise ValueError(
             f"module validation failed: {report['failures'][:4]}"

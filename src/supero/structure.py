@@ -16,7 +16,7 @@ The two must agree in dimension; tests pin that down.
 
 from .rational import QQ, ZERO, ONE
 from .linalg import SparseMatrix, Echelon
-from .weights import wadd, wsub, root_leq
+from .weights import dominant_weights_in_box, wadd, wsub, root_leq
 from .algebra import same_algebra, w0_action, beta_weight
 from .config import DEFAULT_LIMITS
 from .errors import DominanceError, GradingError, ResourceLimitError
@@ -72,6 +72,7 @@ class KacExtensions:
         self._build_differentials()
         self._check_d_squared()
         self._blocks = None
+        self._d1_cols = None
         self._hw_cache = {}
 
     def _c1_weight(self, key):
@@ -129,15 +130,13 @@ class KacExtensions:
         if not cols:
             return [], [], []
         local = {c: k for k, c in enumerate(cols)}
-        rows = {}
-        for (r, c), v in self.d1.data.items():
-            if c in local:
-                rows.setdefault(r, {})[local[c]] = v
-        remap = {r: k for k, r in enumerate(sorted(rows))}
-        ent = {}
-        for r, row in rows.items():
-            for c, v in row.items():
-                ent[(remap[r], c)] = v
+        if self._d1_cols is None:
+            self._d1_cols = self.d1.cols()
+        block = [self._d1_cols[c] for c in cols]
+        remap = {r: k for k, r in enumerate(sorted(set().union(*block)))}
+        ent = {
+            (remap[r], k): v for k, col in enumerate(block) for r, v in col.items()
+        }
         zs = SparseMatrix(len(remap), len(cols), ent).kernel_basis()
         bs = []
         for i in self.M.weight_space(w):
@@ -296,20 +295,6 @@ def _cochain_variables(bottom, top):
     return vars_
 
 
-def _group_rows(mat):
-    out = {}
-    for (i, j), v in mat.data.items():
-        out.setdefault(i, {})[j] = v
-    return out
-
-
-def _group_cols(mat):
-    out = {}
-    for (i, j), v in mat.data.items():
-        out.setdefault(j, {})[i] = v
-    return out
-
-
 def ext1_with_representative(bottom, top, limits=DEFAULT_LIMITS):
     """(dim Ext^1(top, bottom), glueing block or None).
 
@@ -329,10 +314,10 @@ def ext1_with_representative(bottom, top, limits=DEFAULT_LIMITS):
         raise ResourceLimitError(
             f"{len(vars_)} glueing variables exceed limit {limits.max_hom_vars}"
         )
-    brow = [_group_rows(bottom.action[x]) for x in range(g.dim)]
-    bcol = [_group_cols(bottom.action[x]) for x in range(g.dim)]
-    tcol = [_group_cols(top.action[x]) for x in range(g.dim)]
-    trow = [_group_rows(top.action[x]) for x in range(g.dim)]
+    brow = [bottom.action[x].rows() for x in range(g.dim)]
+    bcol = [bottom.action[x].cols() for x in range(g.dim)]
+    tcol = [top.action[x].cols() for x in range(g.dim)]
+    trow = [top.action[x].rows() for x in range(g.dim)]
     rows = []
 
     def add_block(eqs, key, coeff):
@@ -353,14 +338,14 @@ def ext1_with_representative(bottom, top, limits=DEFAULT_LIMITS):
             for i in range(bottom.dim):
                 for j in range(top.dim):
                     eqs = {}
-                    for k, v in brow[a].get(i, {}).items():
+                    for k, v in brow[a][i].items():
                         add_block(eqs, (b, k, j), v)
-                    for k, v in tcol[b].get(j, {}).items():
+                    for k, v in tcol[b][j].items():
                         add_block(eqs, (a, i, k), v)
                     if not half:
-                        for k, v in brow[b].get(i, {}).items():
+                        for k, v in brow[b][i].items():
                             add_block(eqs, (a, k, j), -sign * v)
-                        for k, v in tcol[a].get(j, {}).items():
+                        for k, v in tcol[a][j].items():
                             add_block(eqs, (b, i, k), -sign * v)
                     for x, coeff in br.items():
                         add_block(eqs, (x, i, j), -scale * coeff)
@@ -382,11 +367,11 @@ def ext1_with_representative(bottom, top, limits=DEFAULT_LIMITS):
                 continue
             blk = {}
             for x in range(g.dim):
-                for k, v in bcol[x].get(i, {}).items():
+                for k, v in bcol[x][i].items():
                     key = (x, k, j)
                     if key in vindex:
                         blk[vindex[key]] = blk.get(vindex[key], ZERO) + v
-                for k, v in trow[x].get(j, {}).items():
+                for k, v in trow[x][j].items():
                     key = (x, i, k)
                     if key in vindex:
                         blk[vindex[key]] = blk.get(vindex[key], ZERO) - v
@@ -409,7 +394,7 @@ def ext1_with_representative(bottom, top, limits=DEFAULT_LIMITS):
     return dim, block
 
 
-def glue_extension(bottom, top, block, kind="extension", limits=DEFAULT_LIMITS):
+def glue_extension(bottom, top, block, kind="extension"):
     """Assemble the module bottom -> E -> top from a glueing block."""
     g = bottom.g
     nb, nt = bottom.dim, top.dim
@@ -431,7 +416,7 @@ def glue_extension(bottom, top, block, kind="extension", limits=DEFAULT_LIMITS):
         truncated=bottom.truncated or top.truncated,
         meta={"kind": kind},
     )
-    assert_valid_module(E, limits=limits)
+    assert_valid_module(E)
     return E
 
 
@@ -498,16 +483,14 @@ def flag_multiplicities(module, limits=DEFAULT_LIMITS):
 # projective covers
 
 
-_PROJ_CACHE = {}
-
-
 def projective_cover(g, lam, limits=DEFAULT_LIMITS):
     """The indecomposable projective P(lam), cut out of the induction of
-    V(lam) from the even part by a Fitting decomposition."""
+    V(lam) from the even part by a Fitting decomposition.  Memoised on
+    the algebra per (weight, Limits); callers must not mutate the result."""
     lam = tuple(QQ(c) for c in lam)
-    key = (g.family, tuple(g.params), g.grading_kind, lam)
-    if key in _PROJ_CACHE:
-        return _PROJ_CACHE[key]
+    key = ("projective_cover", lam, limits)
+    if key in g.memo:
+        return g.memo[key]
     big = induced_projective(g, lam, limits=limits)
     recs = fitting_decompose(big, limits=limits)
     L = simple_module(g, lam, limits=limits)
@@ -532,7 +515,7 @@ def projective_cover(g, lam, limits=DEFAULT_LIMITS):
         )
     P.meta["flag"] = flag
     P.meta["cosocle_hom"] = (hits[0][1], hits[0][2])
-    _PROJ_CACHE[key] = P
+    g.memo[key] = P
     return P
 
 
@@ -569,28 +552,6 @@ def projective_cover_h(halg, fiber, limits=DEFAULT_LIMITS):
 # tilting modules
 
 
-def _dominant_box(m, n, lo, hi):
-    """All dominant weights with every coordinate in [lo, hi]."""
-    span = [QQ(c) for c in range(lo, hi + 1)]
-
-    def parts(k, strict_side):
-        if k == 0:
-            return [()]
-        out = []
-        for head in span:
-            for rest in parts(k - 1, strict_side):
-                if rest and head < rest[0]:
-                    continue
-                out.append((head,) + rest)
-        return out
-
-    weights = []
-    for left in parts(m, True):
-        for right in parts(n, True):
-            weights.append(left + right)
-    return sorted(set(weights), reverse=True)
-
-
 def tilting_module(g, lam, box, limits=DEFAULT_LIMITS):
     """The indecomposable tilting module U(lam) by successive extension.
 
@@ -611,7 +572,7 @@ def tilting_module(g, lam, box, limits=DEFAULT_LIMITS):
     lo, hi = box
     margin = limits.tilting_margin
     candidates = [
-        mu for mu in _dominant_box(m, n, lo - margin, hi + margin)
+        mu for mu in dominant_weights_in_box(m, n, lo - margin, hi + margin)
         if root_leq(mu, lam)
     ]
     base = kac_module(g, lam, limits=limits)
@@ -653,13 +614,11 @@ def tilting_module(g, lam, box, limits=DEFAULT_LIMITS):
                         f" parity {p}: cochain route {d}, direct route "
                         f"{dim_direct}"
                     )
-                T = glue_extension(
-                    T, top, block, kind="tilting_step", limits=limits
-                )
+                T = glue_extension(T, top, block, kind="tilting_step")
                 flag.append((mu, p))
     # certification: nothing extends the result anywhere in the box
     ke = KacExtensions(T, limits=limits)
-    window = _dominant_box(m, n, lo, hi)
+    window = dominant_weights_in_box(m, n, lo, hi)
     leftovers = {}
     for mu in window:
         d = ke.ext_dimension(mu)

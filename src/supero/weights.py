@@ -78,10 +78,6 @@ def root_leq(lo, hi):
     return acc == 0
 
 
-def root_lt(lo, hi):
-    return lo != hi and root_leq(lo, hi)
-
-
 def height(lo, hi):
     """Sum of simple-root coefficients of hi - lo (requires lo <= hi)."""
     if not root_leq(lo, hi):
@@ -92,13 +88,6 @@ def height(lo, hi):
         acc += x - y
         total += acc
     return as_int(total)
-
-
-def maximal_weights(weights):
-    """All root-order-maximal elements, sorted lexicographically descending."""
-    ws = list(dict.fromkeys(weights))
-    out = [w for w in ws if not any(root_lt(w, other) for other in ws)]
-    return sorted(out, reverse=True)
 
 
 def weights_between(lo, hi, steps):
@@ -142,7 +131,8 @@ def is_dominant_gl(w, m, n):
 
 
 def dominant_weights_in_box(m, n, lo, hi):
-    """All dominant integer-coordinate gl(m|n) weights with entries in [lo, hi]."""
+    """All dominant integer-coordinate gl(m|n) weights with entries in
+    [lo, hi], lexicographically descending."""
     out = []
 
     def descend(length, floor):
@@ -158,4 +148,4 @@ def dominant_weights_in_box(m, n, lo, hi):
     for left in descend(m, hi):
         for right in descend(n, hi):
             out.append(weight(left + right))
-    return sorted(out)
+    return sorted(out, reverse=True)

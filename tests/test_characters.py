@@ -122,13 +122,13 @@ def test_simple_character_dimensions_gl11():
 
 
 def test_dominant_box_gl11():
-    W = dominant_weights_in_box(gl11(), -2, 2)
+    W = dominant_weights_in_box(1, 1, -2, 2)
     assert len(W) == 25
     assert W == sorted(W, reverse=True)
 
 
 def test_dominant_box_gl21_respects_dominance():
-    W = dominant_weights_in_box(gl21c(), -1, 1)
+    W = dominant_weights_in_box(2, 1, -1, 1)
     assert len(W) == 18
     assert all(w[0] >= w[1] for w in W)
 

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supero.algebra import build_gl, build_q, install_grading
-from supero.errors import CliffordWeightError, DominanceError, GradingError
+from supero.config import Limits
+from supero.errors import (
+    CliffordWeightError,
+    DominanceError,
+    GradingError,
+    ResourceLimitError,
+)
 from supero.forms import (
     clifford_module,
     contravariant_form,
@@ -361,3 +367,20 @@ def test_kac_mass_formula_gl21(top, gap, c):
     lam = (top + gap, top, c)
     K = kac_module(gl21c(), lam)
     assert K.dim == 4 * (gap + 1)
+
+
+# -- memoisation on the algebra ----------------------------------------------
+
+
+def test_kac_memo_respects_a_smaller_module_budget():
+    g = gl21c()
+    assert kac_module(g, (1, 0, 0)).dim == 8
+    with pytest.raises(ResourceLimitError):
+        kac_module(g, (1, 0, 0), limits=Limits(max_module_dim=2))
+
+
+def test_kac_memo_is_keyed_by_weight_and_limits():
+    g = gl21c()
+    K = kac_module(g, (1, 0, 0))
+    assert kac_module(g, (QQ(1), QQ(0), QQ(0))) is K
+    assert kac_module(g, (1, 0, 0), limits=Limits(seed=7)) is not K

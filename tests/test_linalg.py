@@ -10,7 +10,7 @@ from supero.algebra import build_gl, install_grading
 from supero.errors import InvalidAlgebraError, ResourceLimitError
 from supero.forms import induced_projective
 from supero.homs import hom_space
-from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into, vec_dot
+from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into
 from supero.rational import QQ
 
 
@@ -20,10 +20,6 @@ def test_vec_add_into_prunes_zeros():
     assert v == {0: QQ(1), 2: QQ(3)}
     vec_add_into(v, {0: QQ(1)}, coeff=0)
     assert v == {0: QQ(1), 2: QQ(3)}
-
-
-def test_vec_dot():
-    assert vec_dot({0: QQ(2), 3: QQ(1)}, {0: QQ(1, 2), 1: QQ(5)}) == QQ(1)
 
 
 def test_rref_hand_example():
@@ -67,13 +63,6 @@ def test_matmul_and_transpose():
     assert a.matmul(b).transpose() == b.transpose().matmul(a.transpose())
     with pytest.raises(ValueError):
         a.matmul(SparseMatrix(3, 3))
-
-
-def test_stacking():
-    a = SparseMatrix.from_dense([[1, 2]])
-    b = SparseMatrix.from_dense([[3, 4]])
-    assert SparseMatrix.vstack([a, b]).to_dense() == [[QQ(1), QQ(2)], [QQ(3), QQ(4)]]
-    assert SparseMatrix.hstack([a, b]).to_dense() == [[QQ(1), QQ(2), QQ(3), QQ(4)]]
 
 
 def test_echelon_express():

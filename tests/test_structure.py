@@ -204,6 +204,13 @@ def test_projective_flag_lives_above_its_weight():
         assert sorted(flag) == sorted([lam_q, alpha_up])
 
 
+def test_builders_answer_over_the_algebra_they_are_given():
+    g1, g2 = gl21c(), gl21c()
+    for build in (kac_module, projective_cover):
+        assert build(g1, (1, 0, 0)).g is g1
+        assert build(g2, (1, 0, 0)).g is g2
+
+
 def test_projective_cover_gl21_interior():
     g = gl21c()
     P = projective_cover(g, (0, 0, 0))

@@ -255,8 +255,8 @@ def test_ad_matrix():
     g = build_gl(1, 1)
     up = g.id_of("e(-1,1)")
     mat = g.ad_matrix(up)
-    for b in range(g.dim):
-        assert mat.col(b) == g.bracket(up, b)
+    for b, col in enumerate(mat.cols()):
+        assert col == g.bracket(up, b)
     with pytest.raises(ValueError):
         g.ad_matrix(up, domain_ids=[g.id_of("e(1,-1)")])
 
@@ -349,7 +349,7 @@ def test_q2_supertrace_essential():
             vec_add_into(image, g.bracket(x, k), c)
         for t, c in image.items():
             mat.data[(index[t], col)] = c
-    assert mat.trace() == QQ(4)
+    assert sum(v for (i, j), v in mat.data.items() if i == j) == QQ(4)
     assert supertrace(mat, [g.parity(b) for b in h]) == ZERO
 
 

@@ -1,5 +1,7 @@
 """Weight arithmetic, the root partial order, and dominance enumeration."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,8 @@ from supero.weights import (
     format_weight,
     height,
     is_dominant_gl,
-    maximal_weights,
     parse_weight,
     root_leq,
-    root_lt,
     wadd,
     weight,
     wneg,
@@ -32,7 +32,7 @@ def test_format_and_parse():
 
 def test_root_order_hand_examples():
     # (0,0) and (1,-1) differ by the simple root at position 1
-    assert root_lt(weight(0, 0), weight(1, -1))
+    assert root_leq(weight(0, 0), weight(1, -1))
     assert not root_leq(weight(1, -1), weight(0, 0))
     # incomparable: difference (1,-2,1) has a negative prefix only if reordered
     assert root_leq(weight(0, 0, 0), weight(1, -2, 1)) is False
@@ -50,12 +50,6 @@ def test_height():
         height(weight(1, -1), weight(0, 0))
 
 
-def test_maximal_weights():
-    ws = [weight(0, 0), weight(1, -1), weight(0, 1)]
-    # (0,1) is incomparable to the chain (0,0) < (1,-1)
-    assert maximal_weights(ws) == [weight(1, -1), weight(0, 1)]
-
-
 def test_dominance():
     assert is_dominant_gl(weight(2, 1, 5), 2, 1)
     assert not is_dominant_gl(weight(1, 2, 0), 2, 1)
@@ -66,14 +60,21 @@ def test_dominance():
 
 def test_dominant_box_enumeration():
     got = dominant_weights_in_box(1, 1, -1, 1)
-    assert got == sorted(weight(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
+    assert got == sorted(
+        (weight(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)), reverse=True
+    )
     got21 = dominant_weights_in_box(2, 1, 0, 1)
     expected = [
         weight(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1) if a >= b
     ]
-    assert got21 == sorted(expected)
+    assert got21 == sorted(expected, reverse=True)
     for w in got21:
         assert is_dominant_gl(w, 2, 1)
+    # brute force: every integer point of the box, filtered by dominance
+    for m, n, lo, hi in ((1, 1, -1, 1), (2, 1, -2, 2), (2, 2, 0, 1)):
+        box = (weight(c) for c in product(range(lo, hi + 1), repeat=m + n))
+        brute = sorted((w for w in box if is_dominant_gl(w, m, n)), reverse=True)
+        assert dominant_weights_in_box(m, n, lo, hi) == brute
 
 
 coords = st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(weight)
@@ -83,7 +84,6 @@ coords = st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(weight)
 @given(coords)
 def test_root_order_reflexive(w):
     assert root_leq(w, w)
-    assert not root_lt(w, w)
 
 
 @settings(deadline=None)
