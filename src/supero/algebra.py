@@ -18,7 +18,7 @@ from itertools import product
 
 from .errors import GradingError, InvalidAlgebraError
 from .linalg import Echelon, SparseMatrix, vec_add_into
-from .rational import QQ, ZERO, as_int, rat_str
+from .rational import QQ, ZERO, rat_str
 from .weights import wadd, wdot, weight, wzero
 
 
@@ -338,11 +338,11 @@ def build_q(n):
     if n < 1:
         raise ValueError("need n >= 1")
 
-    def emb_even(i, j):
-        return {(-i, -j): QQ(1), (i, j): QQ(1)}
+    # gl(n|n) matrix positions of the index set (-n..-1, 1..n)
+    pos = {i: p for p, i in enumerate(list(range(-n, 0)) + list(range(1, n + 1)))}
 
-    def emb_odd(i, j):
-        return {(-i, j): QQ(1), (i, -j): QQ(1)}
+    def embed(a, b, c, d):
+        return SparseMatrix(2 * n, 2 * n, {(pos[a], pos[b]): 1, (pos[c], pos[d]): 1})
 
     basis = []
     id_of = {}
@@ -357,60 +357,26 @@ def build_q(n):
                 wt[j - 1] -= 1
                 id_of[(odd, i, j)] = k
                 basis.append(BasisElement(k, label, odd, tuple(wt)))
-                embeddings.append(emb_odd(i, j) if odd else emb_even(i, j))
-
-    def matmul(a, b):
-        rows = {}
-        for (r, c), v in b.items():
-            rows.setdefault(r, []).append((c, v))
-        out = {}
-        for (r, c), v in a.items():
-            for c2, w in rows.get(c, ()):
-                key = (r, c2)
-                s = out.get(key, ZERO) + v * w
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
-
-    def super_bracket(a, b, pa, pb):
-        ab = matmul(a, b)
-        ba = matmul(b, a)
-        sign = -1 if (pa * pb) % 2 else 1
-        out = dict(ab)
-        for key, v in ba.items():
-            s = out.get(key, ZERO) - sign * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return out
+                embeddings.append(embed(-i, j, i, -j) if odd else embed(-i, -j, i, j))
 
     table = {}
-    for a in range(len(basis)):
-        for b in range(len(basis)):
-            mat = super_bracket(
-                embeddings[a], embeddings[b], basis[a].parity, basis[b].parity
-            )
+    for a, A in enumerate(embeddings):
+        for b, B in enumerate(embeddings):
+            sign = -1 if basis[a].parity * basis[b].parity else 1
+            mat = A @ B - (B @ A).scale(sign)
             coords = {}
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    ce = mat.get((i, j))
+                    ce = mat.data.get((pos[i], pos[j]))
                     if ce:
                         coords[id_of[(0, i, j)]] = ce
-                    co = mat.get((i, -j))
+                    co = mat.data.get((pos[i], pos[-j]))
                     if co:
                         coords[id_of[(1, i, j)]] = co
             # closure sanity: the coordinates must rebuild the matrix exactly
-            rebuilt = {}
+            rebuilt = SparseMatrix(2 * n, 2 * n)
             for k, c in coords.items():
-                for key, v in embeddings[k].items():
-                    s = rebuilt.get(key, ZERO) + c * v
-                    if s:
-                        rebuilt[key] = s
-                    else:
-                        rebuilt.pop(key, None)
+                rebuilt = rebuilt + embeddings[k].scale(c)
             if rebuilt != mat:
                 raise InvalidAlgebraError(
                     f"bracket left q({n}): [{basis[a].label},{basis[b].label}]",

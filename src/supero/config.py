@@ -1,12 +1,12 @@
 """Resource limits and run configuration.
 
-All stochastic search (isomorphism candidates, splitting elements for the
-Fitting decomposition) draws from a local ``random.Random(seed)`` so runs are
+The one stochastic search, the splitting search of the Fitting
+decomposition, draws from a local ``random.Random(seed)`` so runs are
 reproducible; the seed travels with the limits object and is embedded in
 reports.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 DEFAULT_SEED = 12345
 
@@ -17,9 +17,10 @@ class Limits:
 
     max_module_dim: refuse to build explicit modules larger than this.
     max_end_dim: bound on endomorphism/radical algebra dimension.
-    max_hom_vars: bound on unknowns in intertwiner/extension solves.
+    max_hom_vars: bound on unknowns in hom solves and in the C^1 of the
+        extension cochain complex.
     iteration_budget: cap on tilting-extension passes.
-    search_budget: random attempts in isomorphism / splitting searches.
+    search_budget: random attempts in the splitting search.
     straighten_cache: entries kept per normal-ordering memo table.
     tilting_margin: extra odd-root steps below a window that the tilting
         construction is allowed to use.

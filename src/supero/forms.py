@@ -263,7 +263,6 @@ def kac_module(g, lam, limits=DEFAULT_LIMITS):
     expected = (1 << (m * n)) * V.dim
     if K.dim != expected:
         raise AssertionError(f"induced dimension {K.dim}, expected {expected}")
-    K.meta["fiber_dim"] = V.dim
     g.memo[key] = K
     return K
 
@@ -304,8 +303,6 @@ def induced_projective(g, lam, limits=DEFAULT_LIMITS):
     expected = (1 << (2 * m * n)) * V.dim
     if P.dim != expected:
         raise AssertionError(f"induced dimension {P.dim}, expected {expected}")
-    P.meta["fiber_dim"] = V.dim
-    P.meta["fiber_weight"] = tuple(V.highest_weight)
     return P
 
 

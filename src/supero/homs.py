@@ -1,4 +1,5 @@
-"""Hom spaces between explicit modules and Fitting decomposition.
+"""Hom spaces between explicit modules, Fitting decomposition and the
+isomorphism certificate.
 
 Hom computation is a weight-blocked linear solve: a parity-s morphism
 preserves weights, shifts parities by s, and intertwines every action
@@ -6,14 +7,22 @@ matrix up to the sign (-1)^{s |x|}.
 
 Decomposition into indecomposable summands goes through the even
 endomorphism ring: a summand is certified indecomposable when that ring
-is local (its dimension minus its radical dimension is 1).  Splitting
-idempotents are found from rational eigenvalues of endomorphisms; if the
-ring is provably non-local but no splitting idempotent is found within
-the configured budget, the failure is reported as a resource error and
-never silently converted into a pass.
+is local (its dimension minus its radical dimension is 1).  A non-local
+ring is split by Fitting's lemma: for an endomorphism z whose minimal
+polynomial p has a rational root r of multiplicity k with (t - r)^k != p,
+Y = (z - r)^k gives M = im Y + ker Y, two nonzero submodules.  If the
+ring is provably non-local but no such z is found within the configured
+budget, the failure is reported as a resource error and never silently
+converted into a pass.
+
+Isomorphism is decided, not searched for: when one side has a local even
+endomorphism ring, an isomorphism exists iff some element of the
+canonical hom basis is invertible (proof at ``is_isomorphic``); otherwise
+both sides are decomposed and their summands matched (Krull-Schmidt).
 """
 
 import random
+from math import isqrt, lcm
 
 from .algebra import same_algebra
 from .config import DEFAULT_LIMITS
@@ -115,71 +124,15 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mul(a, b):
-    out = [ZERO] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] -= c * y
-        _poly_trim(a)
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_ext_gcd(a, b):
-    """(g, u, v) with u a + v b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [ONE], []
-    t0, t1 = [], [ONE]
-    while _poly_trim(list(r1)):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([x - y for x, y in _zip_pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _poly_trim([x - y for x, y in _zip_pad(t0, _poly_mul(q, t1))])
-    if r0:
-        inv = 1 / r0[-1]
-        r0 = [c * inv for c in r0]
-        s0 = [c * inv for c in s0]
-        t0 = [c * inv for c in t0]
-    return r0, s0, t0
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else ZERO, b[i] if i < len(b) else ZERO)
-        for i in range(n)
-    ]
-
-
-def _poly_eval_matrix(p, z, n):
-    out = SparseMatrix(n, n)
+def _divide_linear(p, r):
+    """Synthetic division of p by t - r: (quotient, remainder p(r))."""
+    acc = ZERO
+    out = []
     for c in reversed(p):
-        out = out @ z
-        if c:
-            for i in range(n):
-                out.data[(i, i)] = out.data.get((i, i), ZERO) + c
-    for key in [k for k, v in out.data.items() if not v]:
-        del out.data[key]
-    return out
+        acc = acc * r + c
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
 
 
 def _min_poly_by_solve(powers, target):
@@ -211,9 +164,7 @@ def _rational_roots(p):
         shift += 1
     if shift:
         roots.append(QQ(0))
-    den = 1
-    for c in p:
-        den = den * int(QQ(c).denominator) // _gcd(den, int(QQ(c).denominator))
+    den = lcm(*(int(QQ(c).denominator) for c in p))
     ip = [int(QQ(c) * den) for c in p]
     a0, ak = abs(ip[0]), abs(ip[-1])
     for num in _divisors(a0):
@@ -221,37 +172,15 @@ def _rational_roots(p):
             for cand in (QQ(num, d), QQ(-num, d)):
                 if cand in roots:
                     continue
-                if not _poly_eval(p, cand):
+                if not _divide_linear(p, cand)[1]:
                     roots.append(cand)
     return sorted(roots)
 
 
-def _poly_eval(p, x):
-    out = ZERO
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    n = abs(n) or 1
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +229,15 @@ def end_ring(module, limits=DEFAULT_LIMITS):
     }
 
 
-def _find_split_idempotent(module, ring, limits):
-    """A nontrivial even idempotent endomorphism, or None within budget.
+def _find_fitting_element(module, ring, limits):
+    """An even endomorphism Y with im Y and ker Y both nonzero, or None
+    within budget.
 
-    Candidates are endomorphisms with a rational eigenvalue whose minimal
-    polynomial properly factors; the idempotent is the polynomial
-    projection onto one primary component.
+    Candidates z are the basis, pairwise sums of basis elements, then
+    seeded random combinations.  For a rational root r of the minimal
+    polynomial p of z, of multiplicity k, with (t - r)^k != p, Fitting's
+    lemma gives M = im Y + ker Y for Y = (z - r)^k, and neither piece is
+    zero.
     """
     basis = ring["basis"]
     e = len(basis)
@@ -331,36 +263,27 @@ def _find_split_idempotent(module, ring, limits):
         tried += 1
         if tried > 2 * limits.search_budget + e * e + e:
             break
-        p = _min_poly_by_powers(z, n, e)
+        p = _min_poly_by_powers(z, n)
         if len(p) < 3:  # degree < 2: scalar, no split
             continue
         for r in _rational_roots(p):
-            lin = [-r, ONE]
-            f = [ONE]
-            rem = list(p)
+            k, rest = 0, p
             while True:
-                q, rr = _poly_divmod(rem, lin)
-                if _poly_trim(list(rr)):
+                q, rem = _divide_linear(rest, r)
+                if rem:
                     break
-                f = _poly_mul(f, lin)
-                rem = q
-            if len(f) - 1 == 0 or len(rem) - 1 + (len(f) - 1) != len(p) - 1:
+                k, rest = k + 1, q
+            if len(rest) == 1:  # p = (t-r)^k: a single primary component
                 continue
-            if len(rem) == 1:  # (t-r)^deg: single primary component
-                continue
-            gpoly, u, _v = _poly_ext_gcd(f, rem)
-            if len(gpoly) != 1:
-                continue
-            proj = _poly_eval_matrix(_poly_mul(u, f), z, n)
-            if proj.is_zero() or proj == SparseMatrix.identity(n):
-                continue
-            if proj @ proj != proj:
-                raise AssertionError("primary projection failed to be idempotent")
-            return proj
+            shifted = z - SparseMatrix.identity(n).scale(r)
+            Y = shifted
+            for _ in range(k - 1):
+                Y = Y @ shifted
+            return Y
     return None
 
 
-def _min_poly_by_powers(z, n, bound):
+def _min_poly_by_powers(z, n):
     powers = [SparseMatrix.identity(n)]
     flat_ech = Echelon([dict(powers[0].data)])
     cur = powers[0]
@@ -372,23 +295,31 @@ def _min_poly_by_powers(z, n, bound):
     raise AssertionError("minimal polynomial computation ran away")
 
 
-def _image_split(module, proj):
-    """Split M along an idempotent: ((sub1, S1, P1), (sub2, S2, P2))."""
+def _fitting_split(module, Y):
+    """Split M = im Y + ker Y: ((sub_im, S1, P1), (sub_ker, S2, P2)).
+
+    Both projections come from one solve against [S1 | S2]."""
     n = module.dim
-    comp = SparseMatrix.identity(n) - proj
-    out = []
-    for p in (proj, comp):
-        cols = p.cols()
-        sub, include = submodule_module(module, [c for c in cols if c])
-        sols = include.solve_multi(cols)
-        project = SparseMatrix(sub.dim, n)
-        for j, sol in enumerate(sols):
-            if sol is None:
-                raise AssertionError("idempotent image escaped its span")
-            for i, c in sol.items():
-                project.data[(i, j)] = c
-        out.append((sub, include, project))
-    return out
+    pieces = [
+        submodule_module(module, [c for c in Y.cols() if c]),
+        submodule_module(module, Y.kernel_basis()),
+    ]
+    d = pieces[0][0].dim
+    if d + pieces[1][0].dim != n:
+        raise AssertionError("Fitting pieces do not add up to the module")
+    both = SparseMatrix(n, n, pieces[0][1].data)
+    for (i, j), c in pieces[1][1].data.items():
+        both.data[(i, d + j)] = c
+    projects = [SparseMatrix(d, n), SparseMatrix(n - d, n)]
+    for j, sol in enumerate(both.solve_multi([{j: ONE} for j in range(n)])):
+        if sol is None:
+            raise AssertionError("Fitting pieces do not span the module")
+        for i, c in sol.items():
+            if i < d:
+                projects[0].data[(i, j)] = c
+            else:
+                projects[1].data[(i - d, j)] = c
+    return [(sub, inc, prj) for (sub, inc), prj in zip(pieces, projects)]
 
 
 def fitting_decompose(module, limits=DEFAULT_LIMITS):
@@ -416,13 +347,13 @@ def fitting_decompose(module, limits=DEFAULT_LIMITS):
                 "local": True,
             })
             return
-        proj = _find_split_idempotent(mod, ring, limits)
-        if proj is None:
+        Y = _find_fitting_element(mod, ring, limits)
+        if Y is None:
             raise ResourceLimitError(
                 f"endomorphism ring of dim {e} is not local but no splitting "
-                f"idempotent was found within the search budget"
+                f"element was found within the search budget"
             )
-        for sub, inc, prj in _image_split(mod, proj):
+        for sub, inc, prj in _fitting_split(mod, Y):
             descend(sub, include @ inc, prj @ project)
 
     n = module.dim
@@ -440,25 +371,29 @@ def fitting_decompose(module, limits=DEFAULT_LIMITS):
 # isomorphism testing
 
 
-def is_isomorphic(src, dst, allow_parity_flip=False, limits=DEFAULT_LIMITS,
-                  seed=None):
-    """Decide src = dst, never guessing.
+def is_isomorphic(src, dst, allow_parity_flip=False, limits=DEFAULT_LIMITS):
+    """Decide src = dst (or src = Pi dst when allowed) by a certificate.
 
     Returns {"isomorphic": bool, "certified": True, "witness": matrix or
-    None, "parity": 0/1/None, "reason": str}.  A negative answer is only
-    returned with a certificate (dimension or character mismatch, empty
-    or provably singular hom space).  If the question cannot be settled
-    within the search budget a ResourceLimitError is raised instead of
-    guessing.
+    None, "parity": 0/1/None, "reason": str}.  Both answers are exact: a
+    yes carries an invertible morphism of the returned parity, a no rests
+    on a dimension or character mismatch or on the rule below.
+
+    The rule: if src or dst has a local even endomorphism ring, a
+    parity-s isomorphism exists iff some element of the canonical basis
+    F_1..F_e of Hom_s(src, dst) has full rank.  Proof: if phi = sum a_i
+    F_i is an isomorphism, then id = sum a_i phi^-1 F_i; the non-units of
+    a local ring form its radical, so some phi^-1 F_i is a unit and F_i
+    has full rank (argue with F_i phi^-1 when dst is the local side).  An
+    empty basis, or a single singular element, answers no without a ring.
+    When neither side is local both are split by ``fitting_decompose``
+    and the summands matched greedily by the same rule (Krull-Schmidt);
+    the witness is the sum of include_b F project_a over matched pairs.
     """
     if not same_algebra(src.g, dst.g):
         raise ValueError("modules live over different algebras")
-    if limits.search_budget <= 0:
-        raise ResourceLimitError(
-            "isomorphism search budget is 0; cannot certify either way"
-        )
     if src.dim != dst.dim:
-        return _no("dimension mismatch")
+        return _verdict("dimension mismatch")
     sc_src = src.super_character()
     sc_dst = dst.super_character()
     parities = []
@@ -467,62 +402,67 @@ def is_isomorphic(src, dst, allow_parity_flip=False, limits=DEFAULT_LIMITS,
     if allow_parity_flip and {w: (d1, d0) for w, (d0, d1) in sc_src.items()} == sc_dst:
         parities.append(1)
     if not parities:
-        return _no("character mismatch")
+        return _verdict("character mismatch")
 
-    rng = random.Random(seed if seed is not None else limits.seed)
-    budget = limits.search_budget
-    undecided = False
+    summands = None
     for s in parities:
         basis = hom_space(src, dst, parity=s, limits=limits)
-        if not basis:
+        F = _invertible_element(basis, src.dim)
+        if F is not None:
+            return _verdict("invertible morphism in the hom basis", F, s)
+        if len(basis) < 2:  # Hom_s is zero or spanned by a singular map
             continue
-        n = src.dim
-        tried = 0
+        if summands is None:
+            summands = _summands_unless_local(src, dst, limits)
+        if summands:
+            W = _match_summands(*summands, src.dim, s, limits)
+            if W is not None:
+                return _verdict("summands matched by invertible morphisms", W, s)
+    return _verdict("no invertible morphism exists")
 
-        def attempts():
-            for F in basis:
-                yield F
-            for a in range(len(basis)):
-                for b in range(a + 1, len(basis)):
-                    yield basis[a] + basis[b]
-            while True:
-                acc = SparseMatrix(dst.dim, src.dim)
-                for F in basis:
-                    c = QQ(rng.randint(-4, 4))
-                    if c:
-                        acc = acc + F.scale(c)
-                yield acc
 
-        for F in attempts():
-            if tried >= budget:
+def _invertible_element(basis, n):
+    return next((F for F in basis if F.rank() == n), None)
+
+
+def _summands_unless_local(src, dst, limits):
+    """Fitting summands of both sides, or () when either side is local."""
+    a = fitting_decompose(src, limits=limits)
+    if len(a) == 1:
+        return ()
+    b = fitting_decompose(dst, limits=limits)
+    if len(b) == 1:
+        return ()
+    return a, b
+
+
+def _match_summands(src_recs, dst_recs, n, s, limits):
+    """A parity-s isomorphism assembled from summand isomorphisms, or None
+    when some summand of the source has no partner."""
+    W = SparseMatrix(n, n)
+    free = list(dst_recs)
+    for ra in src_recs:
+        A = ra["module"]
+        for rb in free:
+            if rb["module"].dim != A.dim:
+                continue
+            F = _invertible_element(
+                hom_space(A, rb["module"], parity=s, limits=limits), A.dim
+            )
+            if F is not None:
+                W = W + rb["include"] @ F @ ra["project"]
+                free.remove(rb)
                 break
-            tried += 1
-            if F.rank() == n:
-                return {
-                    "isomorphic": True,
-                    "certified": True,
-                    "witness": F,
-                    "parity": s,
-                    "reason": "invertible morphism found",
-                }
-        if len(basis) == 1:
-            # the whole hom space is singular: certified negative for s
-            continue
-        undecided = True
-
-    if undecided:
-        raise ResourceLimitError(
-            "isomorphism undecided within search budget: hom space has "
-            "dimension > 1 but no invertible combination was found"
-        )
-    return _no("no invertible morphism exists")
+        else:
+            return None
+    return W
 
 
-def _no(reason):
+def _verdict(reason, witness=None, parity=None):
     return {
-        "isomorphic": False,
+        "isomorphic": witness is not None,
         "certified": True,
-        "witness": None,
-        "parity": None,
+        "witness": witness,
+        "parity": parity,
         "reason": reason,
     }

@@ -508,13 +508,10 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
 
     meta = {
         "kind": kind,
-        "sub_ids": tuple(sub_ids),
-        "free_ids": tuple(free_ids),
         "min_degree": min_degree,
         "depth_degrees": tuple(word_deg) if graded else None,
         "window": frozenset(tuple(w) for w in weight_window) if weight_window else None,
         "word_weight": tuple(word_wt),
-        "pbw_order": tuple(order),
     }
     return ExplicitModule(
         g, weights, parities, action, labels=labels,

@@ -56,9 +56,14 @@ class KacExtensions:
             )
         self.g = g
         self.M = module
-        self.limits = limits
         self.pos = sorted(g.positive_ids())
         npos = len(self.pos)
+        if npos * module.dim > limits.max_hom_vars:
+            raise ResourceLimitError(
+                f"extension cochains have {npos * module.dim} C^1 unknowns "
+                f"({npos} odd raisings x module dim {module.dim}); "
+                f"max_hom_vars is {limits.max_hom_vars}"
+            )
         # C^1 basis: (x, i) for x an odd raising and i a basis vector of M.
         self.c1_basis = [(x, i) for x in self.pos for i in range(module.dim)]
         self.c1_index = {key: k for k, key in enumerate(self.c1_basis)}
@@ -634,7 +639,6 @@ def tilting_module(g, lam, box, limits=DEFAULT_LIMITS):
     T.meta["kind"] = "tilting"
     T.meta["flag_bottom_up"] = flag
     T.meta["flag"] = list(reversed(flag))
-    T.meta["ext_vanishing_checked"] = [tuple(mu) for mu in window]
     T.meta["end_even_dim"] = len(ring["basis"])
     T.meta["end_radical_dim"] = len(ring["radical"])
     T.highest_weight = None  # the top of the flag need not be a highest weight

@@ -133,7 +133,7 @@ def test_verify_budget_zero_is_resource_not_pass(capsys):
         "--algebra", "gl:1,1",
         "--box=0..0",
         "--which", "pdual",
-        "--search-budget", "0",
+        "--iteration-budget", "0",
     )
     assert code == 4
     assert "budget" in err

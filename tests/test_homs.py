@@ -30,6 +30,7 @@ from supero.modules import (
     validate_module,
 )
 from supero.rational import ONE, QQ
+from supero.structure import projective_cover
 
 
 def gl11():
@@ -257,21 +258,47 @@ def test_tau_selfdual_iff_nondegenerate():
     assert not r["isomorphic"]
 
 
-def test_budget_zero_raises():
+def test_projective_cover_is_not_its_flag_sum():
+    """P(0|0) is indecomposable, so the sum of its flag factors is a
+    certified no in both orders, with or without a parity flip."""
     g = gl11()
-    K = kac_module(g, (2, -1))
-    with pytest.raises(ResourceLimitError):
-        is_isomorphic(K, K, limits=Limits(search_budget=0))
+    P = projective_cover(g, (0, 0))
+    S = direct_sum(parity_flip(kac_module(g, (1, -1))), kac_module(g, (0, 0)))
+    assert P.super_character() == S.super_character()
+    for a, b in ((P, S), (S, P)):
+        for flip in (False, True):
+            r = is_isomorphic(a, b, allow_parity_flip=flip)
+            assert r["certified"] and not r["isomorphic"]
+            assert r["witness"] is None
 
 
-def test_seeded_search_reproducible():
-    g = gl21c()
-    K = kac_module(g, (1, 0, 0))
-    r1 = is_isomorphic(K, tau_dual(kac_module(g, (1, 0, 0))), seed=7)
-    r2 = is_isomorphic(K, tau_dual(kac_module(g, (1, 0, 0))), seed=7)
-    assert r1["isomorphic"] == r2["isomorphic"]
-    if r1["witness"] is not None:
-        assert r1["witness"] == r2["witness"]
+def test_decomposable_same_character_not_isomorphic():
+    """Neither side is local: the summands are matched, and K(0|0) has no
+    partner in the second sum."""
+    g = gl11()
+    flipped = parity_flip(kac_module(g, (1, -1)))
+    A = direct_sum(flipped, kac_module(g, (0, 0)))
+    B = direct_sum(flipped, tau_dual(kac_module(g, (0, 0))))
+    assert A.super_character() == B.super_character()
+    for a, b in ((A, B), (B, A)):
+        r = is_isomorphic(a, b, allow_parity_flip=True)
+        assert r["certified"] and not r["isomorphic"]
+
+
+def test_decomposable_isomorphic_witness():
+    """Swapped sums are isomorphic; the witness is an invertible module map
+    assembled from the summands, and the same on every call."""
+    g = gl11()
+    K0, K2 = kac_module(g, (0, 0)), kac_module(g, (2, -1))
+    T0 = tau_dual(kac_module(g, (0, 0)))
+    for A, B in ((direct_sum(K2, K0), direct_sum(K0, K2)),
+                 (direct_sum(K0, T0), direct_sum(T0, K0))):
+        r = is_isomorphic(A, B)
+        assert r["isomorphic"] and r["certified"] and r["parity"] == 0
+        W = r["witness"]
+        assert W.rank() == A.dim
+        assert is_module_map(W, A, B, parity=0)
+        assert is_isomorphic(A, B)["witness"] == W
 
 
 # -- q-type endomorphisms --------------------------------------------------

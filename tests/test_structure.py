@@ -59,6 +59,20 @@ def test_d_squared_zero_gl21():
     assert (ke.d1 @ ke.d0).is_zero()
 
 
+def test_cochain_unknowns_guard():
+    """gl(2|1) has two odd raisings, so K(1,0|0) (dim 8) needs 16 C^1
+    unknowns; one fewer allowed raises and names the knob."""
+    from supero.config import Limits
+
+    K = kac_module(gl21c(), (1, 0, 0))
+    assert KacExtensions(K, limits=Limits(max_hom_vars=16)).d1.ncols == 16
+    with pytest.raises(ResourceLimitError) as err:
+        KacExtensions(K, limits=Limits(max_hom_vars=15))
+    message = str(err.value)
+    assert "16 C^1 unknowns" in message and "module dim 8" in message
+    assert "max_hom_vars is 15" in message
+
+
 def test_h1_vanishes_for_typical_coefficients():
     g = gl11()
     K = kac_module(g, (2, -1))
