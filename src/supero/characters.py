@@ -17,7 +17,9 @@ from .linalg import SparseMatrix
 from .weights import dominant_weights_in_box, wadd, wsub, is_dominant_gl
 from .algebra import beta_weight, w0_action
 from .config import DEFAULT_LIMITS
-from .errors import DominanceError, GradingError, WindowError
+from .errors import (
+    DominanceError, GradingError, ResourceLimitError, WindowError,
+)
 from .forms import kac_module, simple_module, verma_module_truncated
 from .structure import (
     KacExtensions, flag_multiplicities, projective_cover, tilting_module,
@@ -380,12 +382,20 @@ def verma_decomposition_truncated(g, lam, depth, limits=DEFAULT_LIMITS):
     Each entry (mu, k) is a depth-limited lower bound: k independent
     vectors of weight mu are annihilated by every raising operator, so at
     least that many highest-weight factors occur there.  Raisings move up
-    in degree, hence act exactly on the truncation.
+    in degree, hence act exactly on the truncation.  Raises
+    ResourceLimitError when a weight space has more than max_hom_vars
+    unknowns.
     """
     M = verma_module_truncated(g, lam, depth, limits=limits)
     pos = g.positive_ids()
     out = []
     for w, idxs in sorted(M.weight_spaces().items(), reverse=True):
+        if len(idxs) > limits.max_hom_vars:
+            raise ResourceLimitError(
+                f"singular-vector system at {g.weight_str(w)} has "
+                f"{len(idxs)} unknowns and {len(pos) * M.dim} equations; "
+                f"max_hom_vars is {limits.max_hom_vars}"
+            )
         ent = {}
         for r, x in enumerate(pos):
             for k, i in enumerate(idxs):

@@ -17,8 +17,9 @@ class Limits:
 
     max_module_dim: refuse to build explicit modules larger than this.
     max_end_dim: bound on endomorphism/radical algebra dimension.
-    max_hom_vars: bound on unknowns in hom solves and in the C^1 of the
-        extension cochain complex.
+    max_hom_vars: bound on unknowns in hom solves, in the C^1 of the
+        extension cochain complex and in each singular-vector system of a
+        truncated Verma module.
     iteration_budget: cap on tilting-extension passes.
     search_budget: random attempts in the splitting search.
     straighten_cache: entries kept per normal-ordering memo table.

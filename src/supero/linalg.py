@@ -48,7 +48,7 @@ class SparseMatrix:
         self.data = {}
         if data:
             for (i, j), v in data.items():
-                q = QQ(v)
+                q = v if type(v) is QQ else QQ(v)
                 if q:
                     if not (0 <= i < nrows and 0 <= j < ncols):
                         raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")

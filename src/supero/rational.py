@@ -33,7 +33,8 @@ def rat_str(value):
 
 
 def is_integer(value):
-    return QQ(value).denominator == 1
+    q = value if type(value) is QQ else QQ(value)
+    return q.denominator == 1
 
 
 def as_int(value):

@@ -74,6 +74,12 @@ class KacExtensions:
             for b in range(a, npos)
         ]
         self.pair_index = {p: k for k, p in enumerate(self.pairs)}
+        self.raisings = self._simple_raisings()
+        # column views {x: [{row: entry} per column]} of the odd and the
+        # simple even raisings, taken once and dropped with this object
+        self._cols = {
+            x: module.action[x].cols() for x in self.pos + self.raisings
+        }
         self._build_differentials()
         self._check_d_squared()
         self._blocks = None
@@ -90,12 +96,11 @@ class KacExtensions:
         return (self.M.parities[i] + 1) % 2
 
     def _build_differentials(self):
-        M, g = self.M, self.g
+        M, cols = self.M, self._cols
         d0 = {}
         for i in range(M.dim):
             for x in self.pos:
-                img = M.act(x, {i: ONE})
-                for j, c in img.items():
+                for j, c in cols[x][i].items():
                     d0[(self.c1_index[(x, j)], i)] = c
         self.d0 = SparseMatrix(len(self.c1_basis), M.dim, d0)
         # (d f)(a, b) = a.f(b) + b.f(a); both signs positive because n+ is
@@ -103,7 +108,7 @@ class KacExtensions:
         d1 = {}
         for col, (x, i) in enumerate(self.c1_basis):
             for a in self.pos:
-                img = M.act(a, {i: ONE})
+                img = cols[a][i]
                 p = (a, x) if a <= x else (x, a)
                 row0 = self.pair_index[p]
                 for j, c in img.items():
@@ -149,8 +154,7 @@ class KacExtensions:
                 continue
             img = {}
             for x in self.pos:
-                out = self.M.act(x, {i: ONE})
-                for j, c in out.items():
+                for j, c in self._cols[x][i].items():
                     col = self.c1_index[(x, j)]
                     if col in local:
                         img[local[col]] = c
@@ -178,11 +182,10 @@ class KacExtensions:
     def _raising_action(self, e, vec_cols, vec):
         """Apply the even raising e to a C^1 cochain given on vec_cols."""
         out = {}
-        g, M = self.g, self.M
+        g = self.g
         for k, c in vec.items():
             x, i = self.c1_basis[vec_cols[k]]
-            img = M.act(e, {i: ONE})
-            for j, cc in img.items():
+            for j, cc in self._cols[e][i].items():
                 col = self.c1_index[(x, j)]
                 out[col] = out.get(col, ZERO) + c * cc
             # minus f([e, y]) contributes at every odd raising y with
@@ -216,7 +219,7 @@ class KacExtensions:
             self._hw_cache[key] = 0
             return 0
         rank_b = len(Echelon(bs))
-        raisings = self._simple_raisings()
+        raisings = self.raisings
         if not raisings:
             dim = len(zs) - rank_b
             self._hw_cache[key] = dim
@@ -246,8 +249,7 @@ class KacExtensions:
                     eq[target[col]][k] = eq[target[col]].get(k, ZERO) + v
             for t, i in enumerate(idxs):
                 for x in self.pos:
-                    img = self.M.act(x, {i: ONE})
-                    for j, c in img.items():
+                    for j, c in self._cols[x][i].items():
                         col = self.c1_index[(x, j)]
                         if col in target:
                             r = target[col]
@@ -276,12 +278,13 @@ def ext1_kac(g, lam, module, parity=None, limits=DEFAULT_LIMITS):
 # direct route: solving for an upper-triangular glueing block
 
 
-def _cochain_variables(bottom, top):
+def _cochain_variables(bottom, top_at):
     """Variables (x, i, j) for a glueing block Phi(x): top -> bottom.
 
-    Torus generators get no glueing entries: a nonzero block there would
-    put a Jordan block into the torus action, which leaves the category
-    of weight modules.
+    top_at maps (weight, parity) to the ascending basis indices of top
+    there.  Torus generators get no glueing entries: a nonzero block there
+    would put a Jordan block into the torus action, which leaves the
+    category of weight modules.
     """
     g = bottom.g
     vars_ = []
@@ -291,11 +294,8 @@ def _cochain_variables(bottom, top):
         wx = g.weight_of(x)
         px = g.parity(x)
         for i in range(bottom.dim):
-            for j in range(top.dim):
-                if bottom.parities[i] != (top.parities[j] + px) % 2:
-                    continue
-                if tuple(bottom.weights[i]) != tuple(wadd(top.weights[j], wx)):
-                    continue
+            key = (wsub(bottom.weights[i], wx), (bottom.parities[i] - px) % 2)
+            for j in top_at.get(key, ()):
                 vars_.append((x, i, j))
     return vars_
 
@@ -313,7 +313,10 @@ def ext1_with_representative(bottom, top, limits=DEFAULT_LIMITS):
     g = bottom.g
     if not same_algebra(g, top.g):
         raise ValueError("modules live over different algebras")
-    vars_ = _cochain_variables(bottom, top)
+    top_at = {}
+    for j, key in enumerate(zip(top.weights, top.parities)):
+        top_at.setdefault(key, []).append(j)
+    vars_ = _cochain_variables(bottom, top_at)
     vindex = {v: k for k, v in enumerate(vars_)}
     if len(vars_) > limits.max_hom_vars:
         raise ResourceLimitError(
@@ -340,8 +343,17 @@ def ext1_with_representative(bottom, top, limits=DEFAULT_LIMITS):
             br = g.bracket(a, b)
             half = a == b
             scale = QQ(1, 2) if half else ONE
+            wab = wadd(g.weight_of(a), g.weight_of(b))
             for i in range(bottom.dim):
-                for j in range(top.dim):
+                # every term of equation (a, b, i, j) is a variable at
+                # weight wt_i - wt_a - wt_b and parity |i| + |a| + |b| of
+                # j (actions and the bracket are homogeneous); any other
+                # j gives an empty row
+                key = (
+                    wsub(bottom.weights[i], wab),
+                    (bottom.parities[i] + pa + pb) % 2,
+                )
+                for j in top_at.get(key, ()):
                     eqs = {}
                     for k, v in brow[a][i].items():
                         add_block(eqs, (b, k, j), v)
@@ -365,11 +377,7 @@ def ext1_with_representative(bottom, top, limits=DEFAULT_LIMITS):
     # trivial blocks: psi runs over even weight-preserving linear maps
     seen = Echelon()
     for i in range(bottom.dim):
-        for j in range(top.dim):
-            if bottom.parities[i] != top.parities[j]:
-                continue
-            if tuple(bottom.weights[i]) != tuple(top.weights[j]):
-                continue
+        for j in top_at.get((bottom.weights[i], bottom.parities[i]), ()):
             blk = {}
             for x in range(g.dim):
                 for k, v in bcol[x][i].items():
@@ -569,6 +577,10 @@ def tilting_module(g, lam, box, limits=DEFAULT_LIMITS):
     processed stay clean.  The construction is certified afterwards:
     every extension group across the original box must vanish and the
     endomorphism ring must be local.
+
+    The cochain complex (``KacExtensions``) is built once for K(lam) and
+    rebuilt only after each glue, since only a glue changes the module;
+    the complex of the final module answers the certification sweep.
     """
     if g.family != "gl" or g.grading_kind != "compatible":
         raise GradingError("tilting construction needs gl compatible grading")
@@ -588,6 +600,7 @@ def tilting_module(g, lam, box, limits=DEFAULT_LIMITS):
         highest_weight=base.highest_weight, meta=base.meta,
     )
     flag = [(lam, 0)]
+    ke = KacExtensions(T, limits=limits)
     steps = 0
     for mu in candidates:
         for p in (0, 1):
@@ -598,7 +611,6 @@ def tilting_module(g, lam, box, limits=DEFAULT_LIMITS):
                     raise ResourceLimitError(
                         "tilting construction exceeded iteration budget"
                     )
-                ke = KacExtensions(T, limits=limits)
                 d = ke.ext_dimension(mu, p)
                 if prev is not None and d >= prev:
                     raise ResourceLimitError(
@@ -620,9 +632,9 @@ def tilting_module(g, lam, box, limits=DEFAULT_LIMITS):
                         f"{dim_direct}"
                     )
                 T = glue_extension(T, top, block, kind="tilting_step")
+                ke = KacExtensions(T, limits=limits)
                 flag.append((mu, p))
     # certification: nothing extends the result anywhere in the box
-    ke = KacExtensions(T, limits=limits)
     window = dominant_weights_in_box(m, n, lo, hi)
     leftovers = {}
     for mu in window:

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from supero import (
     QQ,
+    Limits,
+    ResourceLimitError,
     WindowError,
     blocks,
     build_gl,
@@ -39,6 +41,10 @@ def gl11p():
 
 def gl21c():
     return install_grading(build_gl(2, 1), "compatible")
+
+
+def gl21p():
+    return install_grading(build_gl(2, 1), "principal")
 
 
 def qq(w):
@@ -303,6 +309,20 @@ def test_verma_truncated_detects_second_factor():
 def test_verma_truncated_typical_stays_simple():
     g = gl11p()
     assert verma_decomposition_truncated(g, qq((2, -1)), 3) == [(qq((2, -1)), 1)]
+
+
+def test_verma_truncated_budget_names_the_knob():
+    # at depth 2 the weight (-1,0|1) of the gl(2|1) Verma is two-dimensional
+    g = gl21p()
+    lam = qq((0, 0, 0))
+    with pytest.raises(ResourceLimitError) as err:
+        verma_decomposition_truncated(g, lam, 2, limits=Limits(max_hom_vars=1))
+    msg = str(err.value)
+    assert "max_hom_vars is 1" in msg
+    assert "2 unknowns" in msg and "equations" in msg
+    assert verma_decomposition_truncated(
+        g, lam, 2, limits=Limits(max_hom_vars=2)
+    ) == verma_decomposition_truncated(g, lam, 2)
 
 
 @settings(max_examples=15, deadline=None)

@@ -5,14 +5,19 @@ cochain complex of the odd raising part, and a direct linear solve for an
 upper-triangular glueing block.  Everything else leans on those numbers.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
+from supero import structure
 from supero.algebra import build_gl, build_q, install_grading
 from supero.errors import GradingError, ResourceLimitError
 from supero.forms import clifford_module, kac_module, simple_module
 from supero.homs import end_ring, hom_dims, is_isomorphic
+from supero.linalg import Echelon, SparseMatrix
 from supero.modules import parity_flip, tau_dual, validate_module
-from supero.rational import QQ
+from supero.rational import ONE, QQ, ZERO
 from supero.structure import (
     KacExtensions,
     delta_flag,
@@ -26,6 +31,9 @@ from supero.structure import (
     verify_kac_dual,
     verify_projective_dual,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def gl11():
@@ -46,6 +54,10 @@ ALPHA = (QQ(1), QQ(-1))  # the odd raising weight of gl(1|1)
 
 def wsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def wadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 # -- the cochain complex ----------------------------------------------------
@@ -162,6 +174,159 @@ def test_glued_extension_is_a_valid_indecomposable():
     assert end_ring(E)["local"]
 
 
+# -- differential test of the glueing equations -----------------------------
+
+
+def oracle_ext1(bottom, top):
+    """Reference (dim, block) for ext1_with_representative.
+
+    Assembles one equation per (a, b, i, j) over all basis pairs of
+    bottom and top, with no weight bookkeeping: slow, but each row is
+    read straight off the bracket identity.  The library visits only the
+    (i, j) whose weights can carry a nonzero row, and must agree with
+    this row for row.
+    """
+    g = bottom.g
+    vars_ = [
+        (x, i, j)
+        for x in range(g.dim)
+        if x not in g.t_coord
+        for i in range(bottom.dim)
+        for j in range(top.dim)
+        if bottom.parities[i] == (top.parities[j] + g.parity(x)) % 2
+        and bottom.weights[i] == wadd(top.weights[j], g.weight_of(x))
+    ]
+    vindex = {v: k for k, v in enumerate(vars_)}
+    brow = [bottom.action[x].rows() for x in range(g.dim)]
+    bcol = [bottom.action[x].cols() for x in range(g.dim)]
+    tcol = [top.action[x].cols() for x in range(g.dim)]
+    trow = [top.action[x].rows() for x in range(g.dim)]
+
+    def add_block(eqs, key, coeff):
+        if coeff != ZERO and key in vindex:
+            eqs[vindex[key]] = eqs.get(vindex[key], ZERO) + coeff
+
+    rows = []
+    for a in range(g.dim):
+        pa = g.parity(a)
+        for b in range(a, g.dim):
+            pb = g.parity(b)
+            if a == b and pa == 0:
+                continue
+            sign = -ONE if (pa and pb) else ONE
+            half = a == b
+            scale = QQ(1, 2) if half else ONE
+            for i in range(bottom.dim):
+                for j in range(top.dim):
+                    eqs = {}
+                    for k, v in brow[a][i].items():
+                        add_block(eqs, (b, k, j), v)
+                    for k, v in tcol[b][j].items():
+                        add_block(eqs, (a, i, k), v)
+                    if not half:
+                        for k, v in brow[b][i].items():
+                            add_block(eqs, (a, k, j), -sign * v)
+                        for k, v in tcol[a][j].items():
+                            add_block(eqs, (b, i, k), -sign * v)
+                    for x, coeff in g.bracket(a, b).items():
+                        add_block(eqs, (x, i, j), -scale * coeff)
+                    eqs = {k: v for k, v in eqs.items() if v != ZERO}
+                    if eqs:
+                        rows.append(eqs)
+    ent = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
+    cocycles = SparseMatrix(len(rows), len(vars_), ent).kernel_basis()
+    seen = Echelon()
+    for i in range(bottom.dim):
+        for j in range(top.dim):
+            if bottom.parities[i] != top.parities[j]:
+                continue
+            if bottom.weights[i] != top.weights[j]:
+                continue
+            blk = {}
+            for x in range(g.dim):
+                for k, v in bcol[x][i].items():
+                    add_block(blk, (x, k, j), v)
+                for k, v in trow[x][j].items():
+                    add_block(blk, (x, i, k), -v)
+            blk = {k: v for k, v in blk.items() if v != ZERO}
+            if blk:
+                seen.add(blk)
+    dim, witness = 0, None
+    for z in cocycles:
+        if seen.add(dict(z)) is not None:
+            dim += 1
+            if witness is None:
+                witness = z
+    if witness is None:
+        return 0, None
+    block = {}
+    for k, v in witness.items():
+        x, i, j = vars_[k]
+        block.setdefault(x, {})[(i, j)] = v
+    return dim, block
+
+
+def glue_pairs(monkeypatch, g, weights, box):
+    """Every (bottom, top) pair tilting_module hands to the direct route."""
+    pairs = []
+    real = structure.ext1_with_representative
+
+    def recording(bottom, top, limits):
+        pairs.append((bottom, top))
+        return real(bottom, top, limits=limits)
+
+    monkeypatch.setattr(structure, "ext1_with_representative", recording)
+    for lam in weights:
+        tilting_module(g, lam, box)
+    monkeypatch.undo()
+    return pairs
+
+
+def test_glue_equations_match_oracle_on_gl11_tilting_sweep(monkeypatch):
+    g = gl11()
+    box = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    pairs = glue_pairs(monkeypatch, g, box, (-2, 2))
+    assert len(pairs) == 5  # one glue at each atypical weight, a + b = 0
+    for bottom, top in pairs:
+        got = ext1_with_representative(bottom, top)
+        assert got == oracle_ext1(bottom, top)
+        assert got[0] == 1
+
+
+def test_glue_equations_match_oracle_on_gl21_atypical(monkeypatch):
+    g = gl21c()
+    pairs = glue_pairs(monkeypatch, g, [(1, 0, 0), (0, 0, -1)], (-1, 1))
+    # one glue each: the parity flip of K(1,-1|1) on K(1,0|0), and
+    # K(-1,-1|1) on K(0,0|-1)
+    assert [(b.dim, t.dim, t.parities[0]) for b, t in pairs] == [
+        (8, 12, 1),
+        (4, 4, 0),
+    ]
+    for bottom, top in pairs:
+        assert ext1_with_representative(bottom, top) == oracle_ext1(bottom, top)
+
+
+@pytest.mark.parametrize(
+    "algebra,lam,mu,p",
+    [
+        (gl11, (2, -1), (1, -1), 0),  # typical bottom
+        (gl11, (2, -2), (1, -1), 0),  # wrong parity on top
+        (gl11, (0, 0), (1, -1), 1),  # top weight above the bottom
+        (gl21c, (0, 0, 0), (1, 0, -1), 0),
+        (gl21c, (0, 0, 0), (0, -1, 1), 0),
+        (gl21c, (0, 0, 0), (-1, -1, 2), 1),
+    ],
+)
+def test_glue_equations_match_oracle_without_extensions(algebra, lam, mu, p):
+    g = algebra()
+    bottom = kac_module(g, lam)
+    top = kac_module(g, mu)
+    if p:
+        top = parity_flip(top)
+    assert ext1_with_representative(bottom, top) == (0, None)
+    assert oracle_ext1(bottom, top) == (0, None)
+
+
 # -- flags ------------------------------------------------------------------
 
 
@@ -254,6 +419,56 @@ def test_tilting_atypical_gl11():
         ((QQ(-1), QQ(1)), 1),
     ]
     assert U.meta["end_even_dim"] - U.meta["end_radical_dim"] == 1
+
+
+def count_complexes(monkeypatch):
+    built = []
+    real = structure.KacExtensions
+
+    def counting(module, limits):
+        built.append(module.dim)
+        return real(module, limits=limits)
+
+    monkeypatch.setattr(structure, "KacExtensions", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "algebra,lam,box",
+    [(gl11, (0, 0), (-2, 2)), (gl21c, (1, 0, 0), (-1, 1))],
+)
+def test_tilting_builds_one_complex_per_glued_module(
+    monkeypatch, algebra, lam, box
+):
+    built = count_complexes(monkeypatch)
+    U = tilting_module(algebra(), lam, box)
+    flag = U.meta["flag_bottom_up"]
+    assert len(flag) == 2
+    # K(lam), then the module after each glue; the last one also
+    # answers the certification sweep
+    assert len(built) == len(flag)
+    assert built[-1] == U.dim
+
+
+def tilting_golden_json(g, weights, box):
+    out = {}
+    for lam in weights:
+        U = tilting_module(g, lam, box)
+        out[g.weight_str(U.meta["flag_bottom_up"][0][0])] = {
+            "box": list(box),
+            "flag_bottom_up": [
+                [g.weight_str(w), p] for w, p in U.meta["flag_bottom_up"]
+            ],
+            "module": U.to_json_dict(),
+        }
+    return json.dumps(out, sort_keys=True, indent=2) + "\n"
+
+
+def test_glued_tilting_modules_match_golden():
+    # weights, parities, labels and every action entry, glue blocks
+    # included, of two gl(2|1) tilting modules with one glue each
+    text = tilting_golden_json(gl21c(), [(1, 0, 0), (0, 0, -1)], (-1, 1))
+    assert text == (GOLDEN / "gl21_tilting.json").read_text()
 
 
 def test_tilting_needs_compatible_grading():
