@@ -42,7 +42,8 @@ class LieSuperAlgebra:
     new instance.  Its one mutable attribute is ``memo``, a dict in which
     the module builders of ``forms`` and ``structure`` keep their results
     per (builder, weight, Limits), so a memoised module lives exactly as
-    long as the algebra it is a module over.
+    long as the algebra it is a module over; ``lie_generators`` keeps its
+    answer there too.
     """
 
     def __init__(
@@ -235,6 +236,50 @@ def same_algebra(a, b):
         and a.dim == b.dim
         and (a.degrees == b.degrees)
     )
+
+
+def bracket_closure(g, ids):
+    """Echelon spanning the subalgebra generated by the given basis ids."""
+    ech = Echelon()
+    frontier = [{i: QQ(1)} for i in ids if ech.add({i: QQ(1)}) is not None]
+    span = list(frontier)
+    while frontier:
+        new_frontier = []
+        for va in list(span):
+            for vb in frontier:
+                img = g.bracket_vectors(va, vb)
+                if img and ech.add(img) is not None:
+                    new_frontier.append(img)
+                    span.append(img)
+        frontier = new_frontier
+    return ech
+
+
+def lie_generators(g):
+    """Non-torus basis ids that generate g together with the torus t_ids.
+
+    Chosen greedily in basis order: an element joins when it is not in
+    the bracket closure of the torus and the elements chosen before it.
+    A weight-preserving map that super-commutes with x and y also
+    super-commutes with [x, y], and a span of weight vectors stable under
+    x and y is stable under [x, y]; the torus acts diagonally by the
+    recorded weights.  So on modules whose actions satisfy the bracket
+    relation, these ids decide intertwining and submodule closure.
+    Memoised on the algebra.
+    """
+    key = ("lie_generators",)
+    if key not in g.memo:
+        torus = set(g.t_ids)
+        gens = []
+        span = bracket_closure(g, g.t_ids)
+        for x in range(g.dim):
+            if x not in torus and not span.contains({x: QQ(1)}):
+                gens.append(x)
+                span = bracket_closure(g, list(g.t_ids) + gens)
+        if len(span) != g.dim:
+            raise AssertionError("the chosen generators do not generate the algebra")
+        g.memo[key] = tuple(gens)
+    return g.memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -499,22 +544,8 @@ def validate_algebra(g):
                             f"grading: [{g.label(a)},{g.label(b)}] not degree-additive"
                         )
         # local part generates (build the subalgebra generated by degrees -1..1)
-        ech = Echelon()
-        frontier = []
-        for i in range(dim):
-            if g.degree_of(i) in (QQ(-1), ZERO, QQ(1)):
-                if ech.add({i: QQ(1)}) is not None:
-                    frontier.append({i: QQ(1)})
-        basis_vecs = list(frontier)
-        while frontier:
-            new_frontier = []
-            for va in list(basis_vecs):
-                for vb in frontier:
-                    img = g.bracket_vectors(va, vb)
-                    if img and ech.add(img) is not None:
-                        new_frontier.append(img)
-                        basis_vecs.append(img)
-            frontier = new_frontier
+        local = [i for i in range(dim) if g.degree_of(i) in (QQ(-1), ZERO, QQ(1))]
+        ech = bracket_closure(g, local)
         if len(ech) != dim:
             failures.append(
                 f"generation: degrees -1,0,1 generate a subalgebra of dim {len(ech)} < {dim}"

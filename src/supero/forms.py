@@ -19,7 +19,7 @@ Clifford modules for the q-type Cartan.
 from .algebra import w0_action
 from .config import DEFAULT_LIMITS
 from .errors import CliffordWeightError, DominanceError, GradingError
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, apply_cols
 from .modules import (
     ExplicitModule,
     induced_module,
@@ -95,6 +95,7 @@ def contravariant_form(module):
             )
 
     order = sorted(spaces, key=lambda w: height(w, lam))
+    views = {x: mat.cols() for x, mat in module.action.items()}
     posmap = {w: {i: k for k, i in enumerate(ix)} for w, ix in spaces.items()}
     gram = {lam: SparseMatrix.identity(len(spaces[lam]))}
     for mu in order:
@@ -111,8 +112,7 @@ def contravariant_form(module):
             if nu == mu or nu not in gram:
                 continue
             for ulocal, uglobal in enumerate(spaces[nu]):
-                img = module.act(x, {uglobal: ONE})
-                cols.append((x, nu, ulocal, img))
+                cols.append((x, nu, ulocal, views[x][uglobal]))
 
         s = len(cols)
         S = SparseMatrix(n_mu, s)
@@ -125,7 +125,7 @@ def contravariant_form(module):
             if not img2:
                 continue
             for j1, (x1, nu1, u1, _) in enumerate(cols):
-                lifted = module.act(g.transpose[x1], img2)
+                lifted = apply_cols(views[g.transpose[x1]], img2)
                 if not lifted:
                     continue
                 nupos = posmap[nu1]

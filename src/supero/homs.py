@@ -2,8 +2,15 @@
 isomorphism certificate.
 
 Hom computation is a weight-blocked linear solve: a parity-s morphism
-preserves weights, shifts parities by s, and intertwines every action
-matrix up to the sign (-1)^{s |x|}.
+preserves weights, shifts parities by s, and intertwines the action of
+every x up to the sign (-1)^{s |x|}.  The inputs are modules that pass
+``validate_module``, so it is enough to impose this for the Lie
+generators of ``algebra.lie_generators``: a map that super-commutes with
+x and y super-commutes with [x, y] by the bracket relation, and the
+torus needs no equation because the unknowns are already weight-matched
+and the torus acts diagonally by the recorded weights.  (A truncated
+slice satisfies the bracket relation only where its guard says, so
+there every basis element is imposed; see ``intertwining_ids``.)
 
 Decomposition into indecomposable summands goes through the even
 endomorphism ring: a summand is certified indecomposable when that ring
@@ -28,7 +35,7 @@ from .algebra import same_algebra
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError
 from .linalg import Echelon, SparseMatrix, algebra_radical
-from .modules import submodule_module
+from .modules import intertwining_ids, submodule_module
 from .rational import ONE, QQ, ZERO
 
 
@@ -41,7 +48,10 @@ def hom_space(src, dst, parity=None, limits=DEFAULT_LIMITS):
 
     With parity=None returns (even_basis, odd_basis); with parity 0 or 1
     returns the single list.  The basis is canonical: reduced kernel of
-    the intertwining system over the weight-matched entries.
+    the intertwining system over the weight-matched entries.  src and dst
+    must pass ``validate_module``: the system imposes intertwining only
+    for the Lie generators of g (module docstring), which has the same
+    kernel as imposing it for every basis element.
     """
     if parity is None:
         return (
@@ -69,7 +79,7 @@ def hom_space(src, dst, parity=None, limits=DEFAULT_LIMITS):
         by_row.setdefault(i, []).append((j, k))
 
     equations = {}
-    for x in range(g.dim):
+    for x in intertwining_ids(src, dst):
         sign = QQ(-1) if s and g.parity(x) else ONE
         for (k, j), v in src.action[x].data.items():
             for i, var in by_col.get(k, ()):

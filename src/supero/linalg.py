@@ -37,6 +37,14 @@ def vec_add_into(target, source, coeff=1):
     return target
 
 
+def apply_cols(cols, vector):
+    """Matrix-vector product read off a column view (``SparseMatrix.cols()``)."""
+    out = {}
+    for j, c in vector.items():
+        vec_add_into(out, cols[j], c)
+    return out
+
+
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over QQ."""
 
@@ -173,21 +181,11 @@ class SparseMatrix:
     __matmul__ = matmul
 
     def apply(self, vector):
-        """Matrix-vector product; vector is a dict col->QQ, result dict row->QQ."""
-        cols = {}
-        for (i, j), v in self.data.items():
-            cols.setdefault(j, []).append((i, v))
-        out = {}
-        for j, c in vector.items():
-            if not c:
-                continue
-            for i, v in cols.get(j, ()):
-                s = out.get(i, ZERO) + c * v
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
-        return out
+        """Matrix-vector product; vector is a dict col->QQ, result dict row->QQ.
+
+        Builds the column view on every call; a caller applying one matrix
+        many times takes ``cols()`` once and uses ``apply_cols``."""
+        return apply_cols(self.cols(), vector)
 
     def transpose(self):
         return SparseMatrix(

@@ -15,9 +15,10 @@ weight cutoff; the validator knows which axiom instances are exact on the
 retained vectors and checks only those.
 """
 
+from .algebra import lie_generators, same_algebra
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError, TruncationError
-from .linalg import SparseMatrix, vec_add_into
+from .linalg import Echelon, SparseMatrix, apply_cols, vec_add_into
 from .pbw import (
     PbwAlgebra,
     monomial_degree,
@@ -369,8 +370,6 @@ def inflate_module(module, big, zero_ok=True):
 
 def direct_sum(a, b):
     """Block-diagonal direct sum of two modules over the same algebra."""
-    from .algebra import same_algebra
-
     if not same_algebra(a.g, b.g):
         raise ValueError("direct sum needs modules over the same algebra")
     na, nb = a.dim, b.dim
@@ -592,15 +591,27 @@ def parity_flip(module):
 # sub and quotient
 
 
-def _closure_echelon(module, vectors):
+def intertwining_ids(*modules):
+    """Basis ids whose actions decide intertwining and submodule closure.
+
+    ``lie_generators`` for modules that pass ``validate_module``; every
+    basis id when one of them is a truncated slice, whose bracket relation
+    holds only on the instances its guard marks exact.
+    """
+    g = modules[0].g
+    if any(M.truncated for M in modules):
+        return range(g.dim)
+    return lie_generators(g)
+
+
+def _closure_echelon(module, vectors, cols):
     """Row echelon basis of the submodule generated by the given vectors.
 
     Seed vectors must be weight- and parity-homogeneous; echelon reduction
     then keeps every row homogeneous automatically (two vectors sharing a
     leading coordinate share that coordinate's weight and parity).
+    ``cols`` maps each basis id to the column view of its action.
     """
-    from .linalg import Echelon
-
     for v in vectors:
         coords = [i for i in v if v[i]]
         if not coords:
@@ -619,11 +630,13 @@ def _closure_echelon(module, vectors):
         lead = ech.add(v)
         if lead is not None:
             frontier.append(ech.pivot_row(lead))
+    # homogeneous rows: closing under the generators closes under g
+    gens = intertwining_ids(module)
     while frontier:
         next_frontier = []
         for v in frontier:
-            for x in range(module.g.dim):
-                img = module.act(x, v)
+            for x in gens:
+                img = apply_cols(cols[x], v)
                 lead = ech.add(img)
                 if lead is not None:
                     next_frontier.append(ech.pivot_row(lead))
@@ -639,7 +652,8 @@ def submodule_module(module, vectors):
     matrix whose columns are the canonical (reduced echelon) basis of the
     submodule.
     """
-    ech = _closure_echelon(module, vectors)
+    cols = {x: mat.cols() for x, mat in module.action.items()}
+    ech = _closure_echelon(module, vectors, cols)
     rows = ech.basis()
     nd = len(rows)
     lead = {}
@@ -660,8 +674,7 @@ def submodule_module(module, vectors):
     for x in range(module.g.dim):
         mat = SparseMatrix(nd, nd)
         for k, row in enumerate(rows):
-            img = module.act(x, row)
-            coords = ech.express(img)
+            coords = ech.express(apply_cols(cols[x], row))
             if coords is None:
                 raise AssertionError("closure failed to be a submodule")
             for piv, c in coords.items():
@@ -682,7 +695,8 @@ def quotient_module(module, vectors, kind=None):
     matrix.  The quotient basis is the set of coordinates away from the
     echelon pivots of the submodule.
     """
-    ech = _closure_echelon(module, vectors)
+    cols = {x: mat.cols() for x, mat in module.action.items()}
+    ech = _closure_echelon(module, vectors, cols)
     pivots = set(ech.pivot_cols())
     keep = [i for i in range(module.dim) if i not in pivots]
     pos = {i: k for k, i in enumerate(keep)}
@@ -703,8 +717,7 @@ def quotient_module(module, vectors, kind=None):
     for x in range(module.g.dim):
         mat = SparseMatrix(nq, nq)
         for k, i in enumerate(keep):
-            img = module.act(x, {i: ONE})
-            for r, v in project(img).items():
+            for r, v in project(cols[x][i]).items():
                 mat.data[(r, k)] = v
         action[x] = mat
     hw = module.highest_weight

@@ -179,3 +179,17 @@ def test_decompose_gl31_exits_zero(capsys):
         cells = line.split("\t")[1:]
         assert cells[i] == "1"
         assert set(cells[:i]) <= {"0"}
+
+
+def test_verify_kdual_gl22(capsys):
+    """The first gl(2|2) rung: Kac duality on the dominant box -1..1."""
+    code, out, _ = run(
+        capsys, "verify", "--algebra", "gl:2,2", "--box=-1..1", "--which", "kdual"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    cases = doc["results"]["kdual"]["cases"]
+    assert len(cases) > 10
+    for case in cases:
+        assert case["characters_equal"] is True and case["isomorphic"] is True, case

@@ -13,6 +13,8 @@ from supero.homs import hom_space
 from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into
 from supero.rational import QQ
 
+from full_basis import full_basis_hom_system
+
 
 def test_vec_add_into_prunes_zeros():
     v = {0: QQ(1), 1: QQ(2)}
@@ -435,8 +437,10 @@ def test_reduce_is_the_normal_form():
 
 
 def test_end_system_of_gl21_projective_matches_oracle(monkeypatch):
-    """The even End system of P(1,0|0) for gl(2|1), captured from hom_space,
-    and the End basis as (i, j)-keyed vectors: both agree with the oracle."""
+    """The even End system of P(1,0|0) for gl(2|1), captured from hom_space
+    (Lie generators only) and built over every basis element of g, and the
+    End basis as (i, j)-keyed vectors: all agree with the oracle, and both
+    systems have the same kernel."""
     P = induced_projective(install_grading(build_gl(2, 1), "compatible"), (1, 0, 0))
     captured = []
     real = SparseMatrix.kernel_basis
@@ -449,9 +453,12 @@ def test_end_system_of_gl21_projective_matches_oracle(monkeypatch):
     basis = hom_space(P, P, parity=0)
     monkeypatch.undo()
     (system,) = captured
-    assert system.ncols > 100 and system.nrows > 500
-    assert system.rref() == oracle_rref(system)
-    assert system.kernel_basis() == oracle_kernel(system)
+    full, _ = full_basis_hom_system(P, P, 0)
+    assert full.ncols == system.ncols > 100 and full.nrows > 500
+    for mat in (system, full):
+        assert mat.rref() == oracle_rref(mat)
+        assert mat.kernel_basis() == oracle_kernel(mat)
+    assert oracle_kernel(system) == oracle_kernel(full)
 
     ech, oracle = Echelon(), FractionEchelon()
     for F in basis:
