@@ -169,14 +169,15 @@ def _validate_window(g, window):
 
 
 def _check_support(g, window, factors_seen):
-    """Weights that the window should have contained but does not.
+    """Raise WindowError naming the weights that the window should have
+    contained but does not.
 
     A missing factor is tolerated only when it escapes the window's
     coordinate hull: factors spilling over the edge of a box are a
     boundary effect, a hole inside the box is a malformed window.
     """
     if not window:
-        return []
+        return
     wset = set(window)
     k = len(window[0])
     hull_lo = [min(w[i] for w in window) for i in range(k)]
@@ -187,7 +188,13 @@ def _check_support(g, window, factors_seen):
             continue
         if all(hull_lo[i] <= nu[i] <= hull_hi[i] for i in range(k)):
             missing.add(nu)
-    return sorted(missing, reverse=True)
+    if missing:
+        missing = sorted(missing, reverse=True)
+        raise WindowError(
+            "window is not support-closed; missing "
+            + ", ".join(g.weight_str(w) for w in missing),
+            missing=missing,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +262,7 @@ def decomposition_matrix(g, window, limits=DEFAULT_LIMITS):
             )
         rows.append(factors)
         seen.update(factors)
-    missing = _check_support(g, window, seen)
-    if missing:
-        raise WindowError(
-            "window is not support-closed; missing "
-            + ", ".join(g.weight_str(w) for w in missing),
-            missing=missing,
-        )
+    _check_support(g, window, seen)
     entries = [
         [factors.get(lam, 0) for lam in window] for factors in rows
     ]
@@ -296,13 +297,7 @@ def flag_matrix(g, window, limits=DEFAULT_LIMITS):
         mults = flag_multiplicities(P, limits=limits)
         rows.append(mults)
         seen.update(mults)
-    missing = _check_support(g, window, seen)
-    if missing:
-        raise WindowError(
-            "window is not support-closed; missing "
-            + ", ".join(g.weight_str(w) for w in missing),
-            missing=missing,
-        )
+    _check_support(g, window, seen)
     return [[mults.get(mu, 0) for mu in window] for mults in rows]
 
 
@@ -335,13 +330,11 @@ def tilting_table(g, window, limits=DEFAULT_LIMITS):
     is empty.
     """
     window = [tuple(QQ(c) for c in w) for w in window]
-    coords = [c for w in window for c in w]
-    lo, hi = as_int(min(coords)), as_int(max(coords))
     m, n = g.params
     beta = beta_weight(m, n)
     left = []
     for lam in window:
-        U = tilting_module(g, lam, (lo, hi), limits=limits)
+        U = tilting_module(g, lam, limits=limits)
         mults = {}
         for mu, _parity in U.meta["flag_bottom_up"]:
             mults[mu] = mults.get(mu, 0) + 1

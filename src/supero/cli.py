@@ -42,7 +42,6 @@ from .errors import (
 )
 from .forms import kac_module
 from .homs import hom_dims
-from .rational import as_int
 from .modules import tau_dual
 from .structure import (
     KacExtensions,
@@ -136,15 +135,17 @@ def _emit_json(args, doc):
     _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _window(g, args, limits):
+def _window(g, args):
     if g.family != "gl":
         raise WorkbenchError("weight windows are defined for gl(m|n) only")
-    if getattr(args, "weights", None):
-        return [parse_weight(part) for part in args.weights.split(";") if part.strip()]
-    lo, hi = _parse_box(args.box)
-    return window_from_box(
-        g, lo, hi, support_closure=getattr(args, "closure", False)
-    )
+    if args.weights is not None:
+        window = [parse_weight(p) for p in args.weights.split(";") if p.strip()]
+    else:
+        lo, hi = _parse_box(args.box)
+        window = window_from_box(g, lo, hi, support_closure=args.closure)
+    if not window:
+        raise WorkbenchError("the weight window is empty")
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def cmd_check_semiinfinite(args):
 def cmd_decompose(args):
     g = _build_algebra(args.algebra, args.grading)
     limits = _limits(args)
-    window = _window(g, args, limits)
+    window = _window(g, args)
     if g.grading_kind == "principal":
         # graded slices: depth-limited lower bounds instead of exact numbers
         depth = args.depth if args.depth is not None else 2
@@ -229,11 +230,11 @@ def _run_kdual(g, window, limits):
     return ok, {"cases": rows}
 
 
-def _run_pdual(g, window, limits, box):
+def _run_pdual(g, window, limits):
     rows = []
     ok = True
     for lam in window:
-        rep = verify_projective_dual(g, lam, box, limits=limits)
+        rep = verify_projective_dual(g, lam, limits=limits)
         ok = ok and rep["isomorphic"] and rep["characters_equal"]
         rows.append(
             {
@@ -290,14 +291,7 @@ def _run_sl1(g, window, limits):
 def cmd_verify(args):
     g = _build_algebra(args.algebra, args.grading)
     limits = _limits(args)
-    window = _window(g, args, limits)
-    if args.box:
-        lo, hi = _parse_box(args.box)
-    elif window:
-        coords = [as_int(c) for w in window for c in w]
-        lo, hi = min(coords), max(coords)
-    else:
-        lo, hi = 0, 0
+    window = _window(g, args)
     selected = WHICH_CHOICES[:-1] if args.which == "all" else (args.which,)
     results = {}
     passed = True
@@ -307,7 +301,7 @@ def cmd_verify(args):
         elif which == "kdual":
             ok, doc = _run_kdual(g, window, limits)
         elif which == "pdual":
-            ok, doc = _run_pdual(g, window, limits, (lo, hi))
+            ok, doc = _run_pdual(g, window, limits)
         elif which == "kdt":
             ok, doc = _run_kdt(g, window, limits)
         elif which == "sl1":
@@ -363,7 +357,6 @@ def _build_parser():
     p.add_argument("--weights", help="explicit window, ';'-separated weights")
     p.add_argument("--closure", action="store_true")
     p.add_argument("--which", choices=WHICH_CHOICES, default="all")
-    p.add_argument("--depth", type=int, help="truncation depth for graded slices")
     p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_verify)
 

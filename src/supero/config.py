@@ -20,11 +20,12 @@ class Limits:
     max_hom_vars: bound on unknowns in hom solves, in the C^1 of the
         extension cochain complex and in each singular-vector system of a
         truncated Verma module.
-    iteration_budget: cap on tilting-extension passes.
+    iteration_budget: cap on the first-extension evaluations of one
+        tilting sweep (one per candidate weight and parity of lam's
+        block, plus one after each glue) and on the peeling steps of one
+        Kac flag.
     search_budget: random attempts in the splitting search.
     straighten_cache: entries kept per normal-ordering memo table.
-    tilting_margin: extra odd-root steps below a window that the tilting
-        construction is allowed to use.
     """
 
     max_module_dim: int = 4096
@@ -33,7 +34,6 @@ class Limits:
     iteration_budget: int = 48
     search_budget: int = 64
     straighten_cache: int = 200_000
-    tilting_margin: int = 2
     seed: int = DEFAULT_SEED
 
     def with_seed(self, seed):

@@ -115,15 +115,6 @@ def hom_dims(src, dst, limits=DEFAULT_LIMITS):
     return len(even), len(odd)
 
 
-def is_module_map(F, src, dst, parity=0):
-    g = src.g
-    for x in range(g.dim):
-        sign = QQ(-1) if parity and g.parity(x) else ONE
-        if F @ src.action[x] != (dst.action[x] @ F).scale(sign):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # small exact polynomial helpers (coefficient lists, low degree first)
 

@@ -347,7 +347,7 @@ def restrict_module(module, sub):
     )
 
 
-def inflate_module(module, big, zero_ok=True):
+def inflate_module(module, big):
     """Extend a module over a subalgebra to a larger one, unmatched
     basis elements acting by zero (matched by label)."""
     small = module.g
@@ -357,10 +357,8 @@ def inflate_module(module, big, zero_ok=True):
         lbl = big.label(r)
         if lbl in small.by_label:
             action[r] = module.action[small.id_of(lbl)]
-        elif zero_ok:
-            action[r] = SparseMatrix(n, n)
         else:
-            raise ValueError(f"no action available for {lbl}")
+            action[r] = SparseMatrix(n, n)
     return ExplicitModule(
         big, module.weights, module.parities, action, labels=module.labels,
         highest_weight=module.highest_weight, truncated=module.truncated,
@@ -397,7 +395,7 @@ def direct_sum(a, b):
 
 
 def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
-                   weight_window=None, max_length=None, highest_weight=None,
+                   weight_window=None, highest_weight=None,
                    kind="induced", limits=DEFAULT_LIMITS):
     """Induce a module from a subalgebra along a PBW basis.
 
@@ -407,7 +405,7 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     action is read off the straightening rule, with the trailing
     subalgebra part of each normal word acting on the fiber.
 
-    A ``min_degree``, ``weight_window`` or ``max_length`` cutoff yields a
+    A ``min_degree`` or ``weight_window`` cutoff yields a
     truncated module: free monomials outside the cutoff are dropped, and
     the result is tagged so the validator knows which axiom instances are
     exact.
@@ -436,8 +434,7 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
         raise ValueError("PBW order must rank all free ids before sub ids")
 
     words = monomials(
-        pbw, free_ids, weight_window=weight_window,
-        min_degree=min_degree, max_length=max_length,
+        pbw, free_ids, weight_window=weight_window, min_degree=min_degree,
     )
     fdim = fiber.dim
     total = len(words) * fdim
@@ -448,7 +445,7 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     word_index = {w: k for k, w in enumerate(words)}
     truncated = (
         min_degree is not None or weight_window is not None
-        or max_length is not None or fiber.truncated
+        or fiber.truncated
     )
 
     weights = []

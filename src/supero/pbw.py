@@ -126,15 +126,7 @@ def monomial_str(g, word):
     return " * ".join(parts)
 
 
-def monomial_exponents(pbw, word):
-    """Exponent vector aligned with the engine's basis order."""
-    out = [0] * len(pbw.order)
-    for b in word:
-        out[pbw.rank[b]] += 1
-    return out
-
-
-def monomials(pbw, ids, weight_window=None, min_degree=None, max_length=None):
+def monomials(pbw, ids, weight_window=None, min_degree=None):
     """All normal-ordered monomials in the given generators, with cutoffs.
 
     weight_window: keep monomials whose weight (sum of generator weights)
@@ -142,17 +134,17 @@ def monomials(pbw, ids, weight_window=None, min_degree=None, max_length=None):
     below them in the root order, which keeps the walk finite whenever every
     generator weight is a negative root.
     min_degree: keep monomials of degree >= min_degree (generators must have
-    negative degree for this to terminate unless max_length is also given).
+    negative degree for this to terminate).
     """
     g = pbw.g
     gens = sorted(set(ids), key=lambda i: pbw.rank[i])
-    if weight_window is None and min_degree is None and max_length is None:
+    if weight_window is None and min_degree is None:
         if any(not g.parity(b) for b in gens):
             raise WindowError(
                 "unbounded monomial family: even generators need a weight "
-                "window, degree cutoff, or length bound"
+                "window or a degree cutoff"
             )
-    if min_degree is not None and max_length is None:
+    if min_degree is not None:
         if any(g.degree_of(b) >= 0 for b in gens):
             raise ValueError("degree cutoff needs strictly negative generator degrees")
     window = None if weight_window is None else {tuple(QQ(c) for c in w) for w in weight_window}
@@ -174,8 +166,6 @@ def monomials(pbw, ids, weight_window=None, min_degree=None, max_length=None):
             b = gens[p]
             if g.parity(b) and word and word[-1] == b:
                 continue
-            if max_length is not None and len(word) >= max_length:
-                break
             nwt = wadd(wt, g.weight_of(b))
             if window is not None and not viable(nwt):
                 continue
@@ -191,15 +181,3 @@ def monomials(pbw, ids, weight_window=None, min_degree=None, max_length=None):
     out.sort(key=pbw.sort_key)
     return out
 
-
-def negative_basis(g, weight_window=None, pbw=None, min_degree=None, max_length=None):
-    """Monomial basis of U(n^-) over the negative-degree generators."""
-    if pbw is None:
-        pbw = PbwAlgebra(g)
-    return monomials(
-        pbw,
-        g.negative_ids(),
-        weight_window=weight_window,
-        min_degree=min_degree,
-        max_length=max_length,
-    )

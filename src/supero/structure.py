@@ -14,10 +14,12 @@ Two independent routes to first extension groups are kept side by side:
 The two must agree in dimension; tests pin that down.
 """
 
+from collections import Counter
+
 from .rational import QQ, ZERO, ONE
 from .linalg import SparseMatrix, Echelon
-from .weights import dominant_weights_in_box, wadd, wsub, root_leq
-from .algebra import same_algebra, w0_action, beta_weight
+from .weights import wadd, wsub, root_leq, is_dominant_gl
+from .algebra import same_algebra, w0_action, beta_weight, rho_weight
 from .config import DEFAULT_LIMITS
 from .errors import DominanceError, GradingError, ResourceLimitError
 from .modules import (
@@ -565,33 +567,37 @@ def projective_cover_h(halg, fiber, limits=DEFAULT_LIMITS):
 # tilting modules
 
 
-def tilting_module(g, lam, box, limits=DEFAULT_LIMITS):
+def _central_core(m, n, w):
+    """Central character of w: the rho-shifted coordinates as the signed
+    multiset {x_i} - {-y_j}, atypical pairs (x_i + y_j = 0) cancelling."""
+    shifted = wadd(w, rho_weight(m, n))
+    xs, ys = Counter(shifted[:m]), Counter(-y for y in shifted[m:])
+    return sorted((xs - ys).elements()), sorted((ys - xs).elements())
+
+
+def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     """The indecomposable tilting module U(lam) by successive extension.
 
-    Starting from K(lam), scan dominant mu from the top of a
-    margin-extended box downward; at each mu glue nontrivial extensions
-    with K(mu) (or its parity flip) on top until the corresponding first
-    extension group dies.  Scanning downward is what makes one sweep
-    enough: extensions of an induced module by an induced module only
-    exist when the top weight is strictly smaller, so weights already
-    processed stay clean.  The construction is certified afterwards:
-    every extension group across the original box must vanish and the
-    endomorphism ring must be local.
+    Starting from K(lam), sweep dominant mu downward in lexicographic
+    order; at each mu glue nontrivial extensions with K(mu) (or its
+    parity flip) on top until the corresponding first extension group
+    dies.  One sweep is enough: extensions of an induced module by an
+    induced module only exist when the top weight is strictly smaller,
+    so a glue at mu adds cochains only below mu.
 
-    The cochain complex (``KacExtensions``) is built once for K(lam) and
-    rebuilt only after each glue, since only a glue changes the module;
-    the complex of the final module answers the certification sweep.
+    The candidates are the C^1 keys (weight, parity) of the current
+    cochain complex (``KacExtensions``) whose weight has lam's central
+    character: without a cochain there is no extension, and every Kac
+    factor of the module lies in lam's block.  The complex is rebuilt,
+    and the candidates re-read, only after a glue.  The certificate
+    ignores the block filter: Ext^1 must vanish at every dominant C^1
+    weight of the final complex, and the endomorphism ring must be local.
     """
     if g.family != "gl" or g.grading_kind != "compatible":
         raise GradingError("tilting construction needs gl compatible grading")
     m, n = g.params
     lam = tuple(QQ(c) for c in lam)
-    lo, hi = box
-    margin = limits.tilting_margin
-    candidates = [
-        mu for mu in dominant_weights_in_box(m, n, lo - margin, hi + margin)
-        if root_leq(mu, lam)
-    ]
+    core = _central_core(m, n, lam)
     base = kac_module(g, lam, limits=limits)
     # a fresh wrapper: the construction below annotates and may rebuild T,
     # and the cached induced module must stay untouched
@@ -602,45 +608,53 @@ def tilting_module(g, lam, box, limits=DEFAULT_LIMITS):
     flag = [(lam, 0)]
     ke = KacExtensions(T, limits=limits)
     steps = 0
-    for mu in candidates:
-        for p in (0, 1):
-            prev = None
-            while True:
-                steps += 1
-                if steps > limits.iteration_budget:
-                    raise ResourceLimitError(
-                        "tilting construction exceeded iteration budget"
-                    )
-                d = ke.ext_dimension(mu, p)
-                if prev is not None and d >= prev:
-                    raise ResourceLimitError(
-                        f"extension count at {g.weight_str(mu)} failed to "
-                        f"drop ({prev} -> {d})"
-                    )
-                if d == 0:
-                    break
-                prev = d
-                K = kac_module(g, mu, limits=limits)
-                top = parity_flip(K) if p else K
-                dim_direct, block = ext1_with_representative(
-                    T, top, limits=limits
+    # sweep keys (mu, -p): mu descending, parity 0 before parity 1
+    bound = (lam, 1)
+    while True:
+        below = [
+            (mu, -p) for mu, p in ke._weight_blocks()
+            if (mu, -p) < bound and is_dominant_gl(mu, m, n)
+            and _central_core(m, n, mu) == core
+        ]
+        if not below:
+            break
+        bound = max(below)
+        mu, p = bound[0], -bound[1]
+        prev = None
+        while True:
+            steps += 1
+            if steps > limits.iteration_budget:
+                raise ResourceLimitError(
+                    "tilting construction exceeded iteration budget"
                 )
-                if dim_direct != d:
-                    raise AssertionError(
-                        f"extension dimension mismatch at {g.weight_str(mu)}"
-                        f" parity {p}: cochain route {d}, direct route "
-                        f"{dim_direct}"
-                    )
-                T = glue_extension(T, top, block, kind="tilting_step")
-                ke = KacExtensions(T, limits=limits)
-                flag.append((mu, p))
-    # certification: nothing extends the result anywhere in the box
-    window = dominant_weights_in_box(m, n, lo, hi)
-    leftovers = {}
-    for mu in window:
-        d = ke.ext_dimension(mu)
-        if d:
-            leftovers[mu] = d
+            d = ke.ext_dimension(mu, p)
+            if prev is not None and d >= prev:
+                raise ResourceLimitError(
+                    f"extension count at {g.weight_str(mu)} failed to "
+                    f"drop ({prev} -> {d})"
+                )
+            if d == 0:
+                break
+            prev = d
+            K = kac_module(g, mu, limits=limits)
+            top = parity_flip(K) if p else K
+            dim_direct, block = ext1_with_representative(
+                T, top, limits=limits
+            )
+            if dim_direct != d:
+                raise AssertionError(
+                    f"extension dimension mismatch at {g.weight_str(mu)}"
+                    f" parity {p}: cochain route {d}, direct route "
+                    f"{dim_direct}"
+                )
+            T = glue_extension(T, top, block, kind="tilting_step")
+            ke = KacExtensions(T, limits=limits)
+            flag.append((mu, p))
+    # certification, without the block filter: nothing extends the result
+    leftovers = {
+        (mu, p): d for mu, p in ke._weight_blocks()
+        if is_dominant_gl(mu, m, n) and (d := ke.ext_dimension(mu, p))
+    }
     if leftovers:
         raise AssertionError(f"extensions survive the sweep: {leftovers}")
     ring = end_ring(T, limits=limits)
@@ -682,7 +696,7 @@ def verify_kac_dual(g, lam, limits=DEFAULT_LIMITS):
     }
 
 
-def verify_projective_dual(g, lam, box, limits=DEFAULT_LIMITS):
+def verify_projective_dual(g, lam, limits=DEFAULT_LIMITS):
     """Check P(beta - w0.lam)^* against the tilting module U(lam)."""
     m, n = g.params
     lam = tuple(QQ(c) for c in lam)
@@ -690,7 +704,7 @@ def verify_projective_dual(g, lam, box, limits=DEFAULT_LIMITS):
     plam = wsub(beta, w0_action(m, n, lam))
     P = projective_cover(g, plam, limits=limits)
     D = dual_module(P)
-    U = tilting_module(g, lam, box, limits=limits)
+    U = tilting_module(g, lam, limits=limits)
     chars_equal = D.character() == U.character()
     result = is_isomorphic(D, U, allow_parity_flip=True, limits=limits)
     return {

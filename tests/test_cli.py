@@ -65,9 +65,22 @@ def test_decompose_gappy_window_exits_3(capsys):
 
 
 def test_decompose_empty_window(capsys):
-    code, out, _ = run(capsys, "decompose", "--algebra", "gl:1,1", "--box=2..-2")
-    assert code == 0
-    assert out.strip() == ""
+    for window in ("--box=2..-2", "--weights=;", "--weights="):
+        code, out, err = run(capsys, "decompose", "--algebra", "gl:1,1", window)
+        assert code == 2, window
+        assert out == ""
+        assert "window is empty" in err
+
+
+@pytest.mark.parametrize("which", ["kdt", "all"])
+def test_verify_empty_window_is_usage_error(capsys, which):
+    for window in ("--box=2..-2", "--weights=;"):
+        code, out, err = run(
+            capsys, "verify", "--algebra", "gl:1,1", window, "--which", which
+        )
+        assert code == 2, window
+        assert out == ""
+        assert "window is empty" in err
 
 
 def test_decompose_json_embeds_config(capsys):
@@ -151,6 +164,12 @@ def test_reports_are_reproducible(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_has_no_depth_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--algebra", "gl:1,1", "--box=0..0", "--depth", "1"])
+    assert exc.value.code == 2
+
+
 def test_decompose_principal_grading_uses_depth(capsys):
     code, out, _ = run(
         capsys,
@@ -193,3 +212,17 @@ def test_verify_kdual_gl22(capsys):
     assert len(cases) > 10
     for case in cases:
         assert case["characters_equal"] is True and case["isomorphic"] is True, case
+
+
+def test_verify_kdt_gl22_two_weights(capsys):
+    """Tilting flags of gl(2|2) read off lam's block, not a box."""
+    code, out, err = run(
+        capsys,
+        "verify",
+        "--algebra", "gl:2,2",
+        "--weights", "(1,1|1,-1);(0,0|1,1)",
+        "--which", "kdt",
+    )
+    assert code == 0, err
+    kdt = json.loads(out)["results"]["kdt"]
+    assert kdt["left"] == kdt["right"] == [[1, 1], [0, 1]]

@@ -188,14 +188,14 @@ def q_modules(n):
 def gl_modules(m, n):
     g = gl_c(m, n)
     if (m, n) == (1, 1):
-        lams, tilt = [(1, 0), (0, 0)], ((0, 0), (-2, 2))
+        lams, tilt = [(1, 0), (0, 0)], (0, 0)
     else:
-        lams, tilt = [(1, 0, 0), (0, 0, -1)], ((1, 0, 0), (-1, 1))
+        lams, tilt = [(1, 0, 0), (0, 0, -1)], (1, 0, 0)
     mods = []
     for lam in lams:
         K = kac_module(g, lam)
         mods += [K, tau_dual(K), simple_module(g, lam), projective_cover(g, lam)]
-    U = tilting_module(g, *tilt)
+    U = tilting_module(g, tilt)
     assert len(U.meta["flag_bottom_up"]) > 1  # glued
     mods.append(U)
     return mods

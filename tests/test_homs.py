@@ -19,7 +19,6 @@ from supero.homs import (
     hom_dims,
     hom_space,
     is_isomorphic,
-    is_module_map,
 )
 from supero.linalg import SparseMatrix
 from supero.modules import (
@@ -35,6 +34,15 @@ from supero.structure import projective_cover
 
 def gl11():
     return install_grading(build_gl(1, 1), "compatible")
+
+
+def is_module_map(F, src, dst, parity=0):
+    g = src.g
+    for x in range(g.dim):
+        sign = QQ(-1) if parity and g.parity(x) else ONE
+        if F @ src.action[x] != (dst.action[x] @ F).scale(sign):
+            return False
+    return True
 
 
 def gl21c():

@@ -11,15 +11,26 @@ from supero.linalg import vec_add_into
 from supero.pbw import (
     PbwAlgebra,
     monomial_degree,
-    monomial_exponents,
     monomial_parity,
     monomial_str,
     monomial_weight,
     monomials,
-    negative_basis,
 )
 from supero.rational import QQ
 from supero.weights import weight, wzero
+
+
+def monomial_exponents(pbw, word):
+    """Exponent vector aligned with the engine's basis order."""
+    out = [0] * len(pbw.order)
+    for b in word:
+        out[pbw.rank[b]] += 1
+    return out
+
+
+def negative_basis(g, weight_window=None):
+    """Monomial basis of U(n^-) over the negative-degree generators."""
+    return monomials(PbwAlgebra(g), g.negative_ids(), weight_window=weight_window)
 
 
 def _gl11():

@@ -266,7 +266,7 @@ def oracle_ext1(bottom, top):
     return dim, block
 
 
-def glue_pairs(monkeypatch, g, weights, box):
+def glue_pairs(monkeypatch, g, weights):
     """Every (bottom, top) pair tilting_module hands to the direct route."""
     pairs = []
     real = structure.ext1_with_representative
@@ -277,7 +277,7 @@ def glue_pairs(monkeypatch, g, weights, box):
 
     monkeypatch.setattr(structure, "ext1_with_representative", recording)
     for lam in weights:
-        tilting_module(g, lam, box)
+        tilting_module(g, lam)
     monkeypatch.undo()
     return pairs
 
@@ -285,7 +285,7 @@ def glue_pairs(monkeypatch, g, weights, box):
 def test_glue_equations_match_oracle_on_gl11_tilting_sweep(monkeypatch):
     g = gl11()
     box = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
-    pairs = glue_pairs(monkeypatch, g, box, (-2, 2))
+    pairs = glue_pairs(monkeypatch, g, box)
     assert len(pairs) == 5  # one glue at each atypical weight, a + b = 0
     for bottom, top in pairs:
         got = ext1_with_representative(bottom, top)
@@ -295,7 +295,7 @@ def test_glue_equations_match_oracle_on_gl11_tilting_sweep(monkeypatch):
 
 def test_glue_equations_match_oracle_on_gl21_atypical(monkeypatch):
     g = gl21c()
-    pairs = glue_pairs(monkeypatch, g, [(1, 0, 0), (0, 0, -1)], (-1, 1))
+    pairs = glue_pairs(monkeypatch, g, [(1, 0, 0), (0, 0, -1)])
     # one glue each: the parity flip of K(1,-1|1) on K(1,0|0), and
     # K(-1,-1|1) on K(0,0|-1)
     assert [(b.dim, t.dim, t.parities[0]) for b, t in pairs] == [
@@ -404,14 +404,14 @@ def test_projective_cover_gl21_interior():
 
 def test_tilting_typical_is_kac():
     g = gl11()
-    U = tilting_module(g, (2, -1), (-2, 2))
+    U = tilting_module(g, (2, -1))
     assert U.dim == 2
     assert U.meta["flag_bottom_up"] == [((QQ(2), QQ(-1)), 0)]
 
 
 def test_tilting_atypical_gl11():
     g = gl11()
-    U = tilting_module(g, (0, 0), (-2, 2))
+    U = tilting_module(g, (0, 0))
     assert U.dim == 4
     # K(0,0) at the bottom, the parity flip of K(-1,1) glued on top
     assert U.meta["flag_bottom_up"] == [
@@ -434,14 +434,12 @@ def count_complexes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "algebra,lam,box",
-    [(gl11, (0, 0), (-2, 2)), (gl21c, (1, 0, 0), (-1, 1))],
+    "algebra,lam",
+    [(gl11, (0, 0)), (gl21c, (1, 0, 0))],
 )
-def test_tilting_builds_one_complex_per_glued_module(
-    monkeypatch, algebra, lam, box
-):
+def test_tilting_builds_one_complex_per_glued_module(monkeypatch, algebra, lam):
     built = count_complexes(monkeypatch)
-    U = tilting_module(algebra(), lam, box)
+    U = tilting_module(algebra(), lam)
     flag = U.meta["flag_bottom_up"]
     assert len(flag) == 2
     # K(lam), then the module after each glue; the last one also
@@ -453,7 +451,7 @@ def test_tilting_builds_one_complex_per_glued_module(
 def tilting_golden_json(g, weights, box):
     out = {}
     for lam in weights:
-        U = tilting_module(g, lam, box)
+        U = tilting_module(g, lam)
         out[g.weight_str(U.meta["flag_bottom_up"][0][0])] = {
             "box": list(box),
             "flag_bottom_up": [
@@ -474,7 +472,15 @@ def test_glued_tilting_modules_match_golden():
 def test_tilting_needs_compatible_grading():
     g = install_grading(build_gl(1, 1), "principal")
     with pytest.raises(GradingError):
-        tilting_module(g, (0, 0), (-1, 1))
+        tilting_module(g, (0, 0))
+
+
+def test_tilting_certificate_ignores_the_block_filter(monkeypatch):
+    # link no weight to lam: the sweep glues nothing, and the certificate,
+    # which checks every dominant weight, must catch the surviving Ext^1
+    monkeypatch.setattr(structure, "_central_core", lambda m, n, w: tuple(w))
+    with pytest.raises(AssertionError, match="extensions survive the sweep"):
+        tilting_module(gl11(), (0, 0))
 
 
 def test_tilting_budget_exhaustion():
@@ -482,7 +488,7 @@ def test_tilting_budget_exhaustion():
 
     g = gl11()
     with pytest.raises(ResourceLimitError):
-        tilting_module(g, (-2, 2), (-2, 2), limits=Limits(iteration_budget=1))
+        tilting_module(g, (-2, 2), limits=Limits(iteration_budget=1))
 
 
 # -- dualities --------------------------------------------------------------
@@ -506,7 +512,7 @@ def test_kac_dual_identity_gl21():
 
 def test_projective_dual_is_tilting_atypical():
     g = gl11()
-    r = verify_projective_dual(g, (0, 0), (-2, 2))
+    r = verify_projective_dual(g, (0, 0))
     assert r["characters_equal"]
     assert r["isomorphic"] and r["certified"]
     assert r["parity"] == 1
@@ -515,7 +521,7 @@ def test_projective_dual_is_tilting_atypical():
 
 def test_projective_dual_is_tilting_typical():
     g = gl11()
-    r = verify_projective_dual(g, (2, -1), (-2, 2))
+    r = verify_projective_dual(g, (2, -1))
     assert r["isomorphic"] and r["certified"]
 
 
