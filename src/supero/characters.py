@@ -341,15 +341,8 @@ def tilting_table(g, window, limits=DEFAULT_LIMITS):
         left.append([mults.get(mu, 0) for mu in window])
     refl = reflected_window(g, window)
     D = decomposition_matrix(g, refl, limits=limits)
-    right = []
-    for lam in window:
-        rlam = tuple(wsub(beta, w0_action(m, n, lam)))
-        right.append(
-            [
-                D.entry(tuple(wsub(beta, w0_action(m, n, mu))), rlam)
-                for mu in window
-            ]
-        )
+    reflected = [tuple(wsub(beta, w0_action(m, n, w))) for w in window]
+    right = [[D.entry(rmu, rlam) for rmu in reflected] for rlam in reflected]
     diff = [
         (window[i], window[j], left[i][j], right[i][j])
         for i in range(len(window))
@@ -381,6 +374,7 @@ def verma_decomposition_truncated(g, lam, depth, limits=DEFAULT_LIMITS):
     """
     M = verma_module_truncated(g, lam, depth, limits=limits)
     pos = g.positive_ids()
+    cols = {x: M.action[x].cols() for x in pos}
     out = []
     for w, idxs in sorted(M.weight_spaces().items(), reverse=True):
         if len(idxs) > limits.max_hom_vars:
@@ -392,7 +386,7 @@ def verma_decomposition_truncated(g, lam, depth, limits=DEFAULT_LIMITS):
         ent = {}
         for r, x in enumerate(pos):
             for k, i in enumerate(idxs):
-                for j, c in M.act(x, {i: QQ(1)}).items():
+                for j, c in cols[x][i].items():
                     ent[(r * M.dim + j, k)] = c
         mat = SparseMatrix(len(pos) * M.dim, len(idxs), ent)
         sing = len(idxs) - mat.rank()

@@ -96,43 +96,42 @@ def contravariant_form(module):
 
     order = sorted(spaces, key=lambda w: height(w, lam))
     views = {x: mat.cols() for x, mat in module.action.items()}
-    posmap = {w: {i: k for k, i in enumerate(ix)} for w, ix in spaces.items()}
     gram = {lam: SparseMatrix.identity(len(spaces[lam]))}
     for mu in order:
         if mu == lam:
             continue
         idx = spaces[mu]
-        pos = posmap[mu]
+        pos = {i: k for k, i in enumerate(idx)}
         n_mu = len(idx)
 
-        cols = []  # (x, source weight, source local index, image dict)
+        # one column per (x, source vector u): x, the row of the Gram
+        # block at u keyed by module index, and the image x.u
+        cols = []
         for x in range(g.dim):
-            wx = g.weight_of(x)
-            nu = wsub(mu, wx)
+            nu = wsub(mu, g.weight_of(x))
             if nu == mu or nu not in gram:
                 continue
-            for ulocal, uglobal in enumerate(spaces[nu]):
-                cols.append((x, nu, ulocal, views[x][uglobal]))
+            src = spaces[nu]
+            for u, grow in enumerate(gram[nu].rows()):
+                grow = {src[k]: v for k, v in grow.items()}
+                cols.append((x, grow, views[x][src[u]]))
 
         s = len(cols)
         S = SparseMatrix(n_mu, s)
-        for j, (_, _, _, img) in enumerate(cols):
+        for j, (_, _, img) in enumerate(cols):
             for i, c in img.items():
                 S.data[(pos[i], j)] = c
 
         gspan = SparseMatrix(s, s)
-        for j2, (x2, _, _, img2) in enumerate(cols):
+        for j2, (_, _, img2) in enumerate(cols):
             if not img2:
                 continue
-            for j1, (x1, nu1, u1, _) in enumerate(cols):
-                lifted = apply_cols(views[g.transpose[x1]], img2)
-                if not lifted:
-                    continue
-                nupos = posmap[nu1]
-                gblock = gram[nu1]
-                val = QQ(0)
-                for i, c in lifted.items():
-                    val += c * gblock.data.get((u1, nupos[i]), QQ(0))
+            lifts = {}  # x1 -> transpose(x1) applied to img2
+            for j1, (x1, grow, _) in enumerate(cols):
+                lifted = lifts.get(x1)
+                if lifted is None:
+                    lifted = lifts[x1] = apply_cols(views[g.transpose[x1]], img2)
+                val = sum(c * grow[i] for i, c in lifted.items() if i in grow)
                 if val:
                     gspan.data[(j1, j2)] = val
 
@@ -143,8 +142,9 @@ def contravariant_form(module):
                 f"module is not generated by its highest weight space: "
                 f"weight {g.weight_str(mu)} not covered by lowerings"
             )
+        gspan_cols = gspan.cols()
         for kvec in S.kernel_basis():
-            if gspan.apply(kvec):
+            if apply_cols(gspan_cols, kvec):
                 raise ValueError(
                     f"no contravariant form exists: inconsistent pairings at "
                     f"{g.weight_str(mu)}"

@@ -166,21 +166,6 @@ class KacExtensions:
                 bs.append(img)
         return cols, zs, bs
 
-    def h1_dimension_at(self, w, p=None):
-        """dim of the (weight w, parity p) piece of H^1; both parities
-        summed when p is None."""
-        if p is None:
-            return self.h1_dimension_at(w, 0) + self.h1_dimension_at(w, 1)
-        cols, zs, bs = self._cocycle_data(tuple(QQ(c) for c in w), p)
-        if not cols:
-            return 0
-        return len(zs) - len(Echelon(bs))
-
-    def h1_dimension(self):
-        return sum(
-            self.h1_dimension_at(w, p) for (w, p) in self._weight_blocks()
-        )
-
     def _raising_action(self, e, vec_cols, vec):
         """Apply the even raising e to a C^1 cochain given on vec_cols."""
         out = {}

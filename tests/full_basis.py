@@ -1,14 +1,18 @@
-"""Full-basis oracles for the generator-based solves in `homs` and `modules`.
+"""Full-basis oracles for the reduced checks and solves in `homs` and `modules`.
 
 `hom_space` imposes intertwining and `submodule_module` closes under the
-Lie generators of g only (`algebra.lie_generators`).  The helpers here act
-with every basis element of g instead, as the definitions say, and share
-no code with those routes beyond the echelon engine and the bracket
-table.  Tests compare the two.
+Lie generators of g only (`algebra.lie_generators`), and `validate_module`
+checks each unordered pair of basis elements once.  The helpers here act
+with every basis element of g, and check every ordered pair, as the
+definitions say; they share no code with those routes beyond the echelon
+engine, the sparse matrix product, the bracket table and the truncation
+guard.  Tests compare the two.
 """
 
-from supero.linalg import Echelon, SparseMatrix
+from supero.linalg import Echelon, SparseMatrix, vec_add_into
+from supero.modules import _truncation_guard
 from supero.rational import ONE, QQ, ZERO
+from supero.weights import wadd
 
 
 def full_basis_hom_system(src, dst, parity):
@@ -81,3 +85,55 @@ def full_basis_closure(module, vectors):
                 todo.append(img)
     ech.full_reduce()
     return ech.basis()
+
+
+def ordered_pair_validation(module):
+    """True when the matrices define a weight supermodule, checked the
+    long way: torus diagonality, weight and parity additivity, and
+
+        X_a X_b - (-1)^{|a||b|} X_b X_a = X_{[a,b]}
+
+    on every ordered pair (a, b), by matrix products (or vector by vector
+    on the exact instances of a truncated module)."""
+    g = module.g
+    n = module.dim
+    if any(x not in module.action for x in range(g.dim)):
+        return False
+    for t in g.t_ids:
+        coord = g.t_coord[t]
+        for (r, c), v in module.action[t].data.items():
+            if r != c or v != QQ(module.weights[r][coord]):
+                return False
+    for x, mat in module.action.items():
+        for r, c in mat.data:
+            if module.weights[r] != wadd(module.weights[c], g.weight_of(x)):
+                return False
+            if module.parities[r] != (module.parities[c] + g.parity(x)) % 2:
+                return False
+    guard = _truncation_guard(module) if module.truncated else None
+    for a in range(g.dim):
+        mat_a = module.action[a]
+        for b in range(g.dim):
+            mat_b = module.action[b]
+            sign = -1 if g.parity(a) and g.parity(b) else 1
+            terms = g.bracket(a, b)
+            if guard is None:
+                lhs = mat_a @ mat_b - (mat_b @ mat_a).scale(sign)
+                rhs = SparseMatrix(n, n)
+                for k, coeff in terms.items():
+                    rhs = rhs + module.action[k].scale(coeff)
+                if lhs != rhs:
+                    return False
+                continue
+            for i in range(n):
+                if not guard(i, a, b):
+                    continue
+                v = {i: ONE}
+                lhs = mat_a.apply(mat_b.apply(v))
+                vec_add_into(lhs, mat_b.apply(mat_a.apply(v)), QQ(-sign))
+                rhs = {}
+                for k, coeff in terms.items():
+                    vec_add_into(rhs, module.action[k].apply(v), coeff)
+                if lhs != rhs:
+                    return False
+    return True

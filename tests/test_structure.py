@@ -85,24 +85,37 @@ def test_cochain_unknowns_guard():
     assert "max_hom_vars is 15" in message
 
 
+def h1_dimension_at(ke, w, p):
+    """dim of the (weight w, cochain parity p) piece of H^1 of the
+    cochain complex ``ke``: cocycles modulo coboundaries there."""
+    cols, zs, bs = ke._cocycle_data(tuple(QQ(c) for c in w), p)
+    if not cols:
+        return 0
+    return len(zs) - len(Echelon(bs))
+
+
+def h1_dimension(ke):
+    return sum(h1_dimension_at(ke, w, p) for (w, p) in ke._weight_blocks())
+
+
 def test_h1_vanishes_for_typical_coefficients():
     g = gl11()
     K = kac_module(g, (2, -1))
-    assert KacExtensions(K).h1_dimension() == 0
+    assert h1_dimension(KacExtensions(K)) == 0
 
 
 def test_h1_of_atypical_kac_sits_at_two_weights():
     g = gl11()
     lam = (QQ(2), QQ(-2))
     ke = KacExtensions(kac_module(g, lam))
-    assert ke.h1_dimension() == 2
+    assert h1_dimension(ke) == 2
     # one class one odd step below lam, one two steps below; the first is
     # a parity-1 class, the second parity 0
-    assert ke.h1_dimension_at(wsub(lam, ALPHA), 1) == 1
-    assert ke.h1_dimension_at(wsub(lam, ALPHA), 0) == 0
+    assert h1_dimension_at(ke, wsub(lam, ALPHA), 1) == 1
+    assert h1_dimension_at(ke, wsub(lam, ALPHA), 0) == 0
     two = wsub(lam, (QQ(2), QQ(-2)))
-    assert ke.h1_dimension_at(two, 0) == 1
-    assert ke.h1_dimension_at(two, 1) == 0
+    assert h1_dimension_at(ke, two, 0) == 1
+    assert h1_dimension_at(ke, two, 1) == 0
 
 
 @pytest.mark.parametrize(
