@@ -255,7 +255,11 @@ def kac_module(g, lam, limits=DEFAULT_LIMITS):
     m, n = g.params
     V = simple_even_module(g, lam, limits=limits)
     b_ids = _borel_ids(g)
-    fiber = inflate_module(V, g.subalgebra(b_ids))
+    # one parabolic per algebra: each Kac module's induction record keeps
+    # its fiber, and with it this subalgebra, alive
+    if ("kac_parabolic",) not in g.memo:
+        g.memo[("kac_parabolic",)] = g.subalgebra(b_ids)
+    fiber = inflate_module(V, g.memo[("kac_parabolic",)])
     K = induced_module(
         g, b_ids, fiber, highest_weight=tuple(V.highest_weight),
         kind="kac", limits=limits,

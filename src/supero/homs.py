@@ -12,6 +12,18 @@ and the torus acts diagonally by the recorded weights.  (A truncated
 slice satisfies the bracket relation only where its guard says, so
 there every basis element is imposed; see ``intertwining_ids``.)
 
+Endomorphism rings avoid the global solve where the structure allows.
+For M = Ind_s^g F as ``induced_module`` returned it (untruncated, so
+``M.induction`` is set; nothing derived from M carries the record),
+Frobenius reciprocity Hom_g(Ind_s F, M) = Hom_s(F, Res_s M) turns the
+Sum_w d_w(M)^2 unknowns into Sum_w d_w(F) d_w(M): each even s-map phi
+extends to w (x) v -> w . phi(v) along the recorded PBW words, and each
+extension is checked against the Lie generators.  For a summand S of M
+with module maps I: S -> M and P: M -> S, P I = id, End(S) = P End(M) I,
+so a Fitting summand's ring needs no solve at all.  Both spans are
+reduced to the basis ``hom_space`` would return (``_canonical_basis``),
+so bases, splittings and reports do not depend on the route.
+
 Decomposition into indecomposable summands goes through the even
 endomorphism ring: a summand is certified indecomposable when that ring
 is local (its dimension minus its radical dimension is 1).  A non-local
@@ -34,8 +46,8 @@ from math import isqrt, lcm
 from .algebra import same_algebra
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError
-from .linalg import Echelon, SparseMatrix, algebra_radical
-from .modules import intertwining_ids, submodule_module
+from .linalg import Echelon, SparseMatrix, algebra_radical, apply_cols
+from .modules import intertwining_ids, restrict_module, submodule_module
 from .rational import ONE, QQ, ZERO
 
 
@@ -192,9 +204,91 @@ def end_ring(module, limits=DEFAULT_LIMITS):
     """Even endomorphism basis plus its multiplication table and radical.
 
     Returns a dict with keys basis (matrices), products (coordinate
-    table), radical (list of coordinate dicts), local (bool).
+    table), radical (list of coordinate dicts), local (bool).  The basis
+    is the canonical one of ``hom_space(module, module, 0)``, whichever
+    route finds it.  A module that ``induced_module`` returned untruncated
+    (``module.induction`` is set) takes the adjunction route:
+    End_g(Ind_s F)_0 = Hom_s(F, Res_s M)_0, one ``hom_space`` over s whose
+    unknowns ``max_hom_vars`` bounds, extended along the PBW words (module
+    docstring).  Every other module takes the ``hom_space`` solve.
+    ``fitting_decompose`` finds its summands' rings as P End(M) I instead.
     """
-    basis = hom_space(module, module, parity=0, limits=limits)
+    if module.induction is not None:
+        basis = _end_by_adjunction(module, limits)
+    else:
+        basis = hom_space(module, module, parity=0, limits=limits)
+    return _ring_from_basis(module, basis, limits)
+
+
+def _end_by_adjunction(module, limits):
+    """Canonical basis of End_g(M)_0 for M = Ind_s F, from Hom_s(F, Res M).
+
+    Each even s-map phi: F -> Res M extends to the g-map
+    w (x) v_j -> w . phi(v_j), and every even g-map out of M arises from
+    exactly one phi (Frobenius reciprocity), so the extensions are a
+    basis.  Each one is checked against the Lie generators' actions
+    before it is used.
+    """
+    fiber, words = module.induction
+    res = restrict_module(module, fiber.g)
+    cols = {x: mat.cols() for x, mat in module.action.items()}
+    n, fdim = module.dim, fiber.dim
+    by_length = sorted(words, key=len)  # every suffix of a word is a word
+    maps = []
+    for phi in hom_space(fiber, res, parity=0, limits=limits):
+        F_cols = [None] * n
+        for j, vec in enumerate(phi.cols()):
+            images = {(): vec}
+            for w in by_length[1:]:
+                images[w] = apply_cols(cols[w[0]], images[w[1:]])
+            for k, w in enumerate(words):
+                F_cols[k * fdim + j] = images[w]
+        # X F = F X column by column, for the generators X
+        for x in intertwining_ids(module):
+            X_cols = cols[x]
+            for j in range(n):
+                if apply_cols(X_cols, F_cols[j]) != apply_cols(F_cols, X_cols[j]):
+                    raise AssertionError(
+                        f"adjoint map fails to commute with {module.g.label(x)}"
+                    )
+        F = SparseMatrix(n, n)
+        for j, col in enumerate(F_cols):
+            for i, c in col.items():
+                F.data[(i, j)] = c
+        maps.append(F)
+    basis = _canonical_basis(maps, module.dim)
+    if len(basis) != len(maps):
+        raise AssertionError("adjoint maps are dependent")
+    return basis
+
+
+def _canonical_basis(maps, n):
+    """The basis ``hom_space`` returns for the span of some n x n maps.
+
+    That basis is the reduced kernel of its system in the variable order
+    (i, j): the map for free entry f has a one at f, zeros at the other
+    free entries and no entry after f.  So it is the reduced echelon form
+    of the span with the order reversed (key (-i, -j)), which is unique;
+    maps are listed by free entry ascending, entries in ``hom_space``'s
+    order (the free one first, then ascending).
+    """
+    ech = Echelon()
+    for F in maps:
+        ech.add({(-i, -j): c for (i, j), c in F.data.items()})
+    ech.full_reduce()
+    basis = []
+    for lead in reversed(ech.pivot_cols()):
+        row = ech.pivot_row(lead)
+        F = SparseMatrix(n, n)
+        F.data[(-lead[0], -lead[1])] = row.pop(lead)
+        for key in sorted(row, reverse=True):
+            F.data[(-key[0], -key[1])] = row[key]
+        basis.append(F)
+    return basis
+
+
+def _ring_from_basis(module, basis, limits):
+    """The ``end_ring`` record of module from its canonical even basis."""
     e = len(basis)
     if e > limits.max_end_dim:
         raise ResourceLimitError(
@@ -323,6 +417,16 @@ def _fitting_split(module, Y):
     return [(sub, inc, prj) for (sub, inc), prj in zip(pieces, projects)]
 
 
+def _summand_ring(sub, inc, prj, ring, limits):
+    """The ``end_ring`` record of a summand from the ring of the module.
+
+    inc: sub -> M and prj: M -> sub are module maps with prj inc = id, so
+    every f in End(sub) is prj (inc f prj) inc: End(sub) = prj End(M) inc.
+    """
+    maps = [prj @ F @ inc for F in ring["basis"]]
+    return _ring_from_basis(sub, _canonical_basis(maps, sub.dim), limits)
+
+
 def fitting_decompose(module, limits=DEFAULT_LIMITS):
     """Split a module into indecomposable summands, with certification.
 
@@ -335,8 +439,7 @@ def fitting_decompose(module, limits=DEFAULT_LIMITS):
     """
     records = []
 
-    def descend(mod, include, project):
-        ring = end_ring(mod, limits=limits)
+    def descend(mod, ring, include, project):
         e = len(ring["basis"])
         if ring["local"]:
             records.append({
@@ -355,10 +458,14 @@ def fitting_decompose(module, limits=DEFAULT_LIMITS):
                 f"element was found within the search budget"
             )
         for sub, inc, prj in _fitting_split(mod, Y):
-            descend(sub, include @ inc, prj @ project)
+            sub_ring = _summand_ring(sub, inc, prj, ring, limits)
+            descend(sub, sub_ring, include @ inc, prj @ project)
 
     n = module.dim
-    descend(module, SparseMatrix.identity(n), SparseMatrix.identity(n))
+    descend(
+        module, end_ring(module, limits=limits),
+        SparseMatrix.identity(n), SparseMatrix.identity(n),
+    )
 
     def sort_key(rec):
         top = max(rec["module"].weights)

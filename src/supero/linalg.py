@@ -159,7 +159,7 @@ class SparseMatrix:
     def __mul__(self, other):
         if isinstance(other, SparseMatrix):
             return self.matmul(other)
-        raise TypeError("use .scale for scalars, .apply for vectors")
+        raise TypeError("use .scale for scalars, apply_cols(cols(), v) for vectors")
 
     def matmul(self, other):
         if self.ncols != other.nrows:
@@ -179,13 +179,6 @@ class SparseMatrix:
         return SparseMatrix(self.nrows, other.ncols, acc)
 
     __matmul__ = matmul
-
-    def apply(self, vector):
-        """Matrix-vector product; vector is a dict col->QQ, result dict row->QQ.
-
-        Builds the column view on every call; a caller applying one matrix
-        many times takes ``cols()`` once and uses ``apply_cols``."""
-        return apply_cols(self.cols(), vector)
 
     def transpose(self):
         return SparseMatrix(

@@ -32,7 +32,15 @@ from .weights import wadd, wneg
 
 
 class ExplicitModule:
-    """A finite-dimensional weight supermodule given by explicit matrices."""
+    """A finite-dimensional weight supermodule given by explicit matrices.
+
+    ``induction`` is ``(fiber, words)`` on a module returned untruncated by
+    :func:`induced_module`: basis vector ``k * fiber.dim + j`` is
+    ``words[k] . (1 (x) v_j)``, and ``fiber.g`` is the inducing
+    subalgebra.  It is None everywhere else; no constructor copies it, so
+    a restriction, dual, parity flip or re-wrapped action never claims to
+    be induced.
+    """
 
     __slots__ = (
         "g",
@@ -43,6 +51,7 @@ class ExplicitModule:
         "highest_weight",
         "truncated",
         "meta",
+        "induction",
         "_wspaces",
     )
 
@@ -66,6 +75,7 @@ class ExplicitModule:
         self.highest_weight = tuple(highest_weight) if highest_weight is not None else None
         self.truncated = bool(truncated)
         self.meta = dict(meta) if meta else {}
+        self.induction = None
         self._wspaces = None
 
     # -- trivia ------------------------------------------------------------
@@ -78,21 +88,6 @@ class ExplicitModule:
         kind = self.meta.get("kind", "module")
         flag = ", truncated" if self.truncated else ""
         return f"ExplicitModule({kind}, dim={self.dim}{flag})"
-
-    # -- acting ------------------------------------------------------------
-
-    def act(self, x_id, vec):
-        """Apply a basis element to a vector (dict index -> coefficient)."""
-        return self.action[x_id].apply(vec)
-
-    def act_word(self, word, vec):
-        """Apply a product of basis elements, rightmost factor first."""
-        cur = vec
-        for x in reversed(word):
-            if not cur:
-                return {}
-            cur = self.action[x].apply(cur)
-        return cur
 
     # -- weight bookkeeping ------------------------------------------------
 
@@ -557,10 +552,13 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
         "window": frozenset(tuple(w) for w in weight_window) if weight_window else None,
         "word_weight": tuple(word_wt),
     }
-    return ExplicitModule(
+    M = ExplicitModule(
         g, weights, parities, action, labels=labels,
         highest_weight=highest_weight, truncated=truncated, meta=meta,
     )
+    if not truncated:
+        M.induction = (fiber, tuple(words))
+    return M
 
 
 # ---------------------------------------------------------------------------

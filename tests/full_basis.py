@@ -7,12 +7,36 @@ with every basis element of g, and check every ordered pair, as the
 definitions say; they share no code with those routes beyond the echelon
 engine, the sparse matrix product, the bracket table and the truncation
 guard.  Tests compare the two.
+
+`apply` and `act_word` are the plain matrix-vector products the tests act
+with; `src/` reads column views taken once instead.
 """
 
 from supero.linalg import Echelon, SparseMatrix, vec_add_into
 from supero.modules import _truncation_guard
 from supero.rational import ONE, QQ, ZERO
 from supero.weights import wadd
+
+
+def apply(mat, vec):
+    """mat . vec for a dict-vector, summed entry by entry over mat.data."""
+    out = {}
+    for (i, j), a in mat.data.items():
+        c = vec.get(j)
+        if c:
+            t = out.get(i, ZERO) + a * c
+            if t:
+                out[i] = t
+            else:
+                del out[i]
+    return out
+
+
+def act_word(module, word, vec):
+    """Apply a product of basis elements to vec, rightmost factor first."""
+    for x in reversed(word):
+        vec = apply(module.action[x], vec)
+    return vec
 
 
 def full_basis_hom_system(src, dst, parity):
@@ -80,7 +104,7 @@ def full_basis_closure(module, vectors):
         if ech.add(v) is None:
             continue
         for x in range(module.g.dim):
-            img = module.action[x].apply(v)
+            img = apply(module.action[x], v)
             if img:
                 todo.append(img)
     ech.full_reduce()
@@ -129,11 +153,11 @@ def ordered_pair_validation(module):
                 if not guard(i, a, b):
                     continue
                 v = {i: ONE}
-                lhs = mat_a.apply(mat_b.apply(v))
-                vec_add_into(lhs, mat_b.apply(mat_a.apply(v)), QQ(-sign))
+                lhs = apply(mat_a, apply(mat_b, v))
+                vec_add_into(lhs, apply(mat_b, apply(mat_a, v)), QQ(-sign))
                 rhs = {}
                 for k, coeff in terms.items():
-                    vec_add_into(rhs, module.action[k].apply(v), coeff)
+                    vec_add_into(rhs, apply(module.action[k], v), coeff)
                 if lhs != rhs:
                     return False
     return True

@@ -33,6 +33,8 @@ from supero.forms import (
 from supero.modules import direct_sum, submodule_module, validate_module
 from supero.rational import ONE, QQ
 
+from full_basis import act_word
+
 
 def gl11():
     return install_grading(build_gl(1, 1), "compatible")
@@ -59,8 +61,8 @@ def word_gram(module, words):
     for a, w1 in enumerate(words):
         tw1 = tuple(g.transpose[x] for x in reversed(w1))
         for b, w2 in enumerate(words):
-            vec = module.act_word(w2, {t: ONE})
-            vec = module.act_word(tw1, vec)
+            vec = act_word(module, w2, {t: ONE})
+            vec = act_word(module, tw1, vec)
             out[(a, b)] = vec.get(t, QQ(0))
     return out
 
@@ -70,7 +72,7 @@ def peel_gram_on_words(module, form, words):
     top = module.weight_space(module.highest_weight)[0]
     spaces = module.weight_spaces()
     posmap = {w: {i: k for k, i in enumerate(ix)} for w, ix in spaces.items()}
-    vecs = [module.act_word(w, {top: ONE}) for w in words]
+    vecs = [act_word(module, w, {top: ONE}) for w in words]
     wts = [module.weights[min(v)] if v else None for v in vecs]
     out = {}
     for a, va in enumerate(vecs):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supero import homs, structure
 from supero.algebra import build_gl, build_q, install_grading
 from supero.config import Limits
 from supero.errors import ResourceLimitError
@@ -22,14 +23,18 @@ from supero.homs import (
 )
 from supero.linalg import SparseMatrix
 from supero.modules import (
+    ExplicitModule,
     direct_sum,
+    dual_module,
     parity_flip,
+    restrict_module,
     submodule_module,
     tau_dual,
     validate_module,
 )
 from supero.rational import ONE, QQ
-from supero.structure import projective_cover
+from supero.structure import projective_cover, projective_cover_h, tilting_module
+from supero.weights import dominant_weights_in_box
 
 
 def gl11():
@@ -213,6 +218,134 @@ def test_fitting_split_budget_honesty():
     S = direct_sum(kac_module(g, (2, -1)), kac_module(g, (0, 0)))
     recs = fitting_decompose(S, limits=Limits(search_budget=2))
     assert len(recs) == 2  # basis elements already contain projections
+
+
+# -- the adjunction and summand routes against hom_space ---------------------
+#
+# end_ring of an induced module extends Hom_s(F, Res M) along the PBW words,
+# and a Fitting summand's ring is prj End(M) inc; both must reproduce the
+# hom_space route bit for bit, dict order of the basis entries included.
+
+
+def plain(M):
+    """M with the same matrices and no induction record (hom_space route)."""
+    return ExplicitModule(
+        M.g, M.weights, M.parities, M.action, labels=M.labels,
+        highest_weight=M.highest_weight, meta=M.meta,
+    )
+
+
+def entries(basis):
+    return [(F.nrows, F.ncols, list(F.data.items())) for F in basis]
+
+
+def assert_same_ring(ring, oracle):
+    assert entries(ring["basis"]) == entries(oracle["basis"])
+    assert ring["products"] == oracle["products"]
+    assert ring["radical"] == oracle["radical"]
+    assert ring["local"] == oracle["local"]
+
+
+def assert_routes_agree(M, monkeypatch):
+    """end_ring and fitting_decompose of an induced M against hom_space."""
+    assert M.induction is not None and plain(M).induction is None
+    ring = end_ring(M)
+    assert_same_ring(ring, end_ring(plain(M)))
+    recs = fitting_decompose(M)
+    for rec in recs:
+        # End(summand) = project End(M) include, against its own hom system
+        assert_same_ring(
+            homs._summand_ring(rec["module"], rec["include"], rec["project"],
+                               ring, Limits()),
+            end_ring(plain(rec["module"])),
+        )
+    with monkeypatch.context() as mp:
+        mp.setattr(homs, "_summand_ring",
+                   lambda sub, inc, prj, ring, limits: end_ring(sub, limits=limits))
+        oracle = fitting_decompose(plain(M))
+    assert len(recs) == len(oracle)
+    for rec, orc in zip(recs, oracle):
+        assert rec["module"].to_json_dict() == orc["module"].to_json_dict()
+        assert entries([rec["include"], rec["project"]]) == entries(
+            [orc["include"], orc["project"]]
+        )
+        for key in ("end_even_dim", "end_radical_dim", "local"):
+            assert rec[key] == orc[key]
+
+
+def test_adjunction_routes_gl11_induced_projectives(monkeypatch):
+    g = gl11()
+    for a in range(-3, 4):
+        for b in range(-2, 3):
+            assert_routes_agree(induced_projective(g, (a, b)), monkeypatch)
+
+
+def test_adjunction_routes_gl21_box(monkeypatch):
+    g = gl21c()
+    for lam in dominant_weights_in_box(2, 1, -1, 1):
+        assert_routes_agree(induced_projective(g, lam), monkeypatch)
+        assert_routes_agree(kac_module(g, lam), monkeypatch)
+
+
+@pytest.mark.parametrize("n, lam", [
+    (2, (1, -1)), (2, (1, 0)), (2, (0, 0)),
+    (3, (1, -1, 2)), (3, (1, 0, 0)), (3, (0, 0, 0)),
+])
+def test_adjunction_routes_q_cartan_projectives(monkeypatch, n, lam):
+    q = build_q(n)
+    h = q.subalgebra(q.h_ids(), family_tag="q-cartan")
+    built = []
+
+    def capture(module, limits=Limits()):
+        built.append(module)
+        return fitting_decompose(module, limits=limits)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(structure, "fitting_decompose", capture)
+        projective_cover_h(h, clifford_module(h, lam))
+    (big,) = built
+    assert big.meta["kind"] == "cartan_projective"
+    assert_routes_agree(big, monkeypatch)
+
+
+def test_derived_modules_take_the_hom_space_route(monkeypatch):
+    g = gl11()
+    P = induced_projective(g, (0, 0))
+    derived = [
+        restrict_module(P, g.subalgebra(range(g.dim))),
+        parity_flip(P),
+        dual_module(P),
+        tau_dual(P),
+        plain(P),
+        tilting_module(g, (2, -1)),  # K(2|-1) re-wrapped, no glue
+    ]
+
+    def refuse(module, limits):
+        raise AssertionError("adjunction route taken")
+
+    monkeypatch.setattr(homs, "_end_by_adjunction", refuse)
+    with pytest.raises(AssertionError, match="adjunction route taken"):
+        end_ring(P)
+    with pytest.raises(AssertionError, match="adjunction route taken"):
+        end_ring(kac_module(g, (2, -1)))
+    for D in derived:
+        assert D.induction is None
+        assert end_ring(D)["basis"]
+
+
+def test_adjunction_rejects_a_wrong_extension():
+    """An induction record whose words do not match the basis extends
+    fiber maps to non-module maps, and end_ring fails loudly."""
+    P = induced_projective(gl21c(), (1, 0, 0))
+    fiber, words = P.induction
+    k = next(
+        k for k, w in enumerate(words)
+        if len(w) == 2 and not any(v[1:] == w for v in words)
+    )
+    words = words[:k] + (words[k][1:],) + words[k + 1:]  # drop one letter
+    P.induction = (fiber, words)
+    with pytest.raises(AssertionError, match="fails to commute"):
+        end_ring(P)
 
 
 # -- isomorphism -----------------------------------------------------------

@@ -12,8 +12,10 @@ import pytest
 
 from supero import structure
 from supero.algebra import build_gl, build_q, install_grading
+from supero.characters import _peel_factors
+from supero.config import DEFAULT_LIMITS
 from supero.errors import GradingError, ResourceLimitError
-from supero.forms import clifford_module, kac_module, simple_module
+from supero.forms import clifford_module, induced_projective, kac_module, simple_module
 from supero.homs import end_ring, hom_dims, is_isomorphic
 from supero.linalg import Echelon, SparseMatrix
 from supero.modules import parity_flip, tau_dual, validate_module
@@ -461,12 +463,11 @@ def test_tilting_builds_one_complex_per_glued_module(monkeypatch, algebra, lam):
     assert built[-1] == U.dim
 
 
-def tilting_golden_json(g, weights, box):
+def tilting_golden_json(g, weights):
     out = {}
     for lam in weights:
         U = tilting_module(g, lam)
         out[g.weight_str(U.meta["flag_bottom_up"][0][0])] = {
-            "box": list(box),
             "flag_bottom_up": [
                 [g.weight_str(w), p] for w, p in U.meta["flag_bottom_up"]
             ],
@@ -478,7 +479,7 @@ def tilting_golden_json(g, weights, box):
 def test_glued_tilting_modules_match_golden():
     # weights, parities, labels and every action entry, glue blocks
     # included, of two gl(2|1) tilting modules with one glue each
-    text = tilting_golden_json(gl21c(), [(1, 0, 0), (0, 0, -1)], (-1, 1))
+    text = tilting_golden_json(gl21c(), [(1, 0, 0), (0, 0, -1)])
     assert text == (GOLDEN / "gl21_tilting.json").read_text()
 
 
@@ -536,6 +537,27 @@ def test_projective_dual_is_tilting_typical():
     g = gl11()
     r = verify_projective_dual(g, (2, -1))
     assert r["isomorphic"] and r["certified"]
+
+
+def test_gl22_projective_cover_of_zero_obeys_bgg_reciprocity():
+    """P(0) of gl(2|2) (dim 160): its Kac flag is (P : K(mu)) = [K(mu) : L(0)].
+
+    P(0) is a summand of Ind_{g0}^g V(0), so every mu in its flag is in
+    the flag of the induced module; the prediction is read there."""
+    g = install_grading(build_gl(2, 2), "compatible")
+    zero = (QQ(0),) * 4
+    P = projective_cover(g, zero)
+    assert P.dim == 160
+    predicted = {}
+    for mu in set(delta_flag(induced_projective(g, zero))):
+        mult = _peel_factors(g, mu, DEFAULT_LIMITS).get(zero, 0)
+        if mult:
+            predicted[mu] = mult
+    assert flag_multiplicities(P) == predicted
+    assert sorted(predicted) == [
+        (0, 0, 0, 0), (1, 0, 0, -1), (2, 1, -1, -2), (2, 2, -2, -2),
+    ]
+    assert end_ring(P)["local"]
 
 
 # -- q-type Cartan covers ---------------------------------------------------
