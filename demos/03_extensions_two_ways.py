@@ -1,7 +1,8 @@
 """Compute first extension groups between induced modules two ways.
 
-The cochain route counts highest-weight classes in the one-cocycle
-space of the odd raising action; the direct route solves for an
+The cochain route reads the multiplicity of L0(mu) in the first
+cohomology of the odd raising part off that cohomology's weight
+dimensions, by Weyl's character formula; the direct route solves for an
 upper-triangular glueing block.  They must agree dimension for
 dimension, and a representative block actually builds the extension."""
 

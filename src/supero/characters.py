@@ -128,11 +128,9 @@ def simple_character(g, lam, limits=DEFAULT_LIMITS):
 # windows
 
 
-def window_from_box(g, lo, hi, support_closure=True, reflect=False):
-    """Window construction: dominant weights in the box, extended by the
-    dominant support of their induced characters, and optionally by the
-    duality reflection lam -> beta - w0.lam (needed when projective /
-    tilting data over the window is compared across the reflection)."""
+def window_from_box(g, lo, hi, support_closure=True):
+    """Window construction: dominant weights in the box, optionally
+    extended by the dominant support of their induced characters."""
     window = set(dominant_weights_in_box(*g.params, lo, hi))
     if support_closure:
         extra = set()
@@ -141,10 +139,6 @@ def window_from_box(g, lo, hi, support_closure=True, reflect=False):
                 if is_dominant_gl(nu, *g.params):
                     extra.add(nu)
         window |= extra
-    if reflect:
-        m, n = g.params
-        beta = beta_weight(m, n)
-        window |= {tuple(wsub(beta, w0_action(m, n, lam))) for lam in window}
     return sorted(window, reverse=True)
 
 

@@ -89,6 +89,19 @@ def _parse_box(text):
         raise WorkbenchError(f"box bounds must be integers, got {text!r}")
 
 
+def _parse_weight(g, text):
+    """A weight of g from the command line; malformed text is a usage error."""
+    try:
+        w = parse_weight(text)
+    except (ValueError, ZeroDivisionError):
+        raise WorkbenchError(f"cannot parse weight {text!r}")
+    if len(w) != g.weight_len:
+        raise WorkbenchError(
+            f"weight {text!r} has {len(w)} coordinates, expected {g.weight_len}"
+        )
+    return w
+
+
 def _limits(args):
     lim = DEFAULT_LIMITS.with_seed(args.seed)
     overrides = {}
@@ -139,7 +152,9 @@ def _window(g, args):
     if g.family != "gl":
         raise WorkbenchError("weight windows are defined for gl(m|n) only")
     if args.weights is not None:
-        window = [parse_weight(p) for p in args.weights.split(";") if p.strip()]
+        window = [
+            _parse_weight(g, p) for p in args.weights.split(";") if p.strip()
+        ]
     else:
         lo, hi = _parse_box(args.box)
         window = window_from_box(g, lo, hi, support_closure=args.closure)
@@ -154,7 +169,7 @@ def _window(g, args):
 
 def cmd_check_semiinfinite(args):
     g = _build_algebra(args.algebra, args.grading)
-    gamma = parse_weight(args.gamma) if args.gamma else None
+    gamma = _parse_weight(g, args.gamma) if args.gamma else None
     algebra_report = validate_algebra(g)
     report = verify_semiinfinite(g, gamma)
     doc = _report(

@@ -43,7 +43,3 @@ class TruncationError(WorkbenchError):
 
 class CliffordWeightError(WorkbenchError):
     """No rational Clifford representation exists for the requested weight."""
-
-
-class TrivialCocycleError(WorkbenchError):
-    """An extension was requested along a coboundary (trivial class)."""

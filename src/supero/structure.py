@@ -5,8 +5,9 @@ Two independent routes to first extension groups are kept side by side:
 * ``KacExtensions`` computes Ext^1 out of an induced module K(mu) into a
   fixed coefficient module M through the cochain complex of the abelian
   odd raising part (restricted-dual coefficients are handled by the
-  caller).  This is fast: the complex is built once per M and every mu
-  is answered from its weight blocks.
+  caller): dim Hom_{g0}(L0(mu), H^1) by Weyl's character formula from
+  the dimensions of H^1's weight spaces.  The complex is built once per
+  M, and each weight space of H^1 costs two rank counts.
 * ``ext1_with_representative`` solves directly for a compatible
   off-diagonal block in an upper-triangular action, which also hands
   back an explicit extension module.
@@ -18,7 +19,7 @@ from collections import Counter
 
 from .rational import QQ, ZERO, ONE
 from .linalg import SparseMatrix, Echelon
-from .weights import wadd, wsub, root_leq, is_dominant_gl
+from .weights import wadd, wsub, root_leq, is_dominant_gl, weyl_shifts
 from .algebra import same_algebra, w0_action, beta_weight, rho_weight
 from .config import DEFAULT_LIMITS
 from .errors import DominanceError, GradingError, ResourceLimitError
@@ -26,7 +27,7 @@ from .modules import (
     ExplicitModule, assert_valid_module, restrict_module, induced_module,
     dual_module, parity_flip,
 )
-from .forms import even_levi, kac_module, simple_module, induced_projective
+from .forms import kac_module, simple_module, induced_projective
 from .homs import hom_dims, end_ring, fitting_decompose, is_isomorphic
 
 
@@ -41,9 +42,18 @@ class KacExtensions:
     abelian odd subalgebra, so its cochain complex with coefficients in M
     has C^0 = M, C^1 = Hom(n+, M) and C^2 = Hom(S^2 n+, M); the square of
     the differential is asserted to vanish on construction.  The answer
-    for a dominant mu is the number of independent highest-weight vectors
-    of weight mu in H^1 for the even part, which equals
-    dim Hom_{g0}(V(mu), H^1).
+    is dim Hom_{g0}(L0(mu), H^1).  H^1 is a finite-dimensional module over
+    g0 = gl(m) + gl(n), semisimple over sl(m) + sl(n) by Weyl's theorem,
+    and the centre of g0 lies in the torus, which acts diagonally on
+    cochains; so H^1 is a direct sum of simples L0(nu), and Weyl's
+    character formula gives their multiplicities from its weight
+    dimensions: for dominant mu,
+
+        [H^1 : L0(mu)] = sum over w in S_m x S_n of
+                         sign(w) dim H^1_{mu + rho - w rho}.
+
+    A simple finite-dimensional g0-module has a dominant highest weight,
+    so a non-dominant mu answers 0.
 
     Everything is tracked per parity: cochains of parity 0 classify
     extensions with K(mu) on top, cochains of parity 1 classify the ones
@@ -76,26 +86,15 @@ class KacExtensions:
             for b in range(a, npos)
         ]
         self.pair_index = {p: k for k, p in enumerate(self.pairs)}
-        self.raisings = self._simple_raisings()
-        # column views {x: [{row: entry} per column]} of the odd and the
-        # simple even raisings, taken once and dropped with this object
-        self._cols = {
-            x: module.action[x].cols() for x in self.pos + self.raisings
-        }
+        # column views {x: [{row: entry} per column]} of the odd
+        # raisings, taken once and dropped with this object
+        self._cols = {x: module.action[x].cols() for x in self.pos}
         self._build_differentials()
-        self._check_d_squared()
+        if not (self.d1 @ self.d0).is_zero():
+            raise AssertionError("d^2 != 0 on the extension cochain complex")
         self._blocks = None
-        self._d1_cols = None
-        self._hw_cache = {}
-
-    def _c1_weight(self, key):
-        x, i = key
-        return wsub(self.M.weights[i], self.g.weight_of(x))
-
-    def _c1_parity(self, key):
-        x, i = key
-        # every x in n+ is odd, so the cochain parity is |m| + 1
-        return (self.M.parities[i] + 1) % 2
+        self._views = None  # column views of d0 and d1, taken on demand
+        self._h1 = {}
 
     def _build_differentials(self):
         M, cols = self.M, self._cols
@@ -106,7 +105,7 @@ class KacExtensions:
                     d0[(self.c1_index[(x, j)], i)] = c
         self.d0 = SparseMatrix(len(self.c1_basis), M.dim, d0)
         # (d f)(a, b) = a.f(b) + b.f(a); both signs positive because n+ is
-        # odd abelian, which is exactly what makes d^2 = 0 below.
+        # odd abelian, which is exactly what makes d^2 = 0.
         d1 = {}
         for col, (x, i) in enumerate(self.c1_basis):
             for a in self.pos:
@@ -119,78 +118,40 @@ class KacExtensions:
         d1 = {k: v for k, v in d1.items() if v != ZERO}
         self.d1 = SparseMatrix(len(self.pairs) * M.dim, len(self.c1_basis), d1)
 
-    def _check_d_squared(self):
-        comp = self.d1 @ self.d0
-        if not comp.is_zero():
-            raise AssertionError("d^2 != 0 on the extension cochain complex")
-
     def _weight_blocks(self):
-        """C^1 columns grouped by (weight, cochain parity)."""
-        if self._blocks is not None:
-            return self._blocks
-        blocks = {}
-        for k, key in enumerate(self.c1_basis):
-            blocks.setdefault(
-                (self._c1_weight(key), self._c1_parity(key)), []
-            ).append(k)
-        self._blocks = blocks
-        return blocks
+        """C^1 columns grouped by (weight, cochain parity); the cochain
+        x -> v_i has weight wt(v_i) - wt(x) and, x being odd, parity
+        |v_i| + 1."""
+        if self._blocks is None:
+            self._blocks = {}
+            for k, (x, i) in enumerate(self.c1_basis):
+                key = (wsub(self.M.weights[i], self.g.weight_of(x)),
+                       (self.M.parities[i] + 1) % 2)
+                self._blocks.setdefault(key, []).append(k)
+        return self._blocks
 
-    def _cocycle_data(self, w, p):
-        """(C^1 columns at (w, p), cocycle basis, coboundary basis)."""
-        cols = self._weight_blocks().get((w, p), [])
-        if not cols:
-            return [], [], []
-        local = {c: k for k, c in enumerate(cols)}
-        if self._d1_cols is None:
-            self._d1_cols = self.d1.cols()
-        block = [self._d1_cols[c] for c in cols]
-        remap = {r: k for k, r in enumerate(sorted(set().union(*block)))}
-        ent = {
-            (remap[r], k): v for k, col in enumerate(block) for r, v in col.items()
-        }
-        zs = SparseMatrix(len(remap), len(cols), ent).kernel_basis()
-        bs = []
-        for i in self.M.weight_space(w):
-            if self.M.parities[i] != p:
-                continue
-            img = {}
-            for x in self.pos:
-                for j, c in self._cols[x][i].items():
-                    col = self.c1_index[(x, j)]
-                    if col in local:
-                        img[local[col]] = c
-                    elif c != ZERO:
-                        raise AssertionError("coboundary left its block")
-            if img:
-                bs.append(img)
-        return cols, zs, bs
-
-    def _raising_action(self, e, vec_cols, vec):
-        """Apply the even raising e to a C^1 cochain given on vec_cols."""
-        out = {}
-        g = self.g
-        for k, c in vec.items():
-            x, i = self.c1_basis[vec_cols[k]]
-            for j, cc in self._cols[e][i].items():
-                col = self.c1_index[(x, j)]
-                out[col] = out.get(col, ZERO) + c * cc
-            # minus f([e, y]) contributes at every odd raising y with
-            # a bracket component along x
-            for y in self.pos:
-                br = g.bracket(e, y)
-                coeff = br.get(x, ZERO)
-                if coeff != ZERO:
-                    col = self.c1_index[(y, i)]
-                    out[col] = out.get(col, ZERO) - coeff * c
-        return {k: v for k, v in out.items() if v != ZERO}
-
-    def _simple_raisings(self):
-        levi, _ = even_levi(self.g)
-        out = []
-        for i in levi.ids_of_degree(1):
-            out.append(self.g.by_label[levi.label(i)])
-        return sorted(out)
+    def h1_dimension(self, w, p):
+        """dim H^1 at (weight w, cochain parity p): the block's columns,
+        less the rank of d1 on them (the cocycles), less the rank of the
+        coboundaries d0 M_w of parity p."""
+        key = (w, p)
+        if key in self._h1:
+            return self._h1[key]
+        cols = self._weight_blocks().get(key, [])
+        dim = 0
+        if cols:
+            if self._views is None:
+                self._views = self.d0.cols(), self.d1.cols()
+            d0_cols, d1_cols = self._views
+            bs = [d0_cols[i] for i in self.M.weight_space(w)
+                  if self.M.parities[i] == p]
+            local = set(cols)
+            if any(not local.issuperset(b) for b in bs):
+                raise AssertionError("coboundary left its block")
+            dim = (len(cols) - len(Echelon(d1_cols[c] for c in cols))
+                   - len(Echelon(bs)))
+        self._h1[key] = dim
+        return dim
 
     def ext_dimension(self, lam, parity=None):
         """dim Ext^1 from K(lam) (parity 0), its parity flip (parity 1),
@@ -198,61 +159,18 @@ class KacExtensions:
         if parity is None:
             return self.ext_dimension(lam, 0) + self.ext_dimension(lam, 1)
         lam = tuple(QQ(c) for c in lam)
-        key = (lam, parity)
-        if key in self._hw_cache:
-            return self._hw_cache[key]
-        cols, zs, bs = self._cocycle_data(lam, parity)
-        if not zs:
-            self._hw_cache[key] = 0
+        m, n = self.g.params
+        if not is_dominant_gl(lam, m, n) or not self.h1_dimension(lam, parity):
             return 0
-        rank_b = len(Echelon(bs))
-        raisings = self.raisings
-        if not raisings:
-            dim = len(zs) - rank_b
-            self._hw_cache[key] = dim
-            return dim
-        # variables: coefficients t_k on the cocycle basis, then one copy
-        # of the matching piece of M at lam + wt(e) per simple raising e
-        nz = len(zs)
-        var_m = []
-        offset = nz
-        for e in raisings:
-            mu = wadd(lam, self.g.weight_of(e))
-            idxs = [
-                i for i in self.M.weight_space(mu)
-                if self.M.parities[i] == parity
-            ]
-            var_m.append((e, mu, idxs, offset))
-            offset += len(idxs)
-        nvars = offset
-        rows = []
-        for e, mu, idxs, off in var_m:
-            block = self._weight_blocks().get((mu, parity), [])
-            target = {c: k for k, c in enumerate(block)}
-            eq = {r: {} for r in range(len(target))}
-            for k in range(nz):
-                acted = self._raising_action(e, cols, zs[k])
-                for col, v in acted.items():
-                    eq[target[col]][k] = eq[target[col]].get(k, ZERO) + v
-            for t, i in enumerate(idxs):
-                for x in self.pos:
-                    for j, c in self._cols[x][i].items():
-                        col = self.c1_index[(x, j)]
-                        if col in target:
-                            r = target[col]
-                            eq[r][off + t] = eq[r].get(off + t, ZERO) - c
-            rows.extend(v for v in eq.values() if v)
-        ent = {}
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                ent[(r, c)] = v
-        sols = SparseMatrix(len(rows), nvars, ent).kernel_basis()
-        # dimension of the z-projection of the solution space
-        proj = Echelon({k: v for k, v in s.items() if k < nz} for s in sols)
-        dim = len(proj) - rank_b
+        dim = sum(
+            sign * self.h1_dimension(wadd(lam, shift), parity)
+            for sign, shift in weyl_shifts(m, n)
+        )
         if dim < 0:
-            raise AssertionError("coboundaries escaped the solution space")
-        self._hw_cache[key] = dim
+            raise AssertionError(
+                f"negative multiplicity {dim} of {self.g.weight_str(lam)} "
+                f"in H^1 (parity {parity})"
+            )
         return dim
 
 

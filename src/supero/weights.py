@@ -11,6 +11,8 @@ sums.  For type-A position chains this prefix-sum test is exactly membership
 in the nonnegative span of the positive roots.
 """
 
+from itertools import permutations, product
+
 from .rational import QQ, ZERO, as_int, is_integer, rat_str
 
 
@@ -149,3 +151,15 @@ def dominant_weights_in_box(m, n, lo, hi):
         for right in descend(n, hi):
             out.append(weight(left + right))
     return sorted(out, reverse=True)
+
+
+def weyl_shifts(m, n):
+    """(sign, rho - w rho) for every w in S_m x S_n, w permuting the
+    coordinates within each side.  Only differences within a side matter,
+    so rho = (m+n-1, ..., 1, 0) serves, and the shift at k is w(k) - k."""
+    out = []
+    for left, right in product(permutations(range(m)), permutations(range(m, m + n))):
+        w = left + right
+        inversions = sum(a > b for i, a in enumerate(w) for b in w[i + 1:])
+        out.append(((-1) ** inversions, tuple(QQ(j - k) for k, j in enumerate(w))))
+    return out

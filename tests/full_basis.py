@@ -1,4 +1,5 @@
-"""Full-basis oracles for the reduced checks and solves in `homs` and `modules`.
+"""Full-basis oracles for the reduced checks and solves in `homs`,
+`modules` and `structure`.
 
 `hom_space` imposes intertwining and `submodule_module` closes under the
 Lie generators of g only (`algebra.lie_generators`), and `validate_module`
@@ -10,8 +11,14 @@ guard.  Tests compare the two.
 
 `apply` and `act_word` are the plain matrix-vector products the tests act
 with; `src/` reads column views taken once instead.
+
+`ext_dimension_by_raisings` counts Ext^1 multiplicities as highest-weight
+vectors of H^1, solving for the classes the simple even raisings kill;
+`KacExtensions.ext_dimension` reads them off H^1's weight dimensions by
+Weyl's character formula instead.
 """
 
+from supero.forms import even_levi
 from supero.linalg import Echelon, SparseMatrix, vec_add_into
 from supero.modules import _truncation_guard
 from supero.rational import ONE, QQ, ZERO
@@ -161,3 +168,103 @@ def ordered_pair_validation(module):
                 if lhs != rhs:
                     return False
     return True
+
+
+def _cocycle_data(ke, cols_of, w, p):
+    """(C^1 columns at (w, p), cocycle basis, coboundary basis) of the
+    cochain complex ``ke``, coboundaries in block-local coordinates."""
+    cols = ke._weight_blocks().get((w, p), [])
+    if not cols:
+        return [], [], []
+    local = {c: k for k, c in enumerate(cols)}
+    d1_cols = ke.d1.cols()
+    block = [d1_cols[c] for c in cols]
+    remap = {r: k for k, r in enumerate(sorted(set().union(*block)))}
+    ent = {
+        (remap[r], k): v for k, col in enumerate(block) for r, v in col.items()
+    }
+    zs = SparseMatrix(len(remap), len(cols), ent).kernel_basis()
+    bs = []
+    for i in ke.M.weight_space(w):
+        if ke.M.parities[i] != p:
+            continue
+        img = {}
+        for x in ke.pos:
+            for j, c in cols_of[x][i].items():
+                col = ke.c1_index[(x, j)]
+                if col in local:
+                    img[local[col]] = c
+                elif c != ZERO:
+                    raise AssertionError("coboundary left its block")
+        if img:
+            bs.append(img)
+    return cols, zs, bs
+
+
+def _raising_action(ke, cols_of, e, vec_cols, vec):
+    """Apply the even raising e to a C^1 cochain given on vec_cols:
+    (e.f)(y) = e.f(y) - f([e, y])."""
+    out = {}
+    g = ke.g
+    for k, c in vec.items():
+        x, i = ke.c1_basis[vec_cols[k]]
+        for j, cc in cols_of[e][i].items():
+            col = ke.c1_index[(x, j)]
+            out[col] = out.get(col, ZERO) + c * cc
+        for y in ke.pos:
+            coeff = g.bracket(e, y).get(x, ZERO)
+            if coeff != ZERO:
+                col = ke.c1_index[(y, i)]
+                out[col] = out.get(col, ZERO) - coeff * c
+    return {k: v for k, v in out.items() if v != ZERO}
+
+
+def ext_dimension_by_raisings(ke, lam, parity):
+    """dim Hom_{g0}(L0(lam), H^1) of the cochain complex ``ke`` at one
+    cochain parity, as the number of independent classes of weight lam
+    that every simple even raising sends to a coboundary."""
+    g, M = ke.g, ke.M
+    lam = tuple(QQ(c) for c in lam)
+    levi, _ = even_levi(g)
+    raisings = sorted(g.by_label[levi.label(i)] for i in levi.ids_of_degree(1))
+    cols_of = {x: M.action[x].cols() for x in ke.pos + raisings}
+    cols, zs, bs = _cocycle_data(ke, cols_of, lam, parity)
+    if not zs:
+        return 0
+    rank_b = len(Echelon(bs))
+    if not raisings:
+        return len(zs) - rank_b
+    # variables: coefficients t_k on the cocycle basis, then one copy of
+    # the matching piece of M at lam + wt(e) per simple raising e
+    nz = len(zs)
+    var_m = []
+    offset = nz
+    for e in raisings:
+        mu = wadd(lam, g.weight_of(e))
+        idxs = [i for i in M.weight_space(mu) if M.parities[i] == parity]
+        var_m.append((e, mu, idxs, offset))
+        offset += len(idxs)
+    rows = []
+    for e, mu, idxs, off in var_m:
+        block = ke._weight_blocks().get((mu, parity), [])
+        target = {c: k for k, c in enumerate(block)}
+        eq = {r: {} for r in range(len(target))}
+        for k in range(nz):
+            for col, v in _raising_action(ke, cols_of, e, cols, zs[k]).items():
+                eq[target[col]][k] = eq[target[col]].get(k, ZERO) + v
+        for t, i in enumerate(idxs):
+            for x in ke.pos:
+                for j, c in cols_of[x][i].items():
+                    col = ke.c1_index[(x, j)]
+                    if col in target:
+                        r = target[col]
+                        eq[r][off + t] = eq[r].get(off + t, ZERO) - c
+        rows.extend(v for v in eq.values() if v)
+    ent = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
+    sols = SparseMatrix(len(rows), offset, ent).kernel_basis()
+    # dimension of the cocycle projection of the solution space
+    proj = Echelon({k: v for k, v in s.items() if k < nz} for s in sols)
+    dim = len(proj) - rank_b
+    if dim < 0:
+        raise AssertionError("coboundaries escaped the solution space")
+    return dim

@@ -150,12 +150,6 @@ def test_reflected_window_is_involutive():
     assert sorted(reflected_window(g, reflected_window(g, W)), reverse=True) == W
 
 
-def test_reflect_closed_window_is_stable():
-    g = gl11()
-    W = window_from_box(g, -1, 1, support_closure=False, reflect=True)
-    assert set(reflected_window(g, W)) == set(W)
-
-
 # -- decomposition matrices ------------------------------------------------
 
 

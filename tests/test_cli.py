@@ -48,6 +48,22 @@ def test_unknown_algebra_is_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("verify", "--weights", "(1,0|0)", "--which", "kdual"), "3 coordinates"),
+        (("decompose", "--weights", "(a|0)"), "cannot parse weight '(a|0)'"),
+        (("check-semiinfinite", "--gamma", "(1,0,0)"), "3 coordinates"),
+        (("check-semiinfinite", "--gamma", "(x|0)"), "cannot parse weight '(x|0)'"),
+    ],
+)
+def test_malformed_weight_is_usage_error(capsys, argv, text):
+    code, out, err = run(capsys, argv[0], "--algebra", "gl:1,1", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and text in err
+
+
 def test_decompose_closure_of_origin(capsys):
     code, out, _ = run(
         capsys, "decompose", "--algebra", "gl:1,1", "--box=0..0", "--closure"

@@ -17,6 +17,7 @@ from supero.weights import (
     wadd,
     weight,
     wneg,
+    weyl_shifts,
     wsub,
 )
 
@@ -114,3 +115,19 @@ def test_root_order_translation_invariant(a, b):
 def test_weight_arithmetic_roundtrip(a, b):
     assert wadd(wsub(a, b), b) == a
     assert parse_weight(format_weight(a, bar_after=2)) == a
+
+
+@pytest.mark.parametrize("m,n,order", [(1, 1, 1), (2, 1, 2), (3, 1, 6), (2, 2, 4)])
+def test_weyl_shifts_are_signed_rho_differences(m, n, order):
+    shifts = weyl_shifts(m, n)
+    assert len(shifts) == order and len(set(w for _, w in shifts)) == order
+    assert sum(sign for sign, _ in shifts) == (1 if order == 1 else 0)
+    for _, w in shifts:
+        # rho - w rho is a sum of positive even roots: zero sum on each
+        # side, nonnegative prefix sums
+        assert root_leq(weight((0,) * (m + n)), w)
+        assert sum(w[:m]) == 0
+
+
+def test_weyl_shifts_of_gl21_are_zero_and_the_even_root():
+    assert sorted(weyl_shifts(2, 1)) == [(-1, weight(1, -1, 0)), (1, weight(0, 0, 0))]
