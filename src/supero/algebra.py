@@ -146,25 +146,6 @@ class LieSuperAlgebra:
 
     # -- derived objects ---------------------------------------------------
 
-    def ad_matrix(self, x_id, domain_ids=None):
-        """Matrix of ad(basis_x) on the span of domain_ids (default: all).
-
-        Raises if the image leaves the span.
-        """
-        if domain_ids is None:
-            domain_ids = list(range(self.dim))
-        index = {b: k for k, b in enumerate(domain_ids)}
-        mat = SparseMatrix(len(domain_ids), len(domain_ids))
-        for col, b in enumerate(domain_ids):
-            img = self.bracket(x_id, b)
-            for target, coeff in img.items():
-                if target not in index:
-                    raise ValueError(
-                        f"ad({self.label(x_id)}) leaves the span: hits {self.label(target)}"
-                    )
-                mat.data[(index[target], col)] = coeff
-        return mat
-
     def subalgebra(self, ids, degrees=None, family_tag=None):
         """Restriction to a bracket-closed span of basis elements.
 

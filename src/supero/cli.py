@@ -109,8 +109,6 @@ def _limits(args):
         overrides["max_module_dim"] = args.max_module_dim
     if getattr(args, "iteration_budget", None) is not None:
         overrides["iteration_budget"] = args.iteration_budget
-    if getattr(args, "search_budget", None) is not None:
-        overrides["search_budget"] = args.search_budget
     return dataclasses.replace(lim, **overrides) if overrides else lim
 
 
@@ -348,7 +346,6 @@ def _build_parser():
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--max-module-dim", type=int, dest="max_module_dim")
         p.add_argument("--iteration-budget", type=int, dest="iteration_budget")
-        p.add_argument("--search-budget", type=int, dest="search_budget")
 
     p = sub.add_parser("check-semiinfinite", help="validate the distinguished character")
     common(p)

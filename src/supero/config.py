@@ -1,9 +1,7 @@
 """Resource limits and run configuration.
 
-The one stochastic search, the splitting search of the Fitting
-decomposition, draws from a local ``random.Random(seed)`` so runs are
-reproducible; the seed travels with the limits object and is embedded in
-reports.
+Every computation is deterministic.  The seed still travels with the
+limits object and is embedded in reports, but nothing draws from it.
 """
 
 from dataclasses import dataclass, replace
@@ -26,7 +24,6 @@ class Limits:
         tilting sweep (one per candidate weight and parity of lam's
         block, plus one after each glue) and on the peeling steps of one
         Kac flag.
-    search_budget: random attempts in the splitting search.
     straighten_cache: entries kept per normal-ordering memo table.
     """
 
@@ -34,7 +31,6 @@ class Limits:
     max_end_dim: int = 512
     max_hom_vars: int = 20000
     iteration_budget: int = 48
-    search_budget: int = 64
     straighten_cache: int = 200_000
     seed: int = DEFAULT_SEED
 

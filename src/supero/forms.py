@@ -66,10 +66,6 @@ class ContravariantForm:
                 out.append({idx[k]: c for k, c in kvec.items()})
         return out
 
-    def is_nondegenerate(self):
-        spaces = self.module.weight_spaces()
-        return all(self.ranks()[w] == len(spaces[w]) for w in self.gram)
-
 
 def contravariant_form(module):
     """Compute the contravariant form of a cyclic highest-weight module.

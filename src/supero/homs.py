@@ -18,21 +18,26 @@ For M = Ind_s^g F as ``induced_module`` returned it (untruncated, so
 Frobenius reciprocity Hom_g(Ind_s F, M) = Hom_s(F, Res_s M) turns the
 Sum_w d_w(M)^2 unknowns into Sum_w d_w(F) d_w(M): each even s-map phi
 extends to w (x) v -> w . phi(v) along the recorded PBW words, and each
-extension is checked against the Lie generators.  For a summand S of M
-with module maps I: S -> M and P: M -> S, P I = id, End(S) = P End(M) I,
-so a Fitting summand's ring needs no solve at all.  Both spans are
-reduced to the basis ``hom_space`` would return (``_canonical_basis``),
-so bases, splittings and reports do not depend on the route.
+extension is checked against the Lie generators.  The span is reduced to
+the basis ``hom_space`` would return (``_canonical_basis``), so bases,
+splittings and reports do not depend on the route.  Each basis map is
+one at its own free entry and zero at the others, so the structure
+constants of A = End(M)_0 are entries of products of basis maps.
 
-Decomposition into indecomposable summands goes through the even
-endomorphism ring: a summand is certified indecomposable when that ring
-is local (its dimension minus its radical dimension is 1).  A non-local
-ring is split by Fitting's lemma: for an endomorphism z whose minimal
-polynomial p has a rational root r of multiplicity k with (t - r)^k != p,
-Y = (z - r)^k gives M = im Y + ker Y, two nonzero submodules.  If the
-ring is provably non-local but no such z is found within the configured
-budget, the failure is reported as a resource error and never silently
-converted into a pass.
+Decomposition works inside A, on those constants (the idempotent view of
+Lux-Szoke, Experiment. Math. 16 (2007), and Holt-Eick-O'Brien, Handbook
+of Computational Group Theory (2005), 7.5).  The summand im E of an
+idempotent E of A has the corner E A E as its even endomorphism ring and
+is certified indecomposable when that ring is local (its dimension minus
+its radical dimension is 1).  A non-local corner is split by Fitting's
+lemma: if the minimal polynomial of z has a rational root r of
+multiplicity k and another factor, Y = (z - r)^k splits im E into
+im Y + ker Y, and the projection onto im Y is a polynomial in z.  The
+search for z is deterministic (the corner's basis, then sums of two
+basis elements); a provably non-local corner it cannot split is a
+resource error, never a pass.  Matrices are formed only for the summands
+a caller builds: all of them in ``fitting_decompose``, one in
+``summand_onto``.
 
 Isomorphism is decided, not searched for: when one side has a local even
 endomorphism ring, an isomorphism exists iff some element of the
@@ -40,14 +45,14 @@ canonical hom basis is invertible (proof at ``is_isomorphic``); otherwise
 both sides are decomposed and their summands matched (Krull-Schmidt).
 """
 
-import random
+from itertools import chain
 from math import isqrt, lcm
 
 from .algebra import same_algebra
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError
-from .linalg import Echelon, SparseMatrix, algebra_radical, apply_cols
-from .modules import intertwining_ids, restrict_module, submodule_module
+from .linalg import Echelon, SparseMatrix, algebra_radical, apply_cols, vec_add_into
+from .modules import intertwining_ids, restrict_module, summand_module
 from .rational import ONE, QQ, ZERO
 
 
@@ -131,12 +136,6 @@ def hom_dims(src, dst, limits=DEFAULT_LIMITS):
 # small exact polynomial helpers (coefficient lists, low degree first)
 
 
-def _poly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
 def _divide_linear(p, r):
     """Synthetic division of p by t - r: (quotient, remainder p(r))."""
     acc = ZERO
@@ -148,46 +147,34 @@ def _divide_linear(p, r):
     return out[::-1], rem
 
 
-def _min_poly_by_solve(powers, target):
-    """Coefficients c with target = sum c_k powers[k], as a monic poly."""
-    keys = sorted({k for m in powers for k in m.data} | set(target.data))
-    pos = {k: i for i, k in enumerate(keys)}
-    mat = SparseMatrix(len(keys), len(powers))
-    for c, m in enumerate(powers):
-        for k, v in m.data.items():
-            mat.data[(pos[k], c)] = v
-    rhs = {pos[k]: v for k, v in target.data.items()}
-    sol = mat.solve(rhs)
-    if sol is None:
-        raise AssertionError("dependent power failed to solve")
-    p = [-sol.get(k, ZERO) for k in range(len(powers))]
-    p.append(ONE)
-    return _poly_trim(p)
+def _min_poly(one, times_z, bound):
+    """Monic minimal polynomial of z from the dict-vectors z^0 = one, z^1,
+    ... (``times_z`` multiplies by z), at most ``bound`` powers past one."""
+    powers = [one]
+    for _ in range(bound):
+        cur = times_z(powers[-1])
+        pos = {k: i for i, k in enumerate(sorted(set(cur).union(*powers)))}
+        sol = SparseMatrix(len(pos), len(powers), {
+            (pos[k], c): v for c, m in enumerate(powers) for k, v in m.items()
+        }).solve({pos[k]: v for k, v in cur.items()})
+        if sol is not None:  # the first dependent power
+            return [-sol.get(k, ZERO) for k in range(len(powers))] + [ONE]
+        powers.append(cur)
+    raise AssertionError("minimal polynomial computation ran away")
 
 
 def _rational_roots(p):
-    """All rational roots of a nonzero polynomial over QQ, sorted."""
-    p = _poly_trim(list(p))
-    roots = []
-    if not p:
-        return roots
-    shift = 0
+    """All rational roots of a polynomial over QQ with p[-1] != 0, sorted."""
+    roots = [] if p[0] else [QQ(0)]
     while not p[0]:
         p = p[1:]
-        shift += 1
-    if shift:
-        roots.append(QQ(0))
     den = lcm(*(int(QQ(c).denominator) for c in p))
     ip = [int(QQ(c) * den) for c in p]
-    a0, ak = abs(ip[0]), abs(ip[-1])
-    for num in _divisors(a0):
-        for d in _divisors(ak):
-            for cand in (QQ(num, d), QQ(-num, d)):
-                if cand in roots:
-                    continue
-                if not _divide_linear(p, cand)[1]:
-                    roots.append(cand)
-    return sorted(roots)
+    cands = {
+        QQ(sign * num, d)
+        for num in _divisors(ip[0]) for d in _divisors(ip[-1]) for sign in (1, -1)
+    }
+    return sorted(roots + [c for c in cands if not _divide_linear(p, c)[1]])
 
 
 def _divisors(n):
@@ -211,13 +198,13 @@ def end_ring(module, limits=DEFAULT_LIMITS):
     End_g(Ind_s F)_0 = Hom_s(F, Res_s M)_0, one ``hom_space`` over s whose
     unknowns ``max_hom_vars`` bounds, extended along the PBW words (module
     docstring).  Every other module takes the ``hom_space`` solve.
-    ``fitting_decompose`` finds its summands' rings as P End(M) I instead.
+    Products are read off the free entries (``_ring_from_basis``).
     """
     if module.induction is not None:
         basis = _end_by_adjunction(module, limits)
     else:
         basis = hom_space(module, module, parity=0, limits=limits)
-    return _ring_from_basis(module, basis, limits)
+    return _ring_from_basis(basis, limits)
 
 
 def _end_by_adjunction(module, limits):
@@ -287,78 +274,92 @@ def _canonical_basis(maps, n):
     return basis
 
 
-def _ring_from_basis(module, basis, limits):
-    """The ``end_ring`` record of module from its canonical even basis."""
+def _ring_from_basis(basis, limits):
+    """The ``end_ring`` record of a canonical even basis F_1..F_e: F_k is
+    one at its free entry (i_k, j_k), its last entry, and zero at the
+    other free entries, so c_ab^k = (row i_k of F_a) . (column j_k of F_b).
+    """
     e = len(basis)
     if e > limits.max_end_dim:
         raise ResourceLimitError(
             f"endomorphism ring dimension {e} exceeds bound {limits.max_end_dim}"
         )
-    # Each basis matrix carries a tag entry (n, k) after its (i, j) entries.
-    # The echelon rows mix basis matrices, so a product is expressed in the
-    # basis through its normal form: that is zero on the matrix entries and
-    # minus the product's basis coordinates on the tags.
-    ech = Echelon()
-    tag = module.dim
-    for k, F in enumerate(basis):
-        vec = dict(F.data)
-        vec[(tag, k)] = ONE
-        lead = ech.add(vec)
-        if lead is None or lead[0] == tag:
-            raise AssertionError("hom basis is dependent")
+    free = [max(F.data) for F in basis]
+    cols = [F.cols() for F in basis]
     products = []
-    for a in range(e):
-        row = []
-        for b in range(e):
-            rest = ech.reduce(dict((basis[a] @ basis[b]).data))
-            if any(i != tag for i, _ in rest):
-                raise AssertionError("endomorphism ring not closed")
-            row.append({k: -c for (_, k), c in rest.items()})
-        products.append(row)
-    radical = algebra_radical(products, e, limits=limits, check_associative=False)
-    return {
-        "basis": basis,
-        "products": products,
-        "radical": radical,
-        "local": e - len(radical) == 1,
-    }
+    for F in basis:
+        rows = F.rows()
+        products.append([
+            {k: c for k, (i, j) in enumerate(free) if (c := _dot(rows[i], G[j]))}
+            for G in cols
+        ])
+    return _ring(basis, products, limits)
 
 
-def _find_fitting_element(module, ring, limits):
-    """An even endomorphism Y with im Y and ker Y both nonzero, or None
-    within budget.
+def _dot(u, v):
+    return sum((c * v[k] for k, c in u.items() if k in v), ZERO)
 
-    Candidates z are the basis, pairwise sums of basis elements, then
-    seeded random combinations.  For a rational root r of the minimal
-    polynomial p of z, of multiplicity k, with (t - r)^k != p, Fitting's
-    lemma gives M = im Y + ker Y for Y = (z - r)^k, and neither piece is
-    zero.
+
+def _ring(basis, products, limits):
+    rad = algebra_radical(products, len(basis), limits=limits, check_associative=False)
+    local = len(basis) - len(rad) == 1
+    return {"basis": basis, "products": products, "radical": rad, "local": local}
+
+
+# ---------------------------------------------------------------------------
+# Fitting decomposition inside A = End(M)_0, on coordinate dicts in its basis
+
+
+def _mul(table, x, y):
+    out = {}
+    for a, xa in x.items():
+        row = table[a]
+        for b, yb in y.items():
+            vec_add_into(out, row[b], xa * yb)
+    return out
+
+
+def _combine(coords, vectors):
+    """sum_k coords[k] vectors[k] for dict-vectors."""
+    out = {}
+    for k, c in coords.items():
+        vec_add_into(out, vectors[k], c)
+    return out
+
+
+def _corner(table, eps, limits):
+    """The ring eps A eps = End(im eps): its reduced echelon basis in
+    A-coordinates, coordinates in it being the entries at its pivots."""
+    ech = Echelon(
+        _mul(table, _mul(table, eps, {a: ONE}), eps) for a in range(len(table))
+    )
+    ech.full_reduce()
+    basis = ech.basis()
+    pos = {p: k for k, p in enumerate(ech.pivot_cols())}
+    products = [
+        [{pos[i]: c for i, c in _mul(table, x, y).items() if i in pos} for y in basis]
+        for x in basis
+    ]
+    return _ring(basis, products, limits)
+
+
+def _splitting_idempotent(table, eps, basis):
+    """An idempotent of the non-local corner eps A eps other than 0, eps.
+
+    Candidates z are the corner's basis, then its pairwise sums.  If the
+    minimal polynomial of z (from its powers in A, z^0 = eps) is
+    (t - r)^k q with q(r) != 0 and deg q > 0, then f = eps - q(z)/q(r) is
+    nilpotent on ker Y and eps on im Y, Y = (z - r)^k (Chinese remainder
+    theorem), so f^k is the projection onto im Y along ker Y: Fitting's
+    two nonzero pieces.
     """
-    basis = ring["basis"]
-    e = len(basis)
-    n = module.dim
-    rng = random.Random(limits.seed)
-
-    def candidates():
-        for F in basis:
-            yield F
-        for a in range(e):
-            for b in range(a + 1, e):
-                yield basis[a] + basis[b]
-        for _ in range(limits.search_budget):
-            coeffs = [QQ(rng.randint(-3, 3)) for _ in range(e)]
-            acc = SparseMatrix(n, n)
-            for c, F in zip(coeffs, basis):
-                if c:
-                    acc = acc + F.scale(c)
-            yield acc
-
-    tried = 0
-    for z in candidates():
-        tried += 1
-        if tried > 2 * limits.search_budget + e * e + e:
-            break
-        p = _min_poly_by_powers(z, n)
+    d = len(basis)
+    sums = (
+        vec_add_into(dict(basis[a]), basis[b])
+        for a in range(d) for b in range(a + 1, d)
+    )
+    for z in chain(basis, sums):
+        p = _min_poly(eps, lambda v: _mul(table, v, z), d)
         if len(p) < 3:  # degree < 2: scalar, no split
             continue
         for r in _rational_roots(p):
@@ -370,61 +371,54 @@ def _find_fitting_element(module, ring, limits):
                 k, rest = k + 1, q
             if len(rest) == 1:  # p = (t-r)^k: a single primary component
                 continue
-            shifted = z - SparseMatrix.identity(n).scale(r)
-            Y = shifted
-            for _ in range(k - 1):
-                Y = Y @ shifted
-            return Y
-    return None
+            q_z = {}
+            for c in reversed(rest):
+                q_z = vec_add_into(_mul(table, q_z, z), eps, c)
+            f = vec_add_into(dict(eps), q_z, -1 / rem)
+            proj = eps
+            for _ in range(k):
+                proj = _mul(table, proj, f)
+            return proj
+    raise ResourceLimitError(
+        f"endomorphism ring of dim {d} is not local but no element of its "
+        f"basis or sum of two basis elements splits it"
+    )
 
 
-def _min_poly_by_powers(z, n):
-    powers = [SparseMatrix.identity(n)]
-    flat_ech = Echelon([dict(powers[0].data)])
-    cur = powers[0]
-    for _ in range(n + 1):
-        cur = cur @ z
-        if flat_ech.add(dict(cur.data)) is None:
-            return _min_poly_by_solve(powers, cur)
-        powers.append(cur)
-    raise AssertionError("minimal polynomial computation ran away")
+def _primitive_idempotents(ring, limits):
+    """[(eps, corner)]: primitive idempotents of A summing to 1, each with
+    its local corner ring, depth first with the im Y piece first."""
+    table = ring["products"]
+    out = []
+
+    def descend(eps, corner):
+        if corner["local"]:
+            out.append((eps, corner))
+            return
+        im = _splitting_idempotent(table, eps, corner["basis"])
+        for part in (im, vec_add_into(dict(eps), im, -1)):
+            descend(part, _corner(table, part, limits))
+
+    free = (max(F.data) for F in ring["basis"])
+    unit = {k: ONE for k, (i, j) in enumerate(free) if i == j}  # the identity
+    descend(unit, {**ring, "basis": [{k: ONE} for k in range(len(table))]})
+    return out
 
 
-def _fitting_split(module, Y):
-    """Split M = im Y + ker Y: ((sub_im, S1, P1), (sub_ker, S2, P2)).
-
-    Both projections come from one solve against [S1 | S2]."""
+def _summand(module, ring, eps, corner, whole):
+    """The ``fitting_decompose`` record of im E, E = sum_k eps_k F_k."""
     n = module.dim
-    pieces = [
-        submodule_module(module, [c for c in Y.cols() if c]),
-        submodule_module(module, Y.kernel_basis()),
-    ]
-    d = pieces[0][0].dim
-    if d + pieces[1][0].dim != n:
-        raise AssertionError("Fitting pieces do not add up to the module")
-    both = SparseMatrix(n, n, pieces[0][1].data)
-    for (i, j), c in pieces[1][1].data.items():
-        both.data[(i, d + j)] = c
-    projects = [SparseMatrix(d, n), SparseMatrix(n - d, n)]
-    for j, sol in enumerate(both.solve_multi([{j: ONE} for j in range(n)])):
-        if sol is None:
-            raise AssertionError("Fitting pieces do not span the module")
-        for i, c in sol.items():
-            if i < d:
-                projects[0].data[(i, j)] = c
-            else:
-                projects[1].data[(i - d, j)] = c
-    return [(sub, inc, prj) for (sub, inc), prj in zip(pieces, projects)]
-
-
-def _summand_ring(sub, inc, prj, ring, limits):
-    """The ``end_ring`` record of a summand from the ring of the module.
-
-    inc: sub -> M and prj: M -> sub are module maps with prj inc = id, so
-    every f in End(sub) is prj (inc f prj) inc: End(sub) = prj End(M) inc.
-    """
-    maps = [prj @ F @ inc for F in ring["basis"]]
-    return _ring_from_basis(sub, _canonical_basis(maps, sub.dim), limits)
+    if whole:
+        parts = module, SparseMatrix.identity(n), SparseMatrix.identity(n)
+    else:
+        E = _combine(eps, [F.data for F in ring["basis"]])
+        parts = summand_module(module, SparseMatrix(n, n, E))
+    return {
+        **dict(zip(("module", "include", "project"), parts)),
+        "end_even_dim": len(corner["basis"]),
+        "end_radical_dim": len(corner["radical"]),
+        "local": True,
+    }
 
 
 def fitting_decompose(module, limits=DEFAULT_LIMITS):
@@ -432,47 +426,52 @@ def fitting_decompose(module, limits=DEFAULT_LIMITS):
 
     Returns a list of records {module, include, project, end_even_dim,
     end_radical_dim, local}; ``local`` is the indecomposability
-    certificate (the even endomorphism ring is a local ring).  Summands
-    are ordered by their lexicographically largest weight, descending,
-    then by dimension.  Raises ResourceLimitError when a provably
-    decomposable summand resists splitting within the budget.
+    certificate (the even endomorphism ring is a local ring).  The
+    descent runs in A = End(M)_0 on its structure constants: a non-local
+    corner eps A eps is split by a Fitting idempotent, and every piece's
+    ring is its corner, so only the summands are built as matrices.
+    Summands are ordered by their lexicographically largest weight,
+    descending, then by dimension.  Raises ResourceLimitError when a
+    provably decomposable piece resists the deterministic splitting search.
     """
-    records = []
-
-    def descend(mod, ring, include, project):
-        e = len(ring["basis"])
-        if ring["local"]:
-            records.append({
-                "module": mod,
-                "include": include,
-                "project": project,
-                "end_even_dim": e,
-                "end_radical_dim": len(ring["radical"]),
-                "local": True,
-            })
-            return
-        Y = _find_fitting_element(mod, ring, limits)
-        if Y is None:
-            raise ResourceLimitError(
-                f"endomorphism ring of dim {e} is not local but no splitting "
-                f"element was found within the search budget"
-            )
-        for sub, inc, prj in _fitting_split(mod, Y):
-            sub_ring = _summand_ring(sub, inc, prj, ring, limits)
-            descend(sub, sub_ring, include @ inc, prj @ project)
-
-    n = module.dim
-    descend(
-        module, end_ring(module, limits=limits),
-        SparseMatrix.identity(n), SparseMatrix.identity(n),
-    )
-
-    def sort_key(rec):
-        top = max(rec["module"].weights)
-        return (tuple(-c for c in top), rec["module"].dim)
-
-    records.sort(key=sort_key)
+    ring = end_ring(module, limits=limits)
+    parts = _primitive_idempotents(ring, limits)
+    records = [
+        _summand(module, ring, eps, corner, len(parts) == 1) for eps, corner in parts
+    ]
+    records.sort(key=lambda rec: (
+        tuple(-c for c in max(rec["module"].weights)), rec["module"].dim,
+    ))
     return records
+
+
+def summand_onto(module, target, limits=DEFAULT_LIMITS):
+    """The one Fitting summand of module with a nonzero map to target.
+
+    Solves Hom(module, target) once.  As the primitive idempotents sum to
+    1, Hom(S_eps, target)_s is {phi E_eps : phi in Hom_s(module, target)},
+    so a summand maps to target iff some phi E_eps is nonzero.  Returns
+    (record as in ``fitting_decompose``, (even, odd) dimensions of
+    Hom(S, target)); an AssertionError unless exactly one summand maps.
+    """
+    ring = end_ring(module, limits=limits)
+    parts = _primitive_idempotents(ring, limits)
+    through = [
+        [[(phi @ F).data for F in ring["basis"]] for phi in maps]
+        for maps in hom_space(module, target, limits=limits)
+    ]
+    hits = []
+    for eps, corner in parts:
+        # dim Hom(S, target)_s = rank of {phi E_eps : phi in Hom_s}
+        dims = tuple(len(Echelon(_combine(eps, fs) for fs in by_phi)) for by_phi in through)
+        if any(dims):
+            hits.append((eps, corner, dims))
+    if len(hits) != 1:
+        raise AssertionError(
+            f"expected one summand with maps onto the target, found {len(hits)}"
+        )
+    eps, corner, dims = hits[0]
+    return _summand(module, ring, eps, corner, len(parts) == 1), dims
 
 
 # ---------------------------------------------------------------------------

@@ -101,12 +101,6 @@ class SparseMatrix:
             out[j][i] = v
         return out
 
-    def to_dense(self):
-        out = [[ZERO] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.data.items():
-            out[i][j] = v
-        return out
-
     def is_zero(self):
         return not self.data
 

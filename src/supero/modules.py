@@ -27,7 +27,7 @@ from .pbw import (
     monomial_weight,
     monomials,
 )
-from .rational import ONE, QQ, ZERO, rat_str
+from .rational import ONE, QQ, ZERO
 from .weights import wadd, wneg
 
 
@@ -114,35 +114,6 @@ class ExplicitModule:
             d1 = sum(self.parities[i] for i in ix)
             out[w] = (len(ix) - d1, d1)
         return out
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self):
-        """A stable, exact description suitable for golden-file comparison."""
-        acts = {}
-        for x in sorted(self.action):
-            mat = self.action[x]
-            triples = [
-                [r, c, rat_str(v)] for (r, c), v in sorted(mat.data.items())
-            ]
-            acts[self.g.label(x)] = triples
-        params = ",".join(str(p) for p in self.g.params)
-        return {
-            "algebra": f"{self.g.family}({params})",
-            "grading": self.g.grading_kind,
-            "kind": self.meta.get("kind", "module"),
-            "dim": self.dim,
-            "highest_weight": (
-                self.g.weight_str(self.highest_weight)
-                if self.highest_weight is not None
-                else None
-            ),
-            "truncated": self.truncated,
-            "weights": [self.g.weight_str(w) for w in self.weights],
-            "parities": list(self.parities),
-            "labels": list(self.labels),
-            "action": acts,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -697,18 +668,42 @@ def submodule_module(module, vectors):
     """
     cols = {x: mat.cols() for x, mat in module.action.items()}
     ech = _closure_echelon(module, vectors, cols)
-    rows = ech.basis()
+
+    def coords(vec):
+        out = ech.express(vec)
+        if out is None:
+            raise AssertionError("closure failed to be a submodule")
+        return out
+
+    return _span_module(module, ech.basis(), cols, coords)
+
+
+def summand_module(module, E):
+    """The direct summand im E for an idempotent module endomorphism E.
+
+    Returns (sub, inclusion, projection), the basis being the reduced
+    echelon basis of im E as ``submodule_module`` would return it.  With
+    r its pivot rows, a vector of im E has its coordinates at r: the
+    projection is E's rows r, and P X I is X I read at r.
+    """
+    ech = Echelon(col for col in E.cols() if col)
+    ech.full_reduce()
+    lead = {r: k for k, r in enumerate(ech.pivot_cols())}
+    sub, inclusion = _span_module(
+        module, ech.basis(), {x: mat.cols() for x, mat in module.action.items()},
+        lambda vec: {i: c for i, c in vec.items() if i in lead},
+    )
+    projection = SparseMatrix(sub.dim, module.dim, {
+        (lead[i], j): c for (i, j), c in E.data.items() if i in lead
+    })
+    return sub, inclusion, projection
+
+
+def _span_module(module, rows, cols, coords):
+    """(sub, inclusion) on the reduced echelon rows of a submodule;
+    coords(v) is {pivot: coefficient} of a vector v of the span."""
     nd = len(rows)
-    lead = {}
-    weights = []
-    parities = []
-    labels = []
-    for k, row in enumerate(rows):
-        piv = min(row)
-        lead[piv] = k
-        weights.append(module.weights[piv])
-        parities.append(module.parities[piv])
-        labels.append(f"s:{module.labels[piv]}")
+    lead = {min(row): k for k, row in enumerate(rows)}
     inclusion = SparseMatrix(module.dim, nd)
     for k, row in enumerate(rows):
         for i, v in row.items():
@@ -717,14 +712,15 @@ def submodule_module(module, vectors):
     for x in range(module.g.dim):
         mat = SparseMatrix(nd, nd)
         for k, row in enumerate(rows):
-            coords = ech.express(apply_cols(cols[x], row))
-            if coords is None:
-                raise AssertionError("closure failed to be a submodule")
-            for piv, c in coords.items():
+            for piv, c in coords(apply_cols(cols[x], row)).items():
                 mat.data[(lead[piv], k)] = c
         action[x] = mat
     sub = ExplicitModule(
-        module.g, weights, parities, action, labels=labels,
+        module.g,
+        [module.weights[piv] for piv in lead],
+        [module.parities[piv] for piv in lead],
+        action,
+        labels=[f"s:{module.labels[piv]}" for piv in lead],
         truncated=module.truncated,
         meta={"kind": f"sub({module.meta.get('kind', 'module')})"},
     )

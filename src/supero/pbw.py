@@ -33,14 +33,6 @@ class PbwAlgebra:
         self.limits = limits
         self._cache = {}
 
-    def is_normal(self, word):
-        for a, b in zip(word, word[1:]):
-            if self.rank[a] > self.rank[b]:
-                return False
-            if a == b and self.g.parity(a):
-                return False
-        return True
-
     def straighten_word(self, word):
         word = tuple(word)
         cached = self._cache.get(word)

@@ -28,7 +28,7 @@ from .modules import (
     dual_module, parity_flip,
 )
 from .forms import kac_module, simple_module, induced_projective
-from .homs import hom_dims, end_ring, fitting_decompose, is_isomorphic
+from .homs import end_ring, fitting_decompose, hom_dims, is_isomorphic, summand_onto
 
 
 # ---------------------------------------------------------------------------
@@ -402,27 +402,17 @@ def flag_multiplicities(module, limits=DEFAULT_LIMITS):
 
 
 def projective_cover(g, lam, limits=DEFAULT_LIMITS):
-    """The indecomposable projective P(lam), cut out of the induction of
-    V(lam) from the even part by a Fitting decomposition.  Memoised on
-    the algebra per (weight, Limits); callers must not mutate the result."""
+    """The indecomposable projective P(lam): the one Fitting summand of
+    the induction of V(lam) from the even part with a map onto L(lam),
+    found and built by ``summand_onto``.  Memoised on the algebra per
+    (weight, Limits); callers must not mutate the result."""
     lam = tuple(QQ(c) for c in lam)
     key = ("projective_cover", lam, limits)
     if key in g.memo:
         return g.memo[key]
     big = induced_projective(g, lam, limits=limits)
-    recs = fitting_decompose(big, limits=limits)
     L = simple_module(g, lam, limits=limits)
-    hits = []
-    for rec in recs:
-        ev, od = hom_dims(rec["module"], L, limits=limits)
-        if ev + od > 0:
-            hits.append((rec, ev, od))
-    if len(hits) != 1:
-        raise AssertionError(
-            f"expected one summand with maps onto L{g.weight_str(lam)}, "
-            f"found {len(hits)}"
-        )
-    rec = hits[0][0]
+    rec, cosocle = summand_onto(big, L, limits=limits)
     P = rec["module"]
     flag = delta_flag(P, limits=limits)
     # lam is the cosocle, so it sits once at the bottom of the root order
@@ -432,7 +422,7 @@ def projective_cover(g, lam, limits=DEFAULT_LIMITS):
             f"{g.weight_str(lam)} as its unique minimal factor"
         )
     P.meta["flag"] = flag
-    P.meta["cosocle_hom"] = (hits[0][1], hits[0][2])
+    P.meta["cosocle_hom"] = cosocle
     g.memo[key] = P
     return P
 

@@ -18,9 +18,14 @@ vectors of H^1, solving for the classes the simple even raisings kill;
 Weyl's character formula instead.
 """
 
+from itertools import chain
+
+from supero.config import DEFAULT_LIMITS
+from supero.errors import ResourceLimitError
 from supero.forms import even_levi
-from supero.linalg import Echelon, SparseMatrix, vec_add_into
-from supero.modules import _truncation_guard
+from supero.homs import _canonical_basis, _divide_linear, _rational_roots, end_ring
+from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into
+from supero.modules import _truncation_guard, submodule_module
 from supero.rational import ONE, QQ, ZERO
 from supero.weights import wadd
 
@@ -268,3 +273,165 @@ def ext_dimension_by_raisings(ke, lam, parity):
     if dim < 0:
         raise AssertionError("coboundaries escaped the solution space")
     return dim
+
+
+# ---------------------------------------------------------------------------
+# the n x n Fitting route: products as matrices, splitting by Y = (z - r)^k
+
+
+def ring_from_matrices(module, basis, limits=DEFAULT_LIMITS):
+    """The ``end_ring`` record of module from its canonical even basis,
+    every product F_a F_b taken as an n x n matrix and reduced against
+    the basis; a product outside the span is an AssertionError."""
+    e = len(basis)
+    if e > limits.max_end_dim:
+        raise ResourceLimitError(
+            f"endomorphism ring dimension {e} exceeds bound {limits.max_end_dim}"
+        )
+    # Each basis matrix carries a tag entry (n, k) after its (i, j) entries.
+    # The echelon rows mix basis matrices, so a product is expressed in the
+    # basis through its normal form: that is zero on the matrix entries and
+    # minus the product's basis coordinates on the tags.
+    ech = Echelon()
+    tag = module.dim
+    for k, F in enumerate(basis):
+        vec = dict(F.data)
+        vec[(tag, k)] = ONE
+        lead = ech.add(vec)
+        if lead is None or lead[0] == tag:
+            raise AssertionError("hom basis is dependent")
+    products = []
+    for a in range(e):
+        row = []
+        for b in range(e):
+            rest = ech.reduce(dict((basis[a] @ basis[b]).data))
+            if any(i != tag for i, _ in rest):
+                raise AssertionError("endomorphism ring not closed")
+            row.append({k: -c for (_, k), c in rest.items()})
+        products.append(row)
+    radical = algebra_radical(products, e, limits=limits, check_associative=False)
+    return {
+        "basis": basis,
+        "products": products,
+        "radical": radical,
+        "local": e - len(radical) == 1,
+    }
+
+
+def _min_poly_by_powers(z, n):
+    """Monic minimal polynomial of the n x n matrix z, from its powers."""
+    powers = [SparseMatrix.identity(n)]
+    ech = Echelon([dict(powers[0].data)])
+    cur = powers[0]
+    for _ in range(n + 1):
+        cur = cur @ z
+        if ech.add(dict(cur.data)) is None:
+            keys = sorted({k for m in powers for k in m.data} | set(cur.data))
+            pos = {k: i for i, k in enumerate(keys)}
+            mat = SparseMatrix(len(keys), len(powers))
+            for c, m in enumerate(powers):
+                for k, v in m.data.items():
+                    mat.data[(pos[k], c)] = v
+            sol = mat.solve({pos[k]: v for k, v in cur.data.items()})
+            return [-sol.get(k, ZERO) for k in range(len(powers))] + [ONE]
+        powers.append(cur)
+    raise AssertionError("minimal polynomial computation ran away")
+
+
+def fitting_element(module, ring):
+    """Y = (z - r)^k with im Y and ker Y both nonzero, for the first z among
+    the basis and then the pairwise sums of basis elements whose minimal
+    polynomial p has a rational root r of multiplicity k with
+    (t - r)^k != p; None when there is none."""
+    basis = ring["basis"]
+    e = len(basis)
+    n = module.dim
+    sums = (basis[a] + basis[b] for a in range(e) for b in range(a + 1, e))
+    for z in chain(basis, sums):
+        p = _min_poly_by_powers(z, n)
+        if len(p) < 3:  # degree < 2: scalar, no split
+            continue
+        for r in _rational_roots(p):
+            k, rest = 0, p
+            while True:
+                q, rem = _divide_linear(rest, r)
+                if rem:
+                    break
+                k, rest = k + 1, q
+            if len(rest) == 1:  # p = (t-r)^k: a single primary component
+                continue
+            shifted = z - SparseMatrix.identity(n).scale(r)
+            Y = shifted
+            for _ in range(k - 1):
+                Y = Y @ shifted
+            return Y
+    return None
+
+
+def fitting_split(module, Y):
+    """Split M = im Y + ker Y: [(sub_im, I1, P1), (sub_ker, I2, P2)], the
+    pieces closed by ``submodule_module`` and both projections solved
+    against [I1 | I2]."""
+    n = module.dim
+    pieces = [
+        submodule_module(module, [c for c in Y.cols() if c]),
+        submodule_module(module, Y.kernel_basis()),
+    ]
+    d = pieces[0][0].dim
+    if d + pieces[1][0].dim != n:
+        raise AssertionError("Fitting pieces do not add up to the module")
+    both = SparseMatrix(n, n, pieces[0][1].data)
+    for (i, j), c in pieces[1][1].data.items():
+        both.data[(i, d + j)] = c
+    projects = [SparseMatrix(d, n), SparseMatrix(n - d, n)]
+    for j, sol in enumerate(both.solve_multi([{j: ONE} for j in range(n)])):
+        if sol is None:
+            raise AssertionError("Fitting pieces do not span the module")
+        for i, c in sol.items():
+            if i < d:
+                projects[0].data[(i, j)] = c
+            else:
+                projects[1].data[(i - d, j)] = c
+    return [(sub, inc, prj) for (sub, inc), prj in zip(pieces, projects)]
+
+
+def summand_ring(sub, inc, prj, ring, limits=DEFAULT_LIMITS):
+    """End(sub) = prj End(M) inc, reduced to the canonical basis."""
+    maps = [prj @ F @ inc for F in ring["basis"]]
+    return ring_from_matrices(sub, _canonical_basis(maps, sub.dim), limits)
+
+
+def matrix_fitting_decompose(module, limits=DEFAULT_LIMITS):
+    """``fitting_decompose`` the n x n way: every ring from matrix
+    products, each piece split by a Fitting element Y and re-closed as a
+    submodule, each piece's ring read as prj End(M) inc."""
+    records = []
+
+    def descend(mod, ring, include, project):
+        if ring["local"]:
+            records.append({
+                "module": mod,
+                "include": include,
+                "project": project,
+                "end_even_dim": len(ring["basis"]),
+                "end_radical_dim": len(ring["radical"]),
+                "local": True,
+            })
+            return
+        Y = fitting_element(mod, ring)
+        if Y is None:
+            raise ResourceLimitError("no splitting element among the candidates")
+        for sub, inc, prj in fitting_split(mod, Y):
+            sub_ring = summand_ring(sub, inc, prj, ring, limits)
+            descend(sub, sub_ring, include @ inc, prj @ project)
+
+    n = module.dim
+    basis = end_ring(module, limits=limits)["basis"]
+    descend(
+        module, ring_from_matrices(module, basis, limits),
+        SparseMatrix.identity(n), SparseMatrix.identity(n),
+    )
+    records.sort(key=lambda rec: (
+        tuple(-c for c in max(rec["module"].weights)), rec["module"].dim,
+    ))
+    return records

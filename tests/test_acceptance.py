@@ -101,6 +101,7 @@ def test_criterion_4_reciprocity():
     for g, lo, hi in (
         (install_grading(build_gl(1, 1), "compatible"), -3, 3),
         (install_grading(build_gl(2, 1), "compatible"), -1, 1),
+        (install_grading(build_gl(2, 2), "compatible"), 0, 1),
     ):
         window = window_from_box(g, lo, hi, support_closure=False)
         D = decomposition_matrix(g, window)

@@ -36,6 +36,11 @@ from supero.rational import ONE, QQ
 from full_basis import act_word
 
 
+def is_nondegenerate(form):
+    spaces = form.module.weight_spaces()
+    return all(form.ranks()[w] == len(spaces[w]) for w in form.gram)
+
+
 def gl11():
     return install_grading(build_gl(1, 1), "compatible")
 
@@ -216,13 +221,13 @@ def test_atypical_kac_has_radical():
     g = gl11()
     K = kac_module(g, (3, -3))
     form = contravariant_form(K)
-    assert not form.is_nondegenerate()
+    assert not is_nondegenerate(form)
     L, _ = form_quotient(K, form)
     assert L.dim == 1
     assert validate_module(L)["passed"]
 
     K2 = kac_module(g, (3, -2))
-    assert contravariant_form(K2).is_nondegenerate()
+    assert is_nondegenerate(contravariant_form(K2))
 
 
 def test_simple_quotient_character_gl21():
@@ -257,7 +262,7 @@ def test_verma_slice_form_typical_gl11():
     g = install_grading(build_gl(1, 1), "principal")
     M = verma_module_truncated(g, (2, -1), 3)
     form = contravariant_form(M)
-    assert form.is_nondegenerate()
+    assert is_nondegenerate(form)
     assert form.gram[(QQ(2), QQ(-1))] == form.gram[(QQ(2), QQ(-1))].identity(1)
 
 
@@ -355,7 +360,7 @@ def test_form_rank_drop_iff_degenerate_weight(a, b):
     g = gl11()
     K = kac_module(g, (a, b))
     form = contravariant_form(K)
-    assert form.is_nondegenerate() == (a + b != 0)
+    assert is_nondegenerate(form) == (a + b != 0)
 
 
 @settings(max_examples=20, deadline=None)

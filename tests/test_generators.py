@@ -35,6 +35,7 @@ from supero.rational import ONE, QQ
 from supero.structure import projective_cover, projective_cover_h, tilting_module
 
 from full_basis import full_basis_closure, full_basis_hom_space
+from helpers import ad_matrix
 
 
 def gl_c(m, n):
@@ -166,7 +167,7 @@ def adjoint(g):
         g,
         [g.weight_of(b) for b in range(g.dim)],
         [g.parity(b) for b in range(g.dim)],
-        {x: g.ad_matrix(x) for x in range(g.dim)},
+        {x: ad_matrix(g, x) for x in range(g.dim)},
         labels=[g.label(b) for b in range(g.dim)],
         meta={"kind": "adjoint"},
     )

@@ -13,6 +13,7 @@ from supero.forms import (
     form_quotient,
     induced_projective,
     kac_module,
+    simple_module,
 )
 from supero.homs import (
     end_ring,
@@ -20,6 +21,7 @@ from supero.homs import (
     hom_dims,
     hom_space,
     is_isomorphic,
+    summand_onto,
 )
 from supero.linalg import SparseMatrix
 from supero.modules import (
@@ -29,12 +31,20 @@ from supero.modules import (
     parity_flip,
     restrict_module,
     submodule_module,
+    summand_module,
     tau_dual,
     validate_module,
 )
 from supero.rational import ONE, QQ
-from supero.structure import projective_cover, projective_cover_h, tilting_module
+from supero.structure import (
+    delta_flag,
+    projective_cover,
+    projective_cover_h,
+    tilting_module,
+)
 from supero.weights import dominant_weights_in_box
+
+import full_basis
 
 
 def gl11():
@@ -213,18 +223,40 @@ def test_fitting_deterministic():
     assert total == SparseMatrix.identity(n)
 
 
-def test_fitting_split_budget_honesty():
+def test_fitting_split_budget_honesty(monkeypatch):
+    """A provably non-local ring that no candidate splits is a resource
+    error, never a pass."""
     g = gl11()
     S = direct_sum(kac_module(g, (2, -1)), kac_module(g, (0, 0)))
-    recs = fitting_decompose(S, limits=Limits(search_budget=2))
-    assert len(recs) == 2  # basis elements already contain projections
+    assert len(fitting_decompose(S)) == 2  # a basis element already splits
+    monkeypatch.setattr(homs, "_rational_roots", lambda p: [])
+    with pytest.raises(ResourceLimitError, match="not local"):
+        fitting_decompose(S)
+    with pytest.raises(ResourceLimitError, match="not local"):
+        summand_onto(S, kac_module(g, (0, 0)))
 
 
-# -- the adjunction and summand routes against hom_space ---------------------
+def test_summand_onto_needs_exactly_one_summand():
+    g = gl11()
+    K = kac_module(g, (2, -1))
+    S = direct_sum(kac_module(g, (2, -1)), kac_module(g, (2, -1)))
+    with pytest.raises(AssertionError, match="found 2"):
+        summand_onto(S, K)
+    with pytest.raises(AssertionError, match="found 0"):
+        summand_onto(S, kac_module(g, (3, -2)))
+    rec, dims = summand_onto(direct_sum(K, kac_module(g, (0, 0))), K)
+    assert dims == (1, 0) and rec["module"].dim == 2
+    assert max(rec["module"].weights) == (2, -1)
+
+
+# -- the ring-level Fitting route against the n x n route ------------------
 #
-# end_ring of an induced module extends Hom_s(F, Res M) along the PBW words,
-# and a Fitting summand's ring is prj End(M) inc; both must reproduce the
-# hom_space route bit for bit, dict order of the basis entries included.
+# end_ring of an induced module extends Hom_s(F, Res M) along the PBW words
+# and must reproduce the hom_space route bit for bit, dict order of the basis
+# entries included.  Products are read off the basis's free entries, and the
+# Fitting descent runs on that table: full_basis keeps the n x n route
+# (products reduced against the basis, with the closure assertion; pieces
+# split by Y = (z - r)^k and re-closed as submodules) as the oracle.
 
 
 def plain(M):
@@ -246,45 +278,107 @@ def assert_same_ring(ring, oracle):
     assert ring["local"] == oracle["local"]
 
 
-def assert_routes_agree(M, monkeypatch):
-    """end_ring and fitting_decompose of an induced M against hom_space."""
-    assert M.induction is not None and plain(M).induction is None
-    ring = end_ring(M)
-    assert_same_ring(ring, end_ring(plain(M)))
-    recs = fitting_decompose(M)
-    for rec in recs:
-        # End(summand) = project End(M) include, against its own hom system
-        assert_same_ring(
-            homs._summand_ring(rec["module"], rec["include"], rec["project"],
-                               ring, Limits()),
-            end_ring(plain(rec["module"])),
-        )
-    with monkeypatch.context() as mp:
-        mp.setattr(homs, "_summand_ring",
-                   lambda sub, inc, prj, ring, limits: end_ring(sub, limits=limits))
-        oracle = fitting_decompose(plain(M))
+def combine(coords, basis, n):
+    acc = SparseMatrix(n, n)
+    for k, c in coords.items():
+        acc = acc + basis[k].scale(c)
+    return acc
+
+
+def assert_corners_are_summand_rings(M, ring, recs):
+    """Each corner eps A eps, written as matrices, is closed under its own
+    table and as large as End(S) by the n x n route; the idempotents are
+    orthogonal and sum to the identity."""
+    n = M.dim
+    parts = homs._primitive_idempotents(ring, Limits())
+    assert len(parts) == len(recs)
+    total = SparseMatrix(n, n)
+    idems = [combine(eps, ring["basis"], n) for eps, _ in parts]
+    for a, (E, (eps, corner)) in enumerate(zip(idems, parts)):
+        for b, E2 in enumerate(idems):
+            assert E @ E2 == (E if a == b else SparseMatrix(n, n))
+        total = total + E
+        mats = [combine(x, ring["basis"], n) for x in corner["basis"]]
+        for x, row in zip(mats, corner["products"]):
+            for y, prod in zip(mats, row):
+                assert x @ y == combine(prod, mats, n)
+        sub, inc, prj = summand_module(M, E)
+        oracle = full_basis.summand_ring(sub, inc, prj, ring)
+        assert len(mats) == len(oracle["basis"])
+        assert len(corner["radical"]) == len(oracle["radical"]) and corner["local"]
+    assert total == SparseMatrix.identity(n)
+
+
+def assert_records_match_matrix_route(M, recs, oracle):
+    """Same summands, inclusions, projections and ring dimensions as the
+    n x n route.  Labels and kind are one step down from M, where the
+    n x n route prefixed them once per split above the summand."""
     assert len(recs) == len(oracle)
     for rec, orc in zip(recs, oracle):
-        assert rec["module"].to_json_dict() == orc["module"].to_json_dict()
-        assert entries([rec["include"], rec["project"]]) == entries(
-            [orc["include"], orc["project"]]
-        )
+        S, O = rec["module"], orc["module"]
+        assert (S.weights, S.parities, S.truncated) == (O.weights, O.parities, O.truncated)
+        assert S.action == O.action
+        assert rec["include"] == orc["include"] and rec["project"] == orc["project"]
         for key in ("end_even_dim", "end_radical_dim", "local"):
             assert rec[key] == orc[key]
+        if len(recs) == 1:
+            assert S is M
+            continue
+        base = [M.labels[min(col)] for col in rec["include"].cols()]
+        assert S.labels == tuple(f"s:{lab}" for lab in base)
+        assert all(lab.endswith(f"s:{b}") for lab, b in zip(O.labels, base))
+        assert S.meta["kind"] == f"sub({M.meta.get('kind', 'module')})"
 
 
-def test_adjunction_routes_gl11_induced_projectives(monkeypatch):
+def assert_fitting_routes_agree(M):
+    """Products, radical and local of end_ring(M) against the n x n
+    products; the corners and fitting_decompose against the n x n route."""
+    ring = end_ring(M)
+    assert_same_ring(ring, full_basis.ring_from_matrices(M, ring["basis"]))
+    recs = fitting_decompose(M)
+    assert_corners_are_summand_rings(M, ring, recs)
+    assert_records_match_matrix_route(
+        M, recs, full_basis.matrix_fitting_decompose(M)
+    )
+
+
+def assert_routes_agree(M):
+    """end_ring of an induced M against the hom_space route, then the
+    ring-level Fitting route against the n x n one."""
+    assert M.induction is not None and plain(M).induction is None
+    assert_same_ring(end_ring(M), end_ring(plain(M)))
+    assert_fitting_routes_agree(M)
+
+
+def test_adjunction_routes_gl11_induced_projectives():
     g = gl11()
     for a in range(-3, 4):
         for b in range(-2, 3):
-            assert_routes_agree(induced_projective(g, (a, b)), monkeypatch)
+            assert_routes_agree(induced_projective(g, (a, b)))
 
 
-def test_adjunction_routes_gl21_box(monkeypatch):
+def test_adjunction_routes_gl21_box():
     g = gl21c()
     for lam in dominant_weights_in_box(2, 1, -1, 1):
-        assert_routes_agree(induced_projective(g, lam), monkeypatch)
-        assert_routes_agree(kac_module(g, lam), monkeypatch)
+        assert_routes_agree(induced_projective(g, lam))
+        assert_routes_agree(kac_module(g, lam))
+
+
+def test_fitting_routes_agree_on_direct_sums():
+    g = gl11()
+    K = lambda lam: kac_module(g, lam)
+    for M in (
+        direct_sum(K((2, -1)), K((2, -1))),
+        direct_sum(K((2, -1)), K((0, 0))),
+        direct_sum(parity_flip(K((1, -1))), K((0, 0))),
+        direct_sum(parity_flip(K((1, -1))), tau_dual(K((0, 0)))),
+    ):
+        assert_fitting_routes_agree(M)
+
+
+def test_fitting_routes_agree_on_gl22_kac_zero():
+    g = install_grading(build_gl(2, 2), "compatible")
+    assert_routes_agree(kac_module(g, (0, 0, 0, 0)))
 
 
 @pytest.mark.parametrize("n, lam", [
@@ -305,7 +399,57 @@ def test_adjunction_routes_q_cartan_projectives(monkeypatch, n, lam):
         projective_cover_h(h, clifford_module(h, lam))
     (big,) = built
     assert big.meta["kind"] == "cartan_projective"
-    assert_routes_agree(big, monkeypatch)
+    assert_routes_agree(big)
+
+
+def matrix_route_cover(g, lam):
+    """P(lam) the n x n way: every Fitting summand of Ind_{g0} V(lam)
+    built, the one with maps onto L(lam) kept; with those maps' (even,
+    odd) dimensions."""
+    L = simple_module(g, lam)
+    (hit,) = [
+        rec["module"]
+        for rec in full_basis.matrix_fitting_decompose(induced_projective(g, lam))
+        if sum(hom_dims(rec["module"], L))
+    ]
+    return hit, hom_dims(hit, L)
+
+
+def assert_cover_matches_matrix_route(g, lams, monkeypatch):
+    built = []
+    build = homs.summand_module
+    monkeypatch.setattr(
+        homs, "summand_module", lambda M, E: built.append(M) or build(M, E)
+    )
+    for lam in lams:
+        del built[:]
+        P = projective_cover(g, lam)
+        assert len(built) <= 1  # only the summand it returns
+        old, cosocle = matrix_route_cover(g, lam)
+        assert P.super_character() == old.super_character()
+        assert P.meta["flag"] == delta_flag(old)
+        assert P.meta["cosocle_hom"] == cosocle
+        r = is_isomorphic(P, old)
+        assert r["isomorphic"] and r["parity"] == 0
+        assert r["witness"].rank() == P.dim
+        assert is_module_map(r["witness"], P, old)
+
+
+def test_projective_cover_matches_matrix_route_gl11(monkeypatch):
+    g = gl11()
+    lams = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    assert_cover_matches_matrix_route(g, lams, monkeypatch)
+
+
+def test_projective_cover_matches_matrix_route_gl21(monkeypatch):
+    g = gl21c()
+    lams = dominant_weights_in_box(2, 1, -1, 1)
+    assert_cover_matches_matrix_route(g, lams, monkeypatch)
+
+
+def test_projective_cover_matches_matrix_route_gl22_zero(monkeypatch):
+    g = install_grading(build_gl(2, 2), "compatible")
+    assert_cover_matches_matrix_route(g, [(0, 0, 0, 0)], monkeypatch)
 
 
 def test_derived_modules_take_the_hom_space_route(monkeypatch):

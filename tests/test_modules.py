@@ -26,6 +26,7 @@ from supero.rational import ONE, QQ
 from supero.weights import wdot, wneg, wsub, weights_between
 
 from full_basis import act_word, apply
+from helpers import module_json
 
 
 def gl11():
@@ -303,14 +304,14 @@ def test_restrict_to_even_part_validates():
 def test_json_dict_golden_inline():
     g = gl11()
     K = flat_kac(g, (2, -1))
-    d = K.to_json_dict()
+    d = module_json(K)
     assert d["algebra"] == "gl(1,1)"
     assert d["grading"] == "compatible"
     assert d["weights"] == ["(2|-1)", "(1|0)"]
     assert d["action"]["e(-1,1)"] == [[0, 1, "1"]]
     assert d["action"]["e(-1,-1)"] == [[0, 0, "2"], [1, 1, "1"]]
     # byte stability under re-construction
-    again = flat_kac(gl11(), (2, -1)).to_json_dict()
+    again = module_json(flat_kac(gl11(), (2, -1)))
     assert json.dumps(d, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 

@@ -36,6 +36,7 @@ from supero.structure import (
 from supero.weights import dominant_weights_in_box
 
 from full_basis import ext_dimension_by_raisings
+from helpers import module_json
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -536,7 +537,7 @@ def tilting_golden_json(g, weights):
             "flag_bottom_up": [
                 [g.weight_str(w), p] for w, p in U.meta["flag_bottom_up"]
             ],
-            "module": U.to_json_dict(),
+            "module": module_json(U),
         }
     return json.dumps(out, sort_keys=True, indent=2) + "\n"
 

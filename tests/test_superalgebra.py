@@ -27,6 +27,8 @@ from supero.linalg import SparseMatrix, vec_add_into
 from supero.rational import QQ, ZERO
 from supero.weights import weight, wneg, wscale, wzero
 
+from helpers import ad_matrix
+
 GL_SIZES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]
 
 
@@ -254,11 +256,11 @@ def test_grading_errors():
 def test_ad_matrix():
     g = build_gl(1, 1)
     up = g.id_of("e(-1,1)")
-    mat = g.ad_matrix(up)
+    mat = ad_matrix(g, up)
     for b, col in enumerate(mat.cols()):
         assert col == g.bracket(up, b)
     with pytest.raises(ValueError):
-        g.ad_matrix(up, domain_ids=[g.id_of("e(1,-1)")])
+        ad_matrix(g, up, domain_ids=[g.id_of("e(1,-1)")])
 
 
 def test_subalgebra_even_part():
