@@ -12,6 +12,8 @@ window weights and missing from the window is an error: such a window
 would silently misreport the numbers the identities quantify over.
 """
 
+from collections import Counter
+
 from .rational import QQ, as_int
 from .linalg import SparseMatrix
 from .weights import dominant_weights_in_box, wadd, wsub, is_dominant_gl
@@ -21,9 +23,7 @@ from .errors import (
     DominanceError, GradingError, ResourceLimitError, WindowError,
 )
 from .forms import kac_module, simple_module, verma_module_truncated
-from .structure import (
-    KacExtensions, flag_multiplicities, projective_cover, tilting_module,
-)
+from .structure import projective_cover, tilting_module
 
 
 # ---------------------------------------------------------------------------
@@ -37,10 +37,6 @@ def char_mul(a, b):
             w = wadd(wa, wb)
             out[w] = out.get(w, 0) + ca * cb
     return {w: c for w, c in out.items() if c}
-
-
-def char_mass(ch):
-    return sum(ch.values())
 
 
 def _gt_rows(upper):
@@ -212,9 +208,6 @@ class DecompositionMatrix:
     def entry(self, mu, lam):
         return self.entries[self._index[tuple(mu)]][self._index[tuple(lam)]]
 
-    def row(self, mu):
-        return self.entries[self._index[tuple(mu)]]
-
     def __repr__(self):
         return f"DecompositionMatrix({len(self.weights)} weights)"
 
@@ -281,14 +274,15 @@ def cartan_matrix_via_bgg(D):
 
 
 def flag_matrix(g, window, limits=DEFAULT_LIMITS):
-    """(P(lam) : K(mu)) over the window from explicit projective covers."""
+    """(P(lam) : K(mu)) over the window from explicit projective covers,
+    read off the flag that projective_cover peeled and certified."""
     window = [tuple(QQ(c) for c in w) for w in window]
     _validate_window(g, window)
     rows = []
     seen = set()
     for lam in window:
         P = projective_cover(g, lam, limits=limits)
-        mults = flag_multiplicities(P, limits=limits)
+        mults = Counter(P.meta["flag"])
         rows.append(mults)
         seen.update(mults)
     _check_support(g, window, seen)
@@ -329,9 +323,7 @@ def tilting_table(g, window, limits=DEFAULT_LIMITS):
     left = []
     for lam in window:
         U = tilting_module(g, lam, limits=limits)
-        mults = {}
-        for mu, _parity in U.meta["flag_bottom_up"]:
-            mults[mu] = mults.get(mu, 0) + 1
+        mults = Counter(mu for mu, _parity in U.meta["flag_bottom_up"])
         left.append([mults.get(mu, 0) for mu in window])
     refl = reflected_window(g, window)
     D = decomposition_matrix(g, refl, limits=limits)
@@ -393,16 +385,14 @@ def verma_decomposition_truncated(g, lam, depth, limits=DEFAULT_LIMITS):
 # linkage blocks
 
 
-def blocks(g, window, linkage="decomposition", limits=DEFAULT_LIMITS):
+def blocks(g, window, limits=DEFAULT_LIMITS):
     """Partition of the window into linkage classes.
 
-    Edges come either from nonzero decomposition numbers or from nonzero
-    first extension groups; the partition must not depend on the choice,
-    and tests pin that down.  Components are ordered by their largest
-    weight, each listed descending.
+    Edges come from nonzero decomposition numbers; tests check that
+    nonzero first extension groups give the same partition.  Components
+    are ordered by their largest weight, each listed descending.
     """
     window = [tuple(QQ(c) for c in w) for w in window]
-    index = {w: i for i, w in enumerate(window)}
     parent = list(range(len(window)))
 
     def find(i):
@@ -416,20 +406,11 @@ def blocks(g, window, linkage="decomposition", limits=DEFAULT_LIMITS):
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    if linkage == "decomposition":
-        D = decomposition_matrix(g, window, limits=limits)
-        for i in range(len(window)):
-            for j in range(len(window)):
-                if D.entries[i][j]:
-                    union(i, j)
-    elif linkage == "ext":
-        for i, mu in enumerate(window):
-            ke = KacExtensions(kac_module(g, mu, limits=limits), limits=limits)
-            for j, lam in enumerate(window):
-                if i != j and ke.ext_dimension(lam):
-                    union(i, j)
-    else:
-        raise ValueError(f"unknown linkage rule {linkage!r}")
+    D = decomposition_matrix(g, window, limits=limits)
+    for i in range(len(window)):
+        for j in range(len(window)):
+            if D.entries[i][j]:
+                union(i, j)
     comps = {}
     for i, w in enumerate(window):
         comps.setdefault(find(i), []).append(w)

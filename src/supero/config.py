@@ -1,17 +1,15 @@
-"""Resource limits and run configuration.
+"""Resource budgets.
 
-Every computation is deterministic.  The seed still travels with the
-limits object and is embedded in reports, but nothing draws from it.
+Every computation is deterministic, so a run is configured by its inputs
+and these budgets alone; exhausting one raises ResourceLimitError.
 """
 
-from dataclasses import dataclass, replace
-
-DEFAULT_SEED = 12345
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Limits:
-    """Knobs bounding the exact computations.
+    """Budgets bounding the exact computations.
 
     max_module_dim: refuse to build explicit modules larger than this.
     max_end_dim: bound on endomorphism/radical algebra dimension.
@@ -24,18 +22,12 @@ class Limits:
         tilting sweep (one per candidate weight and parity of lam's
         block, plus one after each glue) and on the peeling steps of one
         Kac flag.
-    straighten_cache: entries kept per normal-ordering memo table.
     """
 
     max_module_dim: int = 4096
     max_end_dim: int = 512
     max_hom_vars: int = 20000
     iteration_budget: int = 48
-    straighten_cache: int = 200_000
-    seed: int = DEFAULT_SEED
-
-    def with_seed(self, seed):
-        return replace(self, seed=seed)
 
 
 DEFAULT_LIMITS = Limits()

@@ -301,7 +301,7 @@ def _dot(u, v):
 
 
 def _ring(basis, products, limits):
-    rad = algebra_radical(products, len(basis), limits=limits, check_associative=False)
+    rad = algebra_radical(products, len(basis), limits=limits)
     local = len(basis) - len(rad) == 1
     return {"basis": basis, "products": products, "radical": rad, "local": local}
 

@@ -15,7 +15,7 @@ weight cutoff; the validator knows which axiom instances are exact on the
 retained vectors and checks only those.
 """
 
-from .algebra import lie_generators, same_algebra
+from .algebra import lie_generators
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError, TruncationError
 from .linalg import Echelon, SparseMatrix, apply_cols, vec_add_into
@@ -374,30 +374,6 @@ def inflate_module(module, big):
     )
 
 
-def direct_sum(a, b):
-    """Block-diagonal direct sum of two modules over the same algebra."""
-    if not same_algebra(a.g, b.g):
-        raise ValueError("direct sum needs modules over the same algebra")
-    na, nb = a.dim, b.dim
-    action = {}
-    for x in range(a.g.dim):
-        mat = SparseMatrix(na + nb, na + nb)
-        for (r, c), v in a.action[x].data.items():
-            mat.data[(r, c)] = v
-        for (r, c), v in b.action[x].data.items():
-            mat.data[(na + r, na + c)] = v
-        action[x] = mat
-    return ExplicitModule(
-        a.g,
-        a.weights + b.weights,
-        a.parities + b.parities,
-        action,
-        labels=tuple(a.labels) + tuple(b.labels),
-        truncated=a.truncated or b.truncated,
-        meta={"kind": "direct_sum"},
-    )
-
-
 # ---------------------------------------------------------------------------
 # induction
 
@@ -436,7 +412,7 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     if order is None:
         key = (lambda i: (g.degree_of(i), i)) if g.degrees is not None else (lambda i: i)
         order = sorted(free_ids, key=key) + sorted(sub_ids, key=key)
-    pbw = PbwAlgebra(g, order=order, limits=limits)
+    pbw = PbwAlgebra(g, order=order)
     min_sub_rank = min(pbw.rank[s] for s in sub_ids)
     if any(pbw.rank[f] >= min_sub_rank for f in free_ids):
         raise ValueError("PBW order must rank all free ids before sub ids")

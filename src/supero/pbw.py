@@ -6,13 +6,17 @@ element of U(g) is a dict mapping monomials to rational coefficients.
 Straightening applies xy = (-1)^{|x||y|} yx + [x,y] and the odd-square rule
 x^2 = (1/2)[x,x] until every term is normal; bracket terms strictly drop the
 filtration degree, so this terminates.
+
+Each PbwAlgebra memoizes straightened words; its table is cleared once it
+holds STRAIGHTEN_CACHE entries.
 """
 
-from .config import DEFAULT_LIMITS
 from .errors import WindowError
 from .linalg import vec_add_into
 from .rational import QQ
 from .weights import root_leq, wadd, wzero
+
+STRAIGHTEN_CACHE = 200_000
 
 
 class PbwAlgebra:
@@ -22,7 +26,7 @@ class PbwAlgebra:
     treat them as read-only.
     """
 
-    def __init__(self, g, order=None, limits=DEFAULT_LIMITS):
+    def __init__(self, g, order=None):
         self.g = g
         if order is None:
             order = g.pbw_order()
@@ -30,7 +34,6 @@ class PbwAlgebra:
             raise ValueError("order must list every basis id exactly once")
         self.order = tuple(order)
         self.rank = {b: r for r, b in enumerate(self.order)}
-        self.limits = limits
         self._cache = {}
 
     def straighten_word(self, word):
@@ -68,17 +71,10 @@ class PbwAlgebra:
                     vec_add_into(
                         result, self.straighten_word(word[:i] + (k,) + word[i + 2 :]), c
                     )
-        if len(self._cache) >= self.limits.straighten_cache:
+        if len(self._cache) >= STRAIGHTEN_CACHE:
             self._cache.clear()
         self._cache[word] = result
         return result
-
-    def multiply(self, a, b):
-        out = {}
-        for wa, ca in a.items():
-            for wb, cb in b.items():
-                vec_add_into(out, self.straighten_word(wa + wb), ca * cb)
-        return out
 
     def sort_key(self, word):
         return (len(word), tuple(self.rank[b] for b in word))

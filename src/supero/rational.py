@@ -20,13 +20,6 @@ ZERO = QQ(0)
 ONE = QQ(1)
 
 
-def rat(numerator, denominator=1):
-    """Build a rational from integers or from a 'p/q' string."""
-    if isinstance(numerator, str):
-        return QQ(numerator)
-    return QQ(numerator, denominator)
-
-
 def rat_str(value):
     """Serialize to 'p/q' ('p' if integral)."""
     return str(QQ(value))

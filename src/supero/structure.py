@@ -342,11 +342,6 @@ def glue_extension(bottom, top, block, kind="extension"):
 # flags of induced modules
 
 
-def _kac_char_census(g, lam, limits=DEFAULT_LIMITS):
-    """ch K(lam) read off the explicit module (the census route)."""
-    return dict(kac_module(g, lam, limits=limits).character())
-
-
 def delta_flag(module, limits=DEFAULT_LIMITS):
     """Multiplicities of induced modules K(mu) in a filtration of module.
 
@@ -372,7 +367,7 @@ def delta_flag(module, limits=DEFAULT_LIMITS):
                 f"{g.weight_str(top)}"
             )
         try:
-            kch = _kac_char_census(g, top, limits=limits)
+            kch = kac_module(g, top, limits=limits).character()
         except DominanceError:
             raise ValueError(
                 f"no induced filtration: maximal weight {g.weight_str(top)} "
@@ -388,13 +383,6 @@ def delta_flag(module, limits=DEFAULT_LIMITS):
             remaining[w] = left
         flag.append(top)
     return flag
-
-
-def flag_multiplicities(module, limits=DEFAULT_LIMITS):
-    counts = {}
-    for w in delta_flag(module, limits=limits):
-        counts[w] = counts.get(w, 0) + 1
-    return counts
 
 
 # ---------------------------------------------------------------------------

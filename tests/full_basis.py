@@ -309,7 +309,7 @@ def ring_from_matrices(module, basis, limits=DEFAULT_LIMITS):
                 raise AssertionError("endomorphism ring not closed")
             row.append({k: -c for (_, k), c in rest.items()})
         products.append(row)
-    radical = algebra_radical(products, e, limits=limits, check_associative=False)
+    radical = algebra_radical(products, e, limits=limits)
     return {
         "basis": basis,
         "products": products,

@@ -1,10 +1,16 @@
 """Helpers several test files share and no library path needs.
 
 ``ad_matrix`` is the adjoint action of one basis element; ``module_json``
-is the exact, sorted description of a module the golden writers compare.
+is the exact, sorted description of a module the golden writers compare;
+``direct_sum`` is the block-diagonal sum of two modules;
+``assert_associative`` checks a structure-constant table triple by triple.
 """
 
-from supero.linalg import SparseMatrix
+from itertools import product
+
+from supero.algebra import same_algebra
+from supero.linalg import SparseMatrix, vec_add_into
+from supero.modules import ExplicitModule
 from supero.rational import rat_str
 
 
@@ -55,3 +61,41 @@ def module_json(module):
         "labels": list(module.labels),
         "action": acts,
     }
+
+
+def direct_sum(a, b):
+    """Block-diagonal direct sum of two modules over the same algebra."""
+    if not same_algebra(a.g, b.g):
+        raise ValueError("direct sum needs modules over the same algebra")
+    na, nb = a.dim, b.dim
+    action = {}
+    for x in range(a.g.dim):
+        mat = SparseMatrix(na + nb, na + nb)
+        for (r, c), v in a.action[x].data.items():
+            mat.data[(r, c)] = v
+        for (r, c), v in b.action[x].data.items():
+            mat.data[(na + r, na + c)] = v
+        action[x] = mat
+    return ExplicitModule(
+        a.g,
+        a.weights + b.weights,
+        a.parities + b.parities,
+        action,
+        labels=tuple(a.labels) + tuple(b.labels),
+        truncated=a.truncated or b.truncated,
+        meta={"kind": "direct_sum"},
+    )
+
+
+def assert_associative(products):
+    """(e_i e_j) e_k == e_i (e_j e_k) for every basis triple, where
+    products[i][j] is the coordinate dict of e_i e_j."""
+    dim = len(products)
+    for i, j, k in product(range(dim), repeat=3):
+        lhs = {}
+        for t, c in products[i][j].items():
+            vec_add_into(lhs, products[t][k], c)
+        rhs = {}
+        for t, c in products[j][k].items():
+            vec_add_into(rhs, products[i][t], c)
+        assert lhs == rhs, f"associativity fails on basis triple ({i},{j},{k})"

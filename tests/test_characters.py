@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from supero import (
     QQ,
+    KacExtensions,
     Limits,
     ResourceLimitError,
     WindowError,
@@ -12,7 +13,6 @@ from supero import (
     build_gl,
     cartan_matrix_direct,
     cartan_matrix_via_bgg,
-    char_mass,
     decomposition_matrix,
     dominant_weights_in_box,
     even_character,
@@ -64,7 +64,7 @@ def test_weyl_character_rank_one():
 
 def test_weyl_character_rank_three_dimension():
     # (2,1,0) has dimension 8 by the classical dimension formula
-    assert char_mass(weyl_character((2, 1, 0))) == 8
+    assert sum(weyl_character((2, 1, 0)).values()) == 8
 
 
 def test_weyl_character_rejects_increasing():
@@ -79,7 +79,7 @@ def test_weyl_character_rejects_increasing():
 def test_weyl_character_rank_two_dimension(b, gap):
     """mass of the gl(2) character is the classical a - b + 1."""
     ch = weyl_character((b + gap, b))
-    assert char_mass(ch) == gap + 1
+    assert sum(ch.values()) == gap + 1
     # weights live between the highest weight and its reversal
     assert max(ch) == qq((b + gap, b))
     assert min(ch) == qq((b, b + gap))
@@ -87,7 +87,7 @@ def test_weyl_character_rank_two_dimension(b, gap):
 
 def test_even_character_splits_into_blocks():
     ch = even_character(2, 1, (1, 0, -2))
-    assert char_mass(ch) == 2
+    assert sum(ch.values()) == 2
     assert ch[qq((1, 0, -2))] == 1
     assert ch[qq((0, 1, -2))] == 1
 
@@ -113,15 +113,15 @@ def test_kac_character_mass(a, b):
     """total mass is 2^(m n) times the even-part dimension."""
     g = gl11()
     ch = kac_character(g, qq((a, b)))
-    assert char_mass(ch) == 2
+    assert sum(ch.values()) == 2
     assert max(ch) == qq((a, b))
 
 
 def test_simple_character_dimensions_gl11():
     g = gl11()
-    assert char_mass(simple_character(g, qq((0, 0)))) == 1
-    assert char_mass(simple_character(g, qq((1, -1)))) == 1
-    assert char_mass(simple_character(g, qq((2, -1)))) == 2
+    assert sum(simple_character(g, qq((0, 0))).values()) == 1
+    assert sum(simple_character(g, qq((1, -1))).values()) == 1
+    assert sum(simple_character(g, qq((2, -1))).values()) == 2
 
 
 # -- windows ---------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_decomposition_rows_account_for_full_dimension():
     D = decomposition_matrix(g, W)
     for mu, factors in zip(W, D.full_rows):
         total = sum(
-            mult * char_mass(simple_character(g, lam))
+            mult * sum(simple_character(g, lam).values())
             for lam, mult in factors.items()
         )
         assert total == kac_module(g, mu).dim
@@ -341,10 +341,33 @@ def test_blocks_gl11_box():
     assert big == [qq((a, -a)) for a in range(2, -3, -1)]
 
 
+def ext_blocks(g, window):
+    """The window's classes under nonzero Ext^1 between induced modules,
+    ordered as blocks() orders them."""
+    window = [qq(w) for w in window]
+    parent = list(range(len(window)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, mu in enumerate(window):
+        ke = KacExtensions(kac_module(g, mu))
+        for j, lam in enumerate(window):
+            if i != j and ke.ext_dimension(lam):
+                parent[find(i)] = find(j)
+    comps = {}
+    for i, w in enumerate(window):
+        comps.setdefault(find(i), []).append(w)
+    return sorted((sorted(ws, reverse=True) for ws in comps.values()),
+                  key=lambda ws: ws[0], reverse=True)
+
+
 def test_blocks_agree_with_extension_linkage():
     g = gl11()
     W = window_from_box(g, -1, 1, support_closure=False)
-    assert blocks(g, W) == blocks(g, W, linkage="ext")
+    assert blocks(g, W) == ext_blocks(g, W)
 
 
 def test_blocks_refine_under_shrinking():
@@ -365,12 +388,6 @@ def test_blocks_gl21_chain():
         (1, 0, 0),
         (1, -1, 1),
     ]
-
-
-def test_blocks_unknown_linkage():
-    g = gl11()
-    with pytest.raises(ValueError):
-        blocks(g, [(0, 0)], linkage="nonsense")
 
 
 # -- serialization ---------------------------------------------------------

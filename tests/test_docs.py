@@ -1,12 +1,16 @@
-"""Executable documentation: the README's Python blocks and the demos run."""
+"""Executable documentation: the README's Python blocks, its `supero`
+command lines and the demos run."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from supero import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -25,6 +29,33 @@ def test_readme_has_python_blocks():
 def test_readme_python_block_runs(index):
     code = _readme_python_blocks()[index]
     exec(compile(code, f"README.md python block {index}", "exec"), {})
+
+
+def _readme_commands():
+    """Each `supero ...` line of the README's sh blocks, with the exit code
+    its trailing comment names ("# exits 1"), 0 when it names none."""
+    text = (ROOT / "README.md").read_text()
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.splitlines():
+            if line.startswith("supero "):
+                code = re.search(r"#\s*exits (\d+)", line)
+                out.append((line, int(code.group(1)) if code else 0))
+    return out
+
+
+def test_readme_has_commands():
+    assert _readme_commands()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(shlex.split(line, comments=True)[1:], code) for line, code in _readme_commands()],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else f"exits {v}",
+)
+def test_readme_command_exits_as_documented(argv, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == expected, capsys.readouterr().err
 
 
 def test_six_demos_present():

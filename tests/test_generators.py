@@ -23,7 +23,6 @@ from supero.linalg import Echelon, SparseMatrix
 from supero.modules import (
     ExplicitModule,
     assert_valid_module,
-    direct_sum,
     dual_module,
     intertwining_ids,
     parity_flip,
@@ -35,7 +34,7 @@ from supero.rational import ONE, QQ
 from supero.structure import projective_cover, projective_cover_h, tilting_module
 
 from full_basis import full_basis_closure, full_basis_hom_space
-from helpers import ad_matrix
+from helpers import ad_matrix, direct_sum
 
 
 def gl_c(m, n):

@@ -26,7 +26,6 @@ from supero.homs import (
 from supero.linalg import SparseMatrix
 from supero.modules import (
     ExplicitModule,
-    direct_sum,
     dual_module,
     parity_flip,
     restrict_module,
@@ -45,6 +44,7 @@ from supero.structure import (
 from supero.weights import dominant_weights_in_box
 
 import full_basis
+from helpers import assert_associative, direct_sum
 
 
 def gl11():
@@ -272,6 +272,8 @@ def entries(basis):
 
 
 def assert_same_ring(ring, oracle):
+    """Same basis, products, radical and locality; the products associative."""
+    assert_associative(ring["products"])
     assert entries(ring["basis"]) == entries(oracle["basis"])
     assert ring["products"] == oracle["products"]
     assert ring["radical"] == oracle["radical"]
@@ -298,6 +300,7 @@ def assert_corners_are_summand_rings(M, ring, recs):
         for b, E2 in enumerate(idems):
             assert E @ E2 == (E if a == b else SparseMatrix(n, n))
         total = total + E
+        assert_associative(corner["products"])
         mats = [combine(x, ring["basis"], n) for x in corner["basis"]]
         for x, row in zip(mats, corner["products"]):
             for y, prod in zip(mats, row):

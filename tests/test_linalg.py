@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supero.algebra import build_gl, install_grading
-from supero.errors import InvalidAlgebraError, ResourceLimitError
+from supero.errors import ResourceLimitError
 from supero.forms import induced_projective
 from supero.homs import hom_space
 from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into
 from supero.rational import QQ
 
 from full_basis import apply, full_basis_hom_system
+from helpers import assert_associative
 
 
 def to_dense(mat):
@@ -142,6 +143,7 @@ def test_rref_is_reduced(a):
 
 
 def _radical_span(products):
+    assert_associative(products)
     return algebra_radical(products, len(products))
 
 
@@ -190,8 +192,10 @@ def test_radical_upper_triangular():
     assert _radical_span(products) == [{1: QQ(1)}]
 
 
-def test_radical_rejects_nonassociative_table():
-    # the sl2 bracket table is anticommutative, not associative
+def test_associativity_helper_rejects_nonassociative_table():
+    # negative control for assert_associative, which the radical tests and
+    # the endomorphism-ring tests rely on: the sl2 bracket table is
+    # anticommutative, not associative
     x, h, y = 0, 1, 2
     products = [[{} for _ in range(3)] for _ in range(3)]
     products[x][y] = {h: QQ(1)}
@@ -200,8 +204,8 @@ def test_radical_rejects_nonassociative_table():
     products[x][h] = {x: QQ(-2)}
     products[h][y] = {y: QQ(-2)}
     products[y][h] = {y: QQ(2)}
-    with pytest.raises(InvalidAlgebraError):
-        algebra_radical(products, 3)
+    with pytest.raises(AssertionError, match="associativity fails"):
+        assert_associative(products)
 
 
 def test_radical_dimension_guard():

@@ -11,7 +11,6 @@ from supero.errors import ResourceLimitError, TruncationError
 from supero.config import Limits
 from supero.linalg import SparseMatrix
 from supero.modules import (
-    direct_sum,
     dual_module,
     induced_module,
     parity_flip,
@@ -26,7 +25,7 @@ from supero.rational import ONE, QQ
 from supero.weights import wdot, wneg, wsub, weights_between
 
 from full_basis import act_word, apply
-from helpers import module_json
+from helpers import direct_sum, module_json
 
 
 def gl11():

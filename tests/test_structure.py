@@ -6,6 +6,7 @@ upper-triangular glueing block.  Everything else leans on those numbers.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,6 @@ from supero.structure import (
     delta_flag,
     ext1_kac,
     ext1_with_representative,
-    flag_multiplicities,
     glue_extension,
     projective_cover,
     projective_cover_h,
@@ -428,7 +428,7 @@ def test_simple_module_has_no_flag():
 def test_flag_multiplicities_of_projective():
     g = gl11()
     P = projective_cover(g, (0, 0))
-    assert flag_multiplicities(P) == {
+    assert Counter(delta_flag(P)) == {
         (QQ(0), QQ(0)): 1,
         (QQ(1), QQ(-1)): 1,
     }
@@ -474,9 +474,9 @@ def test_builders_answer_over_the_algebra_they_are_given():
 def test_projective_cover_gl21_interior():
     g = gl21c()
     P = projective_cover(g, (0, 0, 0))
-    mults = flag_multiplicities(P)
+    mults = Counter(delta_flag(P))
     assert mults[(QQ(0), QQ(0), QQ(0))] == 1
-    assert sum(mults.values()) == len(P.meta["flag"])
+    assert mults == Counter(P.meta["flag"])
     assert all(v > 0 for v in mults.values())
 
 
@@ -619,7 +619,7 @@ def test_gl22_projective_cover_of_zero_obeys_bgg_reciprocity():
         mult = _peel_factors(g, mu, DEFAULT_LIMITS).get(zero, 0)
         if mult:
             predicted[mu] = mult
-    assert flag_multiplicities(P) == predicted
+    assert Counter(delta_flag(P)) == predicted
     assert sorted(predicted) == [
         (0, 0, 0, 0), (1, 0, 0, -1), (2, 1, -1, -2), (2, 2, -2, -2),
     ]
