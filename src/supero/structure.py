@@ -1,33 +1,35 @@
 """Extensions, filtrations, projective covers and tilting modules.
 
-Two independent routes to first extension groups are kept side by side:
+First extensions out of an induced module K(mu) into a fixed coefficient
+module M come from the cochain complex of the abelian odd raising part g1
+(``KacExtensions``; restricted-dual coefficients are handled by the
+caller).  By Eckmann-Shapiro, Ext^1(K(mu), M) = Hom_{g0}(L0(mu), H^1):
 
-* ``KacExtensions`` computes Ext^1 out of an induced module K(mu) into a
-  fixed coefficient module M through the cochain complex of the abelian
-  odd raising part (restricted-dual coefficients are handled by the
-  caller): dim Hom_{g0}(L0(mu), H^1) by Weyl's character formula from
-  the dimensions of H^1's weight spaces.  The complex is built once per
-  M, and each weight space of H^1 costs two rank counts.
-* ``ext1_with_representative`` solves directly for a compatible
-  off-diagonal block in an upper-triangular action, which also hands
-  back an explicit extension module.
+* ``KacExtensions.ext_dimension`` reads its dimension off the dimensions
+  of H^1's weight spaces by Weyl's character formula.  The complex is
+  built once per M, and each weight space of H^1 costs two rank counts.
+* ``ext1_with_representative`` builds a glueing block for a nonzero
+  class from a g0-highest-weight cocycle outside the coboundaries,
+  extended to a g0-map out of L0(mu) and along the PBW words of K(mu);
+  the number of such classes must match the dimension.
 
-The two must agree in dimension; tests pin that down.
+The direct solve for an upper-triangular glueing block over every pair of
+basis elements of g is the tests' oracle for both (``tests/full_basis.py``).
 """
 
 from collections import Counter
 
-from .rational import QQ, ZERO, ONE
-from .linalg import SparseMatrix, Echelon
+from .rational import QQ, ZERO
+from .linalg import SparseMatrix, Echelon, apply_cols
 from .weights import wadd, wsub, root_leq, is_dominant_gl, weyl_shifts
-from .algebra import same_algebra, w0_action, beta_weight, rho_weight
+from .algebra import w0_action, beta_weight, rho_weight
 from .config import DEFAULT_LIMITS
 from .errors import DominanceError, GradingError, ResourceLimitError
 from .modules import (
     ExplicitModule, assert_valid_module, restrict_module, induced_module,
     dual_module, parity_flip,
 )
-from .forms import kac_module, simple_module, induced_projective
+from .forms import even_levi, kac_module, simple_module, induced_projective
 from .homs import end_ring, fitting_decompose, hom_dims, is_isomorphic, summand_onto
 
 
@@ -130,6 +132,11 @@ class KacExtensions:
                 self._blocks.setdefault(key, []).append(k)
         return self._blocks
 
+    def _column_views(self):
+        if self._views is None:
+            self._views = self.d0.cols(), self.d1.cols()
+        return self._views
+
     def h1_dimension(self, w, p):
         """dim H^1 at (weight w, cochain parity p): the block's columns,
         less the rank of d1 on them (the cocycles), less the rank of the
@@ -140,9 +147,7 @@ class KacExtensions:
         cols = self._weight_blocks().get(key, [])
         dim = 0
         if cols:
-            if self._views is None:
-                self._views = self.d0.cols(), self.d1.cols()
-            d0_cols, d1_cols = self._views
+            d0_cols, d1_cols = self._column_views()
             bs = [d0_cols[i] for i in self.M.weight_space(w)
                   if self.M.parities[i] == p]
             local = set(cols)
@@ -180,136 +185,114 @@ def ext1_kac(g, lam, module, parity=None, limits=DEFAULT_LIMITS):
 
 
 # ---------------------------------------------------------------------------
-# direct route: solving for an upper-triangular glueing block
+# glueing blocks from a g0-highest-weight cocycle
 
 
-def _cochain_variables(bottom, top_at):
-    """Variables (x, i, j) for a glueing block Phi(x): top -> bottom.
+def _glue_cocycle(ke, mu, p, fiber, d, limits):
+    """A g0-map c: L0(mu) -> Z^1 whose value at v_mu is not a coboundary,
+    as one {C^1 column: coefficient} per fiber vector.
 
-    top_at maps (weight, parity) to the ascending basis indices of top
-    there.  Torus generators get no glueing entries: a nonzero block there
-    would put a Jordan block into the torus action, which leaves the
-    category of weight modules.
+    The maps solve d1 c(v) = 0 and c(e.v) = e.c(v) for the simple even
+    root vectors e, where (e.f)(y) = e.f(y) - f([e, y]).  Z^1 is a
+    semisimple g0-module, so their values at v_mu span the highest-weight
+    space of H^1 at mu modulo coboundaries; d of them must be independent.
     """
-    g = bottom.g
-    vars_ = []
-    for x in range(g.dim):
-        if x in g.t_coord:
-            continue
-        wx = g.weight_of(x)
-        px = g.parity(x)
-        for i in range(bottom.dim):
-            key = (wsub(bottom.weights[i], wx), (bottom.parities[i] - px) % 2)
-            for j in top_at.get(key, ()):
-                vars_.append((x, i, j))
-    return vars_
-
-
-def ext1_with_representative(bottom, top, limits=DEFAULT_LIMITS):
-    """(dim Ext^1(top, bottom), glueing block or None).
-
-    A short exact sequence bottom -> E -> top amounts to an action in
-    block upper-triangular form; the off-diagonal block Phi must satisfy
-    the bracket identity and is trivial exactly when it has the form
-    A_bottom(x) psi - psi A_top(x).  Returns the dimension of solutions
-    modulo trivial ones and, when positive, the first nontrivial block in
-    a deterministic echelon order.
-    """
-    g = bottom.g
-    if not same_algebra(g, top.g):
-        raise ValueError("modules live over different algebras")
-    top_at = {}
-    for j, key in enumerate(zip(top.weights, top.parities)):
-        top_at.setdefault(key, []).append(j)
-    vars_ = _cochain_variables(bottom, top_at)
-    vindex = {v: k for k, v in enumerate(vars_)}
-    if len(vars_) > limits.max_hom_vars:
+    g, M = ke.g, ke.M
+    levi, h_ids = even_levi(g)
+    blocks = ke._weight_blocks()
+    unknowns = [
+        (j, c)
+        for j in range(fiber.dim)
+        for c in blocks.get((fiber.weights[j], p), ())
+    ]
+    if len(unknowns) > limits.max_hom_vars:
         raise ResourceLimitError(
-            f"{len(vars_)} glueing variables exceed limit {limits.max_hom_vars}"
+            f"{len(unknowns)} glueing cochain unknowns exceed limit "
+            f"{limits.max_hom_vars}"
         )
-    brow = [bottom.action[x].rows() for x in range(g.dim)]
-    bcol = [bottom.action[x].cols() for x in range(g.dim)]
-    tcol = [top.action[x].cols() for x in range(g.dim)]
-    trow = [top.action[x].rows() for x in range(g.dim)]
-    rows = []
+    d0_cols, d1_cols = ke._column_views()
+    rows = {}
 
-    def add_block(eqs, key, coeff):
-        if coeff != ZERO and key in vindex:
-            col = vindex[key]
-            eqs[col] = eqs.get(col, ZERO) + coeff
+    def put(key, u, v):
+        row = rows.setdefault(key, {})
+        row[u] = row.get(u, ZERO) + v
 
-    for a in range(g.dim):
-        pa = g.parity(a)
-        for b in range(a, g.dim):
-            pb = g.parity(b)
-            if a == b and pa == 0:
-                continue
-            sign = -ONE if (pa and pb) else ONE
-            br = g.bracket(a, b)
-            half = a == b
-            scale = QQ(1, 2) if half else ONE
-            wab = wadd(g.weight_of(a), g.weight_of(b))
-            for i in range(bottom.dim):
-                # every term of equation (a, b, i, j) is a variable at
-                # weight wt_i - wt_a - wt_b and parity |i| + |a| + |b| of
-                # j (actions and the bracket are homogeneous); any other
-                # j gives an empty row
-                key = (
-                    wsub(bottom.weights[i], wab),
-                    (bottom.parities[i] + pa + pb) % 2,
-                )
-                for j in top_at.get(key, ()):
-                    eqs = {}
-                    for k, v in brow[a][i].items():
-                        add_block(eqs, (b, k, j), v)
-                    for k, v in tcol[b][j].items():
-                        add_block(eqs, (a, i, k), v)
-                    if not half:
-                        for k, v in brow[b][i].items():
-                            add_block(eqs, (a, k, j), -sign * v)
-                        for k, v in tcol[a][j].items():
-                            add_block(eqs, (b, i, k), -sign * v)
-                    for x, coeff in br.items():
-                        add_block(eqs, (x, i, j), -scale * coeff)
-                    eqs = {k: v for k, v in eqs.items() if v != ZERO}
-                    if eqs:
-                        rows.append(eqs)
-    ent = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            ent[(r, c)] = v
-    cocycles = SparseMatrix(len(rows), len(vars_), ent).kernel_basis()
-    # trivial blocks: psi runs over even weight-preserving linear maps
-    seen = Echelon()
-    for i in range(bottom.dim):
-        for j in top_at.get((bottom.weights[i], bottom.parities[i]), ()):
-            blk = {}
-            for x in range(g.dim):
-                for k, v in bcol[x][i].items():
-                    key = (x, k, j)
-                    if key in vindex:
-                        blk[vindex[key]] = blk.get(vindex[key], ZERO) + v
-                for k, v in trow[x][j].items():
-                    key = (x, i, k)
-                    if key in vindex:
-                        blk[vindex[key]] = blk.get(vindex[key], ZERO) - v
-            blk = {k: v for k, v in blk.items() if v != ZERO}
-            if blk:
-                seen.add(blk)
-    dim = 0
-    witness = None
-    for z in cocycles:
-        if seen.add(dict(z)) is not None:
-            dim += 1
-            if witness is None:
-                witness = z
-    if witness is None:
+    for u, (k, c) in enumerate(unknowns):
+        for r, v in d1_cols[c].items():
+            put(("d1", k, r), u, v)
+    for e in (h_ids[r] for r in levi.ids_of_degree(1) + levi.ids_of_degree(-1)):
+        cols = M.action[e].cols()
+        fiber_rows = fiber.action[fiber.g.id_of(g.label(e))].rows()
+        for u, (k, c) in enumerate(unknowns):
+            # c(v_k) enters c(e.v_j) through the entry e_{kj}
+            for j, v in fiber_rows[k].items():
+                put((e, j, c), u, v)
+            x, i = ke.c1_basis[c]
+            for j, v in cols[i].items():
+                put((e, k, ke.c1_index[(x, j)]), u, -v)
+            for y in ke.pos:
+                coeff = g.bracket(e, y).get(x)
+                if coeff:
+                    put((e, k, ke.c1_index[(y, i)]), u, coeff)
+    maps = SparseMatrix(len(rows), len(unknowns), {
+        (r, u): v for r, row in enumerate(rows.values())
+        for u, v in row.items() if v
+    }).kernel_basis()
+    top = fiber.weights.index(mu)
+    classes = Echelon(
+        d0_cols[i] for i in M.weight_space(mu) if M.parities[i] == p
+    )
+    found = [
+        sol for sol in maps
+        if classes.add({unknowns[u][1]: v for u, v in sol.items()
+                        if unknowns[u][0] == top}) is not None
+    ]
+    if len(found) != d:
+        raise AssertionError(
+            f"{len(found)} highest-weight classes at {g.weight_str(mu)} "
+            f"parity {p}, but dim Ext^1 is {d}"
+        )
+    c_of = [{} for _ in range(fiber.dim)]
+    for u, v in found[0].items():
+        j, c = unknowns[u]
+        c_of[j][c] = v
+    return c_of
+
+
+def ext1_with_representative(ke, mu, p, limits=DEFAULT_LIMITS):
+    """(dim Ext^1(top, M), glueing block or None) for the coefficient
+    module M of the cochain complex ``ke`` and top = K(mu), or its parity
+    flip when p = 1.
+
+    By Eckmann-Shapiro, Ext^1(K(mu), M) = Hom_{g0}(L0(mu), H^1(g1, M)):
+    the dimension is ``ke.ext_dimension(mu, p)``, and a nonzero class is a
+    g0-map c: L0(mu) -> Z^1 with c(v_mu) outside the coboundaries.  The
+    section y_I (x) v -> y_I.s(v) of K(mu), along the PBW words of its
+    induction record, makes the block zero on g_{-1} + g0; on x in g1 it
+    is Phi(x)(y_I (x) v) = (-1)^{|I|} y_I.c(v)(x), the sign from moving
+    the odd x past the |I| odd letters of y_I.
+    """
+    d = ke.ext_dimension(mu, p)
+    if not d:
         return 0, None
+    M = ke.M
+    fiber, words = kac_module(ke.g, mu, limits=limits).induction
+    lower = {y: M.action[y].cols() for y in ke.g.negative_ids()}
     block = {}
-    for k, v in witness.items():
-        x, i, j = vars_[k]
-        block.setdefault(x, {})[(i, j)] = v
-    return dim, block
+    for j, cochain in enumerate(_glue_cocycle(ke, mu, p, fiber, d, limits)):
+        by_x = {}
+        for col, v in cochain.items():
+            x, i = ke.c1_basis[col]
+            by_x.setdefault(x, {})[i] = v
+        for x, image in by_x.items():
+            images = {(): image}
+            for w in sorted(words, key=len)[1:]:
+                images[w] = apply_cols(lower[w[0]], images[w[1:]])
+            out = block.setdefault(x, {})
+            for k, w in enumerate(words):
+                for i, v in images[w].items():
+                    out[(i, k * fiber.dim + j)] = -v if len(w) % 2 else v
+    return d, block
 
 
 def glue_extension(bottom, top, block, kind="extension"):
@@ -469,10 +452,14 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     The candidates are the C^1 keys (weight, parity) of the current
     cochain complex (``KacExtensions``) whose weight has lam's central
     character: without a cochain there is no extension, and every Kac
-    factor of the module lies in lam's block.  The complex is rebuilt,
-    and the candidates re-read, only after a glue.  The certificate
-    ignores the block filter: Ext^1 must vanish at every dominant C^1
-    weight of the final complex, and the endomorphism ring must be local.
+    factor of the module lies in lam's block.  Each glueing block comes
+    from a highest-weight cocycle of that complex
+    (``ext1_with_representative``).  The complex is rebuilt, and the
+    candidates re-read, only after a glue.  The certificate: every glued
+    module passes ``assert_valid_module``; each glue lowers dim Ext^1 at
+    its (mu, parity) by exactly one; Ext^1 vanishes at every dominant C^1
+    weight of the final complex, block filter or not; and the
+    endomorphism ring is local.
     """
     if g.family != "gl" or g.grading_kind != "compatible":
         raise GradingError("tilting construction needs gl compatible grading")
@@ -508,26 +495,19 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
                 raise ResourceLimitError(
                     "tilting construction exceeded iteration budget"
                 )
-            d = ke.ext_dimension(mu, p)
-            if prev is not None and d >= prev:
-                raise ResourceLimitError(
-                    f"extension count at {g.weight_str(mu)} failed to "
-                    f"drop ({prev} -> {d})"
+            d, block = ext1_with_representative(ke, mu, p, limits=limits)
+            # Hom(K, K) is spanned by the identity, Ext^1(K, K) = 0, and
+            # the connecting map sends the identity to the glued class
+            if prev is not None and d != prev - 1:
+                raise AssertionError(
+                    f"Ext^1 at {g.weight_str(mu)} parity {p} went from "
+                    f"{prev} to {d} across one glue instead of dropping by 1"
                 )
             if d == 0:
                 break
             prev = d
             K = kac_module(g, mu, limits=limits)
             top = parity_flip(K) if p else K
-            dim_direct, block = ext1_with_representative(
-                T, top, limits=limits
-            )
-            if dim_direct != d:
-                raise AssertionError(
-                    f"extension dimension mismatch at {g.weight_str(mu)}"
-                    f" parity {p}: cochain route {d}, direct route "
-                    f"{dim_direct}"
-                )
             T = glue_extension(T, top, block, kind="tilting_step")
             ke = KacExtensions(T, limits=limits)
             flag.append((mu, p))

@@ -16,18 +16,25 @@ with; `src/` reads column views taken once instead.
 vectors of H^1, solving for the classes the simple even raisings kill;
 `KacExtensions.ext_dimension` reads them off H^1's weight dimensions by
 Weyl's character formula instead.
+
+`ext1_by_direct_solve` finds Ext^1(top, bottom) and a glueing block by
+solving the bracket identity for an upper-triangular off-diagonal block
+over every pair of basis elements of g; `structure.ext1_with_representative`
+builds its block from a g0-highest-weight cocycle of the cochain complex
+instead.
 """
 
 from itertools import chain
 
 from supero.config import DEFAULT_LIMITS
+from supero.algebra import same_algebra
 from supero.errors import ResourceLimitError
 from supero.forms import even_levi
 from supero.homs import _canonical_basis, _divide_linear, _rational_roots, end_ring
 from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into
 from supero.modules import _truncation_guard, submodule_module
 from supero.rational import ONE, QQ, ZERO
-from supero.weights import wadd
+from supero.weights import wadd, wsub
 
 
 def apply(mat, vec):
@@ -273,6 +280,163 @@ def ext_dimension_by_raisings(ke, lam, parity):
     if dim < 0:
         raise AssertionError("coboundaries escaped the solution space")
     return dim
+
+
+# ---------------------------------------------------------------------------
+# the direct route to Ext^1: solving for an upper-triangular glueing block
+
+
+def _cochain_variables(bottom, top_at):
+    """Variables (x, i, j) for a glueing block Phi(x): top -> bottom.
+
+    top_at maps (weight, parity) to the ascending basis indices of top
+    there.  Torus generators get no glueing entries: a nonzero block there
+    would put a Jordan block into the torus action, which leaves the
+    category of weight modules.
+    """
+    g = bottom.g
+    vars_ = []
+    for x in range(g.dim):
+        if x in g.t_coord:
+            continue
+        wx = g.weight_of(x)
+        px = g.parity(x)
+        for i in range(bottom.dim):
+            key = (wsub(bottom.weights[i], wx), (bottom.parities[i] - px) % 2)
+            for j in top_at.get(key, ()):
+                vars_.append((x, i, j))
+    return vars_
+
+
+def glue_cochains(bottom, top, limits=DEFAULT_LIMITS):
+    """(variables, cocycle basis, coboundaries) of the glueing system.
+
+    A short exact sequence bottom -> E -> top amounts to an action in
+    block upper-triangular form; the off-diagonal block Phi must satisfy
+    the bracket identity (the cocycles, a kernel basis over the variables
+    (x, i, j)) and is trivial exactly when it has the form
+    A_bottom(x) psi - psi A_top(x) (the coboundaries, one per
+    weight-matched entry of an even psi).
+    """
+    g = bottom.g
+    if not same_algebra(g, top.g):
+        raise ValueError("modules live over different algebras")
+    top_at = {}
+    for j, key in enumerate(zip(top.weights, top.parities)):
+        top_at.setdefault(key, []).append(j)
+    vars_ = _cochain_variables(bottom, top_at)
+    vindex = {v: k for k, v in enumerate(vars_)}
+    if len(vars_) > limits.max_hom_vars:
+        raise ResourceLimitError(
+            f"{len(vars_)} glueing variables exceed limit {limits.max_hom_vars}"
+        )
+    brow = [bottom.action[x].rows() for x in range(g.dim)]
+    bcol = [bottom.action[x].cols() for x in range(g.dim)]
+    tcol = [top.action[x].cols() for x in range(g.dim)]
+    trow = [top.action[x].rows() for x in range(g.dim)]
+    rows = []
+
+    def add_block(eqs, key, coeff):
+        if coeff != ZERO and key in vindex:
+            col = vindex[key]
+            eqs[col] = eqs.get(col, ZERO) + coeff
+
+    for a in range(g.dim):
+        pa = g.parity(a)
+        for b in range(a, g.dim):
+            pb = g.parity(b)
+            if a == b and pa == 0:
+                continue
+            sign = -ONE if (pa and pb) else ONE
+            br = g.bracket(a, b)
+            half = a == b
+            scale = QQ(1, 2) if half else ONE
+            wab = wadd(g.weight_of(a), g.weight_of(b))
+            for i in range(bottom.dim):
+                # every term of equation (a, b, i, j) is a variable at
+                # weight wt_i - wt_a - wt_b and parity |i| + |a| + |b| of
+                # j (actions and the bracket are homogeneous); any other
+                # j gives an empty row
+                key = (
+                    wsub(bottom.weights[i], wab),
+                    (bottom.parities[i] + pa + pb) % 2,
+                )
+                for j in top_at.get(key, ()):
+                    eqs = {}
+                    for k, v in brow[a][i].items():
+                        add_block(eqs, (b, k, j), v)
+                    for k, v in tcol[b][j].items():
+                        add_block(eqs, (a, i, k), v)
+                    if not half:
+                        for k, v in brow[b][i].items():
+                            add_block(eqs, (a, k, j), -sign * v)
+                        for k, v in tcol[a][j].items():
+                            add_block(eqs, (b, i, k), -sign * v)
+                    for x, coeff in br.items():
+                        add_block(eqs, (x, i, j), -scale * coeff)
+                    eqs = {k: v for k, v in eqs.items() if v != ZERO}
+                    if eqs:
+                        rows.append(eqs)
+    ent = {}
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            ent[(r, c)] = v
+    cocycles = SparseMatrix(len(rows), len(vars_), ent).kernel_basis()
+    # trivial blocks: psi runs over even weight-preserving linear maps
+    coboundaries = []
+    for i in range(bottom.dim):
+        for j in top_at.get((bottom.weights[i], bottom.parities[i]), ()):
+            blk = {}
+            for x in range(g.dim):
+                for k, v in bcol[x][i].items():
+                    key = (x, k, j)
+                    if key in vindex:
+                        blk[vindex[key]] = blk.get(vindex[key], ZERO) + v
+                for k, v in trow[x][j].items():
+                    key = (x, i, k)
+                    if key in vindex:
+                        blk[vindex[key]] = blk.get(vindex[key], ZERO) - v
+            blk = {k: v for k, v in blk.items() if v != ZERO}
+            if blk:
+                coboundaries.append(blk)
+    return vars_, cocycles, coboundaries
+
+
+def ext1_by_direct_solve(bottom, top, limits=DEFAULT_LIMITS):
+    """(dim Ext^1(top, bottom), glueing block or None): the dimension of
+    the cocycles modulo the coboundaries and, when positive, the first
+    cocycle outside them in a deterministic echelon order, as a block
+    {x: {(i, j): entry}}."""
+    vars_, cocycles, coboundaries = glue_cochains(bottom, top, limits)
+    seen = Echelon(coboundaries)
+    dim = 0
+    witness = None
+    for z in cocycles:
+        if seen.add(dict(z)) is not None:
+            dim += 1
+            if witness is None:
+                witness = z
+    if witness is None:
+        return 0, None
+    block = {}
+    for k, v in witness.items():
+        x, i, j = vars_[k]
+        block.setdefault(x, {})[(i, j)] = v
+    return dim, block
+
+
+def block_vector(variables, block):
+    """A glueing block {x: {(i, j): entry}} as a vector over the direct
+    route's variables; an entry with no variable is an AssertionError."""
+    vindex = {v: k for k, v in enumerate(variables)}
+    vec = {}
+    for x, entries in block.items():
+        for (i, j), v in entries.items():
+            if (x, i, j) not in vindex:
+                raise AssertionError(f"block entry {(x, i, j)} has no variable")
+            if v:
+                vec[vindex[(x, i, j)]] = v
+    return vec
 
 
 # ---------------------------------------------------------------------------

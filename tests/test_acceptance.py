@@ -130,6 +130,10 @@ def test_criterion_6_tilting_multiplicities():
     rep21 = tilting_table(g21, block)
     assert rep21["differences"] == []
     assert rep21["left"] != [[1, 0, 0], [0, 1, 0], [0, 0, 1]]  # genuinely linked
+    # U(1,0|0,-1): four Kac factors glued in three steps, dimension 288
+    g22 = install_grading(build_gl(2, 2), "compatible")
+    rep22 = tilting_table(g22, [(1, 0, 0, -1)])
+    assert rep22["differences"] == []
     _stamp(6, "tilting flag numbers equal reflected composition numbers", started, 900)
 
 

@@ -1,0 +1,33 @@
+"""The benchmark's layer tracer finds every function it wraps.
+
+``perfbench/layertrace.py`` looks its targets up by name
+(``vars(owner)[attr]``), so renaming or moving one of them would turn every
+``run.py --trace 1`` run into a ``KeyError``.  The tracer is loaded from its
+source text, read-only: nothing is written next to it.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+
+
+def load_layertrace():
+    module = types.ModuleType("layertrace")
+    module.__file__ = str(LAYERTRACE)
+    exec(compile(LAYERTRACE.read_text(), str(LAYERTRACE), "exec"), vars(module))
+    return module
+
+
+def test_every_trace_target_resolves():
+    layertrace = load_layertrace()
+    missing = []
+    for mod_name, path, *_ in layertrace.TARGETS:
+        module = importlib.import_module(f"supero.{mod_name}")
+        owner_name, _, attr = path.rpartition(".")
+        owner = getattr(module, owner_name, None) if owner_name else module
+        if owner is None or attr not in vars(owner):
+            missing.append(f"supero.{mod_name}.{path}")
+    assert missing == []
+

@@ -1,8 +1,10 @@
 """Tests for extensions, flags, projective covers and tilting modules.
 
 Extension dimensions are pinned by two fully independent routes: the
-cochain complex of the odd raising part, and a direct linear solve for an
-upper-triangular glueing block.  Everything else leans on those numbers.
+cochain complex of the odd raising part, which also hands the tilting sweep
+its glueing blocks (from a g0-highest-weight cocycle), and a direct linear
+solve for an upper-triangular glueing block (``full_basis``), itself
+checked against ``oracle_ext1``.  Everything else leans on those numbers.
 """
 
 import json
@@ -35,7 +37,12 @@ from supero.structure import (
 )
 from supero.weights import dominant_weights_in_box
 
-from full_basis import ext_dimension_by_raisings
+from full_basis import (
+    block_vector,
+    ext1_by_direct_solve,
+    ext_dimension_by_raisings,
+    glue_cochains,
+)
 from helpers import module_json
 
 
@@ -89,6 +96,17 @@ def test_cochain_unknowns_guard():
     message = str(err.value)
     assert "16 C^1 unknowns" in message and "module dim 8" in message
     assert "max_hom_vars is 15" in message
+
+
+def test_glue_unknowns_guard():
+    """The glueing map out of L0(1|-1) (dimension 1) has one unknown per
+    C^1 column at (1|-1); none allowed raises."""
+    from supero.config import Limits
+
+    ke = KacExtensions(kac_module(gl11(), (2, -2)))
+    assert ext1_with_representative(ke, (1, -1), 1, limits=Limits(max_hom_vars=1))[0] == 1
+    with pytest.raises(ResourceLimitError, match="1 glueing cochain unknowns exceed limit 0"):
+        ext1_with_representative(ke, (1, -1), 1, limits=Limits(max_hom_vars=0))
 
 
 def h1_dimension_at(ke, w, p):
@@ -206,9 +224,12 @@ def test_ext_dimensions_agree_between_routes(lam, mu, p, expected):
     top = kac_module(g, mu)
     if p:
         top = parity_flip(top)
-    dim, block = ext1_with_representative(K, top)
-    assert dim == expected
-    assert (block is None) == (expected == 0)
+    for dim, block in [
+        ext1_by_direct_solve(K, top),
+        ext1_with_representative(KacExtensions(K), mu, p),
+    ]:
+        assert dim == expected
+        assert (block is None) == (expected == 0)
 
 
 def test_ext_routes_agree_on_gl21():
@@ -222,7 +243,7 @@ def test_ext_routes_agree_on_gl21():
             top = kac_module(g, mu)
             if p:
                 top = parity_flip(top)
-            d2, _ = ext1_with_representative(K, top)
+            d2, _ = ext1_by_direct_solve(K, top)
             assert d == d2, (mu, p)
             if d:
                 hits[(mu, p)] = d
@@ -246,7 +267,7 @@ def test_glued_extension_is_a_valid_indecomposable():
     g = gl11()
     K = kac_module(g, (2, -2))
     top = parity_flip(kac_module(g, (1, -1)))
-    dim, block = ext1_with_representative(K, top)
+    dim, block = ext1_with_representative(KacExtensions(K), (1, -1), 1)
     assert dim == 1
     E = glue_extension(K, top, block)
     assert E.dim == 4
@@ -259,12 +280,12 @@ def test_glued_extension_is_a_valid_indecomposable():
 
 
 def oracle_ext1(bottom, top):
-    """Reference (dim, block) for ext1_with_representative.
+    """Reference (dim, block) for full_basis.ext1_by_direct_solve.
 
     Assembles one equation per (a, b, i, j) over all basis pairs of
     bottom and top, with no weight bookkeeping: slow, but each row is
-    read straight off the bracket identity.  The library visits only the
-    (i, j) whose weights can carry a nonzero row, and must agree with
+    read straight off the bracket identity.  The direct route visits only
+    the (i, j) whose weights can carry a nonzero row, and must agree with
     this row for row.
     """
     g = bottom.g
@@ -347,14 +368,23 @@ def oracle_ext1(bottom, top):
     return dim, block
 
 
+def kac_top(g, mu, p):
+    top = kac_module(g, mu)
+    return parity_flip(top) if p else top
+
+
 def glue_pairs(monkeypatch, g, weights):
-    """Every (bottom, top) pair tilting_module hands to the direct route."""
+    """(bottom, top, d, block) for every glue tilting_module makes: the
+    cochain complex's coefficient module, the Kac module (or its parity
+    flip) glued on top, and what the production route returned."""
     pairs = []
     real = structure.ext1_with_representative
 
-    def recording(bottom, top, limits):
-        pairs.append((bottom, top))
-        return real(bottom, top, limits=limits)
+    def recording(ke, mu, p, limits):
+        d, block = real(ke, mu, p, limits=limits)
+        if d:
+            pairs.append((ke.M, kac_top(g, mu, p), d, block))
+        return d, block
 
     monkeypatch.setattr(structure, "ext1_with_representative", recording)
     for lam in weights:
@@ -363,15 +393,35 @@ def glue_pairs(monkeypatch, g, weights):
     return pairs
 
 
+def assert_cocycle_glue_matches_direct_route(bottom, top, d, block):
+    """The direct route's dimension is the cochain dimension; the
+    production block solves the direct system, its class is nonzero
+    modulo the coboundaries and, for dimension 1, the block lies in
+    span(direct witness) + coboundaries."""
+    variables, cocycles, coboundaries = glue_cochains(bottom, top)
+    dim, witness = ext1_by_direct_solve(bottom, top)
+    assert dim == d
+    vec = block_vector(variables, block)
+    assert Echelon(cocycles).contains(vec)
+    classes = Echelon(coboundaries)
+    assert not classes.contains(vec)
+    if d == 1:
+        classes.add(block_vector(variables, witness))
+        assert classes.contains(vec)
+
+
+def box(m, n, lo, hi):
+    return list(dominant_weights_in_box(m, n, lo, hi))
+
+
 def test_glue_equations_match_oracle_on_gl11_tilting_sweep(monkeypatch):
     g = gl11()
-    box = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
-    pairs = glue_pairs(monkeypatch, g, box)
+    pairs = glue_pairs(monkeypatch, g, box(1, 1, -2, 2))
     assert len(pairs) == 5  # one glue at each atypical weight, a + b = 0
-    for bottom, top in pairs:
-        got = ext1_with_representative(bottom, top)
-        assert got == oracle_ext1(bottom, top)
-        assert got[0] == 1
+    for bottom, top, d, block in pairs:
+        assert d == 1
+        assert_cocycle_glue_matches_direct_route(bottom, top, d, block)
+        assert ext1_by_direct_solve(bottom, top) == oracle_ext1(bottom, top)
 
 
 def test_glue_equations_match_oracle_on_gl21_atypical(monkeypatch):
@@ -379,12 +429,20 @@ def test_glue_equations_match_oracle_on_gl21_atypical(monkeypatch):
     pairs = glue_pairs(monkeypatch, g, [(1, 0, 0), (0, 0, -1)])
     # one glue each: the parity flip of K(1,-1|1) on K(1,0|0), and
     # K(-1,-1|1) on K(0,0|-1)
-    assert [(b.dim, t.dim, t.parities[0]) for b, t in pairs] == [
+    assert [(b.dim, t.dim, t.parities[0]) for b, t, _, _ in pairs] == [
         (8, 12, 1),
         (4, 4, 0),
     ]
-    for bottom, top in pairs:
-        assert ext1_with_representative(bottom, top) == oracle_ext1(bottom, top)
+    for bottom, top, d, block in pairs:
+        assert_cocycle_glue_matches_direct_route(bottom, top, d, block)
+        assert ext1_by_direct_solve(bottom, top) == oracle_ext1(bottom, top)
+
+
+def test_cocycle_glues_match_direct_route_on_gl21_box(monkeypatch):
+    pairs = glue_pairs(monkeypatch, gl21c(), box(2, 1, -2, 2))
+    assert len(pairs) == 25
+    for bottom, top, d, block in pairs:
+        assert_cocycle_glue_matches_direct_route(bottom, top, d, block)
 
 
 @pytest.mark.parametrize(
@@ -401,11 +459,10 @@ def test_glue_equations_match_oracle_on_gl21_atypical(monkeypatch):
 def test_glue_equations_match_oracle_without_extensions(algebra, lam, mu, p):
     g = algebra()
     bottom = kac_module(g, lam)
-    top = kac_module(g, mu)
-    if p:
-        top = parity_flip(top)
-    assert ext1_with_representative(bottom, top) == (0, None)
+    top = kac_top(g, mu, p)
+    assert ext1_by_direct_solve(bottom, top) == (0, None)
     assert oracle_ext1(bottom, top) == (0, None)
+    assert ext1_with_representative(KacExtensions(bottom), mu, p) == (0, None)
 
 
 # -- flags ------------------------------------------------------------------
@@ -542,11 +599,63 @@ def tilting_golden_json(g, weights):
     return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
-def test_glued_tilting_modules_match_golden():
+def glue_by_direct_solve(monkeypatch):
+    """Make tilting_module glue the direct route's witness blocks."""
+
+    def direct(ke, mu, p, limits):
+        d, block = ext1_by_direct_solve(ke.M, kac_top(ke.g, mu, p), limits)
+        assert d == ke.ext_dimension(mu, p)
+        return d, block
+
+    monkeypatch.setattr(structure, "ext1_with_representative", direct)
+
+
+def test_glued_tilting_modules_match_golden(monkeypatch):
     # weights, parities, labels and every action entry, glue blocks
-    # included, of two gl(2|1) tilting modules with one glue each
+    # included, of two gl(2|1) tilting modules with one glue each, glued
+    # along the direct route's witnesses
+    glue_by_direct_solve(monkeypatch)
     text = tilting_golden_json(gl21c(), [(1, 0, 0), (0, 0, -1)])
     assert text == (GOLDEN / "gl21_tilting.json").read_text()
+
+
+def test_cocycle_tilting_modules_match_golden():
+    # the same two modules as built in production: the glue blocks come
+    # from highest-weight cocycles and vanish off the odd raisings
+    g = gl21c()
+    text = tilting_golden_json(g, [(1, 0, 0), (0, 0, -1)])
+    assert text == (GOLDEN / "gl21_tilting_cocycle.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "algebra,weights",
+    [(gl11, box(1, 1, -2, 2)), (gl21c, box(2, 1, -1, 1))],
+)
+def test_cocycle_and_direct_glues_give_isomorphic_tilting_modules(
+    monkeypatch, algebra, weights
+):
+    g = algebra()
+    produced = [tilting_module(g, lam) for lam in weights]
+    glue_by_direct_solve(monkeypatch)
+    for lam, U in zip(weights, produced):
+        V = tilting_module(g, lam)
+        assert V.meta["flag_bottom_up"] == U.meta["flag_bottom_up"]
+        result = is_isomorphic(U, V)
+        assert result["isomorphic"] and result["certified"], lam
+
+
+def test_tilting_glue_must_drop_ext_by_one(monkeypatch):
+    # a zero block glues the split extension T + K(mu), which leaves
+    # Ext^1(K(mu), -) where it was
+    real = structure.ext1_with_representative
+
+    def split(ke, mu, p, limits):
+        d, block = real(ke, mu, p, limits=limits)
+        return d, ({} if d else None)
+
+    monkeypatch.setattr(structure, "ext1_with_representative", split)
+    with pytest.raises(AssertionError, match=r"\(-1\|1\) parity 1 went from 1 to 1"):
+        tilting_module(gl11(), (0, 0))
 
 
 def test_tilting_needs_compatible_grading():

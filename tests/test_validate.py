@@ -25,6 +25,7 @@ from supero.modules import (
 )
 from supero.rational import ONE, QQ
 from supero.structure import (
+    KacExtensions,
     ext1_with_representative,
     glue_extension,
     projective_cover,
@@ -180,7 +181,7 @@ def test_glue_extension_rejects_a_changed_glue_entry():
     g = gl11()
     bottom = kac_module(g, (2, -2))
     top = parity_flip(kac_module(g, (1, -1)))
-    dim, block = ext1_with_representative(bottom, top)
+    dim, block = ext1_with_representative(KacExtensions(bottom), (1, -1), 1)
     assert dim == 1
     glue_extension(bottom, top, block)
     entries = [(x, key) for x in sorted(block) for key in sorted(block[x])]
