@@ -9,7 +9,7 @@ agree, and gluing a nonzero class lowers the count by exactly one."""
 
 from supero import (
     build_gl, install_grading, kac_module, parity_flip, KacExtensions,
-    ext1_kac, ext1_with_representative, glue_extension, validate_module,
+    ext1_with_representative, glue_extension, validate_module,
     end_ring,
 )
 
@@ -21,7 +21,7 @@ print("Ext^1(K(mu) or its parity flip, K(0|0)) over a small scan:")
 for a in range(-2, 2):
     for p in (0, 1):
         mu = (a, -a)
-        weyl = ext1_kac(g, mu, bottom, parity=p)
+        weyl = ke.ext_dimension(mu, p)
         # counts the highest-weight classes and raises if they disagree
         classes, block = ext1_with_representative(ke, mu, p)
         tag = "PI " if p else "   "
@@ -39,7 +39,7 @@ print(f"  the block acts only through the odd raisings: "
 E = glue_extension(bottom, top, block)
 print(f"  new module: dim {E.dim}, axioms ok={validate_module(E)['passed']}, "
       f"indecomposable={end_ring(E)['local']}")
-after = ext1_kac(g, mu, E, parity=1)
+after = KacExtensions(E).ext_dimension(mu, 1)
 print(f"  Ext^1 at PI K(-1|1): {dim} before the glue, {after} after")
 assert after == dim - 1
 print("  this indecomposable is exactly the projective cover P(0|0)")

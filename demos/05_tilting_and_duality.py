@@ -7,7 +7,7 @@ modules at the reflected weight."""
 
 from supero import (
     build_gl, install_grading, tilting_module, verify_kac_dual,
-    verify_projective_dual, window_from_box,
+    verify_projective_dual,
 )
 
 g = install_grading(build_gl(1, 1), "compatible")

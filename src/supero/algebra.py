@@ -14,8 +14,10 @@ A grading is a diagonal matrix D in t acting by ad; it is stored as the
 vector of its diagonal entries, and deg x = <wt x, D>.
 """
 
+from functools import wraps
 from itertools import product
 
+from .config import DEFAULT_LIMITS
 from .errors import GradingError, InvalidAlgebraError
 from .linalg import Echelon, SparseMatrix, vec_add_into
 from .rational import QQ, ZERO, rat_str
@@ -40,10 +42,9 @@ class LieSuperAlgebra:
 
     The object is treated as immutable once built; install_grading returns a
     new instance.  Its one mutable attribute is ``memo``, a dict in which
-    the module builders of ``forms`` and ``structure`` keep their results
-    per (builder, weight, Limits), so a memoised module lives exactly as
-    long as the algebra it is a module over; ``lie_generators`` keeps its
-    answer there too.
+    the module builders decorated with ``memoised`` keep their results,
+    so a memoised module lives exactly as long as the algebra it is a
+    module over; ``lie_generators`` keeps its answer there too.
     """
 
     def __init__(
@@ -205,6 +206,24 @@ class LieSuperAlgebra:
 
 
 _EMPTY = {}
+
+
+def memoised(builder):
+    """Keep ``builder(g, lam, limits)`` in ``g.memo``.
+
+    lam is normalised to a tuple of QQ and the result stored under
+    (builder name, lam, limits); ``Limits`` is a frozen dataclass, so it
+    hashes by value.  Modules are immutable, so one stored result can be
+    handed to every caller.
+    """
+    @wraps(builder)
+    def build(g, lam, limits=DEFAULT_LIMITS):
+        key = (builder.__name__, tuple(QQ(c) for c in lam), limits)
+        if key not in g.memo:
+            g.memo[key] = builder(g, key[1], limits)
+        return g.memo[key]
+
+    return build
 
 
 def same_algebra(a, b):

@@ -382,43 +382,6 @@ def verma_decomposition_truncated(g, lam, depth, limits=DEFAULT_LIMITS):
 
 
 # ---------------------------------------------------------------------------
-# linkage blocks
-
-
-def blocks(g, window, limits=DEFAULT_LIMITS):
-    """Partition of the window into linkage classes.
-
-    Edges come from nonzero decomposition numbers; tests check that
-    nonzero first extension groups give the same partition.  Components
-    are ordered by their largest weight, each listed descending.
-    """
-    window = [tuple(QQ(c) for c in w) for w in window]
-    parent = list(range(len(window)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    D = decomposition_matrix(g, window, limits=limits)
-    for i in range(len(window)):
-        for j in range(len(window)):
-            if D.entries[i][j]:
-                union(i, j)
-    comps = {}
-    for i, w in enumerate(window):
-        comps.setdefault(find(i), []).append(w)
-    out = [sorted(ws, reverse=True) for ws in comps.values()]
-    return sorted(out, key=lambda ws: ws[0], reverse=True)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 

@@ -16,12 +16,13 @@ induced modules built from them, truncated Verma slices, and the exact
 Clifford modules for the q-type Cartan.
 """
 
-from .algebra import w0_action
+from .algebra import memoised, w0_action
 from .config import DEFAULT_LIMITS
 from .errors import CliffordWeightError, DominanceError, GradingError
 from .linalg import SparseMatrix, apply_cols
 from .modules import (
     ExplicitModule,
+    copy_module,
     induced_module,
     inflate_module,
     quotient_module,
@@ -171,7 +172,6 @@ def form_quotient(module, form=None, kind=None):
     quot, proj = quotient_module(module, rad, kind=kind)
     if quot.dim != module.dim - len(rad):
         raise AssertionError("form radical failed to be a submodule")
-    quot.highest_weight = module.highest_weight
     return quot, proj
 
 
@@ -195,19 +195,15 @@ def even_levi(g):
     return g.subalgebra(h_ids, degrees=degs, family_tag="levi"), h_ids
 
 
+@memoised
 def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
     """The simple module of the even part gl(m) + gl(n) at a dominant weight.
 
     Built exactly: a Verma module of the Levi restricted to the weight
     interval [w0.lam, lam] (which contains the full support of the simple
     quotient), then the quotient by the radical of the contravariant form.
-    The result is a module over the Levi subalgebra.  Memoised on the
-    algebra per (weight, Limits); callers must not mutate the result.
+    The result is a module over the Levi subalgebra.
     """
-    lam = tuple(QQ(c) for c in lam)
-    key = ("simple_even_module", lam, limits)
-    if key in g.memo:
-        return g.memo[key]
     m, n = g.params
     if not is_dominant_gl(lam, m, n):
         raise DominanceError(
@@ -224,9 +220,8 @@ def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
         kind="levi_verma", limits=limits,
     )
     V, _ = form_quotient(slice_, kind="simple_even")
-    V.truncated = False  # support of the simple is inside the window
-    g.memo[key] = V
-    return V
+    # the support of the simple lies inside the window
+    return copy_module(V, truncated=False)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +232,12 @@ def _borel_ids(g):
     return sorted(g.h_ids() + g.positive_ids())
 
 
+@memoised
 def kac_module(g, lam, limits=DEFAULT_LIMITS):
     """Induce the even-part simple V(lam) through the parabolic with the
-    odd raisings acting by zero.  Dimension 2^(m n) * dim V(lam).
-    Memoised on the algebra per (weight, Limits); callers must not mutate
-    the result."""
+    odd raisings acting by zero.  Dimension 2^(m n) * dim V(lam)."""
     if g.family != "gl" or g.grading_kind != "compatible":
         raise GradingError("this induction needs gl with the compatible grading")
-    lam = tuple(QQ(c) for c in lam)
-    key = ("kac_module", lam, limits)
-    if key in g.memo:
-        return g.memo[key]
     m, n = g.params
     V = simple_even_module(g, lam, limits=limits)
     b_ids = _borel_ids(g)
@@ -263,23 +253,15 @@ def kac_module(g, lam, limits=DEFAULT_LIMITS):
     expected = (1 << (m * n)) * V.dim
     if K.dim != expected:
         raise AssertionError(f"induced dimension {K.dim}, expected {expected}")
-    g.memo[key] = K
     return K
 
 
+@memoised
 def simple_module(g, lam, limits=DEFAULT_LIMITS):
     """The simple highest-weight module L(lam): the quotient of the
-    induced module at lam by the radical of its contravariant form.
-    Memoised on the algebra per (weight, Limits); callers must not mutate
-    the result."""
-    lam = tuple(QQ(c) for c in lam)
-    key = ("simple_module", lam, limits)
-    if key in g.memo:
-        return g.memo[key]
+    induced module at lam by the radical of its contravariant form."""
     K = kac_module(g, lam, limits=limits)
-    L, _ = form_quotient(K, kind="simple")
-    g.memo[key] = L
-    return L
+    return form_quotient(K, kind="simple")[0]
 
 
 def induced_projective(g, lam, limits=DEFAULT_LIMITS):

@@ -15,6 +15,8 @@ weight cutoff; the validator knows which axiom instances are exact on the
 retained vectors and checks only those.
 """
 
+from types import MappingProxyType
+
 from .algebra import lie_generators
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError, TruncationError
@@ -34,12 +36,20 @@ from .weights import wadd, wneg
 class ExplicitModule:
     """A finite-dimensional weight supermodule given by explicit matrices.
 
+    A module is an immutable value: setting or deleting an attribute after
+    ``__init__`` raises, and ``action`` and ``meta`` are read-only
+    mappings, so the memoised builders hand one module to every caller
+    and a derived module is built anew (see ``copy_module``).  Only the
+    lazy weight-space table is filled in later.  The action matrices are
+    shared between modules and are never written once a module holds
+    them (``SparseMatrix`` is immutable by convention only).
+
     ``induction`` is ``(fiber, words)`` on a module returned untruncated by
     :func:`induced_module`: basis vector ``k * fiber.dim + j`` is
     ``words[k] . (1 (x) v_j)``, and ``fiber.g`` is the inducing
-    subalgebra.  It is None everywhere else; no constructor copies it, so
-    a restriction, dual, parity flip or re-wrapped action never claims to
-    be induced.
+    subalgebra.  It is None everywhere else; no other constructor passes
+    it, so a restriction, dual, parity flip, summand or copy never claims
+    to be induced.
     """
 
     __slots__ = (
@@ -56,13 +66,14 @@ class ExplicitModule:
     )
 
     def __init__(self, g, weights, parities, action, labels=None,
-                 highest_weight=None, truncated=False, meta=None):
+                 highest_weight=None, truncated=False, meta=None,
+                 induction=None):
         self.g = g
         self.weights = tuple(tuple(w) for w in weights)
         self.parities = tuple(int(p) % 2 for p in parities)
         if len(self.weights) != len(self.parities):
             raise ValueError("weights and parities disagree in length")
-        self.action = dict(action)
+        self.action = MappingProxyType(dict(action))
         n = len(self.weights)
         for x, mat in self.action.items():
             if mat.nrows != n or mat.ncols != n:
@@ -74,9 +85,18 @@ class ExplicitModule:
         self.labels = tuple(labels)
         self.highest_weight = tuple(highest_weight) if highest_weight is not None else None
         self.truncated = bool(truncated)
-        self.meta = dict(meta) if meta else {}
-        self.induction = None
+        self.meta = MappingProxyType(dict(meta) if meta else {})
+        self.induction = induction
         self._wspaces = None
+
+    def __setattr__(self, name, value):
+        # each slot is set once, in __init__; the weight-space cache later
+        if name != "_wspaces" and hasattr(self, name):
+            raise AttributeError(f"ExplicitModule is immutable: cannot set {name}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ExplicitModule is immutable: cannot delete {name}")
 
     # -- trivia ------------------------------------------------------------
 
@@ -355,6 +375,26 @@ def restrict_module(module, sub):
     )
 
 
+def copy_module(module, **changes):
+    """The same module with some of ``highest_weight``, ``truncated`` and
+    ``meta`` replaced.
+
+    The copy shares the algebra, the basis and the action matrices; it
+    never carries the induction record.
+    """
+    fields = dict(
+        highest_weight=module.highest_weight, truncated=module.truncated,
+        meta=module.meta,
+    )
+    if not changes.keys() <= fields.keys():
+        raise TypeError(f"copy_module cannot change {sorted(changes.keys() - fields.keys())}")
+    fields.update(changes)
+    return ExplicitModule(
+        module.g, module.weights, module.parities, module.action,
+        labels=module.labels, **fields,
+    )
+
+
 def inflate_module(module, big):
     """Extend a module over a subalgebra to a larger one, unmatched
     basis elements acting by zero (matched by label)."""
@@ -370,7 +410,7 @@ def inflate_module(module, big):
     return ExplicitModule(
         big, module.weights, module.parities, action, labels=module.labels,
         highest_weight=module.highest_weight, truncated=module.truncated,
-        meta=dict(module.meta),
+        meta=module.meta,
     )
 
 
@@ -392,7 +432,8 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     A ``min_degree`` or ``weight_window`` cutoff yields a
     truncated module: free monomials outside the cutoff are dropped, and
     the result is tagged so the validator knows which axiom instances are
-    exact.
+    exact.  An untruncated result records ``induction = (fiber, words)``
+    (see ``ExplicitModule``); no other constructor passes one.
     """
     sub_ids = list(sub_ids)
     sub_set = set(sub_ids)
@@ -499,13 +540,11 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
         "window": frozenset(tuple(w) for w in weight_window) if weight_window else None,
         "word_weight": tuple(word_wt),
     }
-    M = ExplicitModule(
+    return ExplicitModule(
         g, weights, parities, action, labels=labels,
         highest_weight=highest_weight, truncated=truncated, meta=meta,
+        induction=None if truncated else (fiber, tuple(words)),
     )
-    if not truncated:
-        M.induction = (fiber, tuple(words))
-    return M
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ from collections import Counter
 from .rational import QQ, ZERO
 from .linalg import SparseMatrix, Echelon, apply_cols
 from .weights import wadd, wsub, root_leq, is_dominant_gl, weyl_shifts
-from .algebra import w0_action, beta_weight, rho_weight
+from .algebra import memoised, w0_action, beta_weight, rho_weight
 from .config import DEFAULT_LIMITS
 from .errors import DominanceError, GradingError, ResourceLimitError
 from .modules import (
-    ExplicitModule, assert_valid_module, restrict_module, induced_module,
-    dual_module, parity_flip,
+    ExplicitModule, assert_valid_module, copy_module, restrict_module,
+    induced_module, dual_module, parity_flip,
 )
 from .forms import even_levi, kac_module, simple_module, induced_projective
 from .homs import end_ring, fitting_decompose, hom_dims, is_isomorphic, summand_onto
@@ -177,11 +177,6 @@ class KacExtensions:
                 f"in H^1 (parity {parity})"
             )
         return dim
-
-
-def ext1_kac(g, lam, module, parity=None, limits=DEFAULT_LIMITS):
-    """dim Ext^1(K(lam), module) computed through the cochain complex."""
-    return KacExtensions(module, limits=limits).ext_dimension(lam, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +367,11 @@ def delta_flag(module, limits=DEFAULT_LIMITS):
 # projective covers
 
 
+@memoised
 def projective_cover(g, lam, limits=DEFAULT_LIMITS):
     """The indecomposable projective P(lam): the one Fitting summand of
     the induction of V(lam) from the even part with a map onto L(lam),
-    found and built by ``summand_onto``.  Memoised on the algebra per
-    (weight, Limits); callers must not mutate the result."""
-    lam = tuple(QQ(c) for c in lam)
-    key = ("projective_cover", lam, limits)
-    if key in g.memo:
-        return g.memo[key]
+    found and built by ``summand_onto``."""
     big = induced_projective(g, lam, limits=limits)
     L = simple_module(g, lam, limits=limits)
     rec, cosocle = summand_onto(big, L, limits=limits)
@@ -392,10 +383,7 @@ def projective_cover(g, lam, limits=DEFAULT_LIMITS):
             f"summand flag {[g.weight_str(w) for w in flag]} does not have "
             f"{g.weight_str(lam)} as its unique minimal factor"
         )
-    P.meta["flag"] = flag
-    P.meta["cosocle_hom"] = cosocle
-    g.memo[key] = P
-    return P
+    return copy_module(P, meta=dict(P.meta, flag=flag, cosocle_hom=cosocle))
 
 
 def projective_cover_h(halg, fiber, limits=DEFAULT_LIMITS):
@@ -423,8 +411,7 @@ def projective_cover_h(halg, fiber, limits=DEFAULT_LIMITS):
     if not hits:
         raise AssertionError("no summand maps onto the fiber")
     P = hits[0]["module"]
-    P.meta["summands"] = len(recs)
-    return P
+    return copy_module(P, meta=dict(P.meta, summands=len(recs)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,20 +446,16 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     module passes ``assert_valid_module``; each glue lowers dim Ext^1 at
     its (mu, parity) by exactly one; Ext^1 vanishes at every dominant C^1
     weight of the final complex, block filter or not; and the
-    endomorphism ring is local.
+    endomorphism ring is local.  The sweep starts from the memoised K(lam)
+    itself, so where nothing glues that ring comes by Frobenius
+    reciprocity; the result is a copy annotated with the flag.
     """
     if g.family != "gl" or g.grading_kind != "compatible":
         raise GradingError("tilting construction needs gl compatible grading")
     m, n = g.params
     lam = tuple(QQ(c) for c in lam)
     core = _central_core(m, n, lam)
-    base = kac_module(g, lam, limits=limits)
-    # a fresh wrapper: the construction below annotates and may rebuild T,
-    # and the cached induced module must stay untouched
-    T = ExplicitModule(
-        g, base.weights, base.parities, base.action, labels=base.labels,
-        highest_weight=base.highest_weight, meta=base.meta,
-    )
+    T = kac_module(g, lam, limits=limits)
     flag = [(lam, 0)]
     ke = KacExtensions(T, limits=limits)
     steps = 0
@@ -523,13 +506,11 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
         raise AssertionError(
             "tilting candidate is decomposable; extension choices went wrong"
         )
-    T.meta["kind"] = "tilting"
-    T.meta["flag_bottom_up"] = flag
-    T.meta["flag"] = list(reversed(flag))
-    T.meta["end_even_dim"] = len(ring["basis"])
-    T.meta["end_radical_dim"] = len(ring["radical"])
-    T.highest_weight = None  # the top of the flag need not be a highest weight
-    return T
+    # the top of the flag need not be a highest weight
+    return copy_module(T, highest_weight=None, meta=dict(
+        T.meta, kind="tilting", flag_bottom_up=flag, flag=list(reversed(flag)),
+        end_even_dim=len(ring["basis"]), end_radical_dim=len(ring["radical"]),
+    ))
 
 
 # ---------------------------------------------------------------------------

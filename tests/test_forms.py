@@ -30,7 +30,7 @@ from supero.forms import (
     simple_module,
     verma_module_truncated,
 )
-from supero.modules import submodule_module, validate_module
+from supero.modules import ExplicitModule, submodule_module, validate_module
 from supero.rational import ONE, QQ
 
 from full_basis import act_word
@@ -288,7 +288,9 @@ def test_form_needs_highest_weight():
 
 def test_form_rejects_weights_above_top():
     P = induced_projective(gl11(), (0, 0))
-    P.highest_weight = (QQ(0), QQ(0))
+    P = ExplicitModule(
+        P.g, P.weights, P.parities, P.action, highest_weight=(QQ(0), QQ(0)),
+    )
     with pytest.raises(ValueError, match="not below the top"):
         contravariant_form(P)
 
@@ -299,7 +301,9 @@ def test_form_detects_non_cyclic():
     L, _ = form_quotient(K)
     sub, _ = submodule_module(K, [{1: ONE}])
     M = direct_sum(L, sub)
-    M.highest_weight = (QQ(0), QQ(0))
+    M = ExplicitModule(
+        M.g, M.weights, M.parities, M.action, highest_weight=(QQ(0), QQ(0)),
+    )
     with pytest.raises(ValueError, match="not generated"):
         contravariant_form(M)
 

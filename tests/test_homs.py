@@ -490,7 +490,9 @@ def test_adjunction_rejects_a_wrong_extension():
         if len(w) == 2 and not any(v[1:] == w for v in words)
     )
     words = words[:k] + (words[k][1:],) + words[k + 1:]  # drop one letter
-    P.induction = (fiber, words)
+    P = ExplicitModule(
+        P.g, P.weights, P.parities, P.action, induction=(fiber, words),
+    )
     with pytest.raises(AssertionError, match="fails to commute"):
         end_ring(P)
 

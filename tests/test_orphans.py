@@ -2,9 +2,11 @@
 
 A top-level name defined in ``src/supero`` counts as used when code outside
 its own definition refers to it: its own module, another library module
-(the re-export list in ``__init__.py`` does not count), a demo, a code block
-of the README or a ``perfbench/`` script (which also looks functions up by
-name, so its strings count).  Methods are not checked, because their names
+(through an import or an attribute access; a local variable of the same
+name does not count, nor does the re-export list in ``__init__.py``), a
+demo, a ``python`` or ``sh`` code block of the README (the Layout block is
+prose) or a ``perfbench/`` script (which also looks functions up by name,
+so its strings count).  Methods are not checked, because their names
 collide across classes.
 """
 
@@ -50,8 +52,19 @@ def _external_references():
     for path in [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
         names |= _references(ast.parse(path.read_text()))
     readme = (ROOT / "README.md").read_text()
-    for block in re.findall(r"```\w*\n(.*?)```", readme, flags=re.S):
+    for block in re.findall(r"```(?:python|sh)\n(.*?)```", readme, flags=re.S):
         names.update(re.findall(r"[A-Za-z_]\w*", block))
+    return names
+
+
+def _imported(tree):
+    """Names a library module imports or reads as attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
     return names
 
 
@@ -61,7 +74,7 @@ def orphans():
         p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
         if p.name != "__init__.py"
     }
-    refs = {stem: _references(tree) for stem, tree in trees.items()}
+    refs = {stem: _imported(tree) for stem, tree in trees.items()}
     external = _external_references()
     found = []
     for stem, tree in trees.items():

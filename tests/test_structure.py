@@ -26,7 +26,6 @@ from supero.rational import ONE, QQ, ZERO
 from supero.structure import (
     KacExtensions,
     delta_flag,
-    ext1_kac,
     ext1_with_representative,
     glue_extension,
     projective_cover,
@@ -220,7 +219,7 @@ def test_negative_alternating_sum_is_an_error():
 def test_ext_dimensions_agree_between_routes(lam, mu, p, expected):
     g = gl11()
     K = kac_module(g, lam)
-    assert ext1_kac(g, mu, K, parity=p) == expected
+    assert KacExtensions(K).ext_dimension(mu, p) == expected
     top = kac_module(g, mu)
     if p:
         top = parity_flip(top)
@@ -258,9 +257,9 @@ def test_ext_into_twisted_dual_vanishes():
     # statement driving the reciprocity checks
     g = gl11()
     for lam in [(0, 0), (2, -2), (2, -1)]:
-        D = tau_dual(kac_module(g, lam))
+        ke = KacExtensions(tau_dual(kac_module(g, lam)))
         for mu in [(0, 0), (1, -1), (2, -2), (2, -1), (-1, 1)]:
-            assert ext1_kac(g, mu, D) == 0
+            assert ke.ext_dimension(mu) == 0
 
 
 def test_glued_extension_is_a_valid_indecomposable():
