@@ -666,7 +666,7 @@ def verify_semiinfinite(g, gamma=None):
         for y in downs:
             pairs += 1
             lhs = character_value(g, gamma, g.bracket(x, y))
-            mat = SparseMatrix(len(h), len(h))
+            mat = {}
             for col, hb in enumerate(h):
                 inner = g.bracket(y, hb)
                 outer = {}
@@ -677,8 +677,8 @@ def verify_semiinfinite(g, gamma=None):
                         raise InvalidAlgebraError(
                             f"ad {g.label(x)} ad {g.label(y)} leaves h at {g.label(target)}"
                         )
-                    mat.data[(h_index[target], col)] = coeff
-            rhs = supertrace(mat, h_parities)
+                    mat[(h_index[target], col)] = coeff
+            rhs = supertrace(SparseMatrix(len(h), len(h), mat), h_parities)
             if lhs != rhs:
                 defects.append((g.label(x), g.label(y), rat_str(lhs), rat_str(rhs)))
     return {

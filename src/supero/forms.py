@@ -114,12 +114,12 @@ def contravariant_form(module):
                 cols.append((x, grow, views[x][src[u]]))
 
         s = len(cols)
-        S = SparseMatrix(n_mu, s)
-        for j, (_, _, img) in enumerate(cols):
-            for i, c in img.items():
-                S.data[(pos[i], j)] = c
+        S = SparseMatrix(n_mu, s, {
+            (pos[i], j): c for j, (_, _, img) in enumerate(cols)
+            for i, c in img.items()
+        })
 
-        gspan = SparseMatrix(s, s)
+        pairings = {}
         for j2, (_, _, img2) in enumerate(cols):
             if not img2:
                 continue
@@ -130,7 +130,8 @@ def contravariant_form(module):
                     lifted = lifts[x1] = apply_cols(views[g.transpose[x1]], img2)
                 val = sum(c * grow[i] for i, c in lifted.items() if i in grow)
                 if val:
-                    gspan.data[(j1, j2)] = val
+                    pairings[(j1, j2)] = val
+        gspan = SparseMatrix(s, s, pairings)
 
         units = [{k: ONE} for k in range(n_mu)]
         solved = S.solve_multi(units)
@@ -146,10 +147,9 @@ def contravariant_form(module):
                     f"no contravariant form exists: inconsistent pairings at "
                     f"{g.weight_str(mu)}"
                 )
-        C = SparseMatrix(s, n_mu)
-        for k, sol in enumerate(solved):
-            for j, c in sol.items():
-                C.data[(j, k)] = c
+        C = SparseMatrix(s, n_mu, {
+            (j, k): c for k, sol in enumerate(solved) for j, c in sol.items()
+        })
         blk = C.transpose() @ gspan @ C
         if blk != blk.transpose():
             raise ValueError(
@@ -351,12 +351,9 @@ def clifford_module(halg, lam):
 
     action = {}
     for x in range(halg.dim):
-        mat = SparseMatrix(dim, dim)
+        mat = {}
         if x in halg.t_coord:
-            c = lam[halg.t_coord[x]]
-            if c:
-                for b in range(dim):
-                    mat.data[(b, b)] = c
+            mat = {(b, b): lam[halg.t_coord[x]] for b in range(dim)}
         elif halg.parity(x):
             # match e'(i,i) to its even partner e(i,i) to find the coordinate
             partner = halg.by_label.get(halg.label(x).replace("e'", "e", 1))
@@ -373,9 +370,8 @@ def clifford_module(halg, lam):
                         coeff = ONE if bit == 0 else lam[i]
                     else:
                         coeff = rho[bidx] if bit == 0 else -rho[bidx] * lam[i]
-                    if coeff:
-                        mat.data[(target, b)] = sign * coeff
-        action[x] = mat
+                    mat[(target, b)] = sign * coeff
+        action[x] = SparseMatrix(dim, dim, mat)
     return ExplicitModule(
         halg, weights, parities, action, labels=labels,
         highest_weight=lam, meta={"kind": "clifford"},

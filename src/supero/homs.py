@@ -52,7 +52,7 @@ from .algebra import same_algebra
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError
 from .linalg import Echelon, SparseMatrix, algebra_radical, apply_cols, vec_add_into
-from .modules import intertwining_ids, restrict_module, summand_module
+from .modules import intertwining_ids, restrict_module, summand_module, word_images
 from .rational import ONE, QQ, ZERO
 
 
@@ -112,18 +112,14 @@ def hom_space(src, dst, parity=None, limits=DEFAULT_LIMITS):
             f"{len(equations)} equations; max_hom_vars is {limits.max_hom_vars}"
         )
 
-    mat = SparseMatrix(len(equations), len(variables))
-    for r, key in enumerate(sorted(equations)):
-        for var, c in equations[key].items():
-            if c:
-                mat.data[(r, var)] = c
-    basis = []
-    for kvec in mat.kernel_basis():
-        F = SparseMatrix(dst.dim, src.dim)
-        for var, c in kvec.items():
-            F.data[variables[var]] = c
-        basis.append(F)
-    return basis
+    mat = SparseMatrix(len(equations), len(variables), {
+        (r, var): c for r, key in enumerate(sorted(equations))
+        for var, c in equations[key].items()
+    })
+    return [
+        SparseMatrix(dst.dim, src.dim, {variables[var]: c for var, c in kvec.items()})
+        for kvec in mat.kernel_basis()
+    ]
 
 
 def hom_dims(src, dst, limits=DEFAULT_LIMITS):
@@ -220,16 +216,12 @@ def _end_by_adjunction(module, limits):
     res = restrict_module(module, fiber.g)
     cols = {x: mat.cols() for x, mat in module.action.items()}
     n, fdim = module.dim, fiber.dim
-    by_length = sorted(words, key=len)  # every suffix of a word is a word
     maps = []
     for phi in hom_space(fiber, res, parity=0, limits=limits):
         F_cols = [None] * n
         for j, vec in enumerate(phi.cols()):
-            images = {(): vec}
-            for w in by_length[1:]:
-                images[w] = apply_cols(cols[w[0]], images[w[1:]])
-            for k, w in enumerate(words):
-                F_cols[k * fdim + j] = images[w]
+            for k, image in enumerate(word_images(words, cols, vec)):
+                F_cols[k * fdim + j] = image
         # X F = F X column by column, for the generators X
         for x in intertwining_ids(module):
             X_cols = cols[x]
@@ -238,11 +230,9 @@ def _end_by_adjunction(module, limits):
                     raise AssertionError(
                         f"adjoint map fails to commute with {module.g.label(x)}"
                     )
-        F = SparseMatrix(n, n)
-        for j, col in enumerate(F_cols):
-            for i, c in col.items():
-                F.data[(i, j)] = c
-        maps.append(F)
+        maps.append(SparseMatrix(n, n, {
+            (i, j): c for j, col in enumerate(F_cols) for i, c in col.items()
+        }))
     basis = _canonical_basis(maps, module.dim)
     if len(basis) != len(maps):
         raise AssertionError("adjoint maps are dependent")
@@ -266,11 +256,8 @@ def _canonical_basis(maps, n):
     basis = []
     for lead in reversed(ech.pivot_cols()):
         row = ech.pivot_row(lead)
-        F = SparseMatrix(n, n)
-        F.data[(-lead[0], -lead[1])] = row.pop(lead)
-        for key in sorted(row, reverse=True):
-            F.data[(-key[0], -key[1])] = row[key]
-        basis.append(F)
+        order = [lead] + sorted(row.keys() - {lead}, reverse=True)
+        basis.append(SparseMatrix(n, n, {(-i, -j): row[i, j] for i, j in order}))
     return basis
 
 

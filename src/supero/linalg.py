@@ -1,23 +1,26 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts ``{index: nonzero rational}``; matrices store a dict
-``{(row, col): nonzero rational}``.  Every elimination (rank, reduced row
-echelon form, kernels, solves, spans) goes through one engine, ``Echelon``,
-which works on primitive integer rows: fraction-free elimination with the
-content of each row divided out after every step (Bareiss, Math. Comp. 22,
-1968).  Rationals appear only at its boundary, in the vectors it is given
-and the vectors and coefficients it returns.  Pivoting is deterministic
-(rows are processed in order, each reduced row pivots on its leading
-column), so echelon forms, ranks and kernel bases are reproducible across
-runs.  The reduced row echelon form itself is unique, so nothing downstream
-depends on the sweep order or on the integer scaling of the rows.
+Vectors are dicts ``{index: nonzero rational}``.  A matrix is an immutable
+value: its entries ``{(row, col): nonzero rational}`` go to the
+``SparseMatrix`` constructor once and are read through a read-only mapping
+after that.  Every elimination (rank, reduced row echelon form, kernels,
+solves, spans) goes through one engine, ``Echelon``, which works on
+primitive integer rows: fraction-free elimination with the content of each
+row divided out after every step (Bareiss, Math. Comp. 22, 1968).
+Rationals appear only at its boundary, in the vectors it is given and the
+vectors and coefficients it returns.  Pivoting is deterministic (rows are
+processed in order, each reduced row pivots on its leading column), so
+echelon forms, ranks and kernel bases are reproducible across runs.  The
+reduced row echelon form itself is unique, so nothing downstream depends
+on the sweep order or on the integer scaling of the rows.
 """
 
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError
-from .rational import QQ, ZERO
+from .rational import ONE, QQ, ZERO
 
 # ---------------------------------------------------------------------------
 # dict-vector helpers
@@ -45,44 +48,50 @@ def apply_cols(cols, vector):
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over QQ."""
+    """A sparse matrix over QQ, an immutable value.
+
+    The entries are given once, to the constructor, which converts them to
+    QQ, drops the zeros and checks the bounds; ``data`` is then a read-only
+    mapping {(row, col): nonzero entry}, and setting or deleting an
+    attribute raises.
+    """
 
     __slots__ = ("nrows", "ncols", "data")
 
     def __init__(self, nrows, ncols, data=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.data = {}
+        entries = {}
         if data:
             for (i, j), v in data.items():
                 q = v if type(v) is QQ else QQ(v)
                 if q:
                     if not (0 <= i < nrows and 0 <= j < ncols):
                         raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-                    self.data[(i, j)] = q
+                    entries[(i, j)] = q
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "data", MappingProxyType(entries))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SparseMatrix is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SparseMatrix is immutable: cannot delete {name}")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.data[(i, i)] = QQ(1)
-        return m
+        return cls(n, n, {(i, i): ONE for i in range(n)})
 
     @classmethod
     def from_dense(cls, rows):
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
-        m = cls(nrows, ncols)
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged dense matrix")
-            for j, v in enumerate(row):
-                q = QQ(v)
-                if q:
-                    m.data[(i, j)] = q
-        return m
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged dense matrix")
+        return cls(nrows, ncols, {
+            (i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)
+        })
 
     # -- basic accessors ---------------------------------------------------
 
@@ -118,14 +127,9 @@ class SparseMatrix:
 
     def __add__(self, other):
         self._check_shape(other)
-        out = SparseMatrix(self.nrows, self.ncols, dict(self.data))
-        for k, v in other.data.items():
-            s = out.data.get(k, ZERO) + v
-            if s:
-                out.data[k] = s
-            else:
-                out.data.pop(k, None)
-        return out
+        return SparseMatrix(
+            self.nrows, self.ncols, vec_add_into(self.data.copy(), other.data)
+        )
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -135,10 +139,9 @@ class SparseMatrix:
 
     def scale(self, coeff):
         q = QQ(coeff)
-        out = SparseMatrix(self.nrows, self.ncols)
-        if q:
-            out.data = {k: q * v for k, v in self.data.items()}
-        return out
+        return SparseMatrix(
+            self.nrows, self.ncols, {k: q * v for k, v in self.data.items()}
+        )
 
     def _check_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -216,14 +219,11 @@ class SparseMatrix:
     def solve_multi(self, rhs_list):
         """Solve against several right-hand sides with one elimination."""
         n = self.ncols
-        aug_cols = n + len(rhs_list)
-        aug = SparseMatrix(self.nrows, aug_cols, dict(self.data))
+        aug = self.data.copy()
         for k, rhs in enumerate(rhs_list):
             for i, v in rhs.items():
-                q = QQ(v)
-                if q:
-                    aug.data[(i, n + k)] = q
-        rows, piv_cols = aug.rref()
+                aug[(i, n + k)] = v
+        rows, piv_cols = SparseMatrix(self.nrows, n + len(rhs_list), aug).rref()
         solutions = [dict() for _ in rhs_list]
         for p, row in zip(piv_cols, rows):
             for j, v in row.items():
@@ -414,7 +414,7 @@ def algebra_radical(products, dim, limits=DEFAULT_LIMITS):
             for k, v in products[i][j].items():
                 mat[(k, j)] = v
         left.append(mat)
-    gram = SparseMatrix(dim, dim)
+    gram = {}
     for i in range(dim):
         li = left[i]
         for j in range(i, dim):
@@ -429,7 +429,5 @@ def algebra_radical(products, dim, limits=DEFAULT_LIMITS):
                 if w is not None:
                     t += v * w
             if t:
-                gram.data[(i, j)] = t
-                if i != j:
-                    gram.data[(j, i)] = t
-    return gram.kernel_basis()
+                gram[(i, j)] = gram[(j, i)] = t
+    return SparseMatrix(dim, dim, gram).kernel_basis()

@@ -41,8 +41,7 @@ class ExplicitModule:
     mappings, so the memoised builders hand one module to every caller
     and a derived module is built anew (see ``copy_module``).  Only the
     lazy weight-space table is filled in later.  The action matrices are
-    shared between modules and are never written once a module holds
-    them (``SparseMatrix`` is immutable by convention only).
+    immutable ``SparseMatrix`` values, shared between modules.
 
     ``induction`` is ``(fiber, words)`` on a module returned untruncated by
     :func:`induced_module`: basis vector ``k * fiber.dim + j`` is
@@ -348,14 +347,10 @@ def trivial_module(k, lam):
     Borel, with lam vanishing on the derived part of the torus span).
     """
     lam = tuple(lam)
-    action = {}
-    for x in range(k.dim):
-        mat = SparseMatrix(1, 1)
-        if x in k.t_coord:
-            c = QQ(lam[k.t_coord[x]])
-            if c:
-                mat.data[(0, 0)] = c
-        action[x] = mat
+    action = {
+        x: SparseMatrix(1, 1, {(0, 0): lam[k.t_coord[x]]} if x in k.t_coord else None)
+        for x in range(k.dim)
+    }
     return ExplicitModule(
         k, [lam], [0], action, labels=("v",),
         highest_weight=lam, meta={"kind": "trivial"},
@@ -495,7 +490,7 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     fiber_cols = {s: mat.cols() for s, mat in fiber.action.items()}
     action = {}
     for x in range(g.dim):
-        mat = SparseMatrix(total, total)
+        mat = {}
         for k, w in enumerate(words):
             expansion = pbw.straighten_word((x,) + w)
             images = {}
@@ -528,10 +523,8 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
                         vec_add_into(acc, vec, c)
                     base = row_word * fdim
                     for jj, cv in acc.items():
-                        mat.data[(base + jj, col)] = mat.data.get((base + jj, col), ZERO) + cv
-        for key in [key for key, v in mat.data.items() if not v]:
-            del mat.data[key]
-        action[x] = mat
+                        mat[(base + jj, col)] = mat.get((base + jj, col), ZERO) + cv
+        action[x] = SparseMatrix(total, total, mat)
 
     meta = {
         "kind": kind,
@@ -545,6 +538,20 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
         highest_weight=highest_weight, truncated=truncated, meta=meta,
         induction=None if truncated else (fiber, tuple(words)),
     )
+
+
+def word_images(words, cols, vec):
+    """[w . vec for w in words] for the PBW words of an induction record,
+    a word acting letter by letter from the right through the column views
+    ``cols``; a suffix shared by several words is applied once."""
+    images = {(): vec}
+
+    def image(w):
+        if w not in images:
+            images[w] = apply_cols(cols[w[0]], image(w[1:]))
+        return images[w]
+
+    return [image(w) for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +571,10 @@ def dual_module(module, kind=None):
     action = {}
     for x in range(g.dim):
         px = g.parity(x)
-        mat = SparseMatrix(n, n)
-        for (r, c), v in module.action[x].data.items():
-            sign = -1 if px and module.parities[c] else 1
-            mat.data[(c, r)] = -v if sign == 1 else v
-        action[x] = mat
+        action[x] = SparseMatrix(n, n, {
+            (c, r): v if px and module.parities[c] else -v
+            for (r, c), v in module.action[x].data.items()
+        })
     return ExplicitModule(
         g,
         [wneg(w) for w in module.weights],
@@ -719,17 +725,16 @@ def _span_module(module, rows, cols, coords):
     coords(v) is {pivot: coefficient} of a vector v of the span."""
     nd = len(rows)
     lead = {min(row): k for k, row in enumerate(rows)}
-    inclusion = SparseMatrix(module.dim, nd)
-    for k, row in enumerate(rows):
-        for i, v in row.items():
-            inclusion.data[(i, k)] = v
-    action = {}
-    for x in range(module.g.dim):
-        mat = SparseMatrix(nd, nd)
-        for k, row in enumerate(rows):
-            for piv, c in coords(apply_cols(cols[x], row)).items():
-                mat.data[(lead[piv], k)] = c
-        action[x] = mat
+    inclusion = SparseMatrix(module.dim, nd, {
+        (i, k): v for k, row in enumerate(rows) for i, v in row.items()
+    })
+    action = {
+        x: SparseMatrix(nd, nd, {
+            (lead[piv], k): c for k, row in enumerate(rows)
+            for piv, c in coords(apply_cols(cols[x], row)).items()
+        })
+        for x in range(module.g.dim)
+    }
     sub = ExplicitModule(
         module.g,
         [module.weights[piv] for piv in lead],
@@ -763,17 +768,16 @@ def quotient_module(module, vectors, kind=None):
             out[pos[i]] = v
         return out
 
-    projection = SparseMatrix(nq, module.dim)
-    for i in range(module.dim):
-        for k, v in project({i: ONE}).items():
-            projection.data[(k, i)] = v
-    action = {}
-    for x in range(module.g.dim):
-        mat = SparseMatrix(nq, nq)
-        for k, i in enumerate(keep):
-            for r, v in project(cols[x][i]).items():
-                mat.data[(r, k)] = v
-        action[x] = mat
+    projection = SparseMatrix(nq, module.dim, {
+        (k, i): v for i in range(module.dim) for k, v in project({i: ONE}).items()
+    })
+    action = {
+        x: SparseMatrix(nq, nq, {
+            (r, k): v for k, i in enumerate(keep)
+            for r, v in project(cols[x][i]).items()
+        })
+        for x in range(module.g.dim)
+    }
     hw = module.highest_weight
     if hw is not None and not any(module.weights[i] == hw for i in keep):
         hw = None

@@ -20,14 +20,14 @@ basis elements of g is the tests' oracle for both (``tests/full_basis.py``).
 from collections import Counter
 
 from .rational import QQ, ZERO
-from .linalg import SparseMatrix, Echelon, apply_cols
+from .linalg import SparseMatrix, Echelon
 from .weights import wadd, wsub, root_leq, is_dominant_gl, weyl_shifts
 from .algebra import memoised, w0_action, beta_weight, rho_weight
 from .config import DEFAULT_LIMITS
 from .errors import DominanceError, GradingError, ResourceLimitError
 from .modules import (
     ExplicitModule, assert_valid_module, copy_module, restrict_module,
-    induced_module, dual_module, parity_flip,
+    induced_module, dual_module, parity_flip, word_images,
 )
 from .forms import even_levi, kac_module, simple_module, induced_projective
 from .homs import end_ring, fitting_decompose, hom_dims, is_isomorphic, summand_onto
@@ -94,8 +94,14 @@ class KacExtensions:
         self._build_differentials()
         if not (self.d1 @ self.d0).is_zero():
             raise AssertionError("d^2 != 0 on the extension cochain complex")
-        self._blocks = None
-        self._views = None  # column views of d0 and d1, taken on demand
+        self.d0_cols, self.d1_cols = self.d0.cols(), self.d1.cols()
+        # C^1 columns grouped by (weight, cochain parity); the cochain
+        # x -> v_i has weight wt(v_i) - wt(x) and, x being odd, parity |v_i| + 1
+        self.blocks = {}
+        for k, (x, i) in enumerate(self.c1_basis):
+            key = (wsub(module.weights[i], g.weight_of(x)),
+                   (module.parities[i] + 1) % 2)
+            self.blocks.setdefault(key, []).append(k)
         self._h1 = {}
 
     def _build_differentials(self):
@@ -120,23 +126,6 @@ class KacExtensions:
         d1 = {k: v for k, v in d1.items() if v != ZERO}
         self.d1 = SparseMatrix(len(self.pairs) * M.dim, len(self.c1_basis), d1)
 
-    def _weight_blocks(self):
-        """C^1 columns grouped by (weight, cochain parity); the cochain
-        x -> v_i has weight wt(v_i) - wt(x) and, x being odd, parity
-        |v_i| + 1."""
-        if self._blocks is None:
-            self._blocks = {}
-            for k, (x, i) in enumerate(self.c1_basis):
-                key = (wsub(self.M.weights[i], self.g.weight_of(x)),
-                       (self.M.parities[i] + 1) % 2)
-                self._blocks.setdefault(key, []).append(k)
-        return self._blocks
-
-    def _column_views(self):
-        if self._views is None:
-            self._views = self.d0.cols(), self.d1.cols()
-        return self._views
-
     def h1_dimension(self, w, p):
         """dim H^1 at (weight w, cochain parity p): the block's columns,
         less the rank of d1 on them (the cocycles), less the rank of the
@@ -144,16 +133,15 @@ class KacExtensions:
         key = (w, p)
         if key in self._h1:
             return self._h1[key]
-        cols = self._weight_blocks().get(key, [])
+        cols = self.blocks.get(key, [])
         dim = 0
         if cols:
-            d0_cols, d1_cols = self._column_views()
-            bs = [d0_cols[i] for i in self.M.weight_space(w)
+            bs = [self.d0_cols[i] for i in self.M.weight_space(w)
                   if self.M.parities[i] == p]
             local = set(cols)
             if any(not local.issuperset(b) for b in bs):
                 raise AssertionError("coboundary left its block")
-            dim = (len(cols) - len(Echelon(d1_cols[c] for c in cols))
+            dim = (len(cols) - len(Echelon(self.d1_cols[c] for c in cols))
                    - len(Echelon(bs)))
         self._h1[key] = dim
         return dim
@@ -194,18 +182,16 @@ def _glue_cocycle(ke, mu, p, fiber, d, limits):
     """
     g, M = ke.g, ke.M
     levi, h_ids = even_levi(g)
-    blocks = ke._weight_blocks()
     unknowns = [
         (j, c)
         for j in range(fiber.dim)
-        for c in blocks.get((fiber.weights[j], p), ())
+        for c in ke.blocks.get((fiber.weights[j], p), ())
     ]
     if len(unknowns) > limits.max_hom_vars:
         raise ResourceLimitError(
             f"{len(unknowns)} glueing cochain unknowns exceed limit "
             f"{limits.max_hom_vars}"
         )
-    d0_cols, d1_cols = ke._column_views()
     rows = {}
 
     def put(key, u, v):
@@ -213,7 +199,7 @@ def _glue_cocycle(ke, mu, p, fiber, d, limits):
         row[u] = row.get(u, ZERO) + v
 
     for u, (k, c) in enumerate(unknowns):
-        for r, v in d1_cols[c].items():
+        for r, v in ke.d1_cols[c].items():
             put(("d1", k, r), u, v)
     for e in (h_ids[r] for r in levi.ids_of_degree(1) + levi.ids_of_degree(-1)):
         cols = M.action[e].cols()
@@ -235,7 +221,7 @@ def _glue_cocycle(ke, mu, p, fiber, d, limits):
     }).kernel_basis()
     top = fiber.weights.index(mu)
     classes = Echelon(
-        d0_cols[i] for i in M.weight_space(mu) if M.parities[i] == p
+        ke.d0_cols[i] for i in M.weight_space(mu) if M.parities[i] == p
     )
     found = [
         sol for sol in maps
@@ -280,12 +266,9 @@ def ext1_with_representative(ke, mu, p, limits=DEFAULT_LIMITS):
             x, i = ke.c1_basis[col]
             by_x.setdefault(x, {})[i] = v
         for x, image in by_x.items():
-            images = {(): image}
-            for w in sorted(words, key=len)[1:]:
-                images[w] = apply_cols(lower[w[0]], images[w[1:]])
             out = block.setdefault(x, {})
-            for k, w in enumerate(words):
-                for i, v in images[w].items():
+            for k, (w, img) in enumerate(zip(words, word_images(words, lower, image))):
+                for i, v in img.items():
                     out[(i, k * fiber.dim + j)] = -v if len(w) % 2 else v
     return d, block
 
@@ -296,7 +279,7 @@ def glue_extension(bottom, top, block, kind="extension"):
     nb, nt = bottom.dim, top.dim
     action = {}
     for x in range(g.dim):
-        ent = dict(bottom.action[x].data)
+        ent = bottom.action[x].data.copy()
         for (r, c), v in top.action[x].data.items():
             ent[(nb + r, nb + c)] = v
         for (i, j), v in block.get(x, {}).items():
@@ -326,9 +309,9 @@ def delta_flag(module, limits=DEFAULT_LIMITS):
     Greedy peel on characters: repeatedly take the lexicographically
     largest remaining weight, require it to be dominant, and subtract the
     character of K at that weight.  Returns the multiset of factor
-    weights in peel order (repetitions for multiplicity); characters do
-    not see the order of the filtration itself.  Raises ValueError with a
-    witness when no such filtration can exist.
+    weights, a tuple in peel order (repetitions for multiplicity);
+    characters do not see the order of the filtration itself.  Raises
+    ValueError with a witness when no such filtration can exist.
     """
     g = module.g
     remaining = dict(module.character())
@@ -360,7 +343,7 @@ def delta_flag(module, limits=DEFAULT_LIMITS):
                 )
             remaining[w] = left
         flag.append(top)
-    return flag
+    return tuple(flag)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +446,7 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     bound = (lam, 1)
     while True:
         below = [
-            (mu, -p) for mu, p in ke._weight_blocks()
+            (mu, -p) for mu, p in ke.blocks
             if (mu, -p) < bound and is_dominant_gl(mu, m, n)
             and _central_core(m, n, mu) == core
         ]
@@ -496,7 +479,7 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
             flag.append((mu, p))
     # certification, without the block filter: nothing extends the result
     leftovers = {
-        (mu, p): d for mu, p in ke._weight_blocks()
+        (mu, p): d for mu, p in ke.blocks
         if is_dominant_gl(mu, m, n) and (d := ke.ext_dimension(mu, p))
     }
     if leftovers:
@@ -508,7 +491,7 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
         )
     # the top of the flag need not be a highest weight
     return copy_module(T, highest_weight=None, meta=dict(
-        T.meta, kind="tilting", flag_bottom_up=flag, flag=list(reversed(flag)),
+        T.meta, kind="tilting", flag_bottom_up=tuple(flag), flag=tuple(reversed(flag)),
         end_even_dim=len(ring["basis"]), end_radical_dim=len(ring["radical"]),
     ))
 

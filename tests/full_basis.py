@@ -91,11 +91,10 @@ def full_basis_hom_system(src, dst, parity):
                 if var is not None:
                     row = equations.setdefault((x, i, j), {})
                     row[var] = row.get(var, ZERO) - sign * v
-    mat = SparseMatrix(len(equations), len(variables))
-    for r, key in enumerate(sorted(equations)):
-        for var, c in equations[key].items():
-            if c:
-                mat.data[(r, var)] = c
+    mat = SparseMatrix(len(equations), len(variables), {
+        (r, var): c for r, key in enumerate(sorted(equations))
+        for var, c in equations[key].items()
+    })
     return mat, variables
 
 
@@ -104,13 +103,10 @@ def full_basis_hom_space(src, dst, parity):
     mat, variables = full_basis_hom_system(src, dst, parity)
     if not variables:
         return []
-    basis = []
-    for kvec in mat.kernel_basis():
-        F = SparseMatrix(dst.dim, src.dim)
-        for var, c in kvec.items():
-            F.data[variables[var]] = c
-        basis.append(F)
-    return basis
+    return [
+        SparseMatrix(dst.dim, src.dim, {variables[var]: c for var, c in kvec.items()})
+        for kvec in mat.kernel_basis()
+    ]
 
 
 def full_basis_closure(module, vectors):
@@ -185,7 +181,7 @@ def ordered_pair_validation(module):
 def _cocycle_data(ke, cols_of, w, p):
     """(C^1 columns at (w, p), cocycle basis, coboundary basis) of the
     cochain complex ``ke``, coboundaries in block-local coordinates."""
-    cols = ke._weight_blocks().get((w, p), [])
+    cols = ke.blocks.get((w, p), [])
     if not cols:
         return [], [], []
     local = {c: k for k, c in enumerate(cols)}
@@ -258,7 +254,7 @@ def ext_dimension_by_raisings(ke, lam, parity):
         offset += len(idxs)
     rows = []
     for e, mu, idxs, off in var_m:
-        block = ke._weight_blocks().get((mu, parity), [])
+        block = ke.blocks.get((mu, parity), [])
         target = {c: k for k, c in enumerate(block)}
         eq = {r: {} for r in range(len(target))}
         for k in range(nz):
@@ -492,10 +488,9 @@ def _min_poly_by_powers(z, n):
         if ech.add(dict(cur.data)) is None:
             keys = sorted({k for m in powers for k in m.data} | set(cur.data))
             pos = {k: i for i, k in enumerate(keys)}
-            mat = SparseMatrix(len(keys), len(powers))
-            for c, m in enumerate(powers):
-                for k, v in m.data.items():
-                    mat.data[(pos[k], c)] = v
+            mat = SparseMatrix(len(keys), len(powers), {
+                (pos[k], c): v for c, m in enumerate(powers) for k, v in m.data.items()
+            })
             sol = mat.solve({pos[k]: v for k, v in cur.data.items()})
             return [-sol.get(k, ZERO) for k in range(len(powers))] + [ONE]
         powers.append(cur)
@@ -544,18 +539,20 @@ def fitting_split(module, Y):
     d = pieces[0][0].dim
     if d + pieces[1][0].dim != n:
         raise AssertionError("Fitting pieces do not add up to the module")
-    both = SparseMatrix(n, n, pieces[0][1].data)
+    both = dict(pieces[0][1].data)
     for (i, j), c in pieces[1][1].data.items():
-        both.data[(i, d + j)] = c
-    projects = [SparseMatrix(d, n), SparseMatrix(n - d, n)]
-    for j, sol in enumerate(both.solve_multi([{j: ONE} for j in range(n)])):
+        both[(i, d + j)] = c
+    projects = [{}, {}]
+    solutions = SparseMatrix(n, n, both).solve_multi([{j: ONE} for j in range(n)])
+    for j, sol in enumerate(solutions):
         if sol is None:
             raise AssertionError("Fitting pieces do not span the module")
         for i, c in sol.items():
             if i < d:
-                projects[0].data[(i, j)] = c
+                projects[0][(i, j)] = c
             else:
-                projects[1].data[(i - d, j)] = c
+                projects[1][(i - d, j)] = c
+    projects = [SparseMatrix(d, n, projects[0]), SparseMatrix(n - d, n, projects[1])]
     return [(sub, inc, prj) for (sub, inc), prj in zip(pieces, projects)]
 
 

@@ -22,7 +22,7 @@ def ad_matrix(g, x_id, domain_ids=None):
     if domain_ids is None:
         domain_ids = list(range(g.dim))
     index = {b: k for k, b in enumerate(domain_ids)}
-    mat = SparseMatrix(len(domain_ids), len(domain_ids))
+    mat = {}
     for col, b in enumerate(domain_ids):
         img = g.bracket(x_id, b)
         for target, coeff in img.items():
@@ -30,8 +30,8 @@ def ad_matrix(g, x_id, domain_ids=None):
                 raise ValueError(
                     f"ad({g.label(x_id)}) leaves the span: hits {g.label(target)}"
                 )
-            mat.data[(index[target], col)] = coeff
-    return mat
+            mat[(index[target], col)] = coeff
+    return SparseMatrix(len(domain_ids), len(domain_ids), mat)
 
 
 def module_json(module):
@@ -70,12 +70,10 @@ def direct_sum(a, b):
     na, nb = a.dim, b.dim
     action = {}
     for x in range(a.g.dim):
-        mat = SparseMatrix(na + nb, na + nb)
-        for (r, c), v in a.action[x].data.items():
-            mat.data[(r, c)] = v
+        mat = dict(a.action[x].data)
         for (r, c), v in b.action[x].data.items():
-            mat.data[(na + r, na + c)] = v
-        action[x] = mat
+            mat[(na + r, na + c)] = v
+        action[x] = SparseMatrix(na + nb, na + nb, mat)
     return ExplicitModule(
         a.g,
         a.weights + b.weights,

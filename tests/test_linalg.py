@@ -317,11 +317,11 @@ def oracle_kernel(a):
 
 def oracle_solve_multi(a, rhs_list):
     n = a.ncols
-    aug = SparseMatrix(a.nrows, n + len(rhs_list), dict(a.data))
+    aug = dict(a.data)
     for k, rhs in enumerate(rhs_list):
         for i, v in rhs.items():
-            aug.data[(i, n + k)] = QQ(v)
-    rows, piv_cols = oracle_rref(aug)
+            aug[(i, n + k)] = QQ(v)
+    rows, piv_cols = oracle_rref(SparseMatrix(a.nrows, n + len(rhs_list), aug))
     solutions = [dict() for _ in rhs_list]
     for p, row in zip(piv_cols, rows):
         for j, v in row.items():

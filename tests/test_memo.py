@@ -6,7 +6,7 @@ import pytest
 from supero import homs
 from supero.algebra import build_gl, install_grading
 from supero.forms import kac_module, simple_even_module, simple_module
-from supero.modules import copy_module
+from supero.modules import copy_module, validate_module
 from supero.rational import QQ
 from supero.structure import projective_cover, tilting_module
 
@@ -49,6 +49,32 @@ def test_builders_return_modules_that_refuse_writes(name):
     with pytest.raises(TypeError):
         del M.action[0]
     M.weight_spaces()  # the lazy cache may still be filled
+
+
+def test_action_matrices_refuse_writes():
+    g = gl21c()
+    mat = next(m for m in kac_module(g, GLUED).action.values() if m.data)
+    key = next(iter(mat.data))
+    with pytest.raises(TypeError):
+        mat.data[key] += 1
+    with pytest.raises(TypeError):
+        del mat.data[key]
+    with pytest.raises(AttributeError, match="immutable"):
+        mat.data = {}
+    with pytest.raises(AttributeError, match="immutable"):
+        mat.nrows = mat.nrows + 1
+    with pytest.raises(AttributeError, match="immutable"):
+        del mat.ncols
+    assert validate_module(kac_module(g, GLUED))["passed"]
+
+
+@pytest.mark.parametrize("name", ["projective_cover", "tilting_module"])
+def test_flags_refuse_appends(name):
+    M = BUILDERS[name](gl21c(), GLUED)
+    flag = M.meta["flag"]
+    with pytest.raises(AttributeError):
+        flag.append(flag[0])
+    assert BUILDERS[name](gl21c(), GLUED).meta["flag"] == flag
 
 
 def test_memo_hands_out_one_module_per_key():
@@ -106,5 +132,5 @@ def test_tilting_takes_the_adjunction_route_when_nothing_glues(monkeypatch):
     g = gl21c()
     U = tilting_module(g, UNGLUED)
     assert seen == [kac_module(g, UNGLUED)]
-    assert U.induction is None and U.meta["flag_bottom_up"] == [(qq(UNGLUED), 0)]
+    assert U.induction is None and U.meta["flag_bottom_up"] == ((qq(UNGLUED), 0),)
     assert U.meta["end_even_dim"] - U.meta["end_radical_dim"] == 1

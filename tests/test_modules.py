@@ -197,9 +197,9 @@ def test_double_dual_is_parity_sign_conjugate():
     K = flat_kac(g, (2, -1))
     DD = dual_module(dual_module(K))
     n = K.dim
-    S = SparseMatrix(n, n)
-    for i in range(n):
-        S.data[(i, i)] = QQ(-1) if K.parities[i] else QQ(1)
+    S = SparseMatrix(n, n, {
+        (i, i): QQ(-1) if K.parities[i] else QQ(1) for i in range(n)
+    })
     for x in range(g.dim):
         assert DD.action[x] == S @ K.action[x] @ S
     assert DD.weights == K.weights

@@ -115,7 +115,7 @@ def h1_dimension_at(ke, w, p):
 
 
 def h1_dimension(ke):
-    return sum(h1_dimension_at(ke, w, p) for (w, p) in ke._weight_blocks())
+    return sum(h1_dimension_at(ke, w, p) for (w, p) in ke.blocks)
 
 
 def test_h1_vanishes_for_typical_coefficients():
@@ -145,7 +145,7 @@ def assert_ext_matches_raisings(module):
     """ext_dimension against the raising-system oracle at every C^1
     weight of the module's complex, dominant or not, in both parities."""
     ke = KacExtensions(module)
-    for w in {w for w, _ in ke._weight_blocks()}:
+    for w in {w for w, _ in ke.blocks}:
         for p in (0, 1):
             assert ke.ext_dimension(w, p) == ext_dimension_by_raisings(
                 ke, w, p
@@ -470,7 +470,7 @@ def test_glue_equations_match_oracle_without_extensions(algebra, lam, mu, p):
 def test_kac_module_flag_is_itself():
     g = gl11()
     K = kac_module(g, (3, -1))
-    assert delta_flag(K) == [(QQ(3), QQ(-1))]
+    assert delta_flag(K) == ((QQ(3), QQ(-1)),)
 
 
 def test_simple_module_has_no_flag():
@@ -543,7 +543,7 @@ def test_tilting_typical_is_kac():
     g = gl11()
     U = tilting_module(g, (2, -1))
     assert U.dim == 2
-    assert U.meta["flag_bottom_up"] == [((QQ(2), QQ(-1)), 0)]
+    assert U.meta["flag_bottom_up"] == (((QQ(2), QQ(-1)), 0),)
 
 
 def test_tilting_atypical_gl11():
@@ -551,10 +551,10 @@ def test_tilting_atypical_gl11():
     U = tilting_module(g, (0, 0))
     assert U.dim == 4
     # K(0,0) at the bottom, the parity flip of K(-1,1) glued on top
-    assert U.meta["flag_bottom_up"] == [
+    assert U.meta["flag_bottom_up"] == (
         ((QQ(0), QQ(0)), 0),
         ((QQ(-1), QQ(1)), 1),
-    ]
+    )
     assert U.meta["end_even_dim"] - U.meta["end_radical_dim"] == 1
 
 

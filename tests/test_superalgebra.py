@@ -323,13 +323,14 @@ def test_gl21_compatible_hand_pair():
     assert character_value(g, gamma, g.bracket(x, y)) == QQ(1)
     h = g.h_ids()
     index = {b: k for k, b in enumerate(h)}
-    mat = SparseMatrix(len(h), len(h))
+    mat = {}
     for col, hb in enumerate(h):
         image = {}
         for k, c in g.bracket(y, hb).items():
             vec_add_into(image, g.bracket(x, k), c)
         for t, c in image.items():
-            mat.data[(index[t], col)] = c
+            mat[(index[t], col)] = c
+    mat = SparseMatrix(len(h), len(h), mat)
     assert supertrace(mat, [g.parity(b) for b in h]) == QQ(1)
 
 
@@ -344,13 +345,14 @@ def test_q2_supertrace_essential():
     x, y = g.id_of("e(1,2)"), g.id_of("e(2,1)")
     h = g.h_ids()
     index = {b: k for k, b in enumerate(h)}
-    mat = SparseMatrix(len(h), len(h))
+    mat = {}
     for col, hb in enumerate(h):
         image = {}
         for k, c in g.bracket(y, hb).items():
             vec_add_into(image, g.bracket(x, k), c)
         for t, c in image.items():
-            mat.data[(index[t], col)] = c
+            mat[(index[t], col)] = c
+    mat = SparseMatrix(len(h), len(h), mat)
     assert sum(v for (i, j), v in mat.data.items() if i == j) == QQ(4)
     assert supertrace(mat, [g.parity(b) for b in h]) == ZERO
 
