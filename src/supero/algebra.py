@@ -107,7 +107,7 @@ class LieSuperAlgebra:
     # -- bracket -----------------------------------------------------------
 
     def bracket(self, i, j):
-        """Structure constants of [basis_i, basis_j] as a dict id -> QQ."""
+        """Structure constants of [basis_i, basis_j] as a dict id -> scalar."""
         return self.table.get((i, j), _EMPTY)
 
     def bracket_vectors(self, va, vb):
@@ -241,7 +241,7 @@ def same_algebra(a, b):
 def bracket_closure(g, ids):
     """Echelon spanning the subalgebra generated by the given basis ids."""
     ech = Echelon()
-    frontier = [{i: QQ(1)} for i in ids if ech.add({i: QQ(1)}) is not None]
+    frontier = [{i: 1} for i in ids if ech.add({i: 1}) is not None]
     span = list(frontier)
     while frontier:
         new_frontier = []
@@ -273,7 +273,7 @@ def lie_generators(g):
         gens = []
         span = bracket_closure(g, g.t_ids)
         for x in range(g.dim):
-            if x not in torus and not span.contains({x: QQ(1)}):
+            if x not in torus and not span.contains({x: 1}):
                 gens.append(x)
                 span = bracket_closure(g, list(g.t_ids) + gens)
         if len(span) != g.dim:
@@ -321,10 +321,10 @@ def build_gl(m, n):
         for (k, l), b in id_of.items():
             acc = {}
             if j == k:
-                vec_add_into(acc, {id_of[(i, l)]: QQ(1)}, 1)
+                vec_add_into(acc, {id_of[(i, l)]: 1}, 1)
             if i == l:
                 sign = -1 if (pa * basis[b].parity) % 2 else 1
-                vec_add_into(acc, {id_of[(k, j)]: QQ(-sign)}, 1)
+                vec_add_into(acc, {id_of[(k, j)]: -sign}, 1)
             if acc:
                 table[(a, b)] = acc
 
@@ -650,7 +650,7 @@ def verify_semiinfinite(g, gamma=None):
     h_parities = [g.parity(b) for b in h]
     hom_defects = []
     for a in h:
-        if g.parity(a) and character_value(g, gamma, {a: QQ(1)}):
+        if g.parity(a) and character_value(g, gamma, {a: 1}):
             hom_defects.append(f"gamma({g.label(a)}) != 0 on odd h")
         for b in h:
             v = character_value(g, gamma, g.bracket(a, b))

@@ -28,7 +28,7 @@ from .modules import (
     quotient_module,
     trivial_module,
 )
-from .rational import ONE, QQ, rational_sqrt
+from .rational import QQ, rational_sqrt
 from .weights import (
     height,
     is_dominant_gl,
@@ -133,7 +133,7 @@ def contravariant_form(module):
                     pairings[(j1, j2)] = val
         gspan = SparseMatrix(s, s, pairings)
 
-        units = [{k: ONE} for k in range(n_mu)]
+        units = [{k: 1} for k in range(n_mu)]
         solved = S.solve_multi(units)
         if any(sol is None for sol in solved):
             raise ValueError(
@@ -331,10 +331,11 @@ def clifford_module(halg, lam):
     blocks = {}  # coordinate -> (block index, role)
     rho = {}
     for bidx, (i, j) in enumerate(pairs):
-        r = rational_sqrt(-lam[j] / lam[i])
+        ratio = QQ(-lam[j]) / lam[i]
+        r = rational_sqrt(ratio)
         if r is None:
             raise CliffordWeightError(
-                f"-lam_{j + 1}/lam_{i + 1} = {-lam[j] / lam[i]} is not a rational "
+                f"-lam_{j + 1}/lam_{i + 1} = {ratio} is not a rational "
                 f"square; u({halg.weight_str(lam)}) is not realizable over Q"
             )
         blocks[i] = (bidx, "first")
@@ -363,11 +364,11 @@ def clifford_module(halg, lam):
                 i = pairs[bidx][0] if bidx < len(pairs) else single
                 for b in range(dim):
                     crossing = bin(b >> (bidx + 1)).count("1")
-                    sign = QQ(-1) if crossing % 2 else QQ(1)
+                    sign = -1 if crossing % 2 else 1
                     bit = (b >> bidx) & 1
                     target = b ^ (1 << bidx)
                     if role == "first":
-                        coeff = ONE if bit == 0 else lam[i]
+                        coeff = 1 if bit == 0 else lam[i]
                     else:
                         coeff = rho[bidx] if bit == 0 else -rho[bidx] * lam[i]
                     mat[(target, b)] = sign * coeff

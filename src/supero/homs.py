@@ -53,7 +53,7 @@ from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError
 from .linalg import Echelon, SparseMatrix, algebra_radical, apply_cols, vec_add_into
 from .modules import intertwining_ids, restrict_module, summand_module, word_images
-from .rational import ONE, QQ, ZERO
+from .rational import QQ
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +97,15 @@ def hom_space(src, dst, parity=None, limits=DEFAULT_LIMITS):
 
     equations = {}
     for x in intertwining_ids(src, dst):
-        sign = QQ(-1) if s and g.parity(x) else ONE
+        sign = -1 if s and g.parity(x) else 1
         for (k, j), v in src.action[x].data.items():
             for i, var in by_col.get(k, ()):
                 row = equations.setdefault((x, i, j), {})
-                row[var] = row.get(var, ZERO) + v
+                row[var] = row.get(var, 0) + v
         for (i, k), v in dst.action[x].data.items():
             for j, var in by_row.get(k, ()):
                 row = equations.setdefault((x, i, j), {})
-                row[var] = row.get(var, ZERO) - sign * v
+                row[var] = row.get(var, 0) - sign * v
     if len(variables) > limits.max_hom_vars:
         raise ResourceLimitError(
             f"hom_space system has {len(variables)} unknowns and "
@@ -134,7 +134,7 @@ def hom_dims(src, dst, limits=DEFAULT_LIMITS):
 
 def _divide_linear(p, r):
     """Synthetic division of p by t - r: (quotient, remainder p(r))."""
-    acc = ZERO
+    acc = 0
     out = []
     for c in reversed(p):
         acc = acc * r + c
@@ -154,7 +154,7 @@ def _min_poly(one, times_z, bound):
             (pos[k], c): v for c, m in enumerate(powers) for k, v in m.items()
         }).solve({pos[k]: v for k, v in cur.items()})
         if sol is not None:  # the first dependent power
-            return [-sol.get(k, ZERO) for k in range(len(powers))] + [ONE]
+            return [-sol.get(k, 0) for k in range(len(powers))] + [1]
         powers.append(cur)
     raise AssertionError("minimal polynomial computation ran away")
 
@@ -284,7 +284,7 @@ def _ring_from_basis(basis, limits):
 
 
 def _dot(u, v):
-    return sum((c * v[k] for k, c in u.items() if k in v), ZERO)
+    return sum(c * v[k] for k, c in u.items() if k in v)
 
 
 def _ring(basis, products, limits):
@@ -318,7 +318,7 @@ def _corner(table, eps, limits):
     """The ring eps A eps = End(im eps): its reduced echelon basis in
     A-coordinates, coordinates in it being the entries at its pivots."""
     ech = Echelon(
-        _mul(table, _mul(table, eps, {a: ONE}), eps) for a in range(len(table))
+        _mul(table, _mul(table, eps, {a: 1}), eps) for a in range(len(table))
     )
     ech.full_reduce()
     basis = ech.basis()
@@ -361,7 +361,7 @@ def _splitting_idempotent(table, eps, basis):
             q_z = {}
             for c in reversed(rest):
                 q_z = vec_add_into(_mul(table, q_z, z), eps, c)
-            f = vec_add_into(dict(eps), q_z, -1 / rem)
+            f = vec_add_into(dict(eps), q_z, QQ(-1) / rem)
             proj = eps
             for _ in range(k):
                 proj = _mul(table, proj, f)
@@ -387,8 +387,8 @@ def _primitive_idempotents(ring, limits):
             descend(part, _corner(table, part, limits))
 
     free = (max(F.data) for F in ring["basis"])
-    unit = {k: ONE for k, (i, j) in enumerate(free) if i == j}  # the identity
-    descend(unit, {**ring, "basis": [{k: ONE} for k in range(len(table))]})
+    unit = {k: 1 for k, (i, j) in enumerate(free) if i == j}  # the identity
+    descend(unit, {**ring, "basis": [{k: 1} for k in range(len(table))]})
     return out
 
 

@@ -1,14 +1,17 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts ``{index: nonzero rational}``.  A matrix is an immutable
-value: its entries ``{(row, col): nonzero rational}`` go to the
-``SparseMatrix`` constructor once and are read through a read-only mapping
-after that.  Every elimination (rank, reduced row echelon form, kernels,
-solves, spans) goes through one engine, ``Echelon``, which works on
-primitive integer rows: fraction-free elimination with the content of each
-row divided out after every step (Bareiss, Math. Comp. 22, 1968).
-Rationals appear only at its boundary, in the vectors it is given and the
-vectors and coefficients it returns.  Pivoting is deterministic (rows are
+Vectors are dicts ``{index: nonzero scalar}``.  A scalar is exact: an
+``int`` when it is integral and a ``QQ`` only when it is not (see
+``rational.exact``).  A matrix is an immutable value: its entries
+``{(row, col): nonzero scalar}`` go to the ``SparseMatrix`` constructor
+once, which normalises them that way and refuses floats, and are read
+through a read-only mapping after that.  Every elimination (rank, reduced
+row echelon form, kernels, solves, spans) goes through one engine,
+``Echelon``, which works on primitive integer rows: fraction-free
+elimination with the content of each row divided out after every step
+(Bareiss, Math. Comp. 22, 1968).  Rationals appear only at its boundary,
+in the vectors it is given and the vectors and coefficients it returns,
+which are ints where integral.  Pivoting is deterministic (rows are
 processed in order, each reduced row pivots on its leading column), so
 echelon forms, ranks and kernel bases are reproducible across runs.  The
 reduced row echelon form itself is unique, so nothing downstream depends
@@ -20,7 +23,7 @@ from types import MappingProxyType
 
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError
-from .rational import ONE, QQ, ZERO
+from .rational import exact
 
 # ---------------------------------------------------------------------------
 # dict-vector helpers
@@ -31,7 +34,7 @@ def vec_add_into(target, source, coeff=1):
     if not coeff:
         return target
     for k, v in source.items():
-        s = target.get(k, ZERO) + coeff * v
+        s = target.get(k, 0) + coeff * v
         if s:
             target[k] = s
         else:
@@ -50,10 +53,11 @@ def apply_cols(cols, vector):
 class SparseMatrix:
     """A sparse matrix over QQ, an immutable value.
 
-    The entries are given once, to the constructor, which converts them to
-    QQ, drops the zeros and checks the bounds; ``data`` is then a read-only
-    mapping {(row, col): nonzero entry}, and setting or deleting an
-    attribute raises.
+    The entries are given once, to the constructor, which stores each as
+    ``rational.exact`` gives it (an int when integral, else QQ; a float
+    raises TypeError), drops the zeros and checks the bounds; ``data`` is
+    then a read-only mapping {(row, col): nonzero entry}, and setting or
+    deleting an attribute raises.
     """
 
     __slots__ = ("nrows", "ncols", "data")
@@ -62,7 +66,7 @@ class SparseMatrix:
         entries = {}
         if data:
             for (i, j), v in data.items():
-                q = v if type(v) is QQ else QQ(v)
+                q = v if type(v) is int else exact(v)
                 if q:
                     if not (0 <= i < nrows and 0 <= j < ncols):
                         raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")
@@ -81,7 +85,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_dense(cls, rows):
@@ -138,7 +142,7 @@ class SparseMatrix:
         return self.scale(-1)
 
     def scale(self, coeff):
-        q = QQ(coeff)
+        q = exact(coeff)
         return SparseMatrix(
             self.nrows, self.ncols, {k: q * v for k, v in self.data.items()}
         )
@@ -164,7 +168,7 @@ class SparseMatrix:
         for (i, k), a in self.data.items():
             for j, b in other_rows[k].items():
                 key = (i, j)
-                s = acc.get(key, ZERO) + a * b
+                s = acc.get(key, 0) + a * b
                 if s:
                     acc[key] = s
                 else:
@@ -204,7 +208,7 @@ class SparseMatrix:
         basis = []
         for free in range(self.ncols):
             if free not in pivots:
-                vec = {free: QQ(1)}
+                vec = {free: 1}
                 for p, row in pivots.items():
                     if free in row:
                         vec[p] = -row[free]
@@ -243,8 +247,9 @@ class Echelon:
     Pivot rows are primitive integer rows with positive leading entry; an
     incoming vector is cleared of denominators once and each step is
     ``v <- a*v - b*p`` (see ``_eliminate``).  Rationals appear only in what
-    ``reduce``, ``express``, ``pivot_row`` and ``basis`` return.  Keys may
-    be any mutually orderable values.
+    ``reduce``, ``express``, ``pivot_row`` and ``basis`` return, and there
+    only where a value is not integral.  Keys may be any mutually orderable
+    values.
     """
 
     def __init__(self, vectors=()):
@@ -286,7 +291,7 @@ class Echelon:
         while True:
             lead = min((k for k in vec if k in rows), default=None)
             if lead is None:
-                return {k: QQ(x * num, den) for k, x in vec.items()}
+                return {k: exact(x * num, den) for k, x in vec.items()}
             a, c = _eliminate(vec, rows[lead], lead)
             num, den = _scaled(num, den, c, a)
 
@@ -306,7 +311,7 @@ class Echelon:
             steps.append((lead, vec[lead] * num, den))
             a, c = _eliminate(vec, piv, lead)
             num, den = _scaled(num, den, c, a)
-        return {lead: QQ(n, d) for lead, n, d in steps}
+        return {lead: exact(n, d) for lead, n, d in steps}
 
     def full_reduce(self):
         """Eliminate every pivot column from the other rows (RREF)."""
@@ -321,7 +326,7 @@ class Echelon:
         """The pivot row at column lead, scaled to leading coefficient one."""
         row = self._rows[lead]
         d = row[lead]
-        return {k: QQ(x, d) for k, x in row.items()}
+        return {k: exact(x, d) for k, x in row.items()}
 
     def basis(self):
         return [self.pivot_row(c) for c in sorted(self._rows)]
@@ -423,7 +428,7 @@ def algebra_radical(products, dim, limits=DEFAULT_LIMITS):
                 a, b = lj, li
             else:
                 a, b = li, lj
-            t = ZERO
+            t = 0
             for (r, c), v in a.items():
                 w = b.get((c, r))
                 if w is not None:

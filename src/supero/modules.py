@@ -29,7 +29,7 @@ from .pbw import (
     monomial_weight,
     monomials,
 )
-from .rational import ONE, QQ, ZERO
+from .rational import QQ
 from .weights import wadd, wneg
 
 
@@ -178,17 +178,6 @@ def _truncation_guard(module):
     return guard
 
 
-def _exact(q):
-    """q as a Python int when it is integral: still exact, and far
-    cheaper to multiply than a rational."""
-    return int(q.numerator) if q.denominator == 1 else q
-
-
-def _exact_rows(mat):
-    """The row view of mat with integral entries as Python ints."""
-    return [{j: _exact(v) for j, v in row.items()} for row in mat.rows()]
-
-
 def _bracket_defect(rows, a, b, sign, terms):
     """Whether X_a X_b - sign X_b X_a - sum_k c_k X_k, {k: c_k} = terms,
     is nonzero, read off the row views ``rows`` into one {(i, j): value}
@@ -208,7 +197,6 @@ def _bracket_defect(rows, a, b, sign, terms):
                 key = (i, j)
                 acc[key] = get(key, 0) + u * v
     for k, c in terms.items():
-        c = _exact(c)
         for i, row in enumerate(rows[k]):
             for j, v in row.items():
                 key = (i, j)
@@ -278,7 +266,7 @@ def validate_module(module):
     ids = [x for x in range(g.dim) if x in module.action]
     guard = _truncation_guard(module) if module.truncated else None
     if guard is None:
-        views = {x: _exact_rows(module.action[x]) for x in ids}
+        views = {x: module.action[x].rows() for x in ids}
     else:
         views = {x: module.action[x].cols() for x in ids}
     pairs_checked = 0
@@ -515,7 +503,7 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
                 for row_word, emits in images.items():
                     acc = {}
                     for suffix, c in emits:
-                        vec = {j: ONE}
+                        vec = {j: 1}
                         for s in reversed(suffix):
                             if not vec:
                                 break
@@ -523,7 +511,7 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
                         vec_add_into(acc, vec, c)
                     base = row_word * fdim
                     for jj, cv in acc.items():
-                        mat[(base + jj, col)] = mat.get((base + jj, col), ZERO) + cv
+                        mat[(base + jj, col)] = mat.get((base + jj, col), 0) + cv
         action[x] = SparseMatrix(total, total, mat)
 
     meta = {
@@ -769,7 +757,7 @@ def quotient_module(module, vectors, kind=None):
         return out
 
     projection = SparseMatrix(nq, module.dim, {
-        (k, i): v for i in range(module.dim) for k, v in project({i: ONE}).items()
+        (k, i): v for i in range(module.dim) for k, v in project({i: 1}).items()
     })
     action = {
         x: SparseMatrix(nq, nq, {

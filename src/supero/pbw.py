@@ -13,7 +13,7 @@ holds STRAIGHTEN_CACHE entries.
 
 from .errors import WindowError
 from .linalg import vec_add_into
-from .rational import QQ
+from .rational import QQ, exact
 from .weights import root_leq, wadd, wzero
 
 STRAIGHTEN_CACHE = 200_000
@@ -52,16 +52,17 @@ class PbwAlgebra:
                 defect = (i, False)
                 break
         if defect is None:
-            result = {word: QQ(1)}
+            result = {word: 1}
         else:
             i, square = defect
             a, b = word[i], word[i + 1]
             result = {}
             if square:
-                half = QQ(1, 2)
                 for k, c in g.bracket(a, a).items():
                     vec_add_into(
-                        result, self.straighten_word(word[:i] + (k,) + word[i + 2 :]), half * c
+                        result,
+                        self.straighten_word(word[:i] + (k,) + word[i + 2 :]),
+                        exact(c, 2),
                     )
             else:
                 sign = -1 if g.parity(a) and g.parity(b) else 1

@@ -5,6 +5,14 @@ fraction with positive denominator); otherwise the stdlib Fraction, which has
 the same normalization, serves as a drop-in.  Both stringify as "p/q", or "p"
 when the denominator is one, which is the serialization format used in every
 file this package writes.
+
+A stored scalar (a matrix entry, a vector coordinate, a structure constant)
+is a Python ``int`` when it is integral and a ``QQ`` only when it is not;
+:func:`exact` is the one normaliser that makes it so.  An ``int`` and the
+equal ``QQ`` compare and hash alike and print alike under :func:`rat_str`,
+so keys and reports do not depend on which of the two a value is.  Floats
+are not exact and are refused with ``TypeError``.  Division must keep a
+``QQ`` operand, since ``int / int`` is a float.
 """
 
 try:
@@ -18,6 +26,18 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 ZERO = QQ(0)
 ONE = QQ(1)
+
+
+def exact(num, den=1):
+    """num/den as an int when it is integral, else as QQ; raises TypeError
+    on a float.  ``num`` may be anything QQ accepts (int, QQ, "p/q")."""
+    if type(num) is int and type(den) is int:
+        quo, rem = divmod(num, den)
+        return QQ(num, den) if rem else quo
+    if isinstance(num, float) or isinstance(den, float):
+        raise TypeError(f"inexact scalar {num!r}: pass an int, a QQ or a 'p/q' string")
+    q = QQ(num) if den == 1 else QQ(num, den)
+    return int(q.numerator) if q.denominator == 1 else q
 
 
 def rat_str(value):

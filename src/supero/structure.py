@@ -19,7 +19,7 @@ basis elements of g is the tests' oracle for both (``tests/full_basis.py``).
 
 from collections import Counter
 
-from .rational import QQ, ZERO
+from .rational import QQ
 from .linalg import SparseMatrix, Echelon
 from .weights import wadd, wsub, root_leq, is_dominant_gl, weyl_shifts
 from .algebra import memoised, w0_action, beta_weight, rho_weight
@@ -122,8 +122,7 @@ class KacExtensions:
                 row0 = self.pair_index[p]
                 for j, c in img.items():
                     key = (row0 * M.dim + j, col)
-                    d1[key] = d1.get(key, ZERO) + c
-        d1 = {k: v for k, v in d1.items() if v != ZERO}
+                    d1[key] = d1.get(key, 0) + c
         self.d1 = SparseMatrix(len(self.pairs) * M.dim, len(self.c1_basis), d1)
 
     def h1_dimension(self, w, p):
@@ -196,7 +195,7 @@ def _glue_cocycle(ke, mu, p, fiber, d, limits):
 
     def put(key, u, v):
         row = rows.setdefault(key, {})
-        row[u] = row.get(u, ZERO) + v
+        row[u] = row.get(u, 0) + v
 
     for u, (k, c) in enumerate(unknowns):
         for r, v in ke.d1_cols[c].items():

@@ -258,7 +258,7 @@ class FractionEchelon:
         if not vec:
             return None
         lead = min(vec)
-        inv = 1 / vec[lead]
+        inv = QQ(1) / vec[lead]
         self.pivots[lead] = {k: v * inv for k, v in vec.items()}
         return lead
 
@@ -429,13 +429,26 @@ def test_echelon_operation_sequences_match_oracle(ops):
                 added.append(vec)
                 assert ech.add(vec) == oracle.add(vec)
             else:
-                assert getattr(ech, op)(vec) == getattr(oracle, op)(vec)
+                got, want = getattr(ech, op)(vec), getattr(oracle, op)(vec)
+                assert got == want
+                if op != "contains":
+                    assert_int_exactly_where_integral(got, want)
         assert ech.pivot_cols() == oracle.pivot_cols()
         assert [ech.pivot_row(c) for c in ech.pivot_cols()] == oracle.basis()
         assert len(ech) == len(oracle.pivots)
         ech.full_reduce()
         oracle.full_reduce()
         assert ech.basis() == oracle.basis()
+        for got, want in zip(ech.basis(), oracle.basis()):
+            assert_int_exactly_where_integral(got, want)
+
+
+def assert_int_exactly_where_integral(got, want):
+    """got holds an int exactly where the oracle's value has denominator 1
+    (and a QQ elsewhere); None, the outside-the-span answer, passes."""
+    for k, v in (got or {}).items():
+        integral = QQ(want[k]).denominator == 1
+        assert type(v) is (int if integral else QQ), (k, v, want[k])
 
 
 def test_reduce_is_the_normal_form():
