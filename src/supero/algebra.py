@@ -20,7 +20,7 @@ from itertools import product
 from .config import DEFAULT_LIMITS
 from .errors import GradingError, InvalidAlgebraError
 from .linalg import Echelon, SparseMatrix, vec_add_into
-from .rational import QQ, ZERO, rat_str
+from .rational import QQ, exact, rat_str
 from .weights import wadd, wdot, weight, wzero
 
 
@@ -124,8 +124,8 @@ class LieSuperAlgebra:
     def ids_of_degree(self, d):
         if self.degrees is None:
             raise GradingError("no grading installed")
-        q = QQ(d)
-        return [i for i in range(self.dim) if self.degrees[i] == q]
+        d = exact(d)
+        return [i for i in range(self.dim) if self.degrees[i] == d]
 
     def h_ids(self):
         return self.ids_of_degree(0)
@@ -188,7 +188,7 @@ class LieSuperAlgebra:
         if any(t is None for t in transpose):
             transpose = None
         if degrees is not None:
-            degrees = tuple(QQ(d) for d in degrees)
+            degrees = tuple(exact(d) for d in degrees)
         return LieSuperAlgebra(
             family_tag or f"sub:{self.family}",
             self.params,
@@ -211,14 +211,14 @@ _EMPTY = {}
 def memoised(builder):
     """Keep ``builder(g, lam, limits)`` in ``g.memo``.
 
-    lam is normalised to a tuple of QQ and the result stored under
-    (builder name, lam, limits); ``Limits`` is a frozen dataclass, so it
-    hashes by value.  Modules are immutable, so one stored result can be
-    handed to every caller.
+    lam is normalised by ``weights.weight`` (ints where integral) and the
+    result stored under (builder name, lam, limits); ``Limits`` is a
+    frozen dataclass, so it hashes by value.  Modules are immutable, so
+    one stored result can be handed to every caller.
     """
     @wraps(builder)
     def build(g, lam, limits=DEFAULT_LIMITS):
-        key = (builder.__name__, tuple(QQ(c) for c in lam), limits)
+        key = (builder.__name__, weight(lam), limits)
         if key not in g.memo:
             g.memo[key] = builder(g, key[1], limits)
         return g.memo[key]
@@ -356,7 +356,7 @@ def install_grading(g, kind):
         raise GradingError(f"gradings are installed on gl only, not {g.family}")
     m, n = g.params
     if kind == "principal":
-        dvec = tuple(QQ(m + n - p) for p in range(m + n))
+        dvec = tuple(range(m + n, 0, -1))
     elif kind == "compatible":
         dvec = tuple(QQ(1, 2) for _ in range(m)) + tuple(QQ(-1, 2) for _ in range(n))
     else:
@@ -437,7 +437,7 @@ def build_q(n):
         odd = b.parity
         i, j = _q_indices(b.label)
         transpose.append(id_of[(odd, j, i)])
-    dvec = tuple(QQ(-(i + 1)) for i in range(n))
+    dvec = tuple(range(-1, -n - 1, -1))
     degrees = tuple(wdot(b.weight, dvec) for b in basis)
     return LieSuperAlgebra(
         "q",
@@ -509,7 +509,7 @@ def validate_algebra(g):
         for b in range(dim):
             br = g.bracket(t, b)
             expected = g.weight_of(b)[coord]
-            got = br.get(b, ZERO)
+            got = br.get(b, 0)
             extra = {k: v for k, v in br.items() if k != b}
             if got != expected or extra:
                 failures.append(
@@ -544,7 +544,7 @@ def validate_algebra(g):
                             f"grading: [{g.label(a)},{g.label(b)}] not degree-additive"
                         )
         # local part generates (build the subalgebra generated by degrees -1..1)
-        local = [i for i in range(dim) if g.degree_of(i) in (QQ(-1), ZERO, QQ(1))]
+        local = [i for i in range(dim) if g.degree_of(i) in (-1, 0, 1)]
         ech = bracket_closure(g, local)
         if len(ech) != dim:
             failures.append(
@@ -576,7 +576,7 @@ def supertrace(matrix, parities):
     entries are automatically parity-preserving, so this is the signed sum of
     the diagonal.
     """
-    total = ZERO
+    total = 0
     for (i, j), v in matrix.data.items():
         if i == j:
             total += -v if parities[i] % 2 else v
@@ -624,7 +624,7 @@ def character_value(g, gamma, vec):
     gamma kills every non-torus basis element; on the torus it reads off the
     weight coordinate.
     """
-    total = ZERO
+    total = 0
     for k, c in vec.items():
         coord = g.t_coord.get(k)
         if coord is not None:

@@ -14,9 +14,9 @@ would silently misreport the numbers the identities quantify over.
 
 from collections import Counter
 
-from .rational import QQ, as_int
+from .rational import as_int
 from .linalg import SparseMatrix
-from .weights import dominant_weights_in_box, wadd, wsub, is_dominant_gl
+from .weights import dominant_weights_in_box, is_dominant_gl, wadd, weight, wsub
 from .algebra import beta_weight, w0_action
 from .config import DEFAULT_LIMITS
 from .errors import (
@@ -86,12 +86,12 @@ def weyl_character(hw):
     rec(hw, [])
     # the recursion collects coordinates top row first; our convention
     # lists the eigenvalue of the first diagonal entry first as well
-    return {tuple(QQ(c) for c in w): m for w, m in chars.items()}
+    return chars
 
 
 def even_character(m, n, lam):
     """Character of the simple module of gl(m) + gl(n) at lam."""
-    lam = tuple(QQ(c) for c in lam)
+    lam = weight(lam)
     if not is_dominant_gl(lam, m, n):
         raise DominanceError(f"{lam} is not dominant for gl({m})+gl({n})")
     left = weyl_character(lam[:m])
@@ -237,7 +237,7 @@ def _peel_factors(g, mu, limits):
 
 
 def decomposition_matrix(g, window, limits=DEFAULT_LIMITS):
-    window = [tuple(QQ(c) for c in w) for w in window]
+    window = [weight(w) for w in window]
     _validate_window(g, window)
     rows = []
     seen = set()
@@ -276,7 +276,7 @@ def cartan_matrix_via_bgg(D):
 def flag_matrix(g, window, limits=DEFAULT_LIMITS):
     """(P(lam) : K(mu)) over the window from explicit projective covers,
     read off the flag that projective_cover peeled and certified."""
-    window = [tuple(QQ(c) for c in w) for w in window]
+    window = [weight(w) for w in window]
     _validate_window(g, window)
     rows = []
     seen = set()
@@ -317,7 +317,7 @@ def tilting_table(g, window, limits=DEFAULT_LIMITS):
     carries both matrices and their difference, which the identity says
     is empty.
     """
-    window = [tuple(QQ(c) for c in w) for w in window]
+    window = [weight(w) for w in window]
     m, n = g.params
     beta = beta_weight(m, n)
     left = []

@@ -34,6 +34,7 @@ from .weights import (
     is_dominant_gl,
     root_leq,
     wdot,
+    weight,
     weights_between,
     wsub,
 )
@@ -180,7 +181,7 @@ def form_quotient(module, form=None, kind=None):
 
 
 def principal_dvector(m, n):
-    return tuple(QQ(k) for k in range(m + n, 0, -1))
+    return tuple(range(m + n, 0, -1))
 
 
 def even_levi(g):
@@ -301,7 +302,7 @@ def verma_module_truncated(g, lam, depth, limits=DEFAULT_LIMITS):
     b_ids = _borel_ids(g)
     fib = trivial_module(g.subalgebra(b_ids), lam)
     return induced_module(
-        g, b_ids, fib, min_degree=-QQ(depth), highest_weight=tuple(fib.weights[0]),
+        g, b_ids, fib, min_degree=-depth, highest_weight=tuple(fib.weights[0]),
         kind="verma_slice", limits=limits,
     )
 
@@ -320,7 +321,7 @@ def clifford_module(halg, lam):
     otherwise CliffordWeightError is raised.  Entries equal to zero act
     by zero.
     """
-    lam = tuple(QQ(c) for c in lam)
+    lam = weight(lam)
     t_ids = sorted(halg.t_coord)
     if len(lam) != len(t_ids):
         raise ValueError(f"expected {len(t_ids)} coordinates, got {len(lam)}")

@@ -161,7 +161,7 @@ def _min_poly(one, times_z, bound):
 
 def _rational_roots(p):
     """All rational roots of a polynomial over QQ with p[-1] != 0, sorted."""
-    roots = [] if p[0] else [QQ(0)]
+    roots = [] if p[0] else [0]
     while not p[0]:
         p = p[1:]
     den = lcm(*(int(QQ(c).denominator) for c in p))

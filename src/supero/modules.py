@@ -29,7 +29,6 @@ from .pbw import (
     monomial_weight,
     monomials,
 )
-from .rational import QQ
 from .weights import wadd, wneg
 
 
@@ -241,7 +240,7 @@ def validate_module(module):
             if r != c:
                 failures.append(f"torus element {g.label(t)} not diagonal at ({r},{c})")
                 break
-            if v != QQ(module.weights[r][coord]):
+            if v != module.weights[r][coord]:
                 failures.append(
                     f"torus eigenvalue of {g.label(t)} on vector {r} is {v}, "
                     f"weight says {module.weights[r][coord]}"

@@ -13,8 +13,8 @@ holds STRAIGHTEN_CACHE entries.
 
 from .errors import WindowError
 from .linalg import vec_add_into
-from .rational import QQ, exact
-from .weights import root_leq, wadd, wzero
+from .rational import exact
+from .weights import root_leq, wadd, weight, wzero
 
 STRAIGHTEN_CACHE = 200_000
 
@@ -89,7 +89,7 @@ def monomial_weight(g, word):
 
 
 def monomial_degree(g, word):
-    total = QQ(0)
+    total = 0
     for b in word:
         total += g.degree_of(b)
     return total
@@ -136,8 +136,8 @@ def monomials(pbw, ids, weight_window=None, min_degree=None):
     if min_degree is not None:
         if any(g.degree_of(b) >= 0 for b in gens):
             raise ValueError("degree cutoff needs strictly negative generator degrees")
-    window = None if weight_window is None else {tuple(QQ(c) for c in w) for w in weight_window}
-    min_deg = None if min_degree is None else QQ(min_degree)
+    window = None if weight_window is None else {weight(w) for w in weight_window}
+    min_deg = None if min_degree is None else exact(min_degree)
     out = []
     word = []
 
@@ -165,7 +165,7 @@ def monomials(pbw, ids, weight_window=None, min_degree=None):
             walk(p, nwt, ndeg)
             word.pop()
 
-    start_deg = QQ(0) if min_deg is not None else None
+    start_deg = 0 if min_deg is not None else None
     walk(0, wzero(g.weight_len), start_deg)
     out.sort(key=pbw.sort_key)
     return out

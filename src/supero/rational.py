@@ -6,26 +6,20 @@ the same normalization, serves as a drop-in.  Both stringify as "p/q", or "p"
 when the denominator is one, which is the serialization format used in every
 file this package writes.
 
-A stored scalar (a matrix entry, a vector coordinate, a structure constant)
-is a Python ``int`` when it is integral and a ``QQ`` only when it is not;
-:func:`exact` is the one normaliser that makes it so.  An ``int`` and the
-equal ``QQ`` compare and hash alike and print alike under :func:`rat_str`,
-so keys and reports do not depend on which of the two a value is.  Floats
-are not exact and are refused with ``TypeError``.  Division must keep a
-``QQ`` operand, since ``int / int`` is a float.
+A stored scalar (a matrix entry, a vector coordinate, a structure constant,
+a weight coordinate, a grading degree) is a Python ``int`` when it is
+integral and a ``QQ`` only when it is not; :func:`exact` is the one
+normaliser that makes it so (``weights.weight`` applies it to a weight).
+An ``int`` and the equal ``QQ`` compare and hash alike and print alike
+under :func:`rat_str`, so keys and reports do not depend on which of the
+two a value is.  Floats are not exact and are refused with ``TypeError``.
+Division must keep a ``QQ`` operand, since ``int / int`` is a float.
 """
 
 try:
     from gmpy2 import mpq as QQ
-
-    _BACKEND = "gmpy2"
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as QQ
-
-    _BACKEND = "fractions"
-
-ZERO = QQ(0)
-ONE = QQ(1)
 
 
 def exact(num, den=1):
@@ -46,11 +40,15 @@ def rat_str(value):
 
 
 def is_integer(value):
+    if type(value) is int:
+        return True
     q = value if type(value) is QQ else QQ(value)
     return q.denominator == 1
 
 
 def as_int(value):
+    if type(value) is int:
+        return value
     q = QQ(value)
     if q.denominator != 1:
         raise ValueError(f"{q} is not an integer")

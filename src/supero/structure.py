@@ -19,9 +19,8 @@ basis elements of g is the tests' oracle for both (``tests/full_basis.py``).
 
 from collections import Counter
 
-from .rational import QQ
 from .linalg import SparseMatrix, Echelon
-from .weights import wadd, wsub, root_leq, is_dominant_gl, weyl_shifts
+from .weights import wadd, weight, wsub, root_leq, is_dominant_gl, weyl_shifts
 from .algebra import memoised, w0_action, beta_weight, rho_weight
 from .config import DEFAULT_LIMITS
 from .errors import DominanceError, GradingError, ResourceLimitError
@@ -150,7 +149,7 @@ class KacExtensions:
         or both summed (parity None), into the coefficient module."""
         if parity is None:
             return self.ext_dimension(lam, 0) + self.ext_dimension(lam, 1)
-        lam = tuple(QQ(c) for c in lam)
+        lam = weight(lam)
         m, n = self.g.params
         if not is_dominant_gl(lam, m, n) or not self.h1_dimension(lam, parity):
             return 0
@@ -435,7 +434,7 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     if g.family != "gl" or g.grading_kind != "compatible":
         raise GradingError("tilting construction needs gl compatible grading")
     m, n = g.params
-    lam = tuple(QQ(c) for c in lam)
+    lam = weight(lam)
     core = _central_core(m, n, lam)
     T = kac_module(g, lam, limits=limits)
     flag = [(lam, 0)]
@@ -502,7 +501,7 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
 def verify_kac_dual(g, lam, limits=DEFAULT_LIMITS):
     """Check K(lam)^* against K(beta - w0.lam); returns a report dict."""
     m, n = g.params
-    lam = tuple(QQ(c) for c in lam)
+    lam = weight(lam)
     K = kac_module(g, lam, limits=limits)
     D = dual_module(K)
     beta = beta_weight(*g.params)
@@ -523,7 +522,7 @@ def verify_kac_dual(g, lam, limits=DEFAULT_LIMITS):
 def verify_projective_dual(g, lam, limits=DEFAULT_LIMITS):
     """Check P(beta - w0.lam)^* against the tilting module U(lam)."""
     m, n = g.params
-    lam = tuple(QQ(c) for c in lam)
+    lam = weight(lam)
     beta = beta_weight(*g.params)
     plam = wsub(beta, w0_action(m, n, lam))
     P = projective_cover(g, plam, limits=limits)

@@ -1,4 +1,10 @@
-"""Weights as tuples of rationals, plus the root-order combinatorics.
+"""Weights as tuples of exact scalars, plus the root-order combinatorics.
+
+A weight coordinate follows the value rule of ``rational``: an ``int``
+when it is integral and a ``QQ`` only when it is not, so an integral
+weight is a tuple of ints and "(1/2|-1/2)" keeps its ``QQ`` coordinates.
+:func:`weight` is the one normaliser; arithmetic on normalised weights
+may give an integral ``QQ``, which hashes and compares like the ``int``.
 
 A weight for gl(m|n) has m+n coordinates in the index order
 (-m, ..., -1, 1, ..., n); for q(n) it has n coordinates.  The textual form is
@@ -13,13 +19,13 @@ in the nonnegative span of the positive roots.
 
 from itertools import permutations, product
 
-from .rational import QQ, ZERO, as_int, is_integer, rat_str
+from .rational import as_int, exact, is_integer, rat_str
 
 
 def weight(*coords):
     if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
         coords = coords[0]
-    return tuple(QQ(c) for c in coords)
+    return tuple(exact(c) for c in coords)
 
 
 def wadd(a, b):
@@ -35,16 +41,15 @@ def wneg(a):
 
 
 def wscale(a, c):
-    q = QQ(c)
-    return tuple(q * x for x in a)
+    return tuple(exact(c * x) for x in a)
 
 
 def wzero(length):
-    return (ZERO,) * length
+    return (0,) * length
 
 
 def wdot(a, b):
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    return exact(sum(x * y for x, y in zip(a, b)))
 
 
 def format_weight(w, bar_after=None):
@@ -62,14 +67,14 @@ def parse_weight(text):
     body = body.replace("|", ",")
     if not body:
         return ()
-    return tuple(QQ(p.strip()) for p in body.split(","))
+    return weight([p.strip() for p in body.split(",")])
 
 
 def root_leq(lo, hi):
     """lo <= hi in the root order (prefix-sum test)."""
     if len(lo) != len(hi):
         return False
-    acc = ZERO
+    acc = 0
     for x, y in zip(hi, lo):
         d = x - y
         if not is_integer(d):
@@ -84,8 +89,7 @@ def height(lo, hi):
     """Sum of simple-root coefficients of hi - lo (requires lo <= hi)."""
     if not root_leq(lo, hi):
         raise ValueError(f"{hi} does not dominate {lo}")
-    acc = ZERO
-    total = ZERO
+    acc = total = 0
     for x, y in zip(hi, lo):
         acc += x - y
         total += acc
@@ -161,5 +165,5 @@ def weyl_shifts(m, n):
     for left, right in product(permutations(range(m)), permutations(range(m, m + n))):
         w = left + right
         inversions = sum(a > b for i, a in enumerate(w) for b in w[i + 1:])
-        out.append(((-1) ** inversions, tuple(QQ(j - k) for k, j in enumerate(w))))
+        out.append(((-1) ** inversions, tuple(j - k for k, j in enumerate(w))))
     return out

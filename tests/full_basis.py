@@ -33,7 +33,7 @@ from supero.forms import even_levi
 from supero.homs import _canonical_basis, _divide_linear, _rational_roots, end_ring
 from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into
 from supero.modules import _truncation_guard, submodule_module
-from supero.rational import ONE, QQ, ZERO
+from supero.rational import QQ
 from supero.weights import wadd, wsub
 
 
@@ -43,7 +43,7 @@ def apply(mat, vec):
     for (i, j), a in mat.data.items():
         c = vec.get(j)
         if c:
-            t = out.get(i, ZERO) + a * c
+            t = out.get(i, 0) + a * c
             if t:
                 out[i] = t
             else:
@@ -78,19 +78,19 @@ def full_basis_hom_system(src, dst, parity):
     var_idx = {v: k for k, v in enumerate(variables)}
     equations = {}
     for x in range(g.dim):
-        sign = QQ(-1) if s and g.parity(x) else ONE
+        sign = QQ(-1) if s and g.parity(x) else 1
         for (k, j), v in src.action[x].data.items():
             for i in range(dst.dim):
                 var = var_idx.get((i, k))
                 if var is not None:
                     row = equations.setdefault((x, i, j), {})
-                    row[var] = row.get(var, ZERO) + v
+                    row[var] = row.get(var, 0) + v
         for (i, k), v in dst.action[x].data.items():
             for j in range(src.dim):
                 var = var_idx.get((k, j))
                 if var is not None:
                     row = equations.setdefault((x, i, j), {})
-                    row[var] = row.get(var, ZERO) - sign * v
+                    row[var] = row.get(var, 0) - sign * v
     mat = SparseMatrix(len(equations), len(variables), {
         (r, var): c for r, key in enumerate(sorted(equations))
         for var, c in equations[key].items()
@@ -167,7 +167,7 @@ def ordered_pair_validation(module):
             for i in range(n):
                 if not guard(i, a, b):
                     continue
-                v = {i: ONE}
+                v = {i: 1}
                 lhs = apply(mat_a, apply(mat_b, v))
                 vec_add_into(lhs, apply(mat_b, apply(mat_a, v)), QQ(-sign))
                 rhs = {}
@@ -202,7 +202,7 @@ def _cocycle_data(ke, cols_of, w, p):
                 col = ke.c1_index[(x, j)]
                 if col in local:
                     img[local[col]] = c
-                elif c != ZERO:
+                elif c != 0:
                     raise AssertionError("coboundary left its block")
         if img:
             bs.append(img)
@@ -218,13 +218,13 @@ def _raising_action(ke, cols_of, e, vec_cols, vec):
         x, i = ke.c1_basis[vec_cols[k]]
         for j, cc in cols_of[e][i].items():
             col = ke.c1_index[(x, j)]
-            out[col] = out.get(col, ZERO) + c * cc
+            out[col] = out.get(col, 0) + c * cc
         for y in ke.pos:
-            coeff = g.bracket(e, y).get(x, ZERO)
-            if coeff != ZERO:
+            coeff = g.bracket(e, y).get(x, 0)
+            if coeff != 0:
                 col = ke.c1_index[(y, i)]
-                out[col] = out.get(col, ZERO) - coeff * c
-    return {k: v for k, v in out.items() if v != ZERO}
+                out[col] = out.get(col, 0) - coeff * c
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def ext_dimension_by_raisings(ke, lam, parity):
@@ -259,14 +259,14 @@ def ext_dimension_by_raisings(ke, lam, parity):
         eq = {r: {} for r in range(len(target))}
         for k in range(nz):
             for col, v in _raising_action(ke, cols_of, e, cols, zs[k]).items():
-                eq[target[col]][k] = eq[target[col]].get(k, ZERO) + v
+                eq[target[col]][k] = eq[target[col]].get(k, 0) + v
         for t, i in enumerate(idxs):
             for x in ke.pos:
                 for j, c in cols_of[x][i].items():
                     col = ke.c1_index[(x, j)]
                     if col in target:
                         r = target[col]
-                        eq[r][off + t] = eq[r].get(off + t, ZERO) - c
+                        eq[r][off + t] = eq[r].get(off + t, 0) - c
         rows.extend(v for v in eq.values() if v)
     ent = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
     sols = SparseMatrix(len(rows), offset, ent).kernel_basis()
@@ -333,9 +333,9 @@ def glue_cochains(bottom, top, limits=DEFAULT_LIMITS):
     rows = []
 
     def add_block(eqs, key, coeff):
-        if coeff != ZERO and key in vindex:
+        if coeff != 0 and key in vindex:
             col = vindex[key]
-            eqs[col] = eqs.get(col, ZERO) + coeff
+            eqs[col] = eqs.get(col, 0) + coeff
 
     for a in range(g.dim):
         pa = g.parity(a)
@@ -343,10 +343,10 @@ def glue_cochains(bottom, top, limits=DEFAULT_LIMITS):
             pb = g.parity(b)
             if a == b and pa == 0:
                 continue
-            sign = -ONE if (pa and pb) else ONE
+            sign = -1 if (pa and pb) else 1
             br = g.bracket(a, b)
             half = a == b
-            scale = QQ(1, 2) if half else ONE
+            scale = QQ(1, 2) if half else 1
             wab = wadd(g.weight_of(a), g.weight_of(b))
             for i in range(bottom.dim):
                 # every term of equation (a, b, i, j) is a variable at
@@ -370,7 +370,7 @@ def glue_cochains(bottom, top, limits=DEFAULT_LIMITS):
                             add_block(eqs, (b, i, k), -sign * v)
                     for x, coeff in br.items():
                         add_block(eqs, (x, i, j), -scale * coeff)
-                    eqs = {k: v for k, v in eqs.items() if v != ZERO}
+                    eqs = {k: v for k, v in eqs.items() if v != 0}
                     if eqs:
                         rows.append(eqs)
     ent = {}
@@ -387,12 +387,12 @@ def glue_cochains(bottom, top, limits=DEFAULT_LIMITS):
                 for k, v in bcol[x][i].items():
                     key = (x, k, j)
                     if key in vindex:
-                        blk[vindex[key]] = blk.get(vindex[key], ZERO) + v
+                        blk[vindex[key]] = blk.get(vindex[key], 0) + v
                 for k, v in trow[x][j].items():
                     key = (x, i, k)
                     if key in vindex:
-                        blk[vindex[key]] = blk.get(vindex[key], ZERO) - v
-            blk = {k: v for k, v in blk.items() if v != ZERO}
+                        blk[vindex[key]] = blk.get(vindex[key], 0) - v
+            blk = {k: v for k, v in blk.items() if v != 0}
             if blk:
                 coboundaries.append(blk)
     return vars_, cocycles, coboundaries
@@ -456,7 +456,7 @@ def ring_from_matrices(module, basis, limits=DEFAULT_LIMITS):
     tag = module.dim
     for k, F in enumerate(basis):
         vec = dict(F.data)
-        vec[(tag, k)] = ONE
+        vec[(tag, k)] = 1
         lead = ech.add(vec)
         if lead is None or lead[0] == tag:
             raise AssertionError("hom basis is dependent")
@@ -492,7 +492,7 @@ def _min_poly_by_powers(z, n):
                 (pos[k], c): v for c, m in enumerate(powers) for k, v in m.data.items()
             })
             sol = mat.solve({pos[k]: v for k, v in cur.data.items()})
-            return [-sol.get(k, ZERO) for k in range(len(powers))] + [ONE]
+            return [-sol.get(k, 0) for k in range(len(powers))] + [1]
         powers.append(cur)
     raise AssertionError("minimal polynomial computation ran away")
 
@@ -543,7 +543,7 @@ def fitting_split(module, Y):
     for (i, j), c in pieces[1][1].data.items():
         both[(i, d + j)] = c
     projects = [{}, {}]
-    solutions = SparseMatrix(n, n, both).solve_multi([{j: ONE} for j in range(n)])
+    solutions = SparseMatrix(n, n, both).solve_multi([{j: 1} for j in range(n)])
     for j, sol in enumerate(solutions):
         if sol is None:
             raise AssertionError("Fitting pieces do not span the module")

@@ -1,10 +1,13 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from supero.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -153,6 +156,23 @@ def test_verify_explicit_weights_window(capsys):
     assert code == 0
     cases = json.loads(out)["results"]["kdual"]["cases"]
     assert [c["weight"] for c in cases] == ["(0|0)", "(-1|1)"]
+
+
+def test_verify_half_integral_weights_matches_golden(capsys):
+    """A whole run on non-integral highest weights, where weight
+    coordinates stay QQ and meet the int coordinates of the roots: the
+    report must match the committed bytes."""
+    code, out, err = run(
+        capsys,
+        "verify",
+        "--algebra", "gl:1,1",
+        "--weights", "(1/2|-1/2);(-1/2|1/2);(3/2|-3/2)",
+        "--closure",
+        "--which", "all",
+    )
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+    assert out == (GOLDEN / "gl11_half_integral_verify.json").read_text()
 
 
 def test_verify_budget_zero_is_resource_not_pass(capsys):

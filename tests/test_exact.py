@@ -13,6 +13,7 @@ from supero.forms import kac_module, simple_module
 from supero.linalg import SparseMatrix
 from supero.rational import QQ, exact, rat_str
 from supero.structure import projective_cover, tilting_module
+from supero.weights import parse_weight
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "supero"
 
@@ -89,3 +90,78 @@ def test_gl21_modules_store_ints_where_integral():
                 assert not bad, (build.__name__, lam, bad[:3])
                 checked += len(mat.data)
     assert checked
+
+
+def _integral_qq_literal(node):
+    """A QQ(...) call whose arguments are integer literals and whose value
+    is integral, e.g. QQ(0), QQ(-1) or QQ(4, 2)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "QQ" and node.args and not node.keywords):
+        return False
+    values = []
+    for arg in node.args:
+        neg = isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.USub)
+        arg = arg.operand if neg else arg
+        if not (isinstance(arg, ast.Constant) and type(arg.value) is int):
+            return False
+        values.append(-arg.value if neg else arg.value)
+    return len(values) == 1 or values[0] % values[1] == 0
+
+
+def test_no_integral_qq_literal():
+    """An integral scalar is an int at the source: no QQ(0), QQ(1), ...
+    in the library, except as an operand of / (int / int is a float)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        divided = {
+            id(side) for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            for side in (node.left, node.right)
+        }
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if _integral_qq_literal(node) and id(node) not in divided
+        ]
+    assert not found, f"integral QQ literal outside a division at {found}"
+
+
+def _all_int(coords):
+    return all(type(c) is int for c in coords)
+
+
+@pytest.mark.parametrize("kind", ["compatible", "principal"])
+def test_gl21_root_weights_and_degrees_are_ints(kind):
+    g = install_grading(build_gl(2, 1), kind)
+    assert all(_all_int(b.weight) for b in g.basis)
+    assert _all_int(g.degrees)
+
+
+def test_gl21_module_weights_are_ints():
+    """Window, memo keys and the weights of the Kac, simple, projective
+    and tilting modules of gl(2|1) on the box -1..1 hold ints."""
+    g = install_grading(build_gl(2, 1), "compatible")
+    assert all(_all_int(w) for w in window_from_box(g, -1, 1))
+    window = window_from_box(g, -1, 1, support_closure=False)
+    for lam in window:
+        for build in (kac_module, simple_module, projective_cover, tilting_module):
+            module = build(g, lam)
+            assert all(_all_int(w) for w in module.weights), (build.__name__, lam)
+    keys = [key for key in g.memo if len(key) == 3]
+    assert keys and all(_all_int(key[1]) for key in keys)
+
+
+def test_memo_key_is_the_normalised_weight():
+    g = install_grading(build_gl(2, 1), "compatible")
+    K = kac_module(g, (1, 0, 0))
+    assert kac_module(g, (QQ(1), QQ(0), QQ(0))) is K
+    assert kac_module(g, ("1", "0", "0")) is K
+    keys = [key for key in g.memo if key[0] == "kac_module"]
+    assert len(keys) == 1 and keys[0][1] == (1, 0, 0) and _all_int(keys[0][1])
+
+
+def test_half_integral_weight_keeps_qq():
+    w = parse_weight("(1/2|-1/2)")
+    assert w == (QQ(1, 2), QQ(-1, 2))
+    assert all(type(c) is QQ for c in w)
+    assert parse_weight("(2/2|-1)") == (1, -1) and _all_int(parse_weight("(2/2|-1)"))

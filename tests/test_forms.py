@@ -31,7 +31,7 @@ from supero.forms import (
     verma_module_truncated,
 )
 from supero.modules import ExplicitModule, submodule_module, validate_module
-from supero.rational import ONE, QQ
+from supero.rational import QQ
 
 from full_basis import act_word
 from helpers import direct_sum
@@ -67,7 +67,7 @@ def word_gram(module, words):
     for a, w1 in enumerate(words):
         tw1 = tuple(g.transpose[x] for x in reversed(w1))
         for b, w2 in enumerate(words):
-            vec = act_word(module, w2, {t: ONE})
+            vec = act_word(module, w2, {t: 1})
             vec = act_word(module, tw1, vec)
             out[(a, b)] = vec.get(t, QQ(0))
     return out
@@ -78,7 +78,7 @@ def peel_gram_on_words(module, form, words):
     top = module.weight_space(module.highest_weight)[0]
     spaces = module.weight_spaces()
     posmap = {w: {i: k for k, i in enumerate(ix)} for w, ix in spaces.items()}
-    vecs = [act_word(module, w, {top: ONE}) for w in words]
+    vecs = [act_word(module, w, {top: 1}) for w in words]
     wts = [module.weights[min(v)] if v else None for v in vecs]
     out = {}
     for a, va in enumerate(vecs):
@@ -299,7 +299,7 @@ def test_form_detects_non_cyclic():
     g = gl11()
     K = kac_module(g, (0, 0))
     L, _ = form_quotient(K)
-    sub, _ = submodule_module(K, [{1: ONE}])
+    sub, _ = submodule_module(K, [{1: 1}])
     M = direct_sum(L, sub)
     M = ExplicitModule(
         M.g, M.weights, M.parities, M.action, highest_weight=(QQ(0), QQ(0)),

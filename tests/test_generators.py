@@ -30,7 +30,7 @@ from supero.modules import (
     submodule_module,
     tau_dual,
 )
-from supero.rational import ONE, QQ
+from supero.rational import QQ
 from supero.structure import projective_cover, projective_cover_h, tilting_module
 
 from full_basis import full_basis_closure, full_basis_hom_space
@@ -72,7 +72,7 @@ def spanned_by_closure(g, ids):
     search written independently of ``bracket_closure``."""
     ech = Echelon()
     span = []
-    todo = [{i: ONE} for i in ids]
+    todo = [{i: 1} for i in ids]
     while todo:
         v = todo.pop()
         if ech.add(v) is None:
@@ -106,7 +106,7 @@ def test_generators_are_greedy_and_minimal_in_order():
             if x in g.t_ids:
                 continue
             before = [y for y in gens if y < x]
-            inside = bracket_closure(g, list(g.t_ids) + before).contains({x: ONE})
+            inside = bracket_closure(g, list(g.t_ids) + before).contains({x: 1})
             assert inside == (x not in gens), (g, g.label(x))
 
 
@@ -236,7 +236,7 @@ def test_q_natural_has_the_odd_involution():
 def assert_closures_match(M, step=1):
     """submodule_module and quotient_module on every step-th basis vector
     and on one combination of two vectors of equal weight and parity."""
-    vecs = [{i: ONE} for i in range(0, M.dim, step)]
+    vecs = [{i: 1} for i in range(0, M.dim, step)]
     graded = [(M.weights[i], M.parities[i]) for i in range(M.dim)]
     pairs = [
         (i, j) for i in range(M.dim) for j in range(i + 1, M.dim)
@@ -244,7 +244,7 @@ def assert_closures_match(M, step=1):
     ]
     if pairs:
         i, j = pairs[0]
-        vecs.append({i: ONE, j: QQ(-2)})
+        vecs.append({i: 1, j: QQ(-2)})
     for v in vecs:
         rows = full_basis_closure(M, [v])
         sub, inc = submodule_module(M, [v])

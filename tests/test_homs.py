@@ -34,7 +34,7 @@ from supero.modules import (
     tau_dual,
     validate_module,
 )
-from supero.rational import ONE, QQ
+from supero.rational import QQ
 from supero.structure import (
     delta_flag,
     projective_cover,
@@ -54,7 +54,7 @@ def gl11():
 def is_module_map(F, src, dst, parity=0):
     g = src.g
     for x in range(g.dim):
-        sign = QQ(-1) if parity and g.parity(x) else ONE
+        sign = QQ(-1) if parity and g.parity(x) else 1
         if F @ src.action[x] != (dst.action[x] @ F).scale(sign):
             return False
     return True
@@ -530,7 +530,7 @@ def test_non_isomorphic_same_character():
     g = gl11()
     K0 = kac_module(g, (0, 0))
     L, _ = form_quotient(K0)
-    sub, _ = submodule_module(K0, [{1: ONE}])
+    sub, _ = submodule_module(K0, [{1: 1}])
     S = direct_sum(L, sub)
     assert K0.super_character() == S.super_character()
     r = is_isomorphic(K0, S)

@@ -21,7 +21,7 @@ from supero.modules import (
     trivial_module,
     validate_module,
 )
-from supero.rational import ONE, QQ
+from supero.rational import QQ
 from supero.weights import wdot, wneg, wsub, weights_between
 
 from full_basis import act_word, apply
@@ -85,7 +85,7 @@ def test_gl11_kac_character(lam):
 def test_act_word_matches_iterated_act():
     g = gl11()
     K = flat_kac(g, (2, -1))
-    v = {0: ONE}
+    v = {0: 1}
     a = g.id_of("e(1,-1)")
     b = g.id_of("e(-1,1)")
     assert act_word(K, (b, a), v) == apply(K.action[b] @ K.action[a], v)
@@ -247,12 +247,12 @@ def test_submodule_and_quotient_of_reducible_kac():
     """In K(3,-3) the lowered vector generates a 1-dim submodule."""
     g = gl11()
     K = flat_kac(g, (3, -3))
-    sub, incl = submodule_module(K, [{1: ONE}])
+    sub, incl = submodule_module(K, [{1: 1}])
     assert sub.dim == 1
     assert sub.weights == ((QQ(2), QQ(-2)),)
     assert sub.parities == (1,)
     assert validate_module(sub)["passed"]
-    quo, proj = quotient_module(K, [{1: ONE}])
+    quo, proj = quotient_module(K, [{1: 1}])
     assert quo.dim == 1
     assert quo.weights == ((QQ(3), QQ(-3)),)
     assert validate_module(quo)["passed"]
@@ -265,7 +265,7 @@ def test_submodule_and_quotient_of_reducible_kac():
 def test_submodule_closure_grows_to_whole_module():
     g = gl11()
     K = flat_kac(g, (2, -1))
-    sub, incl = submodule_module(K, [{1: ONE}])
+    sub, incl = submodule_module(K, [{1: 1}])
     assert sub.dim == 2  # raising recovers the top vector since 2 - 1 != 0
     assert incl == SparseMatrix.identity(2)
 
@@ -274,7 +274,7 @@ def test_submodule_rejects_mixed_seed():
     g = gl11()
     K = flat_kac(g, (2, -1))
     with pytest.raises(ValueError):
-        submodule_module(K, [{0: ONE, 1: ONE}])
+        submodule_module(K, [{0: 1, 1: 1}])
 
 
 def test_quotient_by_nothing_is_identity():
@@ -325,7 +325,7 @@ def test_json_dict_golden_inline():
 def test_action_respects_weights(lam, word):
     g = gl11()
     K = flat_kac(g, lam)
-    out = act_word(K, tuple(word), {0: ONE})
+    out = act_word(K, tuple(word), {0: 1})
     if out:
         shift = (QQ(0), QQ(0))
         for x in word:

@@ -1,13 +1,15 @@
-"""No module-level function or class of the library exists for the tests alone.
+"""No module-level function, class or constant of the library exists for the
+tests alone.
 
-A top-level name defined in ``src/supero`` counts as used when code outside
-its own definition refers to it: its own module, another library module
-(through an import or an attribute access; a local variable of the same
-name does not count, nor does the re-export list in ``__init__.py``), a
-demo, a ``python`` or ``sh`` code block of the README (the Layout block is
-prose) or a ``perfbench/`` script (which also looks functions up by name,
-so its strings count).  Methods are not checked, because their names
-collide across classes.
+A top-level name defined in ``src/supero`` (by ``def``, ``class`` or an
+assignment) counts as used when code outside its own definition refers to
+it: its own module, another library module (through an import or an
+attribute access; a local variable of the same name does not count, nor
+does the re-export list in ``__init__.py``), a demo, a ``python`` or
+``sh`` code block of the README (the Layout block is prose) or a
+``perfbench/`` script (which also looks functions up by name, so its
+strings count).  Methods are not checked, because their names collide
+across classes.
 """
 
 import ast
@@ -68,6 +70,16 @@ def _imported(tree):
     return names
 
 
+def _defined_names(node):
+    """Names a top-level statement defines: a function, a class, or the
+    plain-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
 def orphans():
     """(module, name) for every top-level definition nothing else uses."""
     trees = {
@@ -80,10 +92,9 @@ def orphans():
     for stem, tree in trees.items():
         elsewhere = external.union(*(r for s, r in refs.items() if s != stem))
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name not in elsewhere and node.name not in _references(tree, skip=node):
-                found.append((stem, node.name))
+            for name in _defined_names(node):
+                if name not in elsewhere and name not in _references(tree, skip=node):
+                    found.append((stem, name))
     return found
 
 

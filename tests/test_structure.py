@@ -22,7 +22,7 @@ from supero.forms import clifford_module, induced_projective, kac_module, simple
 from supero.homs import end_ring, hom_dims, is_isomorphic
 from supero.linalg import Echelon, SparseMatrix
 from supero.modules import parity_flip, tau_dual, validate_module
-from supero.rational import ONE, QQ, ZERO
+from supero.rational import QQ
 from supero.structure import (
     KacExtensions,
     delta_flag,
@@ -304,8 +304,8 @@ def oracle_ext1(bottom, top):
     trow = [top.action[x].rows() for x in range(g.dim)]
 
     def add_block(eqs, key, coeff):
-        if coeff != ZERO and key in vindex:
-            eqs[vindex[key]] = eqs.get(vindex[key], ZERO) + coeff
+        if coeff != 0 and key in vindex:
+            eqs[vindex[key]] = eqs.get(vindex[key], 0) + coeff
 
     rows = []
     for a in range(g.dim):
@@ -314,9 +314,9 @@ def oracle_ext1(bottom, top):
             pb = g.parity(b)
             if a == b and pa == 0:
                 continue
-            sign = -ONE if (pa and pb) else ONE
+            sign = -1 if (pa and pb) else 1
             half = a == b
-            scale = QQ(1, 2) if half else ONE
+            scale = QQ(1, 2) if half else 1
             for i in range(bottom.dim):
                 for j in range(top.dim):
                     eqs = {}
@@ -331,7 +331,7 @@ def oracle_ext1(bottom, top):
                             add_block(eqs, (b, i, k), -sign * v)
                     for x, coeff in g.bracket(a, b).items():
                         add_block(eqs, (x, i, j), -scale * coeff)
-                    eqs = {k: v for k, v in eqs.items() if v != ZERO}
+                    eqs = {k: v for k, v in eqs.items() if v != 0}
                     if eqs:
                         rows.append(eqs)
     ent = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
@@ -349,7 +349,7 @@ def oracle_ext1(bottom, top):
                     add_block(blk, (x, k, j), v)
                 for k, v in trow[x][j].items():
                     add_block(blk, (x, i, k), -v)
-            blk = {k: v for k, v in blk.items() if v != ZERO}
+            blk = {k: v for k, v in blk.items() if v != 0}
             if blk:
                 seen.add(blk)
     dim, witness = 0, None

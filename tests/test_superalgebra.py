@@ -24,7 +24,7 @@ from supero.algebra import (
 )
 from supero.errors import GradingError, InvalidAlgebraError
 from supero.linalg import SparseMatrix, vec_add_into
-from supero.rational import QQ, ZERO
+from supero.rational import QQ
 from supero.weights import weight, wneg, wscale, wzero
 
 from helpers import ad_matrix
@@ -144,7 +144,7 @@ def test_q_axioms(n):
 def _tampered(g, a, b, target, delta):
     table = {k: dict(v) for k, v in g.table.items()}
     entry = table.setdefault((a, b), {})
-    entry[target] = entry.get(target, ZERO) + QQ(delta)
+    entry[target] = entry.get(target, 0) + QQ(delta)
     if not entry[target]:
         del entry[target]
     return LieSuperAlgebra(
@@ -235,7 +235,7 @@ def test_compatible_grading():
     e = lambda i, j: g.id_of(f"e({i},{j})")
     assert g.degree_of(e(-2, 1)) == QQ(1)
     assert g.degree_of(e(1, -1)) == QQ(-1)
-    assert g.degree_of(e(-2, -1)) == ZERO
+    assert g.degree_of(e(-2, -1)) == 0
     # h is the whole even part gl(2) + gl(1)
     assert len(g.h_ids()) == 5
     assert all(g.parity(i) == 0 for i in g.h_ids())
@@ -354,7 +354,7 @@ def test_q2_supertrace_essential():
             mat[(index[t], col)] = c
     mat = SparseMatrix(len(h), len(h), mat)
     assert sum(v for (i, j), v in mat.data.items() if i == j) == QQ(4)
-    assert supertrace(mat, [g.parity(b) for b in h]) == ZERO
+    assert supertrace(mat, [g.parity(b) for b in h]) == 0
 
 
 def test_wrong_characters_rejected():

@@ -23,7 +23,7 @@ from supero.modules import (
     trivial_module,
     validate_module,
 )
-from supero.rational import ONE, QQ
+from supero.rational import QQ
 from supero.structure import (
     KacExtensions,
     ext1_with_representative,
@@ -76,7 +76,7 @@ def rescaled_basis(module):
     elements are rescaled, x -> (x + 2)/3 x: the action matrices and the
     structure constants of the copy have non-integral entries."""
     g = module.g
-    r = [ONE if x in g.t_coord else QQ(x + 2, 3) for x in range(g.dim)]
+    r = [QQ(1) if x in g.t_coord else QQ(x + 2, 3) for x in range(g.dim)]
     h = copy.copy(g)
     h.table = {
         (a, b): {k: r[a] * r[b] * c / r[k] for k, c in br.items()}
@@ -128,7 +128,7 @@ def corruptions(module):
             continue
         key = min(mat.data)
         data = dict(mat.data)
-        data[key] = data[key] + (ONE if data[key] + ONE else 2 * ONE)
+        data[key] = data[key] + (1 if data[key] + 1 else 2)
         out.append(with_action(module, x, SparseMatrix(mat.nrows, mat.ncols, data)))
     return out
 
@@ -188,6 +188,6 @@ def test_glue_extension_rejects_a_changed_glue_entry():
     assert len(entries) > 1
     for x, key in entries:
         changed = {y: dict(blk) for y, blk in block.items()}
-        changed[x][key] = changed[x][key] + ONE
+        changed[x][key] = changed[x][key] + 1
         with pytest.raises(ValueError, match="bracket relation"):
             glue_extension(bottom, top, changed)
