@@ -14,8 +14,8 @@ class Limits:
     max_module_dim: refuse to build explicit modules larger than this.
     max_end_dim: bound on endomorphism/radical algebra dimension.
     max_hom_vars: bound on unknowns in hom solves (for the endomorphism
-        ring of an induced module, the fiber system Hom_s(F, Res M) of
-        the adjunction route), in the C^1 of the extension cochain
+        ring of a module with a flag record, the system on its fiber
+        vectors), in the C^1 of the extension cochain
         complex and in each singular-vector system of a truncated Verma
         module.  Library-only: no CLI flag sets it.
     iteration_budget: cap on the first-extension evaluations of one

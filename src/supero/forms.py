@@ -242,8 +242,7 @@ def kac_module(g, lam, limits=DEFAULT_LIMITS):
     m, n = g.params
     V = simple_even_module(g, lam, limits=limits)
     b_ids = _borel_ids(g)
-    # one parabolic per algebra: each Kac module's induction record keeps
-    # its fiber, and with it this subalgebra, alive
+    # one parabolic per algebra, built by the first Kac module
     if ("kac_parabolic",) not in g.memo:
         g.memo[("kac_parabolic",)] = g.subalgebra(b_ids)
     fiber = inflate_module(V, g.memo[("kac_parabolic",)])

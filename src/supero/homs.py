@@ -13,16 +13,22 @@ slice satisfies the bracket relation only where its guard says, so
 there every basis element is imposed; see ``intertwining_ids``.)
 
 Endomorphism rings avoid the global solve where the structure allows.
-For M = Ind_s^g F as ``induced_module`` returned it (untruncated, so
-``M.induction`` is set; nothing derived from M carries the record),
-Frobenius reciprocity Hom_g(Ind_s F, M) = Hom_s(F, Res_s M) turns the
-Sum_w d_w(M)^2 unknowns into Sum_w d_w(F) d_w(M): each even s-map phi
-extends to w (x) v -> w . phi(v) along the recorded PBW words, and each
-extension is checked against the Lie generators.  The span is reduced to
-the basis ``hom_space`` would return (``_canonical_basis``), so bases,
-splittings and reports do not depend on the route.  Each basis map is
-one at its own free entry and zero at the others, so the structure
-constants of A = End(M)_0 are entries of products of basis maps.
+A module with a flag record (``ExplicitModule.flag_record``) is spanned
+by words w applied to its fiber vectors v, so an even g-map F is fixed by
+psi = F|_V on their span V, F(w . v) = w . psi(v): Sum_w d_w(V) d_w(M)
+unknowns instead of Sum_w d_w(M)^2.  For M = Ind_s F that is Frobenius
+reciprocity.  For a module glued from Kac modules K(mu) =
+Lambda(g_{-1}) (x) L0(mu), g_{-1} being odd and abelian in the
+compatible grading, it is freeness over U(g_{-1}) = Lambda(g_{-1}): a
+Kac flag makes M free, as a Verma flag makes a module free over U(n-)
+(Soergel, "Character formulas for tilting modules over Kac-Moody
+algebras", Represent. Theory 2 (1998)), and psi need only commute with
+s = g0 + g1 on V (``_end_by_record``).  Each extension is checked
+against the Lie generators and the span reduced to the basis
+``hom_space`` would return (``_canonical_basis``), so bases, splittings
+and reports do not depend on the route.  Each basis map is one at its
+own free entry and zero at the others, so the structure constants of
+A = End(M)_0 are entries of products of basis maps.
 
 Decomposition works inside A, on those constants (the idempotent view of
 Lux-Szoke, Experiment. Math. 16 (2007), and Holt-Eick-O'Brien, Handbook
@@ -51,8 +57,10 @@ from math import isqrt, lcm
 from .algebra import same_algebra
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError
-from .linalg import Echelon, SparseMatrix, algebra_radical, apply_cols, vec_add_into
-from .modules import intertwining_ids, restrict_module, summand_module, word_images
+from .linalg import (
+    Echelon, SparseMatrix, _integral, algebra_radical, apply_cols, vec_add_into,
+)
+from .modules import intertwining_ids, summand_module
 from .rational import QQ
 
 
@@ -189,53 +197,109 @@ def end_ring(module, limits=DEFAULT_LIMITS):
     Returns a dict with keys basis (matrices), products (coordinate
     table), radical (list of coordinate dicts), local (bool).  The basis
     is the canonical one of ``hom_space(module, module, 0)``, whichever
-    route finds it.  A module that ``induced_module`` returned untruncated
-    (``module.induction`` is set) takes the adjunction route:
-    End_g(Ind_s F)_0 = Hom_s(F, Res_s M)_0, one ``hom_space`` over s whose
-    unknowns ``max_hom_vars`` bounds, extended along the PBW words (module
-    docstring).  Every other module takes the ``hom_space`` solve.
+    route finds it: a module with a flag record takes the record route
+    (module docstring), every other module the ``hom_space`` solve.
     Products are read off the free entries (``_ring_from_basis``).
     """
-    if module.induction is not None:
-        basis = _end_by_adjunction(module, limits)
+    if module.flag_record is not None:
+        basis = _end_by_record(module, limits)
     else:
         basis = hom_space(module, module, parity=0, limits=limits)
     return _ring_from_basis(basis, limits)
 
 
-def _end_by_adjunction(module, limits):
-    """Canonical basis of End_g(M)_0 for M = Ind_s F, from Hom_s(F, Res M).
+def _end_by_record(module, limits):
+    """Canonical basis of End_g(M)_0 for a module M with a flag record.
 
-    Each even s-map phi: F -> Res M extends to the g-map
-    w (x) v_j -> w . phi(v_j), and every even g-map out of M arises from
-    exactly one phi (Frobenius reciprocity), so the extensions are a
-    basis.  Each one is checked against the Lie generators' actions
-    before it is used.
+    The unknowns are the entries of psi(v), for v a fiber vector, at the
+    basis vectors of v's weight and parity; the equations are
+    F(x . v) = x . psi(v) for the non-torus x in s, F(x . v) read off the
+    coordinates of x . v along the record (torus equations hold on
+    weight-matched unknowns).  Every solution extends to a g-map:
+
+    * one block, M = Ind_s F: x . v stays in V, so the system is
+      Hom_s(F, Res_s M), for any s (Frobenius reciprocity);
+    * blocks glued over s = g0 + g1, words in the odd abelian g_{-1}: F
+      is Lambda(g_{-1})-linear by construction, and F commutes with s on
+      y_I v by induction on |I|, from
+      x y_1 y_I' v = [x, y_1] y_I' v +- y_1 x y_I' v with [x, y_1] in g0
+      for x in g1 and in g_{-1} for x in g0.
+
+    Each solution is scaled to a primitive integer vector, extended along
+    the words and checked against the Lie generators column by column.
     """
-    fiber, words = module.induction
-    res = restrict_module(module, fiber.g)
+    s, blocks = module.flag_record
+    n = module.dim
+    home = [None] * n  # basis vector -> (its word, its fiber vector)
+    for offset, fdim, words in blocks:
+        for k, w in enumerate(words):
+            for j in range(fdim):
+                home[offset + k * fdim + j] = (w, offset + j)
+    size = sum(fdim * len(words) for _, fdim, words in blocks)
+    if None in home or size != n or any(words[0] for _, _, words in blocks):
+        raise AssertionError("flag record does not tile the basis")
+    variables = [
+        (v, i) for offset, fdim, _ in blocks for v in range(offset, offset + fdim)
+        for i in module.weight_space(module.weights[v])
+        if module.parities[i] == module.parities[v]
+    ]
+    unknowns = {}  # fiber vector v -> [(i, var)], the entries of psi(v)
+    for var, (v, i) in enumerate(variables):
+        unknowns.setdefault(v, []).append((i, var))
     cols = {x: mat.cols() for x, mat in module.action.items()}
-    n, fdim = module.dim, fiber.dim
+    images = {}  # (w, i) -> w . e_i
+
+    def image(w, i):
+        if (w, i) not in images:
+            images[w, i] = apply_cols(cols[w[0]], image(w[1:], i)) if w else {i: 1}
+        return images[w, i]
+
+    equations = {}
+    torus = set(module.g.t_ids)
+    for x, v in ((x, v) for x in s if x not in torus for v in unknowns):
+        terms = [(-1, var, cols[x][i]) for i, var in unknowns[v]]  # -x . psi(v)
+        for b, c in cols[x][v].items():  # + F(x . v)
+            w, u = home[b]
+            terms += [(c, var, image(w, i)) for i, var in unknowns[u]]
+        for c, var, img in terms:
+            for r, a in img.items():
+                row = equations.setdefault((x, v, r), {})
+                row[var] = row.get(var, 0) + c * a
+    if len(variables) > limits.max_hom_vars:
+        raise ResourceLimitError(
+            f"flag record End system has {len(variables)} unknowns and "
+            f"{len(equations)} equations; max_hom_vars is {limits.max_hom_vars}"
+        )
+
+    mat = SparseMatrix(len(equations), len(variables), {
+        (r, var): c for r, row in enumerate(equations.values())
+        for var, c in row.items()
+    })
     maps = []
-    for phi in hom_space(fiber, res, parity=0, limits=limits):
-        F_cols = [None] * n
-        for j, vec in enumerate(phi.cols()):
-            for k, image in enumerate(word_images(words, cols, vec)):
-                F_cols[k * fdim + j] = image
+    for kvec in mat.kernel_basis():
+        psi = {}
+        for var, c in _integral(kvec)[0].items():
+            v, i = variables[var]
+            psi.setdefault(v, {})[i] = c
+        F_cols = []  # F(w . u) = w . psi(u)
+        for w, u in home:
+            F_cols.append(col := {})
+            for i, c in psi.get(u, {}).items():
+                vec_add_into(col, image(w, i), c)
         # X F = F X column by column, for the generators X
         for x in intertwining_ids(module):
             X_cols = cols[x]
             for j in range(n):
                 if apply_cols(X_cols, F_cols[j]) != apply_cols(F_cols, X_cols[j]):
                     raise AssertionError(
-                        f"adjoint map fails to commute with {module.g.label(x)}"
+                        f"extended map fails to commute with {module.g.label(x)}"
                     )
         maps.append(SparseMatrix(n, n, {
             (i, j): c for j, col in enumerate(F_cols) for i, c in col.items()
         }))
     basis = _canonical_basis(maps, module.dim)
     if len(basis) != len(maps):
-        raise AssertionError("adjoint maps are dependent")
+        raise AssertionError("extended maps are dependent")
     return basis
 
 

@@ -42,12 +42,13 @@ class ExplicitModule:
     lazy weight-space table is filled in later.  The action matrices are
     immutable ``SparseMatrix`` values, shared between modules.
 
-    ``induction`` is ``(fiber, words)`` on a module returned untruncated by
-    :func:`induced_module`: basis vector ``k * fiber.dim + j`` is
-    ``words[k] . (1 (x) v_j)``, and ``fiber.g`` is the inducing
-    subalgebra.  It is None everywhere else; no other constructor passes
-    it, so a restriction, dual, parity flip, summand or copy never claims
-    to be induced.
+    ``flag_record`` is ``(s, blocks)``, ``s`` the sorted ids of the
+    inducing subalgebra and ``blocks`` tiling the basis: in a block
+    ``(offset, fdim, words)``, vector ``offset + k * fdim + j`` is
+    ``words[k] . v_j`` for the fiber vector ``v_j = offset + j``
+    (``words[0] = ()``).  :func:`induced_module` writes one block,
+    ``structure.glue_extension`` concatenates two records and
+    :func:`parity_flip` keeps one; it is None on every other module.
     """
 
     __slots__ = (
@@ -59,13 +60,13 @@ class ExplicitModule:
         "highest_weight",
         "truncated",
         "meta",
-        "induction",
+        "flag_record",
         "_wspaces",
     )
 
     def __init__(self, g, weights, parities, action, labels=None,
                  highest_weight=None, truncated=False, meta=None,
-                 induction=None):
+                 flag_record=None):
         self.g = g
         self.weights = tuple(tuple(w) for w in weights)
         self.parities = tuple(int(p) % 2 for p in parities)
@@ -84,7 +85,7 @@ class ExplicitModule:
         self.highest_weight = tuple(highest_weight) if highest_weight is not None else None
         self.truncated = bool(truncated)
         self.meta = MappingProxyType(dict(meta) if meta else {})
-        self.induction = induction
+        self.flag_record = flag_record
         self._wspaces = None
 
     def __setattr__(self, name, value):
@@ -362,7 +363,7 @@ def copy_module(module, **changes):
     ``meta`` replaced.
 
     The copy shares the algebra, the basis and the action matrices; it
-    never carries the induction record.
+    never carries the flag record.
     """
     fields = dict(
         highest_weight=module.highest_weight, truncated=module.truncated,
@@ -414,8 +415,8 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     A ``min_degree`` or ``weight_window`` cutoff yields a
     truncated module: free monomials outside the cutoff are dropped, and
     the result is tagged so the validator knows which axiom instances are
-    exact.  An untruncated result records ``induction = (fiber, words)``
-    (see ``ExplicitModule``); no other constructor passes one.
+    exact.  An untruncated result carries the one-block flag record
+    ``(sorted(sub_ids), ((0, fiber.dim, words),))`` (see ``ExplicitModule``).
     """
     sub_ids = list(sub_ids)
     sub_set = set(sub_ids)
@@ -440,9 +441,9 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     if any(pbw.rank[f] >= min_sub_rank for f in free_ids):
         raise ValueError("PBW order must rank all free ids before sub ids")
 
-    words = monomials(
+    words = tuple(monomials(
         pbw, free_ids, weight_window=weight_window, min_degree=min_degree,
-    )
+    ))
     fdim = fiber.dim
     total = len(words) * fdim
     if total > limits.max_module_dim:
@@ -523,12 +524,12 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     return ExplicitModule(
         g, weights, parities, action, labels=labels,
         highest_weight=highest_weight, truncated=truncated, meta=meta,
-        induction=None if truncated else (fiber, tuple(words)),
+        flag_record=None if truncated else (tuple(sorted(sub_ids)), ((0, fdim, words),)),
     )
 
 
 def word_images(words, cols, vec):
-    """[w . vec for w in words] for the PBW words of an induction record,
+    """[w . vec for w in words] for the PBW words of a flag record block,
     a word acting letter by letter from the right through the column views
     ``cols``; a suffix shared by several words is applied once."""
     images = {(): vec}
@@ -595,7 +596,7 @@ def tau_dual(module, kind=None):
 
 
 def parity_flip(module):
-    """Same action matrices, all parities reversed."""
+    """Same action matrices and flag record, all parities reversed."""
     flips = module.meta.get("parity_flips", 0) + 1
     return ExplicitModule(
         module.g,
@@ -606,6 +607,7 @@ def parity_flip(module):
         highest_weight=module.highest_weight,
         truncated=module.truncated,
         meta=dict(module.meta, parity_flips=flips),
+        flag_record=module.flag_record,
     )
 
 

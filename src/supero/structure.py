@@ -28,7 +28,9 @@ from .modules import (
     ExplicitModule, assert_valid_module, copy_module, restrict_module,
     induced_module, dual_module, parity_flip, word_images,
 )
-from .forms import even_levi, kac_module, simple_module, induced_projective
+from .forms import (
+    even_levi, kac_module, simple_even_module, simple_module, induced_projective,
+)
 from .homs import end_ring, fitting_decompose, hom_dims, is_isomorphic, summand_onto
 
 
@@ -247,7 +249,7 @@ def ext1_with_representative(ke, mu, p, limits=DEFAULT_LIMITS):
     the dimension is ``ke.ext_dimension(mu, p)``, and a nonzero class is a
     g0-map c: L0(mu) -> Z^1 with c(v_mu) outside the coboundaries.  The
     section y_I (x) v -> y_I.s(v) of K(mu), along the PBW words of its
-    induction record, makes the block zero on g_{-1} + g0; on x in g1 it
+    flag record, makes the block zero on g_{-1} + g0; on x in g1 it
     is Phi(x)(y_I (x) v) = (-1)^{|I|} y_I.c(v)(x), the sign from moving
     the odd x past the |I| odd letters of y_I.
     """
@@ -255,7 +257,8 @@ def ext1_with_representative(ke, mu, p, limits=DEFAULT_LIMITS):
     if not d:
         return 0, None
     M = ke.M
-    fiber, words = kac_module(ke.g, mu, limits=limits).induction
+    ((_, _, words),) = kac_module(ke.g, mu, limits=limits).flag_record[1]
+    fiber = simple_even_module(ke.g, mu, limits=limits)
     lower = {y: M.action[y].cols() for y in ke.g.negative_ids()}
     block = {}
     for j, cochain in enumerate(_glue_cocycle(ke, mu, p, fiber, d, limits)):
@@ -272,9 +275,21 @@ def ext1_with_representative(ke, mu, p, limits=DEFAULT_LIMITS):
 
 
 def glue_extension(bottom, top, block, kind="extension"):
-    """Assemble the module bottom -> E -> top from a glueing block."""
+    """Assemble the module bottom -> E -> top from a glueing block.
+
+    E carries bottom's flag record followed by top's, shifted past bottom,
+    when both are over s = g0 + g1 of the compatible grading and the block
+    is zero outside g1, as ``ext1_with_representative`` builds it: then
+    g_{-1} acts on top's part of E as on top, so top's words still hold."""
     g = bottom.g
     nb, nt = bottom.dim, top.dim
+    record = None
+    if bottom.flag_record and top.flag_record and g.grading_kind == "compatible" and (
+        bottom.flag_record[0] == top.flag_record[0]
+        == tuple(x for x in range(g.dim) if g.degree_of(x) >= 0)
+    ) and all(g.degree_of(x) == 1 for x, ent in block.items() if ent):
+        shifted = tuple((nb + off, fdim, words) for off, fdim, words in top.flag_record[1])
+        record = (top.flag_record[0], bottom.flag_record[1] + shifted)
     action = {}
     for x in range(g.dim):
         ent = bottom.action[x].data.copy()
@@ -292,6 +307,7 @@ def glue_extension(bottom, top, block, kind="extension"):
         + [f"t.{l}" for l in top.labels],
         truncated=bottom.truncated or top.truncated,
         meta={"kind": kind},
+        flag_record=record,
     )
     assert_valid_module(E)
     return E
@@ -428,8 +444,9 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     its (mu, parity) by exactly one; Ext^1 vanishes at every dominant C^1
     weight of the final complex, block filter or not; and the
     endomorphism ring is local.  The sweep starts from the memoised K(lam)
-    itself, so where nothing glues that ring comes by Frobenius
-    reciprocity; the result is a copy annotated with the flag.
+    itself, and each glue concatenates the flag records, so that ring
+    comes from the record route of ``end_ring``, never the global solve;
+    the result is a copy annotated with the flag (without the record).
     """
     if g.family != "gl" or g.grading_kind != "compatible":
         raise GradingError("tilting construction needs gl compatible grading")

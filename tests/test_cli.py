@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from supero import homs
 from supero.cli import main
+from supero.config import DEFAULT_LIMITS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -173,6 +175,42 @@ def test_verify_half_integral_weights_matches_golden(capsys):
     assert code == 0, err
     assert json.loads(out)["passed"] is True
     assert out == (GOLDEN / "gl11_half_integral_verify.json").read_text()
+
+
+def test_verify_gl22_tilting_matches_golden(capsys):
+    """gl(2|2) kdt on box -1..1: 36 tilting modules, 30 of them glued,
+    each certified local by the flag-record route of end_ring."""
+    code, out, err = run(
+        capsys, "verify", "--algebra", "gl:2,2", "--box=-1..1", "--which", "kdt",
+    )
+    assert code == 0, err
+    assert out == (GOLDEN / "gl22_tilting.json").read_text()
+
+
+def test_kdt_never_solves_hom_space_on_a_recorded_module(monkeypatch, capsys):
+    solved, recorded = [], []
+    hom_space, end_by_record = homs.hom_space, homs._end_by_record
+
+    def spy_hom(src, dst, parity=None, limits=DEFAULT_LIMITS):
+        solved.append((src, dst))
+        return hom_space(src, dst, parity=parity, limits=limits)
+
+    def spy_record(module, limits):
+        recorded.append(module)
+        return end_by_record(module, limits)
+
+    monkeypatch.setattr(homs, "hom_space", spy_hom)
+    monkeypatch.setattr(homs, "_end_by_record", spy_record)
+    code, out, err = run(
+        capsys, "verify", "--algebra", "gl:2,1", "--box=-1..1", "--which", "kdt",
+    )
+    assert code == 0, err
+    weights = json.loads(out)["results"]["kdt"]["weights"]
+    assert len(recorded) == len(weights)  # one end_ring per tilting module
+    assert sum(len(M.flag_record[1]) > 1 for M in recorded)  # glued ones too
+    assert all(
+        src.flag_record is None and dst.flag_record is None for src, dst in solved
+    )
 
 
 def test_verify_budget_zero_is_resource_not_pass(capsys):

@@ -260,7 +260,7 @@ def test_summand_onto_needs_exactly_one_summand():
 
 
 def plain(M):
-    """M with the same matrices and no induction record (hom_space route)."""
+    """M with the same matrices and no flag record (hom_space route)."""
     return ExplicitModule(
         M.g, M.weights, M.parities, M.action, labels=M.labels,
         highest_weight=M.highest_weight, meta=M.meta,
@@ -348,7 +348,7 @@ def assert_fitting_routes_agree(M):
 def assert_routes_agree(M):
     """end_ring of an induced M against the hom_space route, then the
     ring-level Fitting route against the n x n one."""
-    assert M.induction is not None and plain(M).induction is None
+    assert M.flag_record is not None and plain(M).flag_record is None
     assert_same_ring(end_ring(M), end_ring(plain(M)))
     assert_fitting_routes_agree(M)
 
@@ -455,43 +455,109 @@ def test_projective_cover_matches_matrix_route_gl22_zero(monkeypatch):
     assert_cover_matches_matrix_route(g, [(0, 0, 0, 0)], monkeypatch)
 
 
+def glued_tilting(g, lam):
+    """U(lam) as ``tilting_module`` glues it, before the copy that drops
+    the flag record: the module its end_ring certificate runs on."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "end_ring", lambda M, limits: seen.append(M) or end_ring(M, limits))
+        tilting_module(g, lam)
+    (T,) = seen
+    return T
+
+
+def test_record_route_matches_hom_space_on_tilting_modules():
+    for g, lo, hi in ((gl11(), -3, 3), (gl21c(), -2, 2)):
+        glued = 0
+        for lam in dominant_weights_in_box(*g.params, lo, hi):
+            T = glued_tilting(g, lam)
+            assert T.flag_record is not None
+            glued += len(T.flag_record[1]) > 1
+            assert_same_ring(end_ring(T), end_ring(plain(T)))
+        assert glued
+
+
+def test_record_route_matches_hom_space_on_gl22_tilting():
+    """U(1,0|0,-1): four Kac factors glued in three steps."""
+    T = glued_tilting(install_grading(build_gl(2, 2), "compatible"), (1, 0, 0, -1))
+    assert T.dim == 288 and len(T.flag_record[1]) == 4
+    assert_same_ring(end_ring(T), end_ring(plain(T)))
+
+
+def test_record_route_rejects_a_wrong_glued_record():
+    T = glued_tilting(gl21c(), (1, 0, 0))
+    s, (*rest, (offset, fdim, words)) = T.flag_record
+    assert rest
+    bad = ExplicitModule(
+        T.g, T.weights, T.parities, T.action,
+        flag_record=(s, (*rest, (offset, fdim, drop_a_letter(words)))),
+    )
+    with pytest.raises(AssertionError, match="fails to commute"):
+        end_ring(bad)
+
+
+def test_record_route_unknowns_guard():
+    T = glued_tilting(gl21c(), (1, 0, 0))
+    unknowns = sum(
+        T.weights[i] == T.weights[v] and T.parities[i] == T.parities[v]
+        for offset, fdim, _ in T.flag_record[1]
+        for v in range(offset, offset + fdim)
+        for i in range(T.dim)
+    )
+    assert end_ring(T, limits=Limits(max_hom_vars=unknowns))["local"]
+    with pytest.raises(ResourceLimitError) as err:
+        end_ring(T, limits=Limits(max_hom_vars=unknowns - 1))
+    message = str(err.value)
+    assert f"{unknowns} unknowns" in message and "equations" in message
+    assert f"max_hom_vars is {unknowns - 1}" in message
+
+
 def test_derived_modules_take_the_hom_space_route(monkeypatch):
+    """Induced modules, their parity flips and glued Kac flags carry a
+    flag record; restrictions, duals, copies and ``plain`` do not."""
     g = gl11()
     P = induced_projective(g, (0, 0))
     derived = [
         restrict_module(P, g.subalgebra(range(g.dim))),
-        parity_flip(P),
         dual_module(P),
         tau_dual(P),
         plain(P),
         tilting_module(g, (2, -1)),  # K(2|-1) re-wrapped, no glue
+        tilting_module(g, (1, -1)),  # glued, then copied without the record
     ]
+    recorded = [P, parity_flip(P), kac_module(g, (2, -1)), glued_tilting(g, (1, -1))]
+    assert len(recorded[-1].flag_record[1]) == 2  # K(1|-1) with one Kac module glued
 
     def refuse(module, limits):
-        raise AssertionError("adjunction route taken")
+        raise AssertionError("record route taken")
 
-    monkeypatch.setattr(homs, "_end_by_adjunction", refuse)
-    with pytest.raises(AssertionError, match="adjunction route taken"):
-        end_ring(P)
-    with pytest.raises(AssertionError, match="adjunction route taken"):
-        end_ring(kac_module(g, (2, -1)))
+    monkeypatch.setattr(homs, "_end_by_record", refuse)
+    for M in recorded:
+        with pytest.raises(AssertionError, match="record route taken"):
+            end_ring(M)
     for D in derived:
-        assert D.induction is None
+        assert D.flag_record is None
         assert end_ring(D)["basis"]
 
 
-def test_adjunction_rejects_a_wrong_extension():
-    """An induction record whose words do not match the basis extends
-    fiber maps to non-module maps, and end_ring fails loudly."""
-    P = induced_projective(gl21c(), (1, 0, 0))
-    fiber, words = P.induction
+def drop_a_letter(words):
+    """words with one letter dropped from a word of length two that is no
+    other word's tail, so the record no longer matches the basis."""
     k = next(
         k for k, w in enumerate(words)
         if len(w) == 2 and not any(v[1:] == w for v in words)
     )
-    words = words[:k] + (words[k][1:],) + words[k + 1:]  # drop one letter
+    return words[:k] + (words[k][1:],) + words[k + 1:]
+
+
+def test_adjunction_rejects_a_wrong_extension():
+    """A flag record whose words do not match the basis extends fiber
+    maps to non-module maps, and end_ring fails loudly."""
+    P = induced_projective(gl21c(), (1, 0, 0))
+    s, ((offset, fdim, words),) = P.flag_record
     P = ExplicitModule(
-        P.g, P.weights, P.parities, P.action, induction=(fiber, words),
+        P.g, P.weights, P.parities, P.action,
+        flag_record=(s, ((offset, fdim, drop_a_letter(words)),)),
     )
     with pytest.raises(AssertionError, match="fails to commute"):
         end_ring(P)

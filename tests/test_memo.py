@@ -10,8 +10,6 @@ from supero.modules import copy_module, validate_module
 from supero.rational import QQ
 from supero.structure import projective_cover, tilting_module
 
-from helpers import module_json
-
 
 def gl21c():
     return install_grading(build_gl(2, 1), "compatible")
@@ -37,7 +35,7 @@ BUILDERS = {
 def test_builders_return_modules_that_refuse_writes(name):
     M = BUILDERS[name](gl21c(), GLUED)
     for attr in ("g", "weights", "action", "labels", "highest_weight",
-                 "truncated", "meta", "induction"):
+                 "truncated", "meta", "flag_record"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(M, attr, getattr(M, attr))
         with pytest.raises(AttributeError, match="immutable"):
@@ -87,24 +85,20 @@ def test_memo_hands_out_one_module_per_key():
 
 def test_copy_module_shares_the_action_and_drops_the_induction_record():
     K = kac_module(gl21c(), GLUED)
-    assert K.induction is not None
+    assert K.flag_record is not None
     C = copy_module(K, highest_weight=None, meta={"kind": "copy"})
-    assert C.induction is None and C.highest_weight is None
+    assert C.flag_record is None and C.highest_weight is None
     assert dict(C.meta) == {"kind": "copy"} and dict(K.meta)["kind"] == "kac"
     assert (C.weights, C.parities, C.labels, C.truncated) == (
         K.weights, K.parities, K.labels, K.truncated,
     )
     assert all(C.action[x] is K.action[x] for x in K.action)
-    with pytest.raises(TypeError, match="induction"):
-        copy_module(K, induction=K.induction)
+    with pytest.raises(TypeError, match="flag_record"):
+        copy_module(K, flag_record=K.flag_record)
 
 
 def _fingerprint(M):
-    fiber_words = None
-    if M.induction is not None:
-        fiber, words = M.induction
-        fiber_words = (module_json(fiber), words)
-    return dict(M.meta), M.highest_weight, fiber_words
+    return dict(M.meta), M.highest_weight, M.flag_record
 
 
 @pytest.mark.parametrize("lam", [GLUED, UNGLUED])
@@ -121,16 +115,17 @@ def test_tilting_and_kac_do_not_depend_on_call_order(lam):
 
 
 def test_tilting_takes_the_adjunction_route_when_nothing_glues(monkeypatch):
-    real = homs._end_by_adjunction
+    """Unglued, the ring is K(lam)'s by its one-block flag record."""
+    real = homs._end_by_record
     seen = []
 
     def spy(module, limits):
         seen.append(module)
         return real(module, limits)
 
-    monkeypatch.setattr(homs, "_end_by_adjunction", spy)
+    monkeypatch.setattr(homs, "_end_by_record", spy)
     g = gl21c()
     U = tilting_module(g, UNGLUED)
     assert seen == [kac_module(g, UNGLUED)]
-    assert U.induction is None and U.meta["flag_bottom_up"] == ((qq(UNGLUED), 0),)
+    assert U.flag_record is None and U.meta["flag_bottom_up"] == ((qq(UNGLUED), 0),)
     assert U.meta["end_even_dim"] - U.meta["end_radical_dim"] == 1
