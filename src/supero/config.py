@@ -13,11 +13,11 @@ class Limits:
 
     max_module_dim: refuse to build explicit modules larger than this.
     max_end_dim: bound on endomorphism/radical algebra dimension.
-    max_hom_vars: bound on unknowns in hom solves (for the endomorphism
-        ring of a module with a flag record, the system on its fiber
-        vectors), in the C^1 of the extension cochain
-        complex and in each singular-vector system of a truncated Verma
-        module.  Library-only: no CLI flag sets it.
+    max_hom_vars: bound on unknowns in each hom system (the values of a
+        map on the fiber vectors of the source's flag record; every
+        weight-matched entry when the source has none), in the C^1 of
+        the extension cochain complex and in each singular-vector system
+        of a truncated Verma module.  Library-only: no CLI flag sets it.
     iteration_budget: cap on the first-extension evaluations of one
         tilting sweep (one per candidate weight and parity of lam's
         block, plus one after each glue) and on the peeling steps of one

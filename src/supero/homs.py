@@ -1,34 +1,43 @@
 """Hom spaces between explicit modules, Fitting decomposition and the
 isomorphism certificate.
 
-Hom computation is a weight-blocked linear solve: a parity-s morphism
-preserves weights, shifts parities by s, and intertwines the action of
-every x up to the sign (-1)^{s |x|}.  The inputs are modules that pass
-``validate_module``, so it is enough to impose this for the Lie
-generators of ``algebra.lie_generators``: a map that super-commutes with
-x and y super-commutes with [x, y] by the bracket relation, and the
-torus needs no equation because the unknowns are already weight-matched
-and the torus acts diagonally by the recorded weights.  (A truncated
-slice satisfies the bracket relation only where its guard says, so
-there every basis element is imposed; see ``intertwining_ids``.)
+A parity-p morphism F: M -> N preserves weights, shifts parities by p,
+and intertwines the action of every x up to the sign (-1)^{p |x|}.  One
+system builder finds all of them (``hom_space``), on the flag record of
+the source (``ExplicitModule.flag_record``): M is spanned by words w
+applied to its fiber vectors v, so F is fixed by psi(v) = F(v),
+F(w . v) = (-1)^{p |w|} w . psi(v), and the unknowns are the entries of
+psi(v) at the vectors of N of v's weight and of v's parity shifted by p.
+The equations are F(x . v) = (-1)^{p |x|} x . psi(v) for the non-torus x
+of the record's subalgebra s (the torus holds on weight-matched
+unknowns):
 
-Endomorphism rings avoid the global solve where the structure allows.
-A module with a flag record (``ExplicitModule.flag_record``) is spanned
-by words w applied to its fiber vectors v, so an even g-map F is fixed by
-psi = F|_V on their span V, F(w . v) = w . psi(v): Sum_w d_w(V) d_w(M)
-unknowns instead of Sum_w d_w(M)^2.  For M = Ind_s F that is Frobenius
-reciprocity.  For a module glued from Kac modules K(mu) =
-Lambda(g_{-1}) (x) L0(mu), g_{-1} being odd and abelian in the
-compatible grading, it is freeness over U(g_{-1}) = Lambda(g_{-1}): a
-Kac flag makes M free, as a Verma flag makes a module free over U(n-)
-(Soergel, "Character formulas for tilting modules over Kac-Moody
-algebras", Represent. Theory 2 (1998)), and psi need only commute with
-s = g0 + g1 on V (``_end_by_record``).  Each extension is checked
-against the Lie generators and the span reduced to the basis
-``hom_space`` would return (``_canonical_basis``), so bases, splittings
-and reports do not depend on the route.  Each basis map is one at its
-own free entry and zero at the others, so the structure constants of
-A = End(M)_0 are entries of products of basis maps.
+* one block, M = Ind_s F: x . v stays in the fiber, so the system is
+  Hom_s(F, Res_s N) and each solution extends to a g-map (Frobenius
+  reciprocity);
+* Kac modules K(mu) = Lambda(g_{-1}) (x) L0(mu) glued over
+  s = g0 + g1, g_{-1} odd and abelian in the compatible grading: a Kac
+  flag makes M free over U(g_{-1}) = Lambda(g_{-1}), as a Verma flag
+  makes a module free over U(n-) (Soergel, "Character formulas for
+  tilting modules over Kac-Moody algebras", Represent. Theory 2 (1998)),
+  and psi need only commute with s on the fiber (proof at
+  ``_hom_by_record``);
+* a source without a record takes the trivial one: every basis vector a
+  fiber vector, the empty word only, and s the Lie generators of
+  ``algebra.lie_generators``.  The inputs pass ``validate_module``, so a
+  map that super-commutes with x and y super-commutes with [x, y] by the
+  bracket relation, and the system is the intertwining system over every
+  weight-matched entry.  (A truncated slice satisfies the bracket
+  relation only where its guard says, so a truncated target takes the
+  trivial record with every basis element imposed; see
+  ``intertwining_ids``.)
+
+Each solution is extended along the words, checked against the Lie
+generators and the span reduced to one canonical basis
+(``_canonical_basis``), so bases, splittings and reports do not depend
+on the record.  Each basis map is one at its own free entry and zero at
+the others, so the structure constants of A = End(M)_0 are entries of
+products of basis maps.
 
 Decomposition works inside A, on those constants (the idempotent view of
 Lux-Szoke, Experiment. Math. 16 (2007), and Holt-Eick-O'Brien, Handbook
@@ -60,7 +69,7 @@ from .errors import ResourceLimitError
 from .linalg import (
     Echelon, SparseMatrix, _integral, algebra_radical, apply_cols, vec_add_into,
 )
-from .modules import intertwining_ids, summand_module
+from .modules import intertwining_ids, summand_module, word_action
 from .rational import QQ
 
 
@@ -72,48 +81,90 @@ def hom_space(src, dst, parity=None, limits=DEFAULT_LIMITS):
     """Basis of the g-morphisms src -> dst as matrices (dst.dim x src.dim).
 
     With parity=None returns (even_basis, odd_basis); with parity 0 or 1
-    returns the single list.  The basis is canonical: reduced kernel of
-    the intertwining system over the weight-matched entries.  src and dst
-    must pass ``validate_module``: the system imposes intertwining only
-    for the Lie generators of g (module docstring), which has the same
-    kernel as imposing it for every basis element.
+    returns the single list.  The basis is canonical: the reduced kernel
+    of the intertwining system over the weight-matched entries (i, j), in
+    that order.  It is solved on src's flag record, or on the trivial
+    record when src has none or dst is truncated (module docstring), and
+    does not depend on which.  src and dst must pass ``validate_module``.
     """
     if parity is None:
         return (
             hom_space(src, dst, parity=0, limits=limits),
             hom_space(src, dst, parity=1, limits=limits),
         )
-    g = src.g
-    if not same_algebra(g, dst.g):
+    if not same_algebra(src.g, dst.g):
         raise ValueError("hom_space needs modules over the same algebra")
+    record = src.flag_record
+    if record is None or dst.truncated:
+        record = (intertwining_ids(src, dst), ((0, src.dim, ((),)),))
+    return _hom_by_record(src, dst, parity % 2, record, limits)
 
-    s = parity % 2
-    variables = []
-    for i in range(dst.dim):
-        wi, pi = dst.weights[i], dst.parities[i]
-        for j in range(src.dim):
-            if src.weights[j] == wi and (src.parities[j] + s) % 2 == pi:
-                variables.append((i, j))
+
+def _hom_by_record(src, dst, p, record, limits):
+    """Canonical basis of Hom_g(src, dst)_p from a flag record of src.
+
+    The unknowns are the entries of psi(v), for v a fiber vector, at the
+    vectors of dst of v's weight and parity shifted by p, ordered as
+    ``hom_space``'s entries (i, v); the equations, one per (x, i, v), are
+    F(x . v) = (-1)^{p |x|} x . psi(v) for the non-torus x in the
+    record's s, F(x . v) read off the coordinates of x . v along the
+    record with F(w . u) = (-1)^{p |w|} w . psi(u).  Every solution
+    extends to a g-map of parity p:
+
+    * one block, src = Ind_s F: x . v stays in V, so the system is
+      Hom_s(F, Res_s dst)_p, for any s, p and target (Frobenius
+      reciprocity; the sign moves the parity-p map past the letters of w);
+    * blocks glued over s = g0 + g1, words y_I in the odd abelian g_{-1}:
+      src is free over Lambda(g_{-1}) on the fiber vectors, and the
+      extension F satisfies F(y . m) = (-1)^p y . F(m) for y in g_{-1} by
+      construction.  F(x . y_I v) = (-1)^{p |x|} x . F(y_I v) for x in s
+      follows by induction on |I| from
+      x y_1 y_I' v = [x, y_1] y_I' v + (-1)^{|x|} y_1 x y_I' v, with
+      [x, y_1] in g0 (induction) for x in g1 and in g_{-1} (freeness)
+      for x in g0; |I| = 0 is the system;
+    * the trivial record: the system is the intertwining system itself.
+
+    Each solution is scaled to a primitive integer vector, extended along
+    the words and checked against the Lie generators column by column.
+    """
+    g = src.g
+    n = src.dim
+    sub, blocks = record
+    home = [None] * n  # basis vector -> (its word, its fiber vector)
+    for offset, fdim, words in blocks:
+        for k, w in enumerate(words):
+            for j in range(fdim):
+                home[offset + k * fdim + j] = (w, offset + j)
+    size = sum(fdim * len(words) for _, fdim, words in blocks)
+    if None in home or size != n or any(words[0] for _, _, words in blocks):
+        raise AssertionError("flag record does not tile the basis")
+    fibers = [v for offset, fdim, _ in blocks for v in range(offset, offset + fdim)]
+    variables = sorted(
+        (i, v) for v in fibers for i in dst.weight_space(src.weights[v])
+        if dst.parities[i] == (src.parities[v] + p) % 2
+    )
     if not variables:
         return []
-    var_idx = {v: k for k, v in enumerate(variables)}
-    by_col = {}  # k -> [(i, var)] for variables (i, k)
-    by_row = {}  # k -> [(j, var)] for variables (k, j)
-    for (i, j), k in var_idx.items():
-        by_col.setdefault(j, []).append((i, k))
-        by_row.setdefault(i, []).append((j, k))
+    unknowns = {v: [] for v in fibers}  # fiber vector v -> [(i, var)], psi(v)
+    for var, (i, v) in enumerate(variables):
+        unknowns[v].append((i, var))
+    src_cols = {x: mat.cols() for x, mat in src.action.items()}
+    dst_cols = src_cols if dst is src else {x: mat.cols() for x, mat in dst.action.items()}
+    act = {i: word_action(dst_cols, {i: 1}) for i in {i for i, _ in variables}}
+    wsign = {w: -1 if p and sum(map(g.parity, w)) % 2 else 1 for *_, words in blocks for w in words}
+    xsign = [-1 if p and g.parity(x) else 1 for x in range(g.dim)]
 
     equations = {}
-    for x in intertwining_ids(src, dst):
-        sign = -1 if s and g.parity(x) else 1
-        for (k, j), v in src.action[x].data.items():
-            for i, var in by_col.get(k, ()):
-                row = equations.setdefault((x, i, j), {})
-                row[var] = row.get(var, 0) + v
-        for (i, k), v in dst.action[x].data.items():
-            for j, var in by_row.get(k, ()):
-                row = equations.setdefault((x, i, j), {})
-                row[var] = row.get(var, 0) - sign * v
+    torus = set(g.t_ids)
+    for x, v in ((x, v) for x in sub if x not in torus for v in fibers):
+        terms = [(-xsign[x], var, dst_cols[x][i]) for i, var in unknowns[v]]
+        for b, c in src_cols[x][v].items():  # + F(x . v)
+            w, u = home[b]
+            terms += [(c * wsign[w], var, act[i](w)) for i, var in unknowns[u]]
+        for c, var, img in terms:
+            for r, a in img.items():
+                row = equations.setdefault((x, r, v), {})
+                row[var] = row.get(var, 0) + c * a
     if len(variables) > limits.max_hom_vars:
         raise ResourceLimitError(
             f"hom_space system has {len(variables)} unknowns and "
@@ -121,13 +172,35 @@ def hom_space(src, dst, parity=None, limits=DEFAULT_LIMITS):
         )
 
     mat = SparseMatrix(len(equations), len(variables), {
-        (r, var): c for r, key in enumerate(sorted(equations))
-        for var, c in equations[key].items()
+        (r, var): c for r, row in enumerate(equations.values())
+        for var, c in row.items()
     })
-    return [
-        SparseMatrix(dst.dim, src.dim, {variables[var]: c for var, c in kvec.items()})
-        for kvec in mat.kernel_basis()
-    ]
+    maps = []
+    for kvec in mat.kernel_basis():
+        psi = {}
+        for var, c in _integral(kvec)[0].items():
+            i, v = variables[var]
+            psi.setdefault(v, {})[i] = c
+        F_cols = []  # F(w . u) = (-1)^{p |w|} w . psi(u)
+        for w, u in home:
+            F_cols.append(col := {})
+            for i, c in psi.get(u, {}).items():
+                vec_add_into(col, act[i](w), c * wsign[w])
+        # X F = (-1)^{p |x|} F X column by column, for the generators X
+        for x in intertwining_ids(src, dst):
+            for j in range(n):
+                FX = apply_cols(F_cols, src_cols[x][j])
+                if xsign[x] < 0:
+                    FX = {i: -c for i, c in FX.items()}
+                if apply_cols(dst_cols[x], F_cols[j]) != FX:
+                    raise AssertionError(f"extended map fails to commute with {g.label(x)}")
+        maps.append(SparseMatrix(dst.dim, n, {
+            (i, j): c for j, col in enumerate(F_cols) for i, c in col.items()
+        }))
+    basis = _canonical_basis(maps, dst.dim, n)
+    if len(basis) != len(maps):
+        raise AssertionError("extended maps are dependent")
+    return basis
 
 
 def hom_dims(src, dst, limits=DEFAULT_LIMITS):
@@ -196,121 +269,22 @@ def end_ring(module, limits=DEFAULT_LIMITS):
 
     Returns a dict with keys basis (matrices), products (coordinate
     table), radical (list of coordinate dicts), local (bool).  The basis
-    is the canonical one of ``hom_space(module, module, 0)``, whichever
-    route finds it: a module with a flag record takes the record route
-    (module docstring), every other module the ``hom_space`` solve.
-    Products are read off the free entries (``_ring_from_basis``).
+    is ``hom_space(module, module, 0)``, solved on the module's flag
+    record when it carries one; products are read off the free entries
+    (``_ring_from_basis``).
     """
-    if module.flag_record is not None:
-        basis = _end_by_record(module, limits)
-    else:
-        basis = hom_space(module, module, parity=0, limits=limits)
-    return _ring_from_basis(basis, limits)
+    return _ring_from_basis(hom_space(module, module, parity=0, limits=limits), limits)
 
 
-def _end_by_record(module, limits):
-    """Canonical basis of End_g(M)_0 for a module M with a flag record.
+def _canonical_basis(maps, nrows, ncols):
+    """The basis ``hom_space`` returns for the span of some nrows x ncols
+    maps.
 
-    The unknowns are the entries of psi(v), for v a fiber vector, at the
-    basis vectors of v's weight and parity; the equations are
-    F(x . v) = x . psi(v) for the non-torus x in s, F(x . v) read off the
-    coordinates of x . v along the record (torus equations hold on
-    weight-matched unknowns).  Every solution extends to a g-map:
-
-    * one block, M = Ind_s F: x . v stays in V, so the system is
-      Hom_s(F, Res_s M), for any s (Frobenius reciprocity);
-    * blocks glued over s = g0 + g1, words in the odd abelian g_{-1}: F
-      is Lambda(g_{-1})-linear by construction, and F commutes with s on
-      y_I v by induction on |I|, from
-      x y_1 y_I' v = [x, y_1] y_I' v +- y_1 x y_I' v with [x, y_1] in g0
-      for x in g1 and in g_{-1} for x in g0.
-
-    Each solution is scaled to a primitive integer vector, extended along
-    the words and checked against the Lie generators column by column.
-    """
-    s, blocks = module.flag_record
-    n = module.dim
-    home = [None] * n  # basis vector -> (its word, its fiber vector)
-    for offset, fdim, words in blocks:
-        for k, w in enumerate(words):
-            for j in range(fdim):
-                home[offset + k * fdim + j] = (w, offset + j)
-    size = sum(fdim * len(words) for _, fdim, words in blocks)
-    if None in home or size != n or any(words[0] for _, _, words in blocks):
-        raise AssertionError("flag record does not tile the basis")
-    variables = [
-        (v, i) for offset, fdim, _ in blocks for v in range(offset, offset + fdim)
-        for i in module.weight_space(module.weights[v])
-        if module.parities[i] == module.parities[v]
-    ]
-    unknowns = {}  # fiber vector v -> [(i, var)], the entries of psi(v)
-    for var, (v, i) in enumerate(variables):
-        unknowns.setdefault(v, []).append((i, var))
-    cols = {x: mat.cols() for x, mat in module.action.items()}
-    images = {}  # (w, i) -> w . e_i
-
-    def image(w, i):
-        if (w, i) not in images:
-            images[w, i] = apply_cols(cols[w[0]], image(w[1:], i)) if w else {i: 1}
-        return images[w, i]
-
-    equations = {}
-    torus = set(module.g.t_ids)
-    for x, v in ((x, v) for x in s if x not in torus for v in unknowns):
-        terms = [(-1, var, cols[x][i]) for i, var in unknowns[v]]  # -x . psi(v)
-        for b, c in cols[x][v].items():  # + F(x . v)
-            w, u = home[b]
-            terms += [(c, var, image(w, i)) for i, var in unknowns[u]]
-        for c, var, img in terms:
-            for r, a in img.items():
-                row = equations.setdefault((x, v, r), {})
-                row[var] = row.get(var, 0) + c * a
-    if len(variables) > limits.max_hom_vars:
-        raise ResourceLimitError(
-            f"flag record End system has {len(variables)} unknowns and "
-            f"{len(equations)} equations; max_hom_vars is {limits.max_hom_vars}"
-        )
-
-    mat = SparseMatrix(len(equations), len(variables), {
-        (r, var): c for r, row in enumerate(equations.values())
-        for var, c in row.items()
-    })
-    maps = []
-    for kvec in mat.kernel_basis():
-        psi = {}
-        for var, c in _integral(kvec)[0].items():
-            v, i = variables[var]
-            psi.setdefault(v, {})[i] = c
-        F_cols = []  # F(w . u) = w . psi(u)
-        for w, u in home:
-            F_cols.append(col := {})
-            for i, c in psi.get(u, {}).items():
-                vec_add_into(col, image(w, i), c)
-        # X F = F X column by column, for the generators X
-        for x in intertwining_ids(module):
-            X_cols = cols[x]
-            for j in range(n):
-                if apply_cols(X_cols, F_cols[j]) != apply_cols(F_cols, X_cols[j]):
-                    raise AssertionError(
-                        f"extended map fails to commute with {module.g.label(x)}"
-                    )
-        maps.append(SparseMatrix(n, n, {
-            (i, j): c for j, col in enumerate(F_cols) for i, c in col.items()
-        }))
-    basis = _canonical_basis(maps, module.dim)
-    if len(basis) != len(maps):
-        raise AssertionError("extended maps are dependent")
-    return basis
-
-
-def _canonical_basis(maps, n):
-    """The basis ``hom_space`` returns for the span of some n x n maps.
-
-    That basis is the reduced kernel of its system in the variable order
-    (i, j): the map for free entry f has a one at f, zeros at the other
-    free entries and no entry after f.  So it is the reduced echelon form
-    of the span with the order reversed (key (-i, -j)), which is unique;
-    maps are listed by free entry ascending, entries in ``hom_space``'s
+    That basis is the reduced kernel of the intertwining system in the
+    variable order (i, j): the map for free entry f has a one at f, zeros
+    at the other free entries and no entry after f.  So it is the reduced
+    echelon form of the span with the order reversed (key (-i, -j)), which
+    is unique; maps are listed by free entry ascending, entries in that
     order (the free one first, then ascending).
     """
     ech = Echelon()
@@ -321,7 +295,7 @@ def _canonical_basis(maps, n):
     for lead in reversed(ech.pivot_cols()):
         row = ech.pivot_row(lead)
         order = [lead] + sorted(row.keys() - {lead}, reverse=True)
-        basis.append(SparseMatrix(n, n, {(-i, -j): row[i, j] for i, j in order}))
+        basis.append(SparseMatrix(nrows, ncols, {(-i, -j): row[i, j] for i, j in order}))
     return basis
 
 

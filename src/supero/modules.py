@@ -528,10 +528,11 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     )
 
 
-def word_images(words, cols, vec):
-    """[w . vec for w in words] for the PBW words of a flag record block,
-    a word acting letter by letter from the right through the column views
-    ``cols``; a suffix shared by several words is applied once."""
+def word_action(cols, vec):
+    """The function w -> w . vec on the PBW words of a flag record, a
+    word acting letter by letter from the right through the column views
+    ``cols``.  Images are memoised, so a suffix shared by several words
+    is applied once; they are shared, and callers must not mutate them."""
     images = {(): vec}
 
     def image(w):
@@ -539,7 +540,7 @@ def word_images(words, cols, vec):
             images[w] = apply_cols(cols[w[0]], image(w[1:]))
         return images[w]
 
-    return [image(w) for w in words]
+    return image
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .config import DEFAULT_LIMITS
 from .errors import DominanceError, GradingError, ResourceLimitError
 from .modules import (
     ExplicitModule, assert_valid_module, copy_module, restrict_module,
-    induced_module, dual_module, parity_flip, word_images,
+    induced_module, dual_module, parity_flip, word_action,
 )
 from .forms import (
     even_levi, kac_module, simple_even_module, simple_module, induced_projective,
@@ -268,8 +268,9 @@ def ext1_with_representative(ke, mu, p, limits=DEFAULT_LIMITS):
             by_x.setdefault(x, {})[i] = v
         for x, image in by_x.items():
             out = block.setdefault(x, {})
-            for k, (w, img) in enumerate(zip(words, word_images(words, lower, image))):
-                for i, v in img.items():
+            act = word_action(lower, image)
+            for k, w in enumerate(words):
+                for i, v in act(w).items():
                     out[(i, k * fiber.dim + j)] = -v if len(w) % 2 else v
     return d, block
 
@@ -444,8 +445,8 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     its (mu, parity) by exactly one; Ext^1 vanishes at every dominant C^1
     weight of the final complex, block filter or not; and the
     endomorphism ring is local.  The sweep starts from the memoised K(lam)
-    itself, and each glue concatenates the flag records, so that ring
-    comes from the record route of ``end_ring``, never the global solve;
+    itself, and each glue concatenates the flag records, so ``end_ring``
+    solves that ring on the Kac flag's record, never on the trivial one;
     the result is a copy annotated with the flag (without the record).
     """
     if g.family != "gl" or g.grading_kind != "compatible":

@@ -559,7 +559,7 @@ def fitting_split(module, Y):
 def summand_ring(sub, inc, prj, ring, limits=DEFAULT_LIMITS):
     """End(sub) = prj End(M) inc, reduced to the canonical basis."""
     maps = [prj @ F @ inc for F in ring["basis"]]
-    return ring_from_matrices(sub, _canonical_basis(maps, sub.dim), limits)
+    return ring_from_matrices(sub, _canonical_basis(maps, sub.dim, sub.dim), limits)
 
 
 def matrix_fitting_decompose(module, limits=DEFAULT_LIMITS):

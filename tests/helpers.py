@@ -2,8 +2,10 @@
 
 ``ad_matrix`` is the adjoint action of one basis element; ``module_json``
 is the exact, sorted description of a module the golden writers compare;
-``direct_sum`` is the block-diagonal sum of two modules;
-``assert_associative`` checks a structure-constant table triple by triple.
+``direct_sum`` is the block-diagonal sum of two modules; ``plain`` is a
+module with its flag record dropped, so ``hom_space`` solves it on the
+trivial record; ``assert_associative`` checks a structure-constant table
+triple by triple.
 """
 
 from itertools import product
@@ -82,6 +84,14 @@ def direct_sum(a, b):
         labels=tuple(a.labels) + tuple(b.labels),
         truncated=a.truncated or b.truncated,
         meta={"kind": "direct_sum"},
+    )
+
+
+def plain(M):
+    """M with the same matrices and no flag record (the trivial record)."""
+    return ExplicitModule(
+        M.g, M.weights, M.parities, M.action, labels=M.labels,
+        highest_weight=M.highest_weight, meta=M.meta,
     )
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from supero import homs
 from supero.cli import main
-from supero.config import DEFAULT_LIMITS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -187,30 +186,35 @@ def test_verify_gl22_tilting_matches_golden(capsys):
     assert out == (GOLDEN / "gl22_tilting.json").read_text()
 
 
-def test_kdt_never_solves_hom_space_on_a_recorded_module(monkeypatch, capsys):
-    solved, recorded = [], []
-    hom_space, end_by_record = homs.hom_space, homs._end_by_record
+@pytest.mark.parametrize("which", ["bgg", "kdual", "pdual", "kdt", "sl1"])
+def test_no_pipeline_solves_a_recorded_source_on_the_trivial_record(
+    which, monkeypatch, capsys,
+):
+    """Every Hom a gl pipeline solves runs on its source's flag record
+    when the source carries one; kdt certifies each tilting module's End
+    on its record, glued ones among them."""
+    calls = []
+    real = homs._hom_by_record
 
-    def spy_hom(src, dst, parity=None, limits=DEFAULT_LIMITS):
-        solved.append((src, dst))
-        return hom_space(src, dst, parity=parity, limits=limits)
+    def spy(src, dst, s, record, limits):
+        calls.append((src, dst, record))
+        return real(src, dst, s, record, limits)
 
-    def spy_record(module, limits):
-        recorded.append(module)
-        return end_by_record(module, limits)
-
-    monkeypatch.setattr(homs, "hom_space", spy_hom)
-    monkeypatch.setattr(homs, "_end_by_record", spy_record)
+    monkeypatch.setattr(homs, "_hom_by_record", spy)
     code, out, err = run(
-        capsys, "verify", "--algebra", "gl:2,1", "--box=-1..1", "--which", "kdt",
+        capsys, "verify", "--algebra", "gl:2,1", "--box=-1..1", "--which", which,
     )
     assert code == 0, err
-    weights = json.loads(out)["results"]["kdt"]["weights"]
-    assert len(recorded) == len(weights)  # one end_ring per tilting module
-    assert sum(len(M.flag_record[1]) > 1 for M in recorded)  # glued ones too
     assert all(
-        src.flag_record is None and dst.flag_record is None for src, dst in solved
+        record is src.flag_record for src, _, record in calls if src.flag_record
     )
+    recorded = [src for src, dst, record in calls if record is src.flag_record]
+    assert recorded or which == "kdual"
+    if which == "kdt":
+        weights = json.loads(out)["results"]["kdt"]["weights"]
+        assert len(recorded) == len(weights)  # one end_ring per tilting module
+        assert all(dst is src for src, dst, record in calls if record is src.flag_record)
+        assert sum(len(M.flag_record[1]) > 1 for M in recorded)  # glued ones too
 
 
 def test_verify_budget_zero_is_resource_not_pass(capsys):

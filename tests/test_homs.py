@@ -44,7 +44,7 @@ from supero.structure import (
 from supero.weights import dominant_weights_in_box
 
 import full_basis
-from helpers import assert_associative, direct_sum
+from helpers import assert_associative, direct_sum, plain
 
 
 def gl11():
@@ -143,18 +143,26 @@ def test_end_ring_dimension_guard():
 
 
 def test_hom_space_unknowns_guard():
+    """One guard and one message on either record: every weight-matched
+    entry is an unknown on the trivial record (``plain``), only the
+    entries at the fiber vectors on P's own record."""
     P = induced_projective(gl11(), (0, 0))
-    unknowns = sum(
-        P.weights[i] == P.weights[j] and P.parities[i] == P.parities[j]
-        for i in range(P.dim)
-        for j in range(P.dim)
-    )
-    assert hom_space(P, P, parity=0, limits=Limits(max_hom_vars=unknowns))
-    with pytest.raises(ResourceLimitError) as err:
-        hom_space(P, P, parity=0, limits=Limits(max_hom_vars=unknowns - 1))
-    message = str(err.value)
-    assert f"{unknowns} unknowns" in message and "equations" in message
-    assert f"max_hom_vars is {unknowns - 1}" in message
+    _, ((offset, fdim, _),) = P.flag_record
+    counts = []
+    for M, fibers in ((plain(P), range(P.dim)), (P, range(offset, offset + fdim))):
+        unknowns = sum(
+            M.weights[i] == M.weights[j] and M.parities[i] == M.parities[j]
+            for i in range(M.dim)
+            for j in fibers
+        )
+        assert hom_space(M, M, parity=0, limits=Limits(max_hom_vars=unknowns))
+        with pytest.raises(ResourceLimitError) as err:
+            hom_space(M, M, parity=0, limits=Limits(max_hom_vars=unknowns - 1))
+        message = str(err.value)
+        assert f"{unknowns} unknowns" in message and "equations" in message
+        assert f"max_hom_vars is {unknowns - 1}" in message
+        counts.append(unknowns)
+    assert counts[1] < counts[0]
 
 
 # -- fitting decomposition -------------------------------------------------
@@ -259,14 +267,6 @@ def test_summand_onto_needs_exactly_one_summand():
 # split by Y = (z - r)^k and re-closed as submodules) as the oracle.
 
 
-def plain(M):
-    """M with the same matrices and no flag record (hom_space route)."""
-    return ExplicitModule(
-        M.g, M.weights, M.parities, M.action, labels=M.labels,
-        highest_weight=M.highest_weight, meta=M.meta,
-    )
-
-
 def entries(basis):
     return [(F.nrows, F.ncols, list(F.data.items())) for F in basis]
 
@@ -345,11 +345,22 @@ def assert_fitting_routes_agree(M):
     )
 
 
+def assert_hom_matches_full_basis(src, dst):
+    """hom_space against the full-basis solve in both parities, dict
+    order included."""
+    for s in (0, 1):
+        assert entries(hom_space(src, dst, parity=s)) == entries(
+            full_basis.full_basis_hom_space(src, dst, s)
+        ), (src, dst, s)
+
+
 def assert_routes_agree(M):
-    """end_ring of an induced M against the hom_space route, then the
-    ring-level Fitting route against the n x n one."""
+    """end_ring of an induced M on its flag record against the trivial
+    record and the full-basis solve, then the ring-level Fitting route
+    against the n x n one."""
     assert M.flag_record is not None and plain(M).flag_record is None
     assert_same_ring(end_ring(M), end_ring(plain(M)))
+    assert_hom_matches_full_basis(M, M)
     assert_fitting_routes_agree(M)
 
 
@@ -467,13 +478,17 @@ def glued_tilting(g, lam):
 
 
 def test_record_route_matches_hom_space_on_tilting_modules():
-    for g, lo, hi in ((gl11(), -3, 3), (gl21c(), -2, 2)):
+    """On the glued record, the trivial record and, on gl(1|1) box -3..3
+    and gl(2|1) box -1..1, the full-basis solve."""
+    for g, lo, hi, full in ((gl11(), -3, 3, 3), (gl21c(), -2, 2, 1)):
         glued = 0
         for lam in dominant_weights_in_box(*g.params, lo, hi):
             T = glued_tilting(g, lam)
             assert T.flag_record is not None
             glued += len(T.flag_record[1]) > 1
             assert_same_ring(end_ring(T), end_ring(plain(T)))
+            if all(-full <= c <= full for c in lam):
+                assert_hom_matches_full_basis(T, T)
         assert glued
 
 
@@ -528,10 +543,14 @@ def test_derived_modules_take_the_hom_space_route(monkeypatch):
     recorded = [P, parity_flip(P), kac_module(g, (2, -1)), glued_tilting(g, (1, -1))]
     assert len(recorded[-1].flag_record[1]) == 2  # K(1|-1) with one Kac module glued
 
-    def refuse(module, limits):
-        raise AssertionError("record route taken")
+    real = homs._hom_by_record
 
-    monkeypatch.setattr(homs, "_end_by_record", refuse)
+    def refuse(src, dst, s, record, limits):
+        if record is src.flag_record:
+            raise AssertionError("record route taken")
+        return real(src, dst, s, record, limits)
+
+    monkeypatch.setattr(homs, "_hom_by_record", refuse)
     for M in recorded:
         with pytest.raises(AssertionError, match="record route taken"):
             end_ring(M)
@@ -561,6 +580,70 @@ def test_adjunction_rejects_a_wrong_extension():
     )
     with pytest.raises(AssertionError, match="fails to commute"):
         end_ring(P)
+
+
+def test_wrong_record_into_another_module_fails_to_commute():
+    """The per-map check also guards a target other than the source:
+    Hom(P, P) and Hom_1(P, Pi P) are nonzero, and extending along a
+    record with a dropped letter breaks every map."""
+    P = induced_projective(gl21c(), (1, 0, 0))
+    s, ((offset, fdim, words),) = P.flag_record
+    bad = ExplicitModule(
+        P.g, P.weights, P.parities, P.action,
+        flag_record=(s, ((offset, fdim, drop_a_letter(words)),)),
+    )
+    for dst, parity in ((P, 0), (parity_flip(P), 1)):
+        assert hom_space(P, dst, parity=parity)
+        with pytest.raises(AssertionError, match="fails to commute"):
+            hom_space(bad, dst, parity=parity)
+
+
+# -- hom_space against the full-basis solve ------------------------------------
+
+
+def pipeline_pairs(monkeypatch, verify, g, lams):
+    """The (src, dst) pairs ``verify`` hands to is_isomorphic."""
+    pairs = []
+    real = structure.is_isomorphic
+
+    def spy(src, dst, **kwargs):
+        pairs.append((src, dst))
+        return real(src, dst, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(structure, "is_isomorphic", spy)
+        for lam in lams:
+            verify(g, lam)
+    assert len(pairs) == len(lams)
+    return pairs
+
+
+def test_hom_space_matches_full_basis_on_gl21_duality_pairs(monkeypatch):
+    """Every pair kdual and pdual compare on gl(2|1) box -1..1: a dual
+    (no record) against a Kac module and against a tilting module."""
+    g = gl21c()
+    lams = dominant_weights_in_box(2, 1, -1, 1)
+    for verify in (structure.verify_kac_dual, structure.verify_projective_dual):
+        for src, dst in pipeline_pairs(monkeypatch, verify, g, lams):
+            assert src.flag_record is None
+            assert_hom_matches_full_basis(src, dst)
+
+
+def test_hom_space_matches_full_basis_on_recorded_sources():
+    """Hom(Ind_{g0} V(lam), L(lam)) as summand_onto solves it and
+    Hom(K(lam), tau K(mu)) as sl1 does, on gl(2|1) box -1..1, each on the
+    source's record; and a nonzero odd Hom, Hom_1(K, Pi K) on gl(1|1)."""
+    g = gl21c()
+    lams = dominant_weights_in_box(2, 1, -1, 1)
+    for lam in lams:
+        assert_hom_matches_full_basis(induced_projective(g, lam), simple_module(g, lam))
+        for mu in lams:
+            assert_hom_matches_full_basis(kac_module(g, lam), tau_dual(kac_module(g, mu)))
+    K = kac_module(gl11(), (1, 0))
+    assert K.flag_record is not None
+    for src, dst in ((K, parity_flip(K)), (parity_flip(K), K)):
+        assert hom_space(src, dst, parity=1)
+        assert_hom_matches_full_basis(src, dst)
 
 
 # -- isomorphism -----------------------------------------------------------

@@ -14,7 +14,7 @@ from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into
 from supero.rational import QQ
 
 from full_basis import apply, full_basis_hom_system
-from helpers import assert_associative
+from helpers import assert_associative, plain
 
 
 def to_dense(mat):
@@ -461,11 +461,12 @@ def test_reduce_is_the_normal_form():
 
 
 def test_end_system_of_gl21_projective_matches_oracle(monkeypatch):
-    """The even End system of P(1,0|0) for gl(2|1), captured from hom_space
-    (Lie generators only) and built over every basis element of g, and the
-    End basis as (i, j)-keyed vectors: all agree with the oracle, and both
-    systems have the same kernel."""
-    P = induced_projective(install_grading(build_gl(2, 1), "compatible"), (1, 0, 0))
+    """The even End system of P(1,0|0) for gl(2|1) without its flag
+    record, captured from hom_space (the trivial record: Lie generators
+    only, every entry an unknown) and built over every basis element of g,
+    and the End basis as (i, j)-keyed vectors: all agree with the oracle,
+    and both systems have the same kernel."""
+    P = plain(induced_projective(install_grading(build_gl(2, 1), "compatible"), (1, 0, 0)))
     captured = []
     real = SparseMatrix.kernel_basis
 

@@ -116,14 +116,15 @@ def test_tilting_and_kac_do_not_depend_on_call_order(lam):
 
 def test_tilting_takes_the_adjunction_route_when_nothing_glues(monkeypatch):
     """Unglued, the ring is K(lam)'s by its one-block flag record."""
-    real = homs._end_by_record
+    real = homs._hom_by_record
     seen = []
 
-    def spy(module, limits):
-        seen.append(module)
-        return real(module, limits)
+    def spy(src, dst, s, record, limits):
+        if record is src.flag_record:
+            seen.append(src)
+        return real(src, dst, s, record, limits)
 
-    monkeypatch.setattr(homs, "_end_by_record", spy)
+    monkeypatch.setattr(homs, "_hom_by_record", spy)
     g = gl21c()
     U = tilting_module(g, UNGLUED)
     assert seen == [kac_module(g, UNGLUED)]
