@@ -227,41 +227,33 @@ def _run_bgg(g, window, limits):
     }
 
 
-def _run_kdual(g, window, limits):
+def _run_duality(g, window, limits, verify, partner):
+    """One row per weight of a duality check; ``partner`` is the report
+    key of the weight on the other side."""
     rows = []
     ok = True
     for lam in window:
-        rep = verify_kac_dual(g, lam, limits=limits)
+        rep = verify(g, lam, limits=limits)
         ok = ok and rep["isomorphic"] and rep["characters_equal"]
-        rows.append(
-            {
-                "weight": g.weight_str(lam),
-                "partner": g.weight_str(rep["partner"]),
-                "characters_equal": rep["characters_equal"],
-                "isomorphic": rep["isomorphic"],
-                "parity": rep["parity"],
-            }
-        )
+        row = {
+            "weight": g.weight_str(lam),
+            partner: g.weight_str(rep[partner]),
+            "characters_equal": rep["characters_equal"],
+            "isomorphic": rep["isomorphic"],
+            "parity": rep["parity"],
+        }
+        if "flag" in rep:
+            row["flag"] = [[g.weight_str(w), p] for w, p in rep["flag"]]
+        rows.append(row)
     return ok, {"cases": rows}
+
+
+def _run_kdual(g, window, limits):
+    return _run_duality(g, window, limits, verify_kac_dual, "partner")
 
 
 def _run_pdual(g, window, limits):
-    rows = []
-    ok = True
-    for lam in window:
-        rep = verify_projective_dual(g, lam, limits=limits)
-        ok = ok and rep["isomorphic"] and rep["characters_equal"]
-        rows.append(
-            {
-                "weight": g.weight_str(lam),
-                "projective_weight": g.weight_str(rep["projective_weight"]),
-                "characters_equal": rep["characters_equal"],
-                "isomorphic": rep["isomorphic"],
-                "parity": rep["parity"],
-                "flag": [[g.weight_str(w), p] for w, p in rep["flag"]],
-            }
-        )
-    return ok, {"cases": rows}
+    return _run_duality(g, window, limits, verify_projective_dual, "projective_weight")
 
 
 def _run_kdt(g, window, limits):

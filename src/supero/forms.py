@@ -16,7 +16,7 @@ induced modules built from them, truncated Verma slices, and the exact
 Clifford modules for the q-type Cartan.
 """
 
-from .algebra import memoised, w0_action
+from .algebra import memoised, principal_dvector, w0_action
 from .config import DEFAULT_LIMITS
 from .errors import CliffordWeightError, DominanceError, GradingError
 from .linalg import SparseMatrix, apply_cols
@@ -161,15 +161,13 @@ def contravariant_form(module):
     return ContravariantForm(module, gram)
 
 
-def form_quotient(module, form=None, kind=None):
+def form_quotient(module, kind=None):
     """Quotient by the radical of the contravariant form.
 
     For an untruncated highest-weight module this is the simple quotient.
     Returns (quotient, projection).
     """
-    if form is None:
-        form = contravariant_form(module)
-    rad = form.radical_vectors()
+    rad = contravariant_form(module).radical_vectors()
     quot, proj = quotient_module(module, rad, kind=kind)
     if quot.dim != module.dim - len(rad):
         raise AssertionError("form radical failed to be a submodule")
@@ -178,10 +176,6 @@ def form_quotient(module, form=None, kind=None):
 
 # ---------------------------------------------------------------------------
 # even-part simples
-
-
-def principal_dvector(m, n):
-    return tuple(range(m + n, 0, -1))
 
 
 def even_levi(g):

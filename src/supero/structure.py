@@ -516,44 +516,35 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
 # the two duality statements
 
 
-def verify_kac_dual(g, lam, limits=DEFAULT_LIMITS):
-    """Check K(lam)^* against K(beta - w0.lam); returns a report dict."""
-    m, n = g.params
-    lam = weight(lam)
-    K = kac_module(g, lam, limits=limits)
-    D = dual_module(K)
-    beta = beta_weight(*g.params)
-    target_wt = wsub(beta, w0_action(m, n, lam))
-    target = kac_module(g, target_wt, limits=limits)
-    chars_equal = D.character() == target.character()
+def _duality_report(lam, dualised, target, limits, **partner):
+    """The report of both duality checks: dualised^* against target,
+    ``partner`` naming the weight beta - w0.lam on the other side."""
+    D = dual_module(dualised)
     result = is_isomorphic(D, target, allow_parity_flip=True, limits=limits)
     return {
         "weight": lam,
-        "partner": tuple(target_wt),
-        "characters_equal": chars_equal,
+        **partner,
+        "characters_equal": D.character() == target.character(),
         "isomorphic": result["isomorphic"],
         "certified": result["certified"],
         "parity": result["parity"],
     }
+
+
+def verify_kac_dual(g, lam, limits=DEFAULT_LIMITS):
+    """Check K(lam)^* against K(beta - w0.lam); returns a report dict."""
+    lam = weight(lam)
+    mu = wsub(beta_weight(*g.params), w0_action(*g.params, lam))
+    K = kac_module(g, lam, limits=limits)
+    return _duality_report(lam, K, kac_module(g, mu, limits=limits), limits, partner=mu)
 
 
 def verify_projective_dual(g, lam, limits=DEFAULT_LIMITS):
     """Check P(beta - w0.lam)^* against the tilting module U(lam)."""
-    m, n = g.params
     lam = weight(lam)
-    beta = beta_weight(*g.params)
-    plam = wsub(beta, w0_action(m, n, lam))
-    P = projective_cover(g, plam, limits=limits)
-    D = dual_module(P)
+    mu = wsub(beta_weight(*g.params), w0_action(*g.params, lam))
+    P = projective_cover(g, mu, limits=limits)
     U = tilting_module(g, lam, limits=limits)
-    chars_equal = D.character() == U.character()
-    result = is_isomorphic(D, U, allow_parity_flip=True, limits=limits)
-    return {
-        "weight": lam,
-        "projective_weight": tuple(plam),
-        "characters_equal": chars_equal,
-        "isomorphic": result["isomorphic"],
-        "certified": result["certified"],
-        "parity": result["parity"],
-        "flag": U.meta["flag"],
-    }
+    report = _duality_report(lam, P, U, limits, projective_weight=mu)
+    report["flag"] = U.meta["flag"]
+    return report

@@ -12,6 +12,11 @@ guard.  Tests compare the two.
 `apply` and `act_word` are the plain matrix-vector products the tests act
 with; `src/` reads column views taken once instead.
 
+`jacobi_by_triples` is the triple loop `validate_algebra` ran before it
+checked the Jacobi identity as the bracket relation of the adjoint module
+through `validate_module`: the super Jacobi identity on every ordered
+triple of basis elements, and the torus acting by the recorded weights.
+
 `ext_dimension_by_raisings` counts Ext^1 multiplicities as highest-weight
 vectors of H^1, solving for the classes the simple even raisings kill;
 `KacExtensions.ext_dimension` reads them off H^1's weight dimensions by
@@ -24,7 +29,7 @@ builds its block from a g0-highest-weight cocycle of the cochain complex
 instead.
 """
 
-from itertools import chain
+from itertools import chain, product
 
 from supero.config import DEFAULT_LIMITS
 from supero.algebra import same_algebra
@@ -140,9 +145,11 @@ def ordered_pair_validation(module):
         return False
     for t in g.t_ids:
         coord = g.t_coord[t]
-        for (r, c), v in module.action[t].data.items():
-            if r != c or v != QQ(module.weights[r][coord]):
-                return False
+        data = module.action[t].data
+        if any(r != c for r, c in data):
+            return False
+        if any(data.get((r, r), 0) != QQ(module.weights[r][coord]) for r in range(n)):
+            return False
     for x, mat in module.action.items():
         for r, c in mat.data:
             if module.weights[r] != wadd(module.weights[c], g.weight_of(x)):
@@ -175,6 +182,33 @@ def ordered_pair_validation(module):
                     vec_add_into(rhs, apply(module.action[k], v), coeff)
                 if lhs != rhs:
                     return False
+    return True
+
+
+def jacobi_by_triples(g):
+    """True when every torus element t acts on g by ad diagonally with
+    the recorded weights, [t, b] = wt(b)_t b, and the super Jacobi identity
+
+        [a, [b, c]] - [[a, b], c] - (-1)^{|a||b|} [b, [a, c]] = 0
+
+    holds on every ordered triple (a, b, c) of basis elements."""
+    for t in g.t_ids:
+        coord = g.t_coord[t]
+        for b in range(g.dim):
+            br = g.bracket(t, b)
+            if br.get(b, 0) != g.weight_of(b)[coord] or any(k != b for k in br):
+                return False
+    for a, b, c in product(range(g.dim), repeat=3):
+        lhs = {}
+        for k, v in g.bracket(b, c).items():
+            vec_add_into(lhs, g.bracket(a, k), v)
+        for k, v in g.bracket(a, b).items():
+            vec_add_into(lhs, g.bracket(k, c), -v)
+        s = -1 if g.parity(a) and g.parity(b) else 1
+        for k, v in g.bracket(a, c).items():
+            vec_add_into(lhs, g.bracket(b, k), -s * v)
+        if lhs:
+            return False
     return True
 
 

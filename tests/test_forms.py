@@ -223,7 +223,7 @@ def test_atypical_kac_has_radical():
     K = kac_module(g, (3, -3))
     form = contravariant_form(K)
     assert not is_nondegenerate(form)
-    L, _ = form_quotient(K, form)
+    L, _ = form_quotient(K)
     assert L.dim == 1
     assert validate_module(L)["passed"]
 

@@ -31,3 +31,26 @@ def test_every_trace_target_resolves():
             missing.append(f"supero.{mod_name}.{path}")
     assert missing == []
 
+
+
+def test_traced_verify_sees_every_cli_entry_point(capsys):
+    """An in-process traced ``verify --which all`` records at least one
+    span for each pipeline entry point the tracer wraps in ``cli``: the
+    runners must be looked up through the module bindings it patches."""
+    from supero.cli import main
+
+    layertrace = load_layertrace()
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        code = main(["verify", "--algebra", "gl:1,1", "--box=-1..1", "--which", "all"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    called = {target for target, *_ in tracer.spans}
+    missing = [
+        path for index, (mod_name, path, *_) in enumerate(layertrace.TARGETS)
+        if mod_name == "cli" and index not in called
+    ]
+    assert missing == []

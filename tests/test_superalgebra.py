@@ -6,6 +6,8 @@ supercommutator in matrix units.  The q brackets are pinned by hand-computed
 special cases on top of the axiom sweep.
 """
 
+import random
+
 import pytest
 
 from supero.algebra import (
@@ -23,10 +25,12 @@ from supero.algebra import (
     w0_action,
 )
 from supero.errors import GradingError, InvalidAlgebraError
+from supero.forms import even_levi
 from supero.linalg import SparseMatrix, vec_add_into
 from supero.rational import QQ
 from supero.weights import weight, wneg, wscale, wzero
 
+from full_basis import jacobi_by_triples
 from helpers import ad_matrix
 
 GL_SIZES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]
@@ -141,12 +145,7 @@ def test_q_axioms(n):
     assert report["passed"], report["failures"][:3]
 
 
-def _tampered(g, a, b, target, delta):
-    table = {k: dict(v) for k, v in g.table.items()}
-    entry = table.setdefault((a, b), {})
-    entry[target] = entry.get(target, 0) + QQ(delta)
-    if not entry[target]:
-        del entry[target]
+def _with_table(g, table):
     return LieSuperAlgebra(
         g.family,
         g.params,
@@ -157,10 +156,28 @@ def _tampered(g, a, b, target, delta):
         g.weight_len,
         g.transpose,
         grading_kind=g.grading_kind,
-        dvector=g.dvector,
         degrees=g.degrees,
         bar_after=g.bar_after,
     )
+
+
+def _copy_table(table):
+    return {k: dict(v) for k, v in table.items()}
+
+
+def _set_entry(table, a, b, target, value):
+    """Set [a, b]_target = value in a copied table, deleting it at 0."""
+    entry = table.setdefault((a, b), {})
+    if value:
+        entry[target] = value
+    else:
+        entry.pop(target, None)
+
+
+def _tampered(g, a, b, target, delta):
+    table = _copy_table(g.table)
+    _set_entry(table, a, b, target, table.get((a, b), {}).get(target, 0) + QQ(delta))
+    return _with_table(g, table)
 
 
 def test_validation_catches_tampering():
@@ -272,6 +289,96 @@ def test_subalgebra_even_part():
     # a non-closed span is rejected
     with pytest.raises(InvalidAlgebraError):
         g.subalgebra([g.id_of("e(-2,-1)"), g.id_of("e(-1,-2)")])
+
+
+def test_jacobi_only_tamper_is_caught():
+    """[e(-2,-1), e(-1,1)] = 2 e(-2,1) and [e(-1,1), e(-2,-1)] = -2 e(-2,1)
+    on gl(2|1): antisymmetry, weights and parities still hold, so only
+    the Jacobi identity (the adjoint module's bracket relation) fails."""
+    g = build_gl(2, 1)
+    a, b, k = g.id_of("e(-2,-1)"), g.id_of("e(-1,1)"), g.id_of("e(-2,1)")
+    assert g.bracket(a, b) == {k: 1} and g.bracket(b, a) == {k: -1}
+    table = _copy_table(g.table)
+    _set_entry(table, a, b, k, 2)
+    _set_entry(table, b, a, k, -2)
+    bad = _with_table(g, table)
+    report = validate_algebra(bad)
+    assert not report["passed"]
+    assert report["failures"]
+    assert all(f.startswith("jacobi: bracket relation fails") for f in report["failures"])
+    assert not jacobi_by_triples(bad)
+
+
+def test_checks_count_pairs_and_adjoint_pairs():
+    g = build_gl(2, 1)
+    report = validate_algebra(g)
+    assert report["checks"] == {"pairs": g.dim ** 2, "adjoint_pairs": g.dim * (g.dim + 1) // 2}
+
+
+def _gl21(kind):
+    return install_grading(build_gl(2, 1), kind)
+
+
+ORACLE_ALGEBRAS = {
+    "gl11": lambda: build_gl(1, 1),
+    "gl21": lambda: build_gl(2, 1),
+    "gl22": lambda: build_gl(2, 2),
+    "gl31": lambda: build_gl(3, 1),
+    "q2": lambda: build_q(2),
+    "q3": lambda: build_q(3),
+    "gl21-principal": lambda: _gl21("principal"),
+    "gl21-compatible": lambda: _gl21("compatible"),
+    "gl21-even-levi": lambda: even_levi(_gl21("compatible"))[0],
+}
+
+
+def _seeded_tamperings(g, seed):
+    """Copies of g's table with one entry shifted, deleted or doubled,
+    at (a, b) alone and at (a, b) and (b, a) together (antisymmetry
+    kept), and with a torus eigenvalue [t, b]_b deleted, at (t, b) alone
+    and at both orders."""
+    rng = random.Random(seed)
+    entries = sorted(
+        (a, b, k, c) for (a, b), br in g.table.items() for k, c in br.items()
+    )
+    out = []
+    for a, b, k, c in rng.sample(entries, 4):
+        sign = -1 if g.parity(a) and g.parity(b) else 1
+        for value in (c + 1 if c + 1 else c + 2, 0, 2 * c):
+            one = _copy_table(g.table)
+            _set_entry(one, a, b, k, value)
+            out.append(one)
+            if a != b:
+                both = _copy_table(one)
+                _set_entry(both, b, a, k, -sign * value)
+                out.append(both)
+    torus = [
+        (t, b) for t in g.t_ids for b in range(g.dim) if g.weight_of(b)[g.t_coord[t]]
+    ]
+    for t, b in rng.sample(torus, 2):
+        one = _copy_table(g.table)
+        _set_entry(one, t, b, b, 0)
+        both = _copy_table(one)
+        _set_entry(both, b, t, b, 0)
+        out += [one, both]
+    return [_with_table(g, table) for table in out]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_adjoint_pass_agrees_with_triple_loop(name):
+    """validate_algebra's verdict is the one of its table checks and the
+    triple-loop Jacobi and torus oracle, on the algebra and on seeded
+    tamperings of it; some tamperings only the Jacobi check catches."""
+    g = ORACLE_ALGEBRAS[name]()
+    only_jacobi = 0
+    for h in [g] + _seeded_tamperings(g, seed=sum(map(ord, name))):
+        report = validate_algebra(h)
+        rest = [f for f in report["failures"] if not f.startswith("jacobi:")]
+        oracle = jacobi_by_triples(h)
+        assert report["passed"] == (not rest and oracle)
+        only_jacobi += not rest and not oracle
+    assert validate_algebra(g)["passed"]
+    assert only_jacobi
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,17 @@ def with_action(module, x, mat):
 
 def corruptions(module):
     """One copy per nonzero action matrix with its first entry shifted
-    by one (by two where one would cancel it)."""
+    by one (by two where one would cancel it), and one with the first
+    nonzero diagonal entry of a torus element dropped."""
+    g = module.g
     out = []
+    for t in g.t_ids:
+        mat = module.action[t]
+        nonzero = sorted(key for key in mat.data if key[0] == key[1])
+        if nonzero:
+            data = {key: v for key, v in mat.data.items() if key != nonzero[0]}
+            out.append(with_action(module, t, SparseMatrix(mat.nrows, mat.ncols, data)))
+            break
     for x in sorted(module.action):
         mat = module.action[x]
         if not mat.data:
@@ -146,6 +155,20 @@ def test_validator_agrees_with_ordered_pair_oracle(name):
     # a torus entry off its weight is always caught; other corruptions
     # may be a change of basis (K(2,-2) of gl(1|1) with e(1,-1) doubled)
     assert False in verdicts
+
+
+def test_zero_torus_on_a_vector_of_nonzero_weight_is_rejected():
+    """A one-dimensional gl(1|1) module of weight (1|0) on which every
+    basis element acts by 0: the torus element e(-1,-1) must act by 1, and
+    its (0, 0) entry is missing, not wrong."""
+    g = gl11()
+    M = ExplicitModule(g, [(1, 0)], [0], {x: SparseMatrix(1, 1) for x in range(g.dim)})
+    report = validate_module(M)
+    assert not report["passed"]
+    assert report["failures"] == [
+        "torus eigenvalue of e(-1,-1) on vector 0 is 0, weight says 1"
+    ]
+    assert not ordered_pair_validation(M)
 
 
 def test_pairs_checked_counts_unordered_pairs():
