@@ -20,7 +20,7 @@ from .config import DEFAULT_LIMITS
 from .errors import GradingError, InvalidAlgebraError
 from .linalg import Echelon, SparseMatrix, vec_add_into
 from .rational import QQ, exact, rat_str
-from .weights import wadd, wdot, weight, wzero
+from .weights import wdot, weight, wzero
 
 
 class BasisElement:
@@ -40,10 +40,14 @@ class LieSuperAlgebra:
     """A finite-dimensional Lie superalgebra with a distinguished torus.
 
     The object is treated as immutable once built; install_grading returns a
-    new instance.  Its one mutable attribute is ``memo``, a dict in which
-    the module builders decorated with ``memoised`` keep their results,
-    so a memoised module lives exactly as long as the algebra it is a
-    module over; ``lie_generators`` keeps its answer there too.
+    new instance.  Its one mutable attribute is ``memo``, a dict of values
+    that are pure functions of the algebra, each kept under a tuple key
+    whose first element names it (see :func:`memo_entry`): the results of
+    the module builders decorated with ``memoised``, ``lie_generators``,
+    the even Levi and the Borel-type subalgebra (``forms``), and one PBW
+    straightening engine per basis order with its split tables
+    (``modules.induced_module``).  So each lives exactly as long as the
+    algebra, and a copy with a changed table needs a fresh ``memo``.
     """
 
     def __init__(
@@ -204,6 +208,14 @@ class LieSuperAlgebra:
 _EMPTY = {}
 
 
+def memo_entry(g, key, build):
+    """``g.memo[key]``, computed by ``build()`` the first time it is asked
+    for; ``key`` is a tuple whose first element names the value."""
+    if key not in g.memo:
+        g.memo[key] = build()
+    return g.memo[key]
+
+
 def memoised(builder):
     """Keep ``builder(g, lam, limits)`` in ``g.memo``.
 
@@ -215,9 +227,7 @@ def memoised(builder):
     @wraps(builder)
     def build(g, lam, limits=DEFAULT_LIMITS):
         key = (builder.__name__, weight(lam), limits)
-        if key not in g.memo:
-            g.memo[key] = builder(g, key[1], limits)
-        return g.memo[key]
+        return memo_entry(g, key, lambda: builder(g, key[1], limits))
 
     return build
 
@@ -263,19 +273,20 @@ def lie_generators(g):
     relation, these ids decide intertwining and submodule closure.
     Memoised on the algebra.
     """
-    key = ("lie_generators",)
-    if key not in g.memo:
-        torus = set(g.t_ids)
-        gens = []
-        span = bracket_closure(g, g.t_ids)
-        for x in range(g.dim):
-            if x not in torus and not span.contains({x: 1}):
-                gens.append(x)
-                span = bracket_closure(g, list(g.t_ids) + gens)
-        if len(span) != g.dim:
-            raise AssertionError("the chosen generators do not generate the algebra")
-        g.memo[key] = tuple(gens)
-    return g.memo[key]
+    return memo_entry(g, ("lie_generators",), lambda: _greedy_generators(g))
+
+
+def _greedy_generators(g):
+    torus = set(g.t_ids)
+    gens = []
+    span = bracket_closure(g, g.t_ids)
+    for x in range(g.dim):
+        if x not in torus and not span.contains({x: 1}):
+            gens.append(x)
+            span = bracket_closure(g, list(g.t_ids) + gens)
+    if len(span) != g.dim:
+        raise AssertionError("the chosen generators do not generate the algebra")
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +478,18 @@ def _q_indices(label):
 def validate_algebra(g):
     """Check the superalgebra axioms and (if graded) the grading axioms.
 
-    Super-antisymmetry, parity and weight additivity are read off the
-    table pair by pair.  The super Jacobi identity says exactly that ad
-    is a representation, so it is checked as the bracket relation on the
-    adjoint module (weights and parities those of the basis, ad_x with
-    entry (k, b) = [x, b]_k) by :func:`modules.validate_module`, which
-    also checks that the torus acts on it diagonally by the recorded
-    weights; its failures carry the prefix ``jacobi:``.  Nothing in that
-    pass depends on the table being valid.  ``checks`` counts the ordered
-    pairs read (``pairs``) and the pairs on which the adjoint bracket
-    relation was checked (``adjoint_pairs``).
+    Super-antisymmetry is read off the table pair by pair.  The super
+    Jacobi identity says exactly that ad is a representation, so it is
+    checked as the bracket relation on the adjoint module (weights and
+    parities those of the basis, ad_x with entry (k, b) = [x, b]_k) by
+    :func:`modules.validate_module`, which also checks that the torus
+    acts on it diagonally by the recorded weights, and the weight and
+    parity additivity of every ad_x entry, which is that of the bracket:
+    a wrong-weight target k of [a, b] reads "a breaks weight additivity
+    at (k,b)".  Its failures carry the prefix ``jacobi:``.  Nothing in
+    that pass depends on the table being valid.  ``checks`` counts the
+    ordered pairs read (``pairs``) and the pairs on which the adjoint
+    bracket relation was checked (``adjoint_pairs``).
 
     Returns a report dict with a `passed` flag and a list of failure
     witnesses; it does not raise.
@@ -487,7 +500,7 @@ def validate_algebra(g):
     dim = g.dim
     checks = {"pairs": 0}
 
-    # super-antisymmetry, parity and weight additivity
+    # super-antisymmetry
     for a in range(dim):
         for b in range(dim):
             checks["pairs"] += 1
@@ -500,19 +513,8 @@ def validate_algebra(g):
                     f"antisymmetry: [{g.label(a)},{g.label(b)}]"
                     f" + sign*[{g.label(b)},{g.label(a)}] != 0"
                 )
-            p = (g.parity(a) + g.parity(b)) % 2
-            wt = wadd(g.weight_of(a), g.weight_of(b))
-            for target, coeff in br.items():
-                if g.parity(target) != p:
-                    failures.append(
-                        f"parity: [{g.label(a)},{g.label(b)}] hits {g.label(target)}"
-                    )
-                if g.weight_of(target) != wt:
-                    failures.append(
-                        f"weight: [{g.label(a)},{g.label(b)}] hits {g.label(target)}"
-                    )
 
-    # Jacobi and the torus: ad is a representation
+    # Jacobi, the torus and additivity: ad is a representation
     adjoint = ExplicitModule(
         g,
         [g.weight_of(b) for b in range(dim)],

@@ -16,7 +16,7 @@ induced modules built from them, truncated Verma slices, and the exact
 Clifford modules for the q-type Cartan.
 """
 
-from .algebra import memoised, principal_dvector, w0_action
+from .algebra import memo_entry, memoised, principal_dvector, w0_action
 from .config import DEFAULT_LIMITS
 from .errors import CliffordWeightError, DominanceError, GradingError
 from .linalg import SparseMatrix, apply_cols
@@ -179,13 +179,18 @@ def form_quotient(module, kind=None):
 
 
 def even_levi(g):
-    """The degree-0 part of a compatibly graded gl(m|n), with the
-    principal triangular structure installed on it."""
+    """(levi, h_ids): the degree-0 part of a compatibly graded gl(m|n),
+    with the principal triangular structure installed on it, and the
+    tuple of its ids in g.  Built once per algebra, so every L0(lam) is a
+    module over the same Levi."""
     if g.family != "gl" or g.grading_kind != "compatible":
         raise GradingError("even Levi extraction needs a compatible grading")
-    m, n = g.params
-    h_ids = g.h_ids()
-    prin = principal_dvector(m, n)
+    return memo_entry(g, ("even_levi",), lambda: _levi(g))
+
+
+def _levi(g):
+    h_ids = tuple(g.h_ids())
+    prin = principal_dvector(*g.params)
     degs = [wdot(g.weight_of(i), prin) for i in h_ids]
     return g.subalgebra(h_ids, degrees=degs, family_tag="levi"), h_ids
 
@@ -208,8 +213,8 @@ def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
     low = w0_action(m, n, lam)
     steps = [levi.weight_of(i) for i in levi.ids_of_degree(1)]
     window = [wsub(mu, lam) for mu in weights_between(low, lam, steps)]
-    hb = sorted(levi.h_ids() + levi.positive_ids())
-    fib = trivial_module(levi.subalgebra(hb), lam)
+    hb, borel = _borel(levi)
+    fib = trivial_module(borel, lam)
     slice_ = induced_module(
         levi, hb, fib, weight_window=window, highest_weight=lam,
         kind="levi_verma", limits=limits,
@@ -223,8 +228,12 @@ def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
 # the induced families
 
 
-def _borel_ids(g):
-    return sorted(g.h_ids() + g.positive_ids())
+def _borel(g):
+    """(ids, subalgebra) of the nonnegative degrees: the parabolic
+    g0 + g1 of a compatible grading, the Borel of a principal one.  The
+    subalgebra is built once per algebra."""
+    ids = sorted(g.h_ids() + g.positive_ids())
+    return ids, memo_entry(g, ("borel",), lambda: g.subalgebra(ids))
 
 
 @memoised
@@ -235,11 +244,8 @@ def kac_module(g, lam, limits=DEFAULT_LIMITS):
         raise GradingError("this induction needs gl with the compatible grading")
     m, n = g.params
     V = simple_even_module(g, lam, limits=limits)
-    b_ids = _borel_ids(g)
-    # one parabolic per algebra, built by the first Kac module
-    if ("kac_parabolic",) not in g.memo:
-        g.memo[("kac_parabolic",)] = g.subalgebra(b_ids)
-    fiber = inflate_module(V, g.memo[("kac_parabolic",)])
+    b_ids, parabolic = _borel(g)
+    fiber = inflate_module(V, parabolic)
     K = induced_module(
         g, b_ids, fiber, highest_weight=tuple(V.highest_weight),
         kind="kac", limits=limits,
@@ -292,8 +298,8 @@ def verma_module_truncated(g, lam, depth, limits=DEFAULT_LIMITS):
         raise GradingError("use the principal grading for verma slices")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    b_ids = _borel_ids(g)
-    fib = trivial_module(g.subalgebra(b_ids), lam)
+    b_ids, borel = _borel(g)
+    fib = trivial_module(borel, lam)
     return induced_module(
         g, b_ids, fib, min_degree=-depth, highest_weight=tuple(fib.weights[0]),
         kind="verma_slice", limits=limits,

@@ -17,7 +17,7 @@ retained vectors and keeps only those.
 
 from types import MappingProxyType
 
-from .algebra import lie_generators
+from .algebra import lie_generators, memo_entry
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError, TruncationError
 from .linalg import Echelon, SparseMatrix, apply_cols, vec_add_into
@@ -405,13 +405,21 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     action is read off the straightening rule, with the trailing
     subalgebra part of each normal word acting on the fiber.
 
+    The straightening does not depend on the fiber: the engine for the
+    PBW order is kept in ``g.memo`` under ``("pbw", order)``, and its
+    split table for ``sub_ids`` (``PbwAlgebra.split_word``) holds each
+    x.w already grouped by free prefix, so every module induced along the
+    same order straightens each x.w once.  Within one call, each fiber
+    suffix is applied to each fiber vector once (:func:`word_action`).
+
     A ``min_degree`` or ``weight_window`` cutoff yields a
-    truncated module: free monomials outside the cutoff are dropped, and
-    the result is tagged so the validator knows which axiom instances are
-    exact.  An untruncated result carries the one-block flag record
+    truncated module: free monomials outside the cutoff are dropped (the
+    split table keeps them; they are skipped here), and the result is
+    tagged so the validator knows which axiom instances are exact.  An
+    untruncated result carries the one-block flag record
     ``(sorted(sub_ids), ((0, fiber.dim, words),))`` (see ``ExplicitModule``).
     """
-    sub_ids = list(sub_ids)
+    sub_ids = tuple(sub_ids)
     sub_set = set(sub_ids)
     if len(sub_set) != len(sub_ids):
         raise ValueError("duplicate ids in sub_ids")
@@ -429,7 +437,8 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     if order is None:
         key = (lambda i: (g.degree_of(i), i)) if g.degrees is not None else (lambda i: i)
         order = sorted(free_ids, key=key) + sorted(sub_ids, key=key)
-    pbw = PbwAlgebra(g, order=order)
+    order = tuple(order)
+    pbw = memo_entry(g, ("pbw", order), lambda: PbwAlgebra(g, order=order))
     min_sub_rank = min(pbw.rank[s] for s in sub_ids)
     if any(pbw.rank[f] >= min_sub_rank for f in free_ids):
         raise ValueError("PBW order must rank all free ids before sub ids")
@@ -467,21 +476,14 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
             word_wt.append(mw)
             word_deg.append(md)
 
-    sub_local = {sid: r for r, sid in enumerate(sub_ids)}
     fiber_cols = {s: mat.cols() for s, mat in fiber.action.items()}
+    images = [word_action(fiber_cols, {j: 1}) for j in range(fdim)]
     action = {}
     for x in range(g.dim):
         mat = {}
         for k, w in enumerate(words):
-            expansion = pbw.straighten_word((x,) + w)
-            images = {}
-            for nword, c in expansion.items():
-                cut = len(nword)
-                for pos, lid in enumerate(nword):
-                    if pbw.rank[lid] >= min_sub_rank:
-                        cut = pos
-                        break
-                prefix = nword[:cut]
+            blocks = []
+            for prefix, emits in pbw.split_word((x,) + w, sub_ids).items():
                 row_word = word_index.get(prefix)
                 if row_word is None:
                     if truncated:
@@ -489,22 +491,15 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
                     raise AssertionError(
                         f"free monomial {prefix} missing from untruncated basis"
                     )
-                suffix = tuple(sub_local[s] for s in nword[cut:])
-                images.setdefault(row_word, []).append((suffix, c))
+                blocks.append((row_word * fdim, emits))
             for j in range(fdim):
                 col = k * fdim + j
-                for row_word, emits in images.items():
+                for base, emits in blocks:
                     acc = {}
                     for suffix, c in emits:
-                        vec = {j: 1}
-                        for s in reversed(suffix):
-                            if not vec:
-                                break
-                            vec = apply_cols(fiber_cols[s], vec)
-                        vec_add_into(acc, vec, c)
-                    base = row_word * fdim
+                        vec_add_into(acc, images[j](suffix), c)
                     for jj, cv in acc.items():
-                        mat[(base + jj, col)] = mat.get((base + jj, col), 0) + cv
+                        mat[(base + jj, col)] = cv
         action[x] = SparseMatrix(total, total, mat)
 
     meta = {

@@ -7,8 +7,12 @@ Straightening applies xy = (-1)^{|x||y|} yx + [x,y] and the odd-square rule
 x^2 = (1/2)[x,x] until every term is normal; bracket terms strictly drop the
 filtration degree, so this terminates.
 
-Each PbwAlgebra memoizes straightened words; its table is cleared once it
-holds STRAIGHTEN_CACHE entries.
+Each PbwAlgebra memoizes straightened words, and the split of each into a
+free prefix and an inducing suffix (:meth:`PbwAlgebra.split_word`).
+``modules.induced_module`` keeps one engine per algebra and basis order in
+``g.memo``, so these tables are shared by every module induced along that
+order and live as long as ``g``; each is cleared once it holds
+STRAIGHTEN_CACHE entries.
 """
 
 from .errors import WindowError
@@ -22,8 +26,8 @@ STRAIGHTEN_CACHE = 200_000
 class PbwAlgebra:
     """Straightening engine for U(g) with a fixed basis order.
 
-    Dicts returned by straighten_word are cached and shared; callers must
-    treat them as read-only.
+    Dicts returned by straighten_word and split_word are cached and
+    shared; callers must treat them as read-only.
     """
 
     def __init__(self, g, order=None):
@@ -35,6 +39,7 @@ class PbwAlgebra:
         self.order = tuple(order)
         self.rank = {b: r for r, b in enumerate(self.order)}
         self._cache = {}
+        self._splits = {}
 
     def straighten_word(self, word):
         word = tuple(word)
@@ -75,6 +80,26 @@ class PbwAlgebra:
         if len(self._cache) >= STRAIGHTEN_CACHE:
             self._cache.clear()
         self._cache[word] = result
+        return result
+
+    def split_word(self, word, sub_ids):
+        """straighten_word(word) grouped by free prefix, for induction from
+        the span of the tuple ``sub_ids`` (ranked after every other id):
+        {prefix: [(suffix, c), ...]}, each normal word cut at its first
+        letter in sub_ids and the suffix written as positions in sub_ids."""
+        key = (sub_ids, tuple(word))
+        cached = self._splits.get(key)
+        if cached is not None:
+            return cached
+        local = {s: r for r, s in enumerate(sub_ids)}
+        result = {}
+        for nword, c in self.straighten_word(word).items():
+            cut = next((p for p, b in enumerate(nword) if b in local), len(nword))
+            suffix = tuple(local[b] for b in nword[cut:])
+            result.setdefault(nword[:cut], []).append((suffix, c))
+        if len(self._splits) >= STRAIGHTEN_CACHE:
+            self._splits.clear()
+        self._splits[key] = result
         return result
 
     def sort_key(self, word):

@@ -1,14 +1,31 @@
 """Memoised builders hand out immutable modules, and a result does not
 depend on which builders ran before it in the same algebra."""
 
+import copy
+
 import pytest
 
 from supero import homs
-from supero.algebra import build_gl, install_grading
-from supero.forms import kac_module, simple_even_module, simple_module
-from supero.modules import copy_module, validate_module
+from supero.algebra import build_gl, install_grading, w0_action
+from supero.characters import window_from_box
+from supero.forms import (
+    even_levi,
+    induced_projective,
+    kac_module,
+    simple_even_module,
+    simple_module,
+)
+from supero.modules import (
+    copy_module,
+    induced_module,
+    inflate_module,
+    trivial_module,
+    validate_module,
+)
+from supero.pbw import PbwAlgebra
 from supero.rational import QQ
 from supero.structure import projective_cover, tilting_module
+from supero.weights import weights_between, wsub
 
 
 def gl21c():
@@ -130,3 +147,138 @@ def test_tilting_takes_the_adjunction_route_when_nothing_glues(monkeypatch):
     assert seen == [kac_module(g, UNGLUED)]
     assert U.flag_record is None and U.meta["flag_bottom_up"] == ((qq(UNGLUED), 0),)
     assert U.meta["end_even_dim"] - U.meta["end_radical_dim"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the shared induction tables
+
+
+def _levi_slice(g, lam):
+    """The windowed Levi Verma slice that ``simple_even_module`` cuts
+    L0(lam) from (truncated)."""
+    levi, _ = even_levi(g)
+    steps = [levi.weight_of(i) for i in levi.ids_of_degree(1)]
+    low = w0_action(2, 1, lam)
+    window = [wsub(mu, lam) for mu in weights_between(low, lam, steps)]
+    hb = sorted(levi.h_ids() + levi.positive_ids())
+    return induced_module(
+        levi, hb, trivial_module(levi.subalgebra(hb), lam), weight_window=window,
+        highest_weight=lam, kind="levi_verma",
+    )
+
+
+def _kac_slice(g, lam):
+    """K(lam) cut to the words of weight 0 and wt e(1,-2): a truncated
+    induction along the order and inducing ids of ``kac_module``."""
+    b_ids = sorted(g.h_ids() + g.positive_ids())
+    fiber = inflate_module(simple_even_module(g, lam), g.subalgebra(b_ids))
+    window = [(0, 0, 0), g.weight_of(g.id_of("e(1,-2)"))]
+    return induced_module(
+        g, b_ids, fiber, weight_window=window, highest_weight=lam, kind="kac_slice",
+    )
+
+
+def _value(M):
+    return (
+        {x: dict(mat.data) for x, mat in M.action.items()},
+        M.weights, M.parities, M.labels, M.highest_weight, M.truncated,
+        dict(M.meta), M.flag_record,
+    )
+
+
+def _induced(g, lam):
+    """K(lam), then a truncated slice along K's order, the Levi slice and
+    Ind_{g0} V(lam)."""
+    return {
+        "kac_module": _value(kac_module(g, lam)),
+        "kac_slice": _value(_kac_slice(g, lam)),
+        "levi_slice": _value(_levi_slice(g, lam)),
+        "induced_projective": _value(induced_projective(g, lam)),
+    }
+
+
+@pytest.mark.parametrize("lam", [GLUED, UNGLUED])
+def test_induced_modules_do_not_depend_on_warm_tables(lam):
+    """The same inductions on a fresh gl(2|1) and on one whose engines
+    and split tables other weights of the box -1..1 have filled, a
+    truncated slice first."""
+    warm = gl21c()
+    box = window_from_box(warm, -1, 1, support_closure=False)
+    assert lam in box and len(box) > 2
+    for mu in box:
+        if mu != lam:
+            _kac_slice(warm, mu)
+            kac_module(warm, mu)
+            induced_projective(warm, mu)
+            _levi_slice(warm, mu)
+    fresh = _induced(gl21c(), lam)
+    assert fresh["kac_slice"][5] and not fresh["kac_module"][5]
+    assert _induced(warm, lam) == fresh
+    # the slice on engines no untruncated induction has touched
+    assert _value(_kac_slice(gl21c(), lam)) == fresh["kac_slice"]
+
+
+def _engines(g):
+    """The PBW engines kept on g and on its Levi, each over its owner."""
+    out = []
+    for alg in (g, even_levi(g)[0]):
+        engines = [v for k, v in alg.memo.items() if k[0] == "pbw"]
+        assert engines and all(pbw.g is alg for pbw in engines)
+        out += engines
+    return out
+
+
+def test_a_copy_with_its_own_table_never_reaches_the_original_tables():
+    """A copy whose non-torus basis is rescaled, x -> (min(x, x^T) + 2)/3 x
+    (the transpose map stays an antiautomorphism), with ``memo = {}``,
+    builds its own Levi and engines and leaves the original's alone."""
+    g = gl21c()
+    K = kac_module(g, GLUED)
+    before = dict(g.memo)
+    tables = {id(e): dict(e._cache) for e in _engines(g)}
+    r = [
+        QQ(1) if x in g.t_coord else QQ(min(x, g.transpose[x]) + 2, 3)
+        for x in range(g.dim)
+    ]
+    h = copy.copy(g)
+    h.table = {
+        (a, b): {k: r[a] * r[b] * c / r[k] for k, c in br.items()}
+        for (a, b), br in g.table.items()
+    }
+    h.memo = {}
+    Kh = kac_module(h, GLUED)
+    assert validate_module(Kh)["passed"] and Kh.dim == K.dim
+    assert any(Kh.action[x] != K.action[x] for x in range(g.dim))
+    assert g.memo == before and kac_module(g, GLUED) is K
+    assert {id(e): dict(e._cache) for e in _engines(g)} == tables
+    assert not {id(e) for e in _engines(g)} & {id(e) for e in _engines(h)}
+    assert not {id(v) for v in g.memo.values()} & {id(v) for v in h.memo.values()}
+    assert even_levi(h)[0] is not even_levi(g)[0]
+
+
+def test_one_engine_per_order_and_no_straightening_at_a_second_weight(monkeypatch):
+    engines, words = [], []
+    init, straighten = PbwAlgebra.__init__, PbwAlgebra.straighten_word
+
+    def spy_init(self, g, order=None):
+        init(self, g, order)
+        engines.append((self.g, self.order))
+
+    def spy_straighten(self, word):
+        words.append(word)
+        return straighten(self, word)
+
+    monkeypatch.setattr(PbwAlgebra, "__init__", spy_init)
+    monkeypatch.setattr(PbwAlgebra, "straighten_word", spy_straighten)
+    g = gl21c()
+    kac_module(g, GLUED)
+    assert words and len(engines) == 2  # the Levi Verma order and Kac's
+    words.clear()
+    # UNGLUED has GLUED's Levi window, so both inductions reuse every split
+    kac_module(g, UNGLUED)
+    assert words == []
+    for lam in (GLUED, UNGLUED):
+        projective_cover(g, lam)
+        tilting_module(g, lam)
+    assert len(engines) == len(set(engines)) == 3
+    assert {pbw.order for pbw in _engines(g)} == {order for _, order in engines}

@@ -188,10 +188,12 @@ def test_validation_catches_tampering():
     assert not report["passed"]
     kinds = {f.split(":")[0] for f in report["failures"]}
     assert "antisymmetry" in kinds or "jacobi" in kinds
-    # injecting a wrong-weight target trips the weight check
+    # a wrong-weight target trips the adjoint pass's weight check, once:
+    # [up, down] hitting up puts ad_up's entry (up, down) off weight
     bad2 = _tampered(g, up, down, up, 1)
     report2 = validate_algebra(bad2)
-    assert any(f.startswith("weight") for f in report2["failures"])
+    assert f"jacobi: e(-1,1) breaks weight additivity at ({up},{down})" in report2["failures"]
+    assert not any(f.startswith("weight") for f in report2["failures"])
 
 
 # ---------------------------------------------------------------------------
