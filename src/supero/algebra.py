@@ -20,7 +20,7 @@ from .config import DEFAULT_LIMITS
 from .errors import GradingError, InvalidAlgebraError
 from .linalg import Echelon, SparseMatrix, vec_add_into
 from .rational import QQ, exact, rat_str
-from .weights import wdot, weight, wzero
+from .weights import wdot, weight, wsub, wzero
 
 
 class BasisElement:
@@ -590,6 +590,12 @@ def w0_action(m, n, w):
     if len(w) != m + n:
         raise ValueError(f"expected {m + n} coordinates")
     return tuple(reversed(w[:m])) + tuple(reversed(w[m:]))
+
+
+def beta_reflect(m, n, w):
+    """beta - w0.w: the weight that Kac, projective and tilting duality
+    pair with w."""
+    return wsub(beta_weight(m, n), w0_action(m, n, w))
 
 
 def standard_semiinfinite_character(g):

@@ -16,8 +16,8 @@ from collections import Counter
 
 from .rational import as_int
 from .linalg import SparseMatrix
-from .weights import dominant_weights_in_box, is_dominant_gl, wadd, weight, wsub
-from .algebra import beta_weight, w0_action
+from .weights import dominant_weights_in_box, is_dominant_gl, wadd, weight
+from .algebra import beta_reflect
 from .config import DEFAULT_LIMITS
 from .errors import (
     DominanceError, GradingError, ResourceLimitError, WindowError,
@@ -136,16 +136,6 @@ def window_from_box(g, lo, hi, support_closure=True):
                     extra.add(nu)
         window |= extra
     return sorted(window, reverse=True)
-
-
-def reflected_window(g, window):
-    """The window's image under lam -> beta - w0.lam, same ordering."""
-    m, n = g.params
-    beta = beta_weight(m, n)
-    return sorted(
-        (tuple(wsub(beta, w0_action(m, n, lam))) for lam in window),
-        reverse=True,
-    )
 
 
 def _validate_window(g, window):
@@ -318,16 +308,14 @@ def tilting_table(g, window, limits=DEFAULT_LIMITS):
     is empty.
     """
     window = [weight(w) for w in window]
-    m, n = g.params
-    beta = beta_weight(m, n)
     left = []
     for lam in window:
         U = tilting_module(g, lam, limits=limits)
         mults = Counter(mu for mu, _parity in U.meta["flag_bottom_up"])
         left.append([mults.get(mu, 0) for mu in window])
-    refl = reflected_window(g, window)
+    reflected = [beta_reflect(*g.params, w) for w in window]
+    refl = sorted(reflected, reverse=True)
     D = decomposition_matrix(g, refl, limits=limits)
-    reflected = [tuple(wsub(beta, w0_action(m, n, w))) for w in window]
     right = [[D.entry(rmu, rlam) for rmu in reflected] for rlam in reflected]
     diff = [
         (window[i], window[j], left[i][j], right[i][j])

@@ -186,6 +186,8 @@ def cmd_check_semiinfinite(args):
 
 
 def cmd_decompose(args):
+    if args.depth is not None and args.depth < 0:
+        raise WorkbenchError(f"--depth must be >= 0, got {args.depth}")
     g = _build_algebra(args.algebra, args.grading)
     limits = _limits(args)
     window = _window(g, args)

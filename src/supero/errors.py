@@ -26,7 +26,8 @@ class DominanceError(WorkbenchError):
 
 
 class WindowError(WorkbenchError):
-    """A weight window is malformed; lists the missing weights if known."""
+    """A weight window is malformed, or a monomial family is unbounded
+    for want of a degree cutoff; lists the missing weights if known."""
 
     def __init__(self, message, missing=()):
         super().__init__(message)
@@ -38,7 +39,8 @@ class ResourceLimitError(WorkbenchError):
 
 
 class TruncationError(WorkbenchError):
-    """An operation needs an infinite basis and no truncation window was given."""
+    """A truncated slice is used where the whole module is needed, or
+    carries no degree cutoff to validate against."""
 
 
 class CliffordWeightError(WorkbenchError):

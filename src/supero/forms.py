@@ -10,9 +10,10 @@ pushes each pairing up to an already-known block.  The form starts from
 the identity pairing on the top weight space; ranks of the per-weight
 Gram blocks are independent of that normalization.
 
-On top of the form sit the standard constructions: simple modules of the
-even part (windowed Verma followed by the form quotient), the finite
-induced modules built from them, truncated Verma slices, and the exact
+On top of the form sit the standard constructions: truncated Verma
+slices (words cut at one degree), simple modules of the even part (the
+Levi Verma slice cut at the degree of w0.lam, followed by the form
+quotient), the finite induced modules built from them, and the exact
 Clifford modules for the q-type Cartan.
 """
 
@@ -29,15 +30,7 @@ from .modules import (
     trivial_module,
 )
 from .rational import QQ, rational_sqrt
-from .weights import (
-    height,
-    is_dominant_gl,
-    root_leq,
-    wdot,
-    weight,
-    weights_between,
-    wsub,
-)
+from .weights import height, is_dominant_gl, root_leq, wdot, weight, wsub
 
 
 class ContravariantForm:
@@ -199,10 +192,13 @@ def _levi(g):
 def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
     """The simple module of the even part gl(m) + gl(n) at a dominant weight.
 
-    Built exactly: a Verma module of the Levi restricted to the weight
-    interval [w0.lam, lam] (which contains the full support of the simple
-    quotient), then the quotient by the radical of the contravariant form.
-    The result is a module over the Levi subalgebra.
+    Built exactly: the Levi Verma slice cut at the degree of w0.lam
+    (:func:`verma_module_truncated`), then the quotient by the radical of
+    the contravariant form.  Every positive Levi root has positive degree,
+    so the slice holds every word of every weight in [w0.lam, lam], which
+    contains the support of the simple quotient; a Gram block only reads
+    higher weights, and at a weight outside the support the whole weight
+    space is radical.  The result is a module over the Levi subalgebra.
     """
     m, n = g.params
     if not is_dominant_gl(lam, m, n):
@@ -210,17 +206,10 @@ def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
             f"{g.weight_str(lam)} is not dominant for gl({m})+gl({n})"
         )
     levi, _ = even_levi(g)
-    low = w0_action(m, n, lam)
-    steps = [levi.weight_of(i) for i in levi.ids_of_degree(1)]
-    window = [wsub(mu, lam) for mu in weights_between(low, lam, steps)]
-    hb, borel = _borel(levi)
-    fib = trivial_module(borel, lam)
-    slice_ = induced_module(
-        levi, hb, fib, weight_window=window, highest_weight=lam,
-        kind="levi_verma", limits=limits,
-    )
+    depth = wdot(wsub(lam, w0_action(m, n, lam)), principal_dvector(m, n))
+    slice_ = verma_module_truncated(levi, lam, depth, limits=limits)
     V, _ = form_quotient(slice_, kind="simple_even")
-    # the support of the simple lies inside the window
+    # the support of the simple lies inside the slice
     return copy_module(V, truncated=False)
 
 
@@ -289,9 +278,11 @@ def induced_projective(g, lam, limits=DEFAULT_LIMITS):
 
 
 def verma_module_truncated(g, lam, depth, limits=DEFAULT_LIMITS):
-    """The Verma module for the principal grading, cut at word degree
-    -depth.  Raising operators are exact on the slice; lowerings are
-    exact above the floor."""
+    """The Verma module of a principally graded algebra, cut at word
+    degree -depth: gl(m|n) under the principal grading, or the Levi of
+    ``even_levi``, whose slice ``simple_even_module`` cuts L0(lam) from.
+    Raising operators are exact on the slice; lowerings are exact above
+    the floor."""
     if g.degrees is None:
         raise GradingError("verma slice needs a graded algebra")
     if g.family == "gl" and g.grading_kind != "principal":

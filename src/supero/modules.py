@@ -10,8 +10,8 @@ Induction from a subalgebra is done once, generically: pick a PBW order
 that ranks the free directions before the inducing subalgebra, enumerate
 normal monomials in the free directions, and read the action straight off
 the straightening algorithm.  Truncated variants (finite slices of
-infinite-dimensional induced modules) drop monomials outside a degree or
-weight cutoff; the validator knows which axiom instances are exact on the
+infinite-dimensional induced modules) drop the monomials below one degree
+cutoff; the validator knows which axiom instances are exact on the
 retained vectors and keeps only those.
 """
 
@@ -143,37 +143,23 @@ def _truncation_guard(module):
     """Return a predicate telling which axiom instances are exact.
 
     guard(i, x, y) is True when the bracket relation for the pair (x, y)
-    applied to basis vector i is fully computed on the retained vectors.
-    For degree-truncated modules everything at word degree >= the cutoff
-    is retained; for weight-window truncations the retained word weights
-    are exactly the window.
+    applied to basis vector i is fully computed on the retained vectors:
+    a truncated module keeps every word of degree >= its cutoff, so the
+    instance is exact when x, y and xy all keep the word at or above it.
     """
-    meta = module.meta
     g = module.g
-    min_deg = meta.get("min_degree")
-    window = meta.get("window")
-    word_deg = meta.get("depth_degrees")
-    word_wt = meta.get("word_weight")
-    if min_deg is None and window is None:
+    min_deg = module.meta.get("min_degree")
+    word_deg = module.meta.get("depth_degrees")
+    if min_deg is None:
         raise TruncationError(
             "truncated module without truncation metadata; cannot validate"
         )
 
     def guard(i, x, y):
-        if min_deg is not None:
-            d = word_deg[i]
-            dx = g.degree_of(x)
-            dy = g.degree_of(y)
-            if d + dx < min_deg or d + dy < min_deg or d + dx + dy < min_deg:
-                return False
-        if window is not None:
-            w = word_wt[i]
-            wx = g.weight_of(x)
-            wy = g.weight_of(y)
-            for target in (wadd(w, wx), wadd(w, wy), wadd(wadd(w, wx), wy)):
-                if target not in window:
-                    return False
-        return True
+        d = word_deg[i]
+        dx = g.degree_of(x)
+        dy = g.degree_of(y)
+        return d + dx >= min_deg and d + dy >= min_deg and d + dx + dy >= min_deg
 
     return guard
 
@@ -395,8 +381,7 @@ def inflate_module(module, big):
 
 
 def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
-                   weight_window=None, highest_weight=None,
-                   kind="induced", limits=DEFAULT_LIMITS):
+                   highest_weight=None, kind="induced", limits=DEFAULT_LIMITS):
     """Induce a module from a subalgebra along a PBW basis.
 
     ``fiber`` must be a module over ``g.subalgebra(sub_ids)`` (matched by
@@ -412,10 +397,10 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     same order straightens each x.w once.  Within one call, each fiber
     suffix is applied to each fiber vector once (:func:`word_action`).
 
-    A ``min_degree`` or ``weight_window`` cutoff yields a
-    truncated module: free monomials outside the cutoff are dropped (the
-    split table keeps them; they are skipped here), and the result is
-    tagged so the validator knows which axiom instances are exact.  An
+    A ``min_degree`` cutoff yields a truncated module: free monomials
+    of lower degree are dropped (the split table keeps them; they are
+    skipped here), and the result records the cutoff and each vector's
+    word degree so the validator knows which axiom instances are exact.  An
     untruncated result carries the one-block flag record
     ``(sorted(sub_ids), ((0, fiber.dim, words),))`` (see ``ExplicitModule``).
     """
@@ -443,9 +428,7 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     if any(pbw.rank[f] >= min_sub_rank for f in free_ids):
         raise ValueError("PBW order must rank all free ids before sub ids")
 
-    words = tuple(monomials(
-        pbw, free_ids, weight_window=weight_window, min_degree=min_degree,
-    ))
+    words = tuple(monomials(pbw, free_ids, min_degree=min_degree))
     fdim = fiber.dim
     total = len(words) * fdim
     if total > limits.max_module_dim:
@@ -453,15 +436,11 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
             f"induced module dimension {total} exceeds limit {limits.max_module_dim}"
         )
     word_index = {w: k for k, w in enumerate(words)}
-    truncated = (
-        min_degree is not None or weight_window is not None
-        or fiber.truncated
-    )
+    truncated = min_degree is not None or fiber.truncated
 
     weights = []
     parities = []
     labels = []
-    word_wt = []
     word_deg = []
     graded = g.degrees is not None
     for w in words:
@@ -473,7 +452,6 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
             weights.append(wadd(mw, fiber.weights[j]))
             parities.append((mp + fiber.parities[j]) % 2)
             labels.append(f"{ms}.{fiber.labels[j]}")
-            word_wt.append(mw)
             word_deg.append(md)
 
     fiber_cols = {s: mat.cols() for s, mat in fiber.action.items()}
@@ -506,8 +484,6 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
         "kind": kind,
         "min_degree": min_degree,
         "depth_degrees": tuple(word_deg) if graded else None,
-        "window": frozenset(tuple(w) for w in weight_window) if weight_window else None,
-        "word_weight": tuple(word_wt),
     }
     return ExplicitModule(
         g, weights, parities, action, labels=labels,

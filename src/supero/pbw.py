@@ -18,7 +18,7 @@ STRAIGHTEN_CACHE entries.
 from .errors import WindowError
 from .linalg import vec_add_into
 from .rational import exact
-from .weights import root_leq, wadd, weight, wzero
+from .weights import wadd, wzero
 
 STRAIGHTEN_CACHE = 200_000
 
@@ -140,58 +140,40 @@ def monomial_str(g, word):
     return " * ".join(parts)
 
 
-def monomials(pbw, ids, weight_window=None, min_degree=None):
-    """All normal-ordered monomials in the given generators, with cutoffs.
+def monomials(pbw, ids, min_degree=None):
+    """All normal-ordered monomials in the given generators, down to one
+    degree cutoff.
 
-    weight_window: keep monomials whose weight (sum of generator weights)
-    lies in this set; partial products are pruned once no window weight sits
-    below them in the root order, which keeps the walk finite whenever every
-    generator weight is a negative root.
-    min_degree: keep monomials of degree >= min_degree (generators must have
-    negative degree for this to terminate).
+    min_degree: keep monomials of degree >= min_degree (generators must
+    have negative degree for this to terminate).  Without it the family is
+    finite only when every generator is odd.
     """
     g = pbw.g
     gens = sorted(set(ids), key=lambda i: pbw.rank[i])
-    if weight_window is None and min_degree is None:
+    if min_degree is None:
         if any(not g.parity(b) for b in gens):
             raise WindowError(
-                "unbounded monomial family: even generators need a weight "
-                "window or a degree cutoff"
+                "unbounded monomial family: even generators need a degree cutoff"
             )
-    if min_degree is not None:
-        if any(g.degree_of(b) >= 0 for b in gens):
-            raise ValueError("degree cutoff needs strictly negative generator degrees")
-    window = None if weight_window is None else {weight(w) for w in weight_window}
+    elif any(g.degree_of(b) >= 0 for b in gens):
+        raise ValueError("degree cutoff needs strictly negative generator degrees")
     min_deg = None if min_degree is None else exact(min_degree)
     out = []
     word = []
 
-    def viable(wt):
-        return any(root_leq(w, wt) for w in window)
-
-    def emit(wt):
-        if window is not None and wt not in window:
-            return
+    def walk(pos, deg):
         out.append(tuple(word))
-
-    def walk(pos, wt, deg):
-        emit(wt)
         for p in range(pos, len(gens)):
             b = gens[p]
             if g.parity(b) and word and word[-1] == b:
-                continue
-            nwt = wadd(wt, g.weight_of(b))
-            if window is not None and not viable(nwt):
                 continue
             ndeg = None if deg is None else deg + g.degree_of(b)
             if min_deg is not None and ndeg < min_deg:
                 continue
             word.append(b)
-            walk(p, nwt, ndeg)
+            walk(p, ndeg)
             word.pop()
 
-    start_deg = 0 if min_deg is not None else None
-    walk(0, wzero(g.weight_len), start_deg)
+    walk(0, None if min_deg is None else 0)
     out.sort(key=pbw.sort_key)
     return out
-

@@ -21,7 +21,7 @@ from collections import Counter
 
 from .linalg import SparseMatrix, Echelon
 from .weights import wadd, weight, wsub, root_leq, is_dominant_gl, weyl_shifts
-from .algebra import memoised, w0_action, beta_weight, rho_weight
+from .algebra import beta_reflect, memoised, rho_weight
 from .config import DEFAULT_LIMITS
 from .errors import DominanceError, GradingError, ResourceLimitError
 from .modules import (
@@ -534,7 +534,7 @@ def _duality_report(lam, dualised, target, limits, **partner):
 def verify_kac_dual(g, lam, limits=DEFAULT_LIMITS):
     """Check K(lam)^* against K(beta - w0.lam); returns a report dict."""
     lam = weight(lam)
-    mu = wsub(beta_weight(*g.params), w0_action(*g.params, lam))
+    mu = beta_reflect(*g.params, lam)
     K = kac_module(g, lam, limits=limits)
     return _duality_report(lam, K, kac_module(g, mu, limits=limits), limits, partner=mu)
 
@@ -542,7 +542,7 @@ def verify_kac_dual(g, lam, limits=DEFAULT_LIMITS):
 def verify_projective_dual(g, lam, limits=DEFAULT_LIMITS):
     """Check P(beta - w0.lam)^* against the tilting module U(lam)."""
     lam = weight(lam)
-    mu = wsub(beta_weight(*g.params), w0_action(*g.params, lam))
+    mu = beta_reflect(*g.params, lam)
     P = projective_cover(g, mu, limits=limits)
     U = tilting_module(g, lam, limits=limits)
     report = _duality_report(lam, P, U, limits, projective_weight=mu)

@@ -96,34 +96,6 @@ def height(lo, hi):
     return as_int(total)
 
 
-def weights_between(lo, hi, steps):
-    """All weights reachable from hi by subtracting steps while staying >= lo.
-
-    With ``steps`` the simple root directions this enumerates the interval
-    {w : lo <= w <= hi} in the root order.  Returned sorted descending.
-    """
-    lo = tuple(lo)
-    hi = tuple(hi)
-    zero = wzero(len(hi))
-    for s in steps:
-        if tuple(s) == zero or not root_leq(zero, s):
-            raise ValueError(f"steps must be root-positive, got {tuple(s)}")
-    if not root_leq(lo, hi):
-        return []
-    seen = {hi}
-    frontier = [hi]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in steps:
-                cand = wsub(w, s)
-                if cand not in seen and root_leq(lo, cand):
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return sorted(seen, reverse=True)
-
-
 def is_dominant_gl(w, m, n):
     """Consecutive differences within each side are nonnegative integers."""
     if len(w) != m + n:

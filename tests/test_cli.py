@@ -261,6 +261,20 @@ def test_decompose_principal_grading_uses_depth(capsys):
     assert out == "(1|-1)\t(1|-1)\t1\n(1|-1)\t(0|0)\t1\n"
 
 
+def test_decompose_negative_depth_is_usage_error(capsys):
+    code, out, err = run(
+        capsys,
+        "decompose",
+        "--algebra", "gl:1,1",
+        "--grading", "principal",
+        "--weights", "(1|-1)",
+        "--depth", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "--depth" in err
+
+
 def test_q_algebra_has_no_windows(capsys):
     code, _, err = run(capsys, "decompose", "--algebra", "q:2", "--box=0..0")
     assert code == 2

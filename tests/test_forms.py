@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supero.algebra import build_gl, build_q, install_grading
+from supero.characters import even_character
 from supero.config import Limits
 from supero.errors import (
     CliffordWeightError,
@@ -32,6 +33,7 @@ from supero.forms import (
 )
 from supero.modules import ExplicitModule, submodule_module, validate_module
 from supero.rational import QQ
+from supero.weights import dominant_weights_in_box
 
 from full_basis import act_word
 from helpers import direct_sum
@@ -161,6 +163,20 @@ def test_simple_even_gl22_product_dimension():
     V = simple_even_module(g, (2, 0, 1, -1))
     assert V.dim == 3 * 3
     assert validate_module(V)["passed"]
+
+
+@pytest.mark.parametrize(
+    "m,n,lo,hi", [(2, 2, -2, 2), (3, 1, -1, 2), (1, 3, -1, 2), (3, 2, -1, 1)],
+)
+def test_simple_even_matches_gelfand_tsetlin_on_larger_levis(m, n, lo, hi):
+    """Levis with two or more lowering roots, where the slice cut at the
+    degree of w0.lam holds weights outside [w0.lam, lam]: the form
+    quotient removes them, leaving the Gelfand-Tsetlin character."""
+    g = install_grading(build_gl(m, n), "compatible")
+    for lam in dominant_weights_in_box(m, n, lo, hi):
+        V = simple_even_module(g, lam)
+        assert V.character() == even_character(m, n, lam), lam
+        assert validate_module(V)["passed"], lam
 
 
 def test_simple_even_rejects_non_dominant():

@@ -6,7 +6,7 @@ import copy
 import pytest
 
 from supero import homs
-from supero.algebra import build_gl, install_grading, w0_action
+from supero.algebra import build_gl, install_grading, principal_dvector, w0_action
 from supero.characters import window_from_box
 from supero.forms import (
     even_levi,
@@ -14,18 +14,18 @@ from supero.forms import (
     kac_module,
     simple_even_module,
     simple_module,
+    verma_module_truncated,
 )
 from supero.modules import (
     copy_module,
     induced_module,
     inflate_module,
-    trivial_module,
     validate_module,
 )
 from supero.pbw import PbwAlgebra
 from supero.rational import QQ
 from supero.structure import projective_cover, tilting_module
-from supero.weights import weights_between, wsub
+from supero.weights import wdot, wsub
 
 
 def gl21c():
@@ -154,27 +154,21 @@ def test_tilting_takes_the_adjunction_route_when_nothing_glues(monkeypatch):
 
 
 def _levi_slice(g, lam):
-    """The windowed Levi Verma slice that ``simple_even_module`` cuts
-    L0(lam) from (truncated)."""
+    """The Levi Verma slice that ``simple_even_module`` cuts L0(lam) from
+    (truncated at the degree of w0.lam)."""
     levi, _ = even_levi(g)
-    steps = [levi.weight_of(i) for i in levi.ids_of_degree(1)]
-    low = w0_action(2, 1, lam)
-    window = [wsub(mu, lam) for mu in weights_between(low, lam, steps)]
-    hb = sorted(levi.h_ids() + levi.positive_ids())
-    return induced_module(
-        levi, hb, trivial_module(levi.subalgebra(hb), lam), weight_window=window,
-        highest_weight=lam, kind="levi_verma",
-    )
+    depth = wdot(wsub(lam, w0_action(2, 1, lam)), principal_dvector(2, 1))
+    return verma_module_truncated(levi, lam, depth)
 
 
 def _kac_slice(g, lam):
-    """K(lam) cut to the words of weight 0 and wt e(1,-2): a truncated
-    induction along the order and inducing ids of ``kac_module``."""
+    """K(lam) cut to the words of degree >= -1 (the empty word and the
+    two odd lowerings): a truncated induction along the order and
+    inducing ids of ``kac_module``."""
     b_ids = sorted(g.h_ids() + g.positive_ids())
     fiber = inflate_module(simple_even_module(g, lam), g.subalgebra(b_ids))
-    window = [(0, 0, 0), g.weight_of(g.id_of("e(1,-2)"))]
     return induced_module(
-        g, b_ids, fiber, weight_window=window, highest_weight=lam, kind="kac_slice",
+        g, b_ids, fiber, min_degree=-1, highest_weight=lam, kind="kac_slice",
     )
 
 
@@ -274,7 +268,7 @@ def test_one_engine_per_order_and_no_straightening_at_a_second_weight(monkeypatc
     kac_module(g, GLUED)
     assert words and len(engines) == 2  # the Levi Verma order and Kac's
     words.clear()
-    # UNGLUED has GLUED's Levi window, so both inductions reuse every split
+    # UNGLUED has GLUED's Levi depth, so both inductions reuse every split
     kac_module(g, UNGLUED)
     assert words == []
     for lam in (GLUED, UNGLUED):

@@ -22,7 +22,7 @@ from supero.modules import (
     validate_module,
 )
 from supero.rational import QQ
-from supero.weights import wdot, wneg, wsub, weights_between
+from supero.weights import wdot, wneg, wsub
 
 from full_basis import act_word, apply
 from helpers import direct_sum, module_json
@@ -152,30 +152,23 @@ def test_principal_verma_slice_depth3():
 
 
 def test_levi_verma_weight_window():
-    """Weight-windowed Verma over the even part gl(2)+gl(1) of gl(2|1)."""
+    """Degree-cut Verma over the even part gl(2)+gl(1) of gl(2|1): the
+    words down to the degree of w0.lam span the interval [w0.lam, lam]."""
     g = gl21c()
     h_ids = g.h_ids()
     degs = [wdot(g.weight_of(i), (3, 2, 1)) for i in h_ids]
     levi = g.subalgebra(h_ids, degrees=degs, family_tag="levi")
     lam, low = (3, 1, 5), (1, 3, 5)
-    steps = [levi.weight_of(i) for i in levi.ids_of_degree(1)]
-    window = [wsub(mu, lam) for mu in weights_between(low, lam, steps)]
+    depth = wdot(wsub(lam, low), (3, 2, 1))
     hb = sorted(levi.h_ids() + levi.positive_ids())
     fib = trivial_module(levi.subalgebra(hb), lam)
-    V = induced_module(levi, hb, fib, weight_window=window,
+    V = induced_module(levi, hb, fib, min_degree=-depth,
                        highest_weight=lam, kind="levi_verma")
-    assert V.dim == 3
+    assert depth == 2 and V.dim == 3
     got = sorted(tuple(int(c) for c in w) for w in V.weights)
     assert got == [(1, 3, 5), (2, 2, 5), (3, 1, 5)]
     rep = validate_module(V)
     assert rep["passed"], rep["failures"]
-
-
-def test_weights_between_rejects_bad_steps():
-    with pytest.raises(ValueError):
-        weights_between((0, 0), (2, 0), [(-1, 1)])
-    with pytest.raises(ValueError):
-        weights_between((0, 0), (2, 0), [(0, 0)])
 
 
 # -- duals -----------------------------------------------------------------

@@ -17,7 +17,6 @@ from supero.pbw import (
     monomials,
 )
 from supero.rational import QQ
-from supero.weights import weight, wzero
 
 
 def is_normal(pbw, word):
@@ -48,9 +47,9 @@ def multiply(pbw, a, b):
     return out
 
 
-def negative_basis(g, weight_window=None):
+def negative_basis(g, min_degree=None):
     """Monomial basis of U(n^-) over the negative-degree generators."""
-    return monomials(PbwAlgebra(g), g.negative_ids(), weight_window=weight_window)
+    return monomials(PbwAlgebra(g), g.negative_ids(), min_degree=min_degree)
 
 
 def _gl11():
@@ -165,17 +164,16 @@ def test_negative_basis_compatible_counts():
 
 def test_negative_basis_principal_needs_window():
     g = install_grading(build_gl(2, 1), "principal")
-    with pytest.raises(WindowError):
+    with pytest.raises(WindowError, match="degree cutoff"):
         negative_basis(g)
-    # gl(1|1) principal has a purely odd negative part, so no window needed
+    # gl(1|1) principal has a purely odd negative part, so no cutoff needed
     g11 = install_grading(build_gl(1, 1), "principal")
     assert len(negative_basis(g11)) == 2
 
 
 def test_negative_basis_weight_window():
     g = install_grading(build_gl(1, 1), "principal")
-    window = {wzero(2), weight(-1, 1), weight(-2, 2)}
-    basis = negative_basis(g, weight_window=window)
+    basis = negative_basis(g, min_degree=-2)
     assert basis == [(), (g.id_of("e(1,-1)"),)]
 
 
@@ -226,8 +224,7 @@ def test_custom_order_validation():
 
 def test_q_negative_basis_window():
     g = build_q(2)
-    window = {wzero(2), weight(-1, 1), weight(-2, 2)}
-    basis = negative_basis(g, weight_window=window)
+    basis = negative_basis(g, min_degree=-2)
     e21 = g.id_of("e(2,1)")
     ep21 = g.id_of("e'(2,1)")
     assert (e21,) in basis and (ep21,) in basis

@@ -14,7 +14,13 @@ import pytest
 
 from full_basis import ordered_pair_validation
 from supero.algebra import build_gl, build_q, install_grading
-from supero.forms import clifford_module, kac_module, simple_module
+from supero.forms import (
+    clifford_module,
+    even_levi,
+    kac_module,
+    simple_module,
+    verma_module_truncated,
+)
 from supero.linalg import SparseMatrix
 from supero.modules import (
     ExplicitModule,
@@ -31,7 +37,7 @@ from supero.structure import (
     projective_cover,
     tilting_module,
 )
-from supero.weights import wdot, wsub, weights_between
+from supero.weights import wdot
 
 
 def gl11():
@@ -48,18 +54,24 @@ def q_cartan(n):
 
 
 def levi_verma_slice():
-    """Weight-windowed Verma over the even part gl(2)+gl(1) of gl(2|1)."""
+    """Verma over the even part gl(2)+gl(1) of gl(2|1), cut at the degree
+    of w0.lam."""
     g = gl21c()
     h_ids = g.h_ids()
     degs = [wdot(g.weight_of(i), (3, 2, 1)) for i in h_ids]
     levi = g.subalgebra(h_ids, degrees=degs, family_tag="levi")
-    lam, low = (3, 1, 5), (1, 3, 5)
-    steps = [levi.weight_of(i) for i in levi.ids_of_degree(1)]
-    window = [wsub(mu, lam) for mu in weights_between(low, lam, steps)]
+    lam = (3, 1, 5)
     hb = sorted(levi.h_ids() + levi.positive_ids())
     fib = trivial_module(levi.subalgebra(hb), lam)
-    return induced_module(levi, hb, fib, weight_window=window,
+    return induced_module(levi, hb, fib, min_degree=-2,
                           highest_weight=lam, kind="levi_verma")
+
+
+def levi_verma_slice_gl22():
+    """The slice ``simple_even_module`` cuts L0(2,0|1,0) from: Verma over
+    gl(2)+gl(2), two lowering roots, words down to the degree of w0.lam."""
+    levi, _ = even_levi(install_grading(build_gl(2, 2), "compatible"))
+    return verma_module_truncated(levi, (2, 0, 1, 0), 3)
 
 
 def principal_verma_slice():
@@ -102,6 +114,7 @@ CASES = {
     "clifford-q2-pair": lambda: clifford_module(q_cartan(2), (1, -1)),
     "clifford-q2-single": lambda: clifford_module(q_cartan(2), (1, 0)),
     "levi-verma-window": levi_verma_slice,
+    "levi-verma-gl22": levi_verma_slice_gl22,
     "verma-degree-slice": principal_verma_slice,
 }
 
