@@ -3,7 +3,9 @@
 Characters are sparse dicts weight -> positive integer.  Two independent
 sources are kept: the product formula (Weyl characters for the even part
 times the odd-root factor) and the weight census of explicitly built
-modules; tests require them to agree.
+modules; tests require them to agree.  A simple character is the census
+of K(lam) less the weights of the certified radical of its contravariant
+form, so the decomposition matrix never builds L(lam).
 
 Windows are ordered lists of dominant weights, lexicographically
 descending.  Matrix rows may have factors strictly below every window
@@ -22,7 +24,7 @@ from .config import DEFAULT_LIMITS
 from .errors import (
     DominanceError, GradingError, ResourceLimitError, WindowError,
 )
-from .forms import kac_module, simple_module, verma_module_truncated
+from .forms import kac_module, kac_radical, verma_module_truncated
 from .structure import projective_cover, tilting_module
 
 
@@ -116,8 +118,14 @@ def kac_character(g, lam):
 
 
 def simple_character(g, lam, limits=DEFAULT_LIMITS):
-    """ch L(lam) from the explicitly constructed simple module."""
-    return dict(simple_module(g, lam, limits=limits).character())
+    """ch L(lam): ch K(lam) less one e^wt(v) for each vector v of the
+    certified radical of the contravariant form on K(lam)
+    (``forms.kac_radical``); no quotient module is built."""
+    K, rad = kac_radical(g, lam, limits=limits)
+    ch = K.character()
+    for v in rad:
+        ch[K.weights[next(iter(v))]] -= 1
+    return {w: c for w, c in ch.items() if c}
 
 
 # ---------------------------------------------------------------------------

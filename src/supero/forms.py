@@ -23,9 +23,11 @@ from .errors import CliffordWeightError, DominanceError, GradingError
 from .linalg import SparseMatrix, apply_cols
 from .modules import (
     ExplicitModule,
+    _closure_echelon,
     copy_module,
     induced_module,
     inflate_module,
+    intertwining_ids,
     quotient_module,
     trivial_module,
 )
@@ -42,9 +44,6 @@ class ContravariantForm:
         self.module = module
         self.gram = gram
         self._ranks = None
-
-    def rank(self, w):
-        return self.ranks()[tuple(w)]
 
     def ranks(self):
         if self._ranks is None:
@@ -246,11 +245,28 @@ def kac_module(g, lam, limits=DEFAULT_LIMITS):
 
 
 @memoised
+def kac_radical(g, lam, limits=DEFAULT_LIMITS):
+    """(K, rad): the Kac module K(lam) and the canonical basis of the
+    radical of its contravariant form (a tuple), the maximal submodule,
+    so that L(lam) = K/rad and ch L(lam) is ch K less the weights of rad.
+
+    Certified here: closing rad under the Lie generators must add no
+    vector, the check ``form_quotient`` makes as a quotient dimension.
+    """
+    K = kac_module(g, lam, limits=limits)
+    rad = tuple(contravariant_form(K).radical_vectors())
+    cols = {x: K.action[x].cols() for x in intertwining_ids(K)}
+    if len(_closure_echelon(K, rad, cols)) != len(rad):
+        raise AssertionError("form radical failed to be a submodule")
+    return K, rad
+
+
+@memoised
 def simple_module(g, lam, limits=DEFAULT_LIMITS):
     """The simple highest-weight module L(lam): the quotient of the
-    induced module at lam by the radical of its contravariant form."""
-    K = kac_module(g, lam, limits=limits)
-    return form_quotient(K, kind="simple")[0]
+    induced module at lam by the certified radical of ``kac_radical``."""
+    K, rad = kac_radical(g, lam, limits=limits)
+    return quotient_module(K, rad, kind="simple")[0]
 
 
 def induced_projective(g, lam, limits=DEFAULT_LIMITS):

@@ -23,11 +23,13 @@ from supero import (
     matrix_to_json_dict,
     matrix_to_tsv,
     simple_character,
+    simple_module,
     tilting_table,
     verma_decomposition_truncated,
     weyl_character,
     window_from_box,
 )
+from supero.forms import ContravariantForm
 
 
 def gl11():
@@ -121,6 +123,42 @@ def test_simple_character_dimensions_gl11():
     assert sum(simple_character(g, qq((0, 0))).values()) == 1
     assert sum(simple_character(g, qq((1, -1))).values()) == 1
     assert sum(simple_character(g, qq((2, -1))).values()) == 2
+
+
+@pytest.mark.parametrize("character_first", [True, False])
+@pytest.mark.parametrize("m,n,lo,hi", [(1, 1, -3, 3), (2, 1, -2, 2), (3, 1, 0, 1)])
+def test_simple_character_is_the_census_of_the_simple_module(m, n, lo, hi, character_first):
+    """ch L(lam) read off the form radical equals the weight census of the
+    quotient module, whichever of the two a fresh algebra builds first."""
+    g = install_grading(build_gl(m, n), "compatible")
+    weights = dominant_weights_in_box(m, n, lo, hi)
+    by_character = lambda: [simple_character(g, lam) for lam in weights]
+    by_module = lambda: [simple_module(g, lam).character() for lam in weights]
+    if character_first:
+        chars = by_character()
+        census = by_module()
+    else:
+        census = by_module()
+        chars = by_character()
+    assert chars == census
+
+
+@pytest.mark.parametrize("build", [simple_character, simple_module])
+def test_a_radical_that_is_no_submodule_is_refused(build, monkeypatch):
+    """Both routes to L(lam) run the closure certificate of the radical:
+    a top vector slipped into the radical of K(lam) generates all of it."""
+    real = ContravariantForm.radical_vectors
+
+    def with_top(form):
+        rad = real(form)
+        K = form.module
+        if K.meta["kind"] == "kac":
+            rad.append({K.weight_space(K.highest_weight)[0]: 1})
+        return rad
+
+    monkeypatch.setattr(ContravariantForm, "radical_vectors", with_top)
+    with pytest.raises(AssertionError, match="form radical failed to be a submodule"):
+        build(gl21c(), (1, 0, 0))
 
 
 # -- windows ---------------------------------------------------------------

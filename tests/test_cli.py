@@ -1,12 +1,14 @@
 """End-to-end runs of the command-line front end."""
 
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
-from supero import homs
+from supero import forms, homs
 from supero.cli import main
+from supero.config import DEFAULT_LIMITS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -215,6 +217,41 @@ def test_no_pipeline_solves_a_recorded_source_on_the_trivial_record(
         assert len(recorded) == len(weights)  # one end_ring per tilting module
         assert all(dst is src for src, dst, record in calls if record is src.flag_record)
         assert sum(len(M.flag_record[1]) > 1 for M in recorded)  # glued ones too
+
+
+@pytest.mark.parametrize("argv,builds_simples", [
+    (("decompose", "--algebra", "gl:2,1", "--box=-1..1"), False),
+    (("verify", "--algebra", "gl:2,1", "--box=-2..2", "--which", "kdt"), False),
+    (("verify", "--algebra", "gl:2,1", "--box=-1..1", "--which", "bgg"), True),
+])
+def test_only_projective_covers_build_simple_modules(argv, builds_simples, monkeypatch, capsys):
+    """Decomposition matrices read simple characters off the form radical
+    and build no L(lam); bgg still builds one per window weight, as the
+    Hom target of its projective cover."""
+    calls, simples = [], []
+    real_simple, real_quotient = forms.simple_module, forms.quotient_module
+
+    def simple_spy(g, lam, limits=DEFAULT_LIMITS):
+        calls.append(lam)
+        return real_simple(g, lam, limits=limits)
+
+    def quotient_spy(module, vectors, kind=None):
+        if kind == "simple":
+            simples.append(module.g.weight_str(module.highest_weight))
+        return real_quotient(module, vectors, kind=kind)
+
+    for name in ("forms", "structure", "characters", "cli"):
+        module = importlib.import_module(f"supero.{name}")
+        if getattr(module, "simple_module", None) is real_simple:
+            monkeypatch.setattr(module, "simple_module", simple_spy)
+    monkeypatch.setattr(forms, "quotient_module", quotient_spy)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if builds_simples:
+        assert sorted(simples) == sorted(json.loads(out)["results"]["bgg"]["window"])
+        assert calls
+    else:
+        assert calls == [] and simples == []
 
 
 def test_verify_budget_zero_is_resource_not_pass(capsys):
