@@ -44,9 +44,10 @@ class LieSuperAlgebra:
     that are pure functions of the algebra, each kept under a tuple key
     whose first element names it (see :func:`memo_entry`): the results of
     the module builders decorated with ``memoised``, ``lie_generators``,
-    the even Levi and the Borel-type subalgebra (``forms``), and one PBW
+    the even Levi and the Borel-type subalgebra (``forms``), one PBW
     straightening engine per basis order with its split tables
-    (``modules.induced_module``).  So each lives exactly as long as the
+    (``modules.induced_module``), and the certificate of each character
+    a module was twisted by (``modules.twist``).  So each lives exactly as long as the
     algebra, and a copy with a changed table needs a fresh ``memo``.
     """
 

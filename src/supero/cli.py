@@ -74,12 +74,18 @@ def _build_algebra(text, grading):
             grading = "compatible"
         if grading not in ("principal", "compatible"):
             raise WorkbenchError(f"unknown gl grading {grading!r}")
-        return install_grading(build_gl(*nums), grading)
-    if kind == "q" and len(nums) == 1:
+        build = build_gl
+    elif kind == "q" and len(nums) == 1:
         if grading not in (None, "q"):
             raise WorkbenchError(f"q(n) has only its own grading, not {grading!r}")
-        return build_q(nums[0])
-    raise WorkbenchError(f"unknown algebra {text!r}")
+        build = build_q
+    else:
+        raise WorkbenchError(f"unknown algebra {text!r}")
+    try:
+        g = build(*nums)
+    except ValueError as err:
+        raise WorkbenchError(f"algebra {text!r}: {err}")
+    return g if kind == "q" else install_grading(g, grading)
 
 
 def _parse_box(text):
@@ -106,11 +112,15 @@ def _parse_weight(g, text):
 
 
 def _limits(args):
+    """The budgets the flags set; a negative one is a usage error."""
     overrides = {}
-    if getattr(args, "max_module_dim", None) is not None:
-        overrides["max_module_dim"] = args.max_module_dim
-    if getattr(args, "iteration_budget", None) is not None:
-        overrides["iteration_budget"] = args.iteration_budget
+    for flag, key in (("--max-module-dim", "max_module_dim"),
+                      ("--iteration-budget", "iteration_budget")):
+        value = getattr(args, key)
+        if value is not None:
+            if value < 0:
+                raise WorkbenchError(f"{flag} must be >= 0, got {value}")
+            overrides[key] = value
     return dataclasses.replace(DEFAULT_LIMITS, **overrides)
 
 
@@ -189,7 +199,7 @@ def cmd_decompose(args):
     if args.depth is not None and args.depth < 0:
         raise WorkbenchError(f"--depth must be >= 0, got {args.depth}")
     g = _build_algebra(args.algebra, args.grading)
-    limits = _limits(args)
+    limits = args.limits
     window = _window(g, args)
     if g.grading_kind == "principal":
         # graded slices: depth-limited lower bounds instead of exact numbers
@@ -299,7 +309,7 @@ def _run_sl1(g, window, limits):
 
 def cmd_verify(args):
     g = _build_algebra(args.algebra, args.grading)
-    limits = _limits(args)
+    limits = args.limits
     window = _window(g, args)
     selected = WHICH_CHOICES[:-1] if args.which == "all" else (args.which,)
     results = {}
@@ -378,6 +388,7 @@ def main(argv=None):
         if args.command in ("decompose", "verify"):
             parser.error(f"{args.command} needs --box or --weights")
     try:
+        args.limits = _limits(args)
         return args.func(args)
     except WindowError as err:
         print(f"window error: {err}", file=sys.stderr)

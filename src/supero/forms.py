@@ -15,6 +15,20 @@ slices (words cut at one degree), simple modules of the even part (the
 Levi Verma slice cut at the degree of w0.lam, followed by the form
 quotient), the finite induced modules built from them, and the exact
 Clifford modules for the q-type Cartan.
+
+Tensoring with a one-dimensional module C_chi is an exact
+autoequivalence, and it carries each standard module to the one at the
+shifted weight: L0(lam) (x) C_chi = L0(lam + chi) for a character
+chi = (a^m | b^n) of the even part gl(m)+gl(n), and K(lam) (x) C_chi =
+K(lam + chi) for a character chi = c (1^m | -1^n) of g (Kac, Adv. Math.
+26, 1977), hence also L(lam) (x) C_chi = L(lam + chi).  A character
+vanishes on every bracket, so the non-torus matrices of the twist are
+the module's own: K(lam + chi) has the coordinates and the Lie-generator
+matrices of K(lam), and the same form radical.  So ``simple_even_module``
+builds L0 only at lam_m = lam_{m+n} = 0 and ``kac_module``,
+``kac_radical`` and ``simple_module`` build only at lam_m = 0; every
+other weight is the representative twisted by ``modules.twist``, whose
+certificate is that C_chi is a module.
 """
 
 from .algebra import memo_entry, memoised, principal_dvector, w0_action
@@ -30,6 +44,7 @@ from .modules import (
     intertwining_ids,
     quotient_module,
     trivial_module,
+    twist,
 )
 from .rational import QQ, rational_sqrt
 from .weights import height, is_dominant_gl, root_leq, wdot, weight, wsub
@@ -187,24 +202,44 @@ def _levi(g):
     return g.subalgebra(h_ids, degrees=degs, family_tag="levi"), h_ids
 
 
-@memoised
-def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
-    """The simple module of the even part gl(m) + gl(n) at a dominant weight.
-
-    Built exactly: the Levi Verma slice cut at the degree of w0.lam
-    (:func:`verma_module_truncated`), then the quotient by the radical of
-    the contravariant form.  Every positive Levi root has positive degree,
-    so the slice holds every word of every weight in [w0.lam, lam], which
-    contains the support of the simple quotient; a Gram block only reads
-    higher weights, and at a weight outside the support the whole weight
-    space is radical.  The result is a module over the Levi subalgebra.
-    """
+def _check_dominant(g, lam):
     m, n = g.params
     if not is_dominant_gl(lam, m, n):
         raise DominanceError(
             f"{g.weight_str(lam)} is not dominant for gl({m})+gl({n})"
         )
+
+
+def _levi_character(g, lam):
+    """(a^m | b^n), a = lam_m and b = lam_{m+n}: the character of
+    gl(m)+gl(n) that carries the orbit representative lam - chi, whose
+    last coordinate on each side is zero, to lam."""
+    m, n = g.params
+    return weight((lam[m - 1],) * m + (lam[-1],) * n)
+
+
+@memoised
+def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
+    """The simple module of the even part gl(m) + gl(n) at a dominant weight.
+
+    Built exactly at the representative of lam's orbit under the
+    characters of the even part (:func:`_levi_character`): the Levi Verma
+    slice cut at the degree of w0.lam (:func:`verma_module_truncated`),
+    then the quotient by the radical of the contravariant form.  Every
+    positive Levi root has positive degree, so the slice holds every word
+    of every weight in [w0.lam, lam], which contains the support of the
+    simple quotient; a Gram block only reads higher weights, and at a
+    weight outside the support the whole weight space is radical.  Any
+    other weight of the orbit is the representative's module twisted by
+    the character, L0(lam) = L0(lam - chi) (x) C_chi (``modules.twist``).
+    The result is a module over the Levi subalgebra.
+    """
+    _check_dominant(g, lam)
     levi, _ = even_levi(g)
+    chi = _levi_character(g, lam)
+    if any(chi):
+        return twist(simple_even_module(g, wsub(lam, chi), limits=limits), chi)
+    m, n = g.params
     depth = wdot(wsub(lam, w0_action(m, n, lam)), principal_dvector(m, n))
     slice_ = verma_module_truncated(levi, lam, depth, limits=limits)
     V, _ = form_quotient(slice_, kind="simple_even")
@@ -224,12 +259,32 @@ def _borel(g):
     return ids, memo_entry(g, ("borel",), lambda: g.subalgebra(ids))
 
 
+def _berezinian(g, lam):
+    """c (1^m | -1^n), c = lam_m: c times the supertrace (the weight of
+    the Berezinian), the character of g that carries the orbit
+    representative lam - chi, whose coordinate m is zero, to lam.
+
+    Checks first that lam names a Kac module: GradingError unless g is
+    gl with the compatible grading, DominanceError unless lam is
+    dominant for the even part."""
+    if g.family != "gl" or g.grading_kind != "compatible":
+        raise GradingError("this induction needs gl with the compatible grading")
+    _check_dominant(g, lam)
+    m, n = g.params
+    c = lam[m - 1]
+    return weight((c,) * m + (-c,) * n)
+
+
 @memoised
 def kac_module(g, lam, limits=DEFAULT_LIMITS):
     """Induce the even-part simple V(lam) through the parabolic with the
-    odd raisings acting by zero.  Dimension 2^(m n) * dim V(lam)."""
-    if g.family != "gl" or g.grading_kind != "compatible":
-        raise GradingError("this induction needs gl with the compatible grading")
+    odd raisings acting by zero.  Dimension 2^(m n) * dim V(lam).
+
+    Induced at the representative of lam's orbit under the characters of
+    g (:func:`_berezinian`); K(lam) = K(lam - chi) (x) C_chi elsewhere."""
+    chi = _berezinian(g, lam)
+    if any(chi):
+        return twist(kac_module(g, wsub(lam, chi), limits=limits), chi)
     m, n = g.params
     V = simple_even_module(g, lam, limits=limits)
     b_ids, parabolic = _borel(g)
@@ -252,8 +307,13 @@ def kac_radical(g, lam, limits=DEFAULT_LIMITS):
 
     Certified here: closing rad under the Lie generators must add no
     vector, the check ``form_quotient`` makes as a quotient dimension.
+    Off the orbit representative, rad is the representative's: K(lam)
+    has the same basis and the same matrices for every Lie generator.
     """
+    chi = _berezinian(g, lam)
     K = kac_module(g, lam, limits=limits)
+    if any(chi):
+        return K, kac_radical(g, wsub(lam, chi), limits=limits)[1]
     rad = tuple(contravariant_form(K).radical_vectors())
     cols = {x: K.action[x].cols() for x in intertwining_ids(K)}
     if len(_closure_echelon(K, rad, cols)) != len(rad):
@@ -264,7 +324,11 @@ def kac_radical(g, lam, limits=DEFAULT_LIMITS):
 @memoised
 def simple_module(g, lam, limits=DEFAULT_LIMITS):
     """The simple highest-weight module L(lam): the quotient of the
-    induced module at lam by the certified radical of ``kac_radical``."""
+    induced module at lam by the certified radical of ``kac_radical``;
+    L(lam) = L(lam - chi) (x) C_chi off the orbit representative."""
+    chi = _berezinian(g, lam)
+    if any(chi):
+        return twist(simple_module(g, wsub(lam, chi), limits=limits), chi)
     K, rad = kac_radical(g, lam, limits=limits)
     return quotient_module(K, rad, kind="simple")[0]
 

@@ -29,7 +29,7 @@ from .pbw import (
     monomial_weight,
     monomials,
 )
-from .weights import wadd, wneg
+from .weights import wadd, weight, wneg
 
 
 class ExplicitModule:
@@ -354,6 +354,36 @@ def copy_module(module, **changes):
     return ExplicitModule(
         module.g, module.weights, module.parities, module.action,
         labels=module.labels, **fields,
+    )
+
+
+def twist(module, chi):
+    """M (x) C_chi, for a character chi of the module's algebra.
+
+    chi vanishes on every bracket, so each non-torus basis element acts
+    on M (x) C_chi by its matrix on M: the basis, parities, labels, meta,
+    flag record and non-torus matrices are M's (shared), the weights and
+    the highest weight shift by chi, and the torus acts by the shifted
+    weights.  Certified once per (algebra, chi) in ``g.memo``: C_chi must
+    pass ``assert_valid_module``, which holds exactly when chi vanishes
+    on every bracket.
+    """
+    g = module.g
+    chi = weight(chi)
+    memo_entry(g, ("character", chi),
+               lambda: assert_valid_module(trivial_module(g, chi)))
+    weights = [wadd(w, chi) for w in module.weights]
+    n = len(weights)
+    action = dict(module.action)
+    for t in g.t_ids:
+        coord = g.t_coord[t]
+        action[t] = SparseMatrix(n, n, {(i, i): w[coord] for i, w in enumerate(weights)})
+    hw = module.highest_weight
+    return ExplicitModule(
+        g, weights, module.parities, action, labels=module.labels,
+        highest_weight=None if hw is None else wadd(hw, chi),
+        truncated=module.truncated, meta=module.meta,
+        flag_record=module.flag_record,
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 from supero import forms, homs
 from supero.cli import main
 from supero.config import DEFAULT_LIMITS
+from supero.weights import parse_weight
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,6 +53,33 @@ def test_unknown_algebra_is_usage_error(capsys):
     code, _, err = run(capsys, "check-semiinfinite", "--algebra", "gl:9")
     assert code == 2
     assert "usage error" in err
+
+
+WINDOWED = {
+    "check-semiinfinite": (),
+    "decompose": ("--box=0..0",),
+    "verify": ("--box=0..0", "--which", "kdt"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WINDOWED))
+@pytest.mark.parametrize("algebra", ["gl:0,1", "gl:1,0", "gl:-1,1", "q:0"])
+def test_empty_or_negative_algebra_parameters_are_usage_errors(command, algebra, capsys):
+    code, out, err = run(capsys, command, "--algebra", algebra, *WINDOWED[command])
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and repr(algebra) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(WINDOWED))
+@pytest.mark.parametrize("flag", ["--max-module-dim", "--iteration-budget"])
+def test_negative_budget_is_usage_error(command, flag, capsys):
+    code, out, err = run(
+        capsys, command, "--algebra", "gl:1,1", *WINDOWED[command], flag, "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and f"{flag} must be >= 0, got -1" in err
 
 
 @pytest.mark.parametrize(
@@ -226,8 +254,9 @@ def test_no_pipeline_solves_a_recorded_source_on_the_trivial_record(
 ])
 def test_only_projective_covers_build_simple_modules(argv, builds_simples, monkeypatch, capsys):
     """Decomposition matrices read simple characters off the form radical
-    and build no L(lam); bgg still builds one per window weight, as the
-    Hom target of its projective cover."""
+    and build no L(lam); bgg still asks for one per window weight, as the
+    Hom target of its projective cover, and forms the quotient K/rad only
+    at the representative of each character orbit, lam_2 = 0."""
     calls, simples = [], []
     real_simple, real_quotient = forms.simple_module, forms.quotient_module
 
@@ -248,10 +277,47 @@ def test_only_projective_covers_build_simple_modules(argv, builds_simples, monke
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     if builds_simples:
-        assert sorted(simples) == sorted(json.loads(out)["results"]["bgg"]["window"])
-        assert calls
+        window = [parse_weight(w) for w in json.loads(out)["results"]["bgg"]["window"]]
+        reps = {f"({a - b},0|{c + b})" for a, b, c in window}
+        assert sorted(simples) == sorted(reps) and len(reps) < len(window)
+        assert set(window) <= set(calls)
     else:
         assert calls == [] and simples == []
+
+
+def test_kac_modules_and_levi_slices_are_built_once_per_character_orbit(monkeypatch, capsys):
+    """kdt on gl(2|1) box -2..2 asks for 127 Kac modules and 81 form
+    radicals, which fall into 41 and 36 orbits under the characters
+    c(1,1|-1) of g, and for 127 simples L0 of the even part, which fall
+    into 6 orbits under its characters (a,a|b).  Each orbit is induced
+    and formed once, at lam_2 = 0 (and lam_3 = 0 for L0); the rest are
+    twists."""
+    forms_on, kac_inductions = [], []
+    real_form, real_induced = forms.contravariant_form, forms.induced_module
+
+    def form_spy(module):
+        forms_on.append((module.meta["kind"], module.highest_weight))
+        return real_form(module)
+
+    def induced_spy(g, sub_ids, fiber, **kwargs):
+        if kwargs.get("kind") == "kac":
+            kac_inductions.append(kwargs["highest_weight"])
+        return real_induced(g, sub_ids, fiber, **kwargs)
+
+    monkeypatch.setattr(forms, "contravariant_form", form_spy)
+    monkeypatch.setattr(forms, "induced_module", induced_spy)
+    code, _, err = run(
+        capsys, "verify", "--algebra", "gl:2,1", "--box=-2..2", "--which", "kdt",
+    )
+    assert code == 0, err
+    kac = [lam for kind, lam in forms_on if kind == "kac"]
+    slices = [lam for kind, lam in forms_on if kind == "verma_slice"]
+    assert len(kac) == len(set(kac)) == 36 and all(lam[1] == 0 for lam in kac)
+    assert len(slices) == len(set(slices)) == 6
+    assert all(lam[1] == lam[2] == 0 for lam in slices)
+    assert len(kac_inductions) == len(set(kac_inductions)) == 41
+    assert all(lam[1] == 0 for lam in kac_inductions)
+    assert len(forms_on) == 42
 
 
 def test_verify_budget_zero_is_resource_not_pass(capsys):
@@ -265,6 +331,15 @@ def test_verify_budget_zero_is_resource_not_pass(capsys):
     )
     assert code == 4
     assert "budget" in err
+
+
+def test_module_dim_zero_is_resource_not_pass(capsys):
+    code, _, err = run(
+        capsys, "verify", "--algebra", "gl:1,1", "--box=0..0", "--which", "kdt",
+        "--max-module-dim", "0",
+    )
+    assert code == 4
+    assert "exceeds limit 0" in err
 
 
 def test_reports_are_reproducible(tmp_path, capsys):

@@ -5,7 +5,7 @@ import copy
 
 import pytest
 
-from supero import homs
+from supero import forms, homs
 from supero.algebra import build_gl, install_grading, principal_dvector, w0_action
 from supero.characters import window_from_box
 from supero.forms import (
@@ -210,6 +210,26 @@ def test_induced_modules_do_not_depend_on_warm_tables(lam):
     assert _induced(warm, lam) == fresh
     # the slice on engines no untruncated induction has touched
     assert _value(_kac_slice(gl21c(), lam)) == fresh["kac_slice"]
+
+
+@pytest.mark.parametrize("name", ["simple_even_module", "kac_module", "kac_radical", "simple_module"])
+def test_a_twisted_weight_does_not_depend_on_its_representative_coming_first(name):
+    """(2,1|0) is the twist of (1,0|0) by a character of the even part and
+    of (1,0|1) by a character of g; on a fresh algebra, the twisted weight
+    first and its representatives first give equal modules."""
+    weights = [(2, 1, 0), (1, 0, 1), (1, 0, 0)]
+
+    def built(order):
+        g = gl21c()
+        out = {}
+        for lam in order:
+            value = getattr(forms, name)(g, lam)
+            out[lam] = (
+                (_value(value[0]), value[1]) if name == "kac_radical" else _value(value)
+            )
+        return out
+
+    assert built(weights) == built(weights[::-1])
 
 
 def _engines(g):
