@@ -26,10 +26,11 @@ from .config import DEFAULT_LIMITS
 from .errors import DominanceError, GradingError, ResourceLimitError
 from .modules import (
     ExplicitModule, assert_valid_module, copy_module, restrict_module,
-    induced_module, dual_module, parity_flip, word_action,
+    induced_module, dual_module, parity_flip, twist, word_action,
 )
 from .forms import (
-    even_levi, kac_module, simple_even_module, simple_module, induced_projective,
+    _berezinian, even_levi, kac_module, simple_even_module, simple_module,
+    induced_projective,
 )
 from .homs import end_ring, fitting_decompose, hom_dims, is_isomorphic, summand_onto
 
@@ -369,7 +370,21 @@ def delta_flag(module, limits=DEFAULT_LIMITS):
 def projective_cover(g, lam, limits=DEFAULT_LIMITS):
     """The indecomposable projective P(lam): the one Fitting summand of
     the induction of V(lam) from the even part with a map onto L(lam),
-    found and built by ``summand_onto``."""
+    found and built by ``summand_onto``.
+
+    Built at the representative of lam's orbit under the characters of
+    g (``forms._berezinian``); elsewhere P(lam) = P(lam - chi) (x) C_chi,
+    its flag shifted by chi.  Tensoring with C_chi is an exact
+    autoequivalence taking K(mu) and L(mu) to K(mu + chi) and L(mu + chi)
+    and indecomposable projectives to indecomposable projectives, and the
+    twist keeps every non-torus matrix, so the representative's splitting,
+    cosocle map and flag certificate hold on the whole orbit.
+    """
+    chi = _berezinian(g, lam)
+    if any(chi):
+        P = projective_cover(g, wsub(lam, chi), limits=limits)
+        flag = tuple(wadd(mu, chi) for mu in P.meta["flag"])
+        return copy_module(twist(P, chi), meta=dict(P.meta, flag=flag))
     big = induced_projective(g, lam, limits=limits)
     L = simple_module(g, lam, limits=limits)
     rec, cosocle = summand_onto(big, L, limits=limits)
@@ -424,6 +439,7 @@ def _central_core(m, n, w):
     return sorted((xs - ys).elements()), sorted((ys - xs).elements())
 
 
+@memoised
 def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     """The indecomposable tilting module U(lam) by successive extension.
 
@@ -448,11 +464,29 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     itself, and each glue concatenates the flag records, so ``end_ring``
     solves that ring on the Kac flag's record, never on the trivial one;
     the result is a copy annotated with the flag (without the record).
+
+    The sweep runs only at the representative of lam's orbit under the
+    characters of g (``forms._berezinian``); elsewhere U(lam) =
+    U(lam - chi) (x) C_chi, both flags shifted by chi.  Tensoring with
+    C_chi is an exact autoequivalence taking K(mu) to K(mu + chi), and the
+    twist keeps the basis and the non-torus matrices (C_chi is certified
+    by ``modules.twist``): End(U (x) C_chi)_0 = End(U)_0 and
+    Ext^1(K(mu + chi), U (x) C_chi) = Ext^1(K(mu), U), so "nothing
+    extends", "Ext^1 drops by one per glue" and "the ring is local" on
+    the representative hold on the whole orbit.  Translation by chi keeps
+    the lexicographic order, dominance and central cores, so the shifted
+    flags are in a direct sweep's order.
     """
     if g.family != "gl" or g.grading_kind != "compatible":
         raise GradingError("tilting construction needs gl compatible grading")
+    chi = _berezinian(g, lam)
+    if any(chi):
+        U = tilting_module(g, wsub(lam, chi), limits=limits)
+        bottom_up = tuple((wadd(mu, chi), p) for mu, p in U.meta["flag_bottom_up"])
+        return copy_module(twist(U, chi), meta=dict(
+            U.meta, flag_bottom_up=bottom_up, flag=tuple(reversed(bottom_up)),
+        ))
     m, n = g.params
-    lam = weight(lam)
     core = _central_core(m, n, lam)
     T = kac_module(g, lam, limits=limits)
     flag = [(lam, 0)]

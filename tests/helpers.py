@@ -5,15 +5,18 @@ is the exact, sorted description of a module the golden writers compare;
 ``direct_sum`` is the block-diagonal sum of two modules; ``plain`` is a
 module with its flag record dropped, so ``hom_space`` solves it on the
 trivial record; ``assert_associative`` checks a structure-constant table
-triple by triple.
+triple by triple; ``without_orbit_twist`` makes the tilting and
+projective builders sweep every weight itself.
 """
 
 from itertools import product
 
+from supero import structure
 from supero.algebra import same_algebra
 from supero.linalg import SparseMatrix, vec_add_into
 from supero.modules import ExplicitModule
 from supero.rational import rat_str
+from supero.weights import weight
 
 
 def ad_matrix(g, x_id, domain_ids=None):
@@ -107,3 +110,14 @@ def assert_associative(products):
         for t, c in products[j][k].items():
             vec_add_into(rhs, products[i][t], c)
         assert lhs == rhs, f"associativity fails on basis triple ({i},{j},{k})"
+
+
+def without_orbit_twist(monkeypatch):
+    """Give ``structure.tilting_module`` and ``structure.projective_cover``
+    the zero character at every weight (after the real character's
+    grading and dominance checks), so each weight is built by its own
+    sweep instead of as the twist of its orbit representative."""
+    real = structure._berezinian
+    monkeypatch.setattr(
+        structure, "_berezinian", lambda g, lam: weight((0,) * len(real(g, lam))),
+    )

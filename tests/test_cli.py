@@ -2,11 +2,13 @@
 
 import importlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from supero import forms, homs
+from helpers import without_orbit_twist
+from supero import forms, homs, structure
 from supero.cli import main
 from supero.config import DEFAULT_LIMITS
 from supero.weights import parse_weight
@@ -221,8 +223,9 @@ def test_no_pipeline_solves_a_recorded_source_on_the_trivial_record(
     which, monkeypatch, capsys,
 ):
     """Every Hom a gl pipeline solves runs on its source's flag record
-    when the source carries one; kdt certifies each tilting module's End
-    on its record, glued ones among them."""
+    when the source carries one; kdt certifies the End of each orbit
+    representative's tilting module (lam_2 = 0) on its record, glued
+    ones among them, and twists the rest of each orbit."""
     calls = []
     real = homs._hom_by_record
 
@@ -241,8 +244,10 @@ def test_no_pipeline_solves_a_recorded_source_on_the_trivial_record(
     recorded = [src for src, dst, record in calls if record is src.flag_record]
     assert recorded or which == "kdual"
     if which == "kdt":
-        weights = json.loads(out)["results"]["kdt"]["weights"]
-        assert len(recorded) == len(weights)  # one end_ring per tilting module
+        weights = [parse_weight(w) for w in json.loads(out)["results"]["kdt"]["weights"]]
+        reps = {(a - b, 0, c + b) for a, b, c in weights}
+        assert len(recorded) == len(reps) < len(weights)  # one end_ring per orbit
+        assert {M.weights[0] for M in recorded} == reps  # K(lam) at the bottom
         assert all(dst is src for src, dst, record in calls if record is src.flag_record)
         assert sum(len(M.flag_record[1]) > 1 for M in recorded)  # glued ones too
 
@@ -254,9 +259,9 @@ def test_no_pipeline_solves_a_recorded_source_on_the_trivial_record(
 ])
 def test_only_projective_covers_build_simple_modules(argv, builds_simples, monkeypatch, capsys):
     """Decomposition matrices read simple characters off the form radical
-    and build no L(lam); bgg still asks for one per window weight, as the
-    Hom target of its projective cover, and forms the quotient K/rad only
-    at the representative of each character orbit, lam_2 = 0."""
+    and build no L(lam); bgg builds its projective covers, and so asks for
+    L(lam) as their Hom target and forms the quotient K/rad, only at the
+    representative of each character orbit, lam_2 = 0."""
     calls, simples = [], []
     real_simple, real_quotient = forms.simple_module, forms.quotient_module
 
@@ -280,7 +285,7 @@ def test_only_projective_covers_build_simple_modules(argv, builds_simples, monke
         window = [parse_weight(w) for w in json.loads(out)["results"]["bgg"]["window"]]
         reps = {f"({a - b},0|{c + b})" for a, b, c in window}
         assert sorted(simples) == sorted(reps) and len(reps) < len(window)
-        assert set(window) <= set(calls)
+        assert sorted(calls) == sorted({(a - b, 0, c + b) for a, b, c in window})
     else:
         assert calls == [] and simples == []
 
@@ -318,6 +323,36 @@ def test_kac_modules_and_levi_slices_are_built_once_per_character_orbit(monkeypa
     assert len(kac_inductions) == len(set(kac_inductions)) == 41
     assert all(lam[1] == 0 for lam in kac_inductions)
     assert len(forms_on) == 42
+
+
+@pytest.mark.parametrize("twisted,counts", [
+    (True, {"glue_extension": 9, "end_ring": 35, "KacExtensions": 44, "summand_onto": 12}),
+    (False, {"glue_extension": 25, "end_ring": 75, "KacExtensions": 100, "summand_onto": 18}),
+])
+def test_tilting_modules_and_projective_covers_are_built_once_per_character_orbit(
+    twisted, counts, monkeypatch, capsys,
+):
+    """kdt on gl(2|1) box -2..2 sweeps 75 tilting modules, which fall into
+    35 orbits under the characters c(1,1|-1) of g, and bgg on box -1..1
+    splits 18 projective covers, which fall into 12; each orbit's sweep
+    and splitting run once, at lam_2 = 0.  With the twist switched off,
+    every weight is swept and split itself."""
+    if not twisted:
+        without_orbit_twist(monkeypatch)
+    calls = Counter()
+
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for name in counts:
+        monkeypatch.setattr(structure, name, counting(name, getattr(structure, name)))
+    for argv in (("--box=-2..2", "--which", "kdt"), ("--box=-1..1", "--which", "bgg")):
+        code, _, err = run(capsys, "verify", "--algebra", "gl:2,1", *argv)
+        assert code == 0, err
+    assert calls == counts
 
 
 def test_verify_budget_zero_is_resource_not_pass(capsys):

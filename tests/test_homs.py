@@ -41,10 +41,10 @@ from supero.structure import (
     projective_cover_h,
     tilting_module,
 )
-from supero.weights import dominant_weights_in_box
+from supero.weights import dominant_weights_in_box, weight
 
 import full_basis
-from helpers import assert_associative, direct_sum, plain
+from helpers import assert_associative, direct_sum, plain, without_orbit_twist
 
 
 def gl11():
@@ -467,12 +467,14 @@ def test_projective_cover_matches_matrix_route_gl22_zero(monkeypatch):
 
 
 def glued_tilting(g, lam):
-    """U(lam) as ``tilting_module`` glues it, before the copy that drops
-    the flag record: the module its end_ring certificate runs on."""
+    """U(lam) as ``tilting_module`` glues it by a sweep at lam itself (past
+    the memo and the orbit twist), before the copy that drops the flag
+    record: the module its end_ring certificate runs on."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
+        without_orbit_twist(mp)
         mp.setattr(structure, "end_ring", lambda M, limits: seen.append(M) or end_ring(M, limits))
-        tilting_module(g, lam)
+        tilting_module.__wrapped__(g, weight(lam))
     (T,) = seen
     return T
 

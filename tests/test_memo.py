@@ -95,8 +95,6 @@ def test_flags_refuse_appends(name):
 def test_memo_hands_out_one_module_per_key():
     g = gl21c()
     for build in BUILDERS.values():
-        if build is tilting_module:
-            continue
         assert build(g, GLUED) is build(g, qq(GLUED))
 
 
@@ -212,18 +210,22 @@ def test_induced_modules_do_not_depend_on_warm_tables(lam):
     assert _value(_kac_slice(gl21c(), lam)) == fresh["kac_slice"]
 
 
-@pytest.mark.parametrize("name", ["simple_even_module", "kac_module", "kac_radical", "simple_module"])
+@pytest.mark.parametrize("name", [
+    "simple_even_module", "kac_module", "kac_radical", "simple_module",
+    "projective_cover", "tilting_module",
+])
 def test_a_twisted_weight_does_not_depend_on_its_representative_coming_first(name):
     """(2,1|0) is the twist of (1,0|0) by a character of the even part and
     of (1,0|1) by a character of g; on a fresh algebra, the twisted weight
     first and its representatives first give equal modules."""
     weights = [(2, 1, 0), (1, 0, 1), (1, 0, 0)]
+    build = BUILDERS.get(name) or getattr(forms, name)
 
     def built(order):
         g = gl21c()
         out = {}
         for lam in order:
-            value = getattr(forms, name)(g, lam)
+            value = build(g, lam)
             out[lam] = (
                 (_value(value[0]), value[1]) if name == "kac_radical" else _value(value)
             )

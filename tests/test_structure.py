@@ -42,7 +42,7 @@ from full_basis import (
     ext_dimension_by_raisings,
     glue_cochains,
 )
-from helpers import module_json
+from helpers import module_json, without_orbit_twist
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -373,9 +373,12 @@ def kac_top(g, mu, p):
 
 
 def glue_pairs(monkeypatch, g, weights):
-    """(bottom, top, d, block) for every glue tilting_module makes: the
-    cochain complex's coefficient module, the Kac module (or its parity
-    flip) glued on top, and what the production route returned."""
+    """(bottom, top, d, block) for every glue tilting_module makes when
+    each weight is swept itself, not twisted from its orbit
+    representative: the cochain complex's coefficient module, the Kac
+    module (or its parity flip) glued on top, and what the production
+    route returned."""
+    without_orbit_twist(monkeypatch)
     pairs = []
     real = structure.ext1_with_representative
 

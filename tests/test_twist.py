@@ -1,16 +1,19 @@
-"""Twisting by a character: K(lam), its form radical, L0(lam) and L(lam)
-are built at one weight per character orbit, and every other weight of
-the orbit is that module twisted by the character, M (x) C_chi.
+"""Twisting by a character: K(lam), its form radical, L0(lam), L(lam),
+the tilting module U(lam) and the projective cover P(lam) are built at
+one weight per character orbit, and every other weight of the orbit is
+that module twisted by the character, M (x) C_chi.
 
-The twisted modules must equal a direct build assembled here from the
-public pieces, byte for byte: action data in its insertion order,
-weights (with the types of their coordinates), parities, labels,
-highest weight, meta and flag record.
+The twisted modules must equal a direct build, byte for byte: action
+data in its insertion order, weights (with the types of their
+coordinates), parities, labels, highest weight, meta and flag record.
+The standard modules are assembled here from the public pieces; U(lam)
+and P(lam) are swept at lam itself with the orbit twist switched off.
 """
 
 import pytest
 
-from supero import forms, modules
+from helpers import without_orbit_twist
+from supero import forms, modules, structure
 from supero.algebra import build_gl, install_grading, principal_dvector, w0_action
 from supero.errors import DominanceError, GradingError
 from supero.forms import (
@@ -27,6 +30,14 @@ from supero.modules import copy_module, induced_module, inflate_module, quotient
 from supero.weights import dominant_weights_in_box, wdot, weight, wsub
 
 BOXES = [((1, 1), -3, 3), ((2, 1), -2, 2), ((3, 1), 0, 1), ((2, 2), -1, 1)]
+SWEPT = [
+    ("tilting_module", (1, 1), -3, 3),
+    ("tilting_module", (2, 1), -2, 2),
+    ("tilting_module", (2, 2), -1, 1),
+    ("projective_cover", (1, 1), -3, 3),
+    ("projective_cover", (2, 1), -1, 1),
+    ("projective_cover", (3, 1), 0, 1),
+]
 
 
 def gl(m, n):
@@ -83,11 +94,40 @@ def test_twisted_builders_equal_direct_builds(params, lo, hi):
     assert 0 < reps < len(dominant_weights_in_box(*params, lo, hi))
 
 
+def swept_directly(name, params, weights):
+    """module_bytes of ``structure.<name>`` at each weight, each swept at
+    the weight itself on a fresh algebra."""
+    build = getattr(structure, name)
+    with pytest.MonkeyPatch.context() as mp:
+        without_orbit_twist(mp)
+        h = gl(*params)
+        return [module_bytes(build(h, lam)) for lam in weights]
+
+
+@pytest.mark.parametrize("name,params,lo,hi", SWEPT, ids=lambda v: str(v))
+def test_tilting_modules_and_projective_covers_equal_direct_sweeps(name, params, lo, hi):
+    weights = [weight(lam) for lam in dominant_weights_in_box(*params, lo, hi)]
+    reps = sum(lam[params[0] - 1] == 0 for lam in weights)
+    assert 0 < reps < len(weights)
+    g = gl(*params)
+    got = [module_bytes(getattr(structure, name)(g, lam)) for lam in weights]
+    assert got == swept_directly(name, params, weights)
+
+
 def test_half_integral_orbit_is_twisted_exactly():
+    """(1/2|-1/2) and (3/2|-3/2) are twists of weights with integral
+    coordinates; U(1/2|-1/2) and P(1/2|-1/2) have atypical neighbours in
+    their flags, whose shifted weights keep the QQ coordinates of a
+    direct sweep."""
     g = gl(1, 1)
     lam = weight(("1/2", "-1/2"))
     assert module_bytes(kac_module(g, lam)) == module_bytes(direct_kac(g, lam))
     assert module_bytes(simple_even_module(g, lam)) == module_bytes(direct_even(g, lam))
+    weights = [lam, weight(("3/2", "-3/2"))]
+    for name in ("tilting_module", "projective_cover"):
+        got = [module_bytes(getattr(structure, name)(g, mu)) for mu in weights]
+        assert got == swept_directly(name, (1, 1), weights)
+        assert len(getattr(structure, name)(g, lam).meta["flag"]) == 2
 
 
 def test_a_character_that_does_not_vanish_on_brackets_is_refused(monkeypatch):

@@ -13,6 +13,7 @@ import copy
 import pytest
 
 from full_basis import ordered_pair_validation
+from supero import modules
 from supero.algebra import build_gl, build_q, install_grading
 from supero.forms import (
     clifford_module,
@@ -227,3 +228,61 @@ def test_glue_extension_rejects_a_changed_glue_entry():
         changed[x][key] = changed[x][key] + 1
         with pytest.raises(ValueError, match="bracket relation"):
             glue_extension(bottom, top, changed)
+
+
+def test_a_wrong_torus_entry_is_reported_as_by_evaluating_every_pair():
+    """e(-1,-1) off its weight on one vector of K(1,0|0): the torus pairs
+    with e(-1,-1) are evaluated, and the report is the one every pair's
+    evaluation gives."""
+    g = gl21c()
+    K = kac_module(g, (1, 0, 0))
+    t = g.id_of("e(-1,-1)")
+    data = dict(K.action[t].data)
+    data[(3, 3)] += 1
+    report = validate_module(with_action(K, t, SparseMatrix(K.dim, K.dim, data)))
+    assert report["pairs_checked"] == 45
+    assert report["failures"] == [
+        "torus eigenvalue of e(-1,-1) on vector 3 is 2, weight says 1",
+        "bracket relation fails for (e(-2,-1),e(-1,-2))",
+        "bracket relation fails for (e(-2,-1),e(-1,-1))",
+        "bracket relation fails for (e(-1,-2),e(-1,-1))",
+        "bracket relation fails for (e(-1,-1),e(-1,1))",
+        "bracket relation fails for (e(-1,-1),e(1,-2))",
+        "bracket relation fails for (e(-1,-1),e(1,-1))",
+        "bracket relation fails for (e(-1,1),e(1,-1))",
+    ]
+
+
+@pytest.mark.parametrize("first,second", [
+    ("e(-1,-1)", "e(-2,-1)"), ("e(-2,-1)", "e(-1,-1)"),
+])
+def test_a_wrong_torus_bracket_in_the_table_is_caught(first, second):
+    """[e(-1,-1), e(-2,-1)] = -e(-2,-1) doubled in one order of a copy of
+    the table: the module's matrices no longer satisfy that relation."""
+    g = gl21c()
+    K = kac_module(g, (1, 0, 0))
+    a, b = g.id_of(first), g.id_of(second)
+    broken = copy.copy(g)
+    broken.table = dict(g.table)
+    broken.table[(a, b)] = {k: 2 * c for k, c in g.bracket(a, b).items()}
+    broken.memo = {}
+    report = validate_module(ExplicitModule(broken, K.weights, K.parities, K.action))
+    assert report["failures"] == [f"bracket relation fails for ({first},{second})"]
+    assert report["pairs_checked"] == 46
+
+
+def test_torus_pairs_of_a_valid_module_are_not_evaluated(monkeypatch):
+    """On K(1,0|0) of gl(2|1), 24 of the 45 pairs hold a torus element;
+    only the other 21 are evaluated, and all 45 are counted."""
+    calls = []
+    real = modules._bracket_defect
+
+    def spy(rows, a, b, sign, terms):
+        calls.append((a, b))
+        return real(rows, a, b, sign, terms)
+
+    monkeypatch.setattr(modules, "_bracket_defect", spy)
+    g = gl21c()
+    report = validate_module(kac_module(g, (1, 0, 0)))
+    assert report["passed"] and report["pairs_checked"] == 45
+    assert len(calls) == 21 and not any(a in g.t_coord or b in g.t_coord for a, b in calls)
