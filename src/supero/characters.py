@@ -24,7 +24,7 @@ from .config import DEFAULT_LIMITS
 from .errors import (
     DominanceError, GradingError, ResourceLimitError, WindowError,
 )
-from .forms import kac_module, kac_radical, verma_module_truncated
+from .forms import _peel_factors, simple_character, verma_module_truncated
 from .structure import projective_cover, tilting_module
 
 
@@ -117,17 +117,6 @@ def kac_character(g, lam):
     return ch
 
 
-def simple_character(g, lam, limits=DEFAULT_LIMITS):
-    """ch L(lam): ch K(lam) less one e^wt(v) for each vector v of the
-    certified radical of the contravariant form on K(lam)
-    (``forms.kac_radical``); no quotient module is built."""
-    K, rad = kac_radical(g, lam, limits=limits)
-    ch = K.character()
-    for v in rad:
-        ch[K.weights[next(iter(v))]] -= 1
-    return {w: c for w, c in ch.items() if c}
-
-
 # ---------------------------------------------------------------------------
 # windows
 
@@ -210,30 +199,6 @@ class DecompositionMatrix:
         return f"DecompositionMatrix({len(self.weights)} weights)"
 
 
-def _peel_factors(g, mu, limits):
-    """Full factor multiset of ch K(mu) as a dict weight -> multiplicity."""
-    remaining = dict(kac_module(g, mu, limits=limits).character())
-    factors = {}
-    while any(remaining.values()):
-        top = max(w for w, v in remaining.items() if v)
-        mult = remaining[top]
-        if mult < 0:
-            raise AssertionError(
-                f"negative multiplicity at {g.weight_str(top)} while "
-                f"peeling K({g.weight_str(mu)})"
-            )
-        lch = simple_character(g, top, limits=limits)
-        for w, v in lch.items():
-            left = remaining.get(w, 0) - mult * v
-            if left < 0:
-                raise AssertionError(
-                    f"simple character overshoots at {g.weight_str(w)}"
-                )
-            remaining[w] = left
-        factors[top] = factors.get(top, 0) + mult
-    return factors
-
-
 def decomposition_matrix(g, window, limits=DEFAULT_LIMITS):
     window = [weight(w) for w in window]
     _validate_window(g, window)
@@ -273,7 +238,7 @@ def cartan_matrix_via_bgg(D):
 
 def flag_matrix(g, window, limits=DEFAULT_LIMITS):
     """(P(lam) : K(mu)) over the window from explicit projective covers,
-    read off the flag that projective_cover peeled and certified."""
+    read off the flag that projective_cover certified."""
     window = [weight(w) for w in window]
     _validate_window(g, window)
     rows = []

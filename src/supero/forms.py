@@ -333,28 +333,39 @@ def simple_module(g, lam, limits=DEFAULT_LIMITS):
     return quotient_module(K, rad, kind="simple")[0]
 
 
-def induced_projective(g, lam, limits=DEFAULT_LIMITS):
-    """Induce V(lam) from the even part alone: a projective module of
-    dimension 4^(m n) * dim V(lam) whose summands are the projective
-    covers in the block."""
-    if g.family != "gl" or g.grading_kind != "compatible":
-        raise GradingError("this induction needs gl with the compatible grading")
-    m, n = g.params
-    V = simple_even_module(g, lam, limits=limits)
-    levi, h_ids = even_levi(g)
-    key = lambda i: (g.degree_of(i), i)
-    order = (
-        sorted(g.negative_ids(), key=key)
-        + sorted(g.positive_ids(), key=key)
-        + sorted(h_ids, key=key)
-    )
-    P = induced_module(
-        g, h_ids, V, order=order, kind="induced_projective", limits=limits,
-    )
-    expected = (1 << (2 * m * n)) * V.dim
-    if P.dim != expected:
-        raise AssertionError(f"induced dimension {P.dim}, expected {expected}")
-    return P
+def simple_character(g, lam, limits=DEFAULT_LIMITS):
+    """ch L(lam): ch K(lam) less one e^wt(v) for each vector v of the
+    certified radical of the contravariant form on K(lam)
+    (:func:`kac_radical`); no quotient module is built."""
+    K, rad = kac_radical(g, lam, limits=limits)
+    ch = K.character()
+    for v in rad:
+        ch[K.weights[next(iter(v))]] -= 1
+    return {w: c for w, c in ch.items() if c}
+
+
+def _peel_factors(g, mu, limits):
+    """Full factor multiset of ch K(mu) as a dict weight -> multiplicity."""
+    remaining = dict(kac_module(g, mu, limits=limits).character())
+    factors = {}
+    while any(remaining.values()):
+        top = max(w for w, v in remaining.items() if v)
+        mult = remaining[top]
+        if mult < 0:
+            raise AssertionError(
+                f"negative multiplicity at {g.weight_str(top)} while "
+                f"peeling K({g.weight_str(mu)})"
+            )
+        lch = simple_character(g, top, limits=limits)
+        for w, v in lch.items():
+            left = remaining.get(w, 0) - mult * v
+            if left < 0:
+                raise AssertionError(
+                    f"simple character overshoots at {g.weight_str(w)}"
+                )
+            remaining[w] = left
+        factors[top] = factors.get(top, 0) + mult
+    return factors
 
 
 def verma_module_truncated(g, lam, depth, limits=DEFAULT_LIMITS):

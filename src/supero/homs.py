@@ -51,8 +51,7 @@ im Y + ker Y, and the projection onto im Y is a polynomial in z.  The
 search for z is deterministic (the corner's basis, then sums of two
 basis elements); a provably non-local corner it cannot split is a
 resource error, never a pass.  Matrices are formed only for the summands
-a caller builds: all of them in ``fitting_decompose``, one in
-``summand_onto``.
+``fitting_decompose`` returns.
 
 Isomorphism is decided, not searched for: when one side has a local even
 endomorphism ring, an isomorphism exists iff some element of the
@@ -468,35 +467,6 @@ def fitting_decompose(module, limits=DEFAULT_LIMITS):
         tuple(-c for c in max(rec["module"].weights)), rec["module"].dim,
     ))
     return records
-
-
-def summand_onto(module, target, limits=DEFAULT_LIMITS):
-    """The one Fitting summand of module with a nonzero map to target.
-
-    Solves Hom(module, target) once.  As the primitive idempotents sum to
-    1, Hom(S_eps, target)_s is {phi E_eps : phi in Hom_s(module, target)},
-    so a summand maps to target iff some phi E_eps is nonzero.  Returns
-    (record as in ``fitting_decompose``, (even, odd) dimensions of
-    Hom(S, target)); an AssertionError unless exactly one summand maps.
-    """
-    ring = end_ring(module, limits=limits)
-    parts = _primitive_idempotents(ring, limits)
-    through = [
-        [[(phi @ F).data for F in ring["basis"]] for phi in maps]
-        for maps in hom_space(module, target, limits=limits)
-    ]
-    hits = []
-    for eps, corner in parts:
-        # dim Hom(S, target)_s = rank of {phi E_eps : phi in Hom_s}
-        dims = tuple(len(Echelon(_combine(eps, fs) for fs in by_phi)) for by_phi in through)
-        if any(dims):
-            hits.append((eps, corner, dims))
-    if len(hits) != 1:
-        raise AssertionError(
-            f"expected one summand with maps onto the target, found {len(hits)}"
-        )
-    eps, corner, dims = hits[0]
-    return _summand(module, ring, eps, corner, len(parts) == 1), dims
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Extensions, filtrations, projective covers and tilting modules.
+"""Extensions, tilting modules and projective covers.
 
 First extensions out of an induced module K(mu) into a fixed coefficient
 module M come from the cochain complex of the abelian odd raising part g1
@@ -18,21 +18,20 @@ basis elements of g is the tests' oracle for both (``tests/full_basis.py``).
 """
 
 from collections import Counter
+from functools import reduce
+from itertools import combinations
 
 from .linalg import SparseMatrix, Echelon
 from .weights import wadd, weight, wsub, root_leq, is_dominant_gl, weyl_shifts
 from .algebra import beta_reflect, memoised, rho_weight
 from .config import DEFAULT_LIMITS
-from .errors import DominanceError, GradingError, ResourceLimitError
+from .errors import GradingError, ResourceLimitError
 from .modules import (
     ExplicitModule, assert_valid_module, copy_module, restrict_module,
     induced_module, dual_module, parity_flip, twist, word_action,
 )
-from .forms import (
-    _berezinian, even_levi, kac_module, simple_even_module, simple_module,
-    induced_projective,
-)
-from .homs import end_ring, fitting_decompose, hom_dims, is_isomorphic, summand_onto
+from .forms import _berezinian, _peel_factors, even_levi, kac_module, simple_even_module
+from .homs import end_ring, fitting_decompose, hom_dims, is_isomorphic
 
 
 # ---------------------------------------------------------------------------
@@ -316,87 +315,90 @@ def glue_extension(bottom, top, block, kind="extension"):
 
 
 # ---------------------------------------------------------------------------
-# flags of induced modules
-
-
-def delta_flag(module, limits=DEFAULT_LIMITS):
-    """Multiplicities of induced modules K(mu) in a filtration of module.
-
-    Greedy peel on characters: repeatedly take the lexicographically
-    largest remaining weight, require it to be dominant, and subtract the
-    character of K at that weight.  Returns the multiset of factor
-    weights, a tuple in peel order (repetitions for multiplicity);
-    characters do not see the order of the filtration itself.  Raises
-    ValueError with a witness when no such filtration can exist.
-    """
-    g = module.g
-    remaining = dict(module.character())
-    flag = []
-    guard = 0
-    while any(v for v in remaining.values()):
-        guard += 1
-        if guard > limits.iteration_budget:
-            raise ResourceLimitError("flag peeling exceeded iteration budget")
-        top = max(w for w, v in remaining.items() if v)
-        if remaining[top] < 0:
-            raise ValueError(
-                f"no induced filtration: negative multiplicity at "
-                f"{g.weight_str(top)}"
-            )
-        try:
-            kch = kac_module(g, top, limits=limits).character()
-        except DominanceError:
-            raise ValueError(
-                f"no induced filtration: maximal weight {g.weight_str(top)} "
-                f"is not dominant"
-            )
-        for w, v in kch.items():
-            left = remaining.get(w, 0) - v
-            if left < 0:
-                raise ValueError(
-                    f"no induced filtration: character goes negative at "
-                    f"{g.weight_str(w)} while peeling {g.weight_str(top)}"
-                )
-            remaining[w] = left
-        flag.append(top)
-    return tuple(flag)
-
-
-# ---------------------------------------------------------------------------
 # projective covers
+
+
+def _cover_top(g, lam, limits):
+    """nu(lam), the top of P(lam)'s Kac flag: the lexicographically
+    largest mu = lam + (a sum of distinct odd positive roots), dominant
+    and in lam's block, with [K(mu) : L(lam)] != 0."""
+    m, n = g.params
+    core = _central_core(m, n, lam)
+    roots = [g.weight_of(x) for x in g.positive_ids()]
+    tops = {
+        reduce(wadd, subset, lam)
+        for k in range(len(roots) + 1) for subset in combinations(roots, k)
+    }
+    return next(
+        mu for mu in sorted(tops, reverse=True)
+        if is_dominant_gl(mu, m, n) and _central_core(m, n, mu) == core
+        and _peel_factors(g, mu, limits).get(lam)
+    )
 
 
 @memoised
 def projective_cover(g, lam, limits=DEFAULT_LIMITS):
-    """The indecomposable projective P(lam): the one Fitting summand of
-    the induction of V(lam) from the even part with a map onto L(lam),
-    found and built by ``summand_onto``.
+    """The indecomposable projective P(lam), built as the tilting module
+    Pi^p U(nu(lam)).
+
+    In F, the finite-dimensional integral gl(m|n)-modules, projectives are
+    injective (induction from g0 agrees with coinduction up to a
+    one-dimensional twist), so P(lam) has a Kac flag and a dual Kac flag:
+    it is an indecomposable tilting module (Brundan, J. AMS 16 (2003)).
+    By BGG reciprocity its Kac factors are the K(mu) with
+    [K(mu) : L(lam)] != 0, each mu a g0-highest weight of
+    Lambda(g1) (x) L0(lam).  So nu(lam), the top of the flag, comes from
+    the certified form radicals (:func:`_cover_top`), and U(nu) from the
+    memoised sweep of :func:`tilting_module`; typical lam gives nu = lam
+    and U(lam) = K(lam).  The certificate, which a wrong nu fails:
+
+    (a) End(U)_0 is local (the sweep certifies it);
+    (b) U is projective: with a Kac flag, iff Ext^1(U, K(mu)) = 0 for
+        every mu (Ringel, Math. Z. 208 (1991)); that is
+        Ext^1(K(mu)^*, U^*), and K(mu)^* is again a Kac module up to
+        parity, so the cochain complex of U^* carries no extension;
+    (c) lam sits in U's flag exactly once, below every flag weight in the
+        root order.
+
+    An indecomposable projective has its cosocle weight as the unique
+    minimal weight of its Kac flag, so (a)-(c) make U = P(lam) up to the
+    parity p of K(lam) in U's flag, which the flip moves to 0.  The meta
+    records the flag weights lexicographically descending, as a character
+    peel finds them, and U's endomorphism dimensions.
 
     Built at the representative of lam's orbit under the characters of
     g (``forms._berezinian``); elsewhere P(lam) = P(lam - chi) (x) C_chi,
     its flag shifted by chi.  Tensoring with C_chi is an exact
     autoequivalence taking K(mu) and L(mu) to K(mu + chi) and L(mu + chi)
     and indecomposable projectives to indecomposable projectives, and the
-    twist keeps every non-torus matrix, so the representative's splitting,
-    cosocle map and flag certificate hold on the whole orbit.
+    twist keeps every non-torus matrix, so the representative's
+    certificate holds on the whole orbit.
     """
     chi = _berezinian(g, lam)
     if any(chi):
         P = projective_cover(g, wsub(lam, chi), limits=limits)
         flag = tuple(wadd(mu, chi) for mu in P.meta["flag"])
         return copy_module(twist(P, chi), meta=dict(P.meta, flag=flag))
-    big = induced_projective(g, lam, limits=limits)
-    L = simple_module(g, lam, limits=limits)
-    rec, cosocle = summand_onto(big, L, limits=limits)
-    P = rec["module"]
-    flag = delta_flag(P, limits=limits)
-    # lam is the cosocle, so it sits once at the bottom of the root order
-    if flag.count(lam) != 1 or not all(root_leq(lam, mu) for mu in flag):
+    nu = _cover_top(g, lam, limits)
+    U = tilting_module(g, nu, limits=limits)
+    flag = U.meta["flag_bottom_up"]
+    at_lam = [p for mu, p in flag if mu == lam]
+    if len(at_lam) != 1 or not all(root_leq(lam, mu) for mu, _ in flag):
         raise AssertionError(
-            f"summand flag {[g.weight_str(w) for w in flag]} does not have "
-            f"{g.weight_str(lam)} as its unique minimal factor"
+            f"flag {[g.weight_str(mu) for mu, _ in flag]} of "
+            f"U({g.weight_str(nu)}) does not have {g.weight_str(lam)} as its "
+            f"unique minimal factor"
         )
-    return copy_module(P, meta=dict(P.meta, flag=flag, cosocle_hom=cosocle))
+    _assert_nothing_extends(
+        KacExtensions(dual_module(U), limits=limits),
+        f"U({g.weight_str(nu)}) is not projective; Ext^1 out of it survives",
+    )
+    return copy_module(parity_flip(U) if at_lam[0] else U, meta={
+        "kind": "projective_cover",
+        "flag": tuple(sorted((mu for mu, _ in flag), reverse=True)),
+        "end_even_dim": U.meta["end_even_dim"],
+        "end_radical_dim": U.meta["end_radical_dim"],
+    })
 
 
 def projective_cover_h(halg, fiber, limits=DEFAULT_LIMITS):
@@ -437,6 +439,15 @@ def _central_core(m, n, w):
     shifted = wadd(w, rho_weight(m, n))
     xs, ys = Counter(shifted[:m]), Counter(-y for y in shifted[m:])
     return sorted((xs - ys).elements()), sorted((ys - xs).elements())
+
+
+def _assert_nothing_extends(ke, what):
+    """Raise unless Ext^1(K(mu), M) vanishes at every C^1 key (mu, p) of
+    the cochain complex ``ke`` of M, the only weights with a cochain;
+    ``ext_dimension`` answers 0 at a non-dominant mu."""
+    left = {key: d for key in ke.blocks if (d := ke.ext_dimension(*key))}
+    if left:
+        raise AssertionError(f"{what}: {left}")
 
 
 @memoised
@@ -528,12 +539,7 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
             ke = KacExtensions(T, limits=limits)
             flag.append((mu, p))
     # certification, without the block filter: nothing extends the result
-    leftovers = {
-        (mu, p): d for mu, p in ke.blocks
-        if is_dominant_gl(mu, m, n) and (d := ke.ext_dimension(mu, p))
-    }
-    if leftovers:
-        raise AssertionError(f"extensions survive the sweep: {leftovers}")
+    _assert_nothing_extends(ke, "extensions survive the sweep")
     ring = end_ring(T, limits=limits)
     if not ring["local"]:
         raise AssertionError(

@@ -27,19 +27,28 @@ solving the bracket identity for an upper-triangular off-diagonal block
 over every pair of basis elements of g; `structure.ext1_with_representative`
 builds its block from a g0-highest-weight cocycle of the cochain complex
 instead.
+
+`projective_cover_by_splitting` is the route `structure.projective_cover`
+took before it built P(lam) as a tilting module: induce V(lam) from the
+even part alone (`induced_projective`, dimension 4^(m n) dim V(lam)),
+keep the one Fitting summand with a map onto L(lam) (`summand_onto`) and
+peel its Kac flag off its character (`delta_flag`).
 """
 
 from itertools import chain, product
 
 from supero.config import DEFAULT_LIMITS
 from supero.algebra import same_algebra
-from supero.errors import ResourceLimitError
-from supero.forms import even_levi
-from supero.homs import _canonical_basis, _divide_linear, _rational_roots, end_ring
+from supero.errors import DominanceError, GradingError, ResourceLimitError
+from supero.forms import even_levi, kac_module, simple_even_module, simple_module
+from supero.homs import (
+    _canonical_basis, _combine, _divide_linear, _primitive_idempotents,
+    _rational_roots, _summand, end_ring, hom_space,
+)
 from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into
-from supero.modules import _truncation_guard, submodule_module
+from supero.modules import _truncation_guard, copy_module, induced_module, submodule_module
 from supero.rational import QQ
-from supero.weights import wadd, wsub
+from supero.weights import root_leq, wadd, weight, wsub
 
 
 def apply(mat, vec):
@@ -630,3 +639,121 @@ def matrix_fitting_decompose(module, limits=DEFAULT_LIMITS):
         tuple(-c for c in max(rec["module"].weights)), rec["module"].dim,
     ))
     return records
+
+
+# ---------------------------------------------------------------------------
+# projective covers by splitting the induction from the even part
+
+
+def induced_projective(g, lam, limits=DEFAULT_LIMITS):
+    """Induce V(lam) from the even part alone: a projective module of
+    dimension 4^(m n) * dim V(lam) whose summands are the projective
+    covers in the block."""
+    if g.family != "gl" or g.grading_kind != "compatible":
+        raise GradingError("this induction needs gl with the compatible grading")
+    m, n = g.params
+    V = simple_even_module(g, lam, limits=limits)
+    levi, h_ids = even_levi(g)
+    key = lambda i: (g.degree_of(i), i)
+    order = (
+        sorted(g.negative_ids(), key=key)
+        + sorted(g.positive_ids(), key=key)
+        + sorted(h_ids, key=key)
+    )
+    P = induced_module(
+        g, h_ids, V, order=order, kind="induced_projective", limits=limits,
+    )
+    expected = (1 << (2 * m * n)) * V.dim
+    if P.dim != expected:
+        raise AssertionError(f"induced dimension {P.dim}, expected {expected}")
+    return P
+
+
+def summand_onto(module, target, limits=DEFAULT_LIMITS):
+    """The one Fitting summand of module with a nonzero map to target.
+
+    Solves Hom(module, target) once.  As the primitive idempotents sum to
+    1, Hom(S_eps, target)_s is {phi E_eps : phi in Hom_s(module, target)},
+    so a summand maps to target iff some phi E_eps is nonzero.  Returns
+    (record as in ``fitting_decompose``, (even, odd) dimensions of
+    Hom(S, target)); an AssertionError unless exactly one summand maps.
+    """
+    ring = end_ring(module, limits=limits)
+    parts = _primitive_idempotents(ring, limits)
+    through = [
+        [[(phi @ F).data for F in ring["basis"]] for phi in maps]
+        for maps in hom_space(module, target, limits=limits)
+    ]
+    hits = []
+    for eps, corner in parts:
+        # dim Hom(S, target)_s = rank of {phi E_eps : phi in Hom_s}
+        dims = tuple(len(Echelon(_combine(eps, fs) for fs in by_phi)) for by_phi in through)
+        if any(dims):
+            hits.append((eps, corner, dims))
+    if len(hits) != 1:
+        raise AssertionError(
+            f"expected one summand with maps onto the target, found {len(hits)}"
+        )
+    eps, corner, dims = hits[0]
+    return _summand(module, ring, eps, corner, len(parts) == 1), dims
+
+
+def delta_flag(module, limits=DEFAULT_LIMITS):
+    """Multiplicities of induced modules K(mu) in a filtration of module.
+
+    Greedy peel on characters: repeatedly take the lexicographically
+    largest remaining weight, require it to be dominant, and subtract the
+    character of K at that weight.  Returns the multiset of factor
+    weights, a tuple in peel order (repetitions for multiplicity);
+    characters do not see the order of the filtration itself.  Raises
+    ValueError with a witness when no such filtration can exist.
+    """
+    g = module.g
+    remaining = dict(module.character())
+    flag = []
+    guard = 0
+    while any(v for v in remaining.values()):
+        guard += 1
+        if guard > limits.iteration_budget:
+            raise ResourceLimitError("flag peeling exceeded iteration budget")
+        top = max(w for w, v in remaining.items() if v)
+        if remaining[top] < 0:
+            raise ValueError(
+                f"no induced filtration: negative multiplicity at "
+                f"{g.weight_str(top)}"
+            )
+        try:
+            kch = kac_module(g, top, limits=limits).character()
+        except DominanceError:
+            raise ValueError(
+                f"no induced filtration: maximal weight {g.weight_str(top)} "
+                f"is not dominant"
+            )
+        for w, v in kch.items():
+            left = remaining.get(w, 0) - v
+            if left < 0:
+                raise ValueError(
+                    f"no induced filtration: character goes negative at "
+                    f"{g.weight_str(w)} while peeling {g.weight_str(top)}"
+                )
+            remaining[w] = left
+        flag.append(top)
+    return tuple(flag)
+
+
+def projective_cover_by_splitting(g, lam, limits=DEFAULT_LIMITS):
+    """P(lam) as the one Fitting summand of Ind_{g0} V(lam) with a map
+    onto L(lam), built at lam itself; its meta carries the peeled flag and
+    the (even, odd) dimensions of Hom(P, L(lam)) as ``cosocle_hom``."""
+    lam = weight(lam)
+    big = induced_projective(g, lam, limits=limits)
+    rec, cosocle = summand_onto(big, simple_module(g, lam, limits=limits), limits=limits)
+    P = rec["module"]
+    flag = delta_flag(P, limits=limits)
+    # lam is the cosocle, so it sits once at the bottom of the root order
+    if flag.count(lam) != 1 or not all(root_leq(lam, mu) for mu in flag):
+        raise AssertionError(
+            f"summand flag {[g.weight_str(w) for w in flag]} does not have "
+            f"{g.weight_str(lam)} as its unique minimal factor"
+        )
+    return copy_module(P, meta=dict(P.meta, flag=flag, cosocle_hom=cosocle))

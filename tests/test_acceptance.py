@@ -17,7 +17,6 @@ from supero import (
     cartan_matrix_via_bgg,
     contravariant_form,
     decomposition_matrix,
-    delta_flag,
     dual_module,
     hom_dims,
     install_grading,
@@ -35,6 +34,8 @@ from supero import (
     window_from_box,
 )
 from supero.cli import main as cli_main
+
+from full_basis import delta_flag
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -25,7 +25,6 @@ from supero.forms import (
     clifford_module,
     contravariant_form,
     form_quotient,
-    induced_projective,
     kac_module,
     simple_even_module,
     simple_module,
@@ -35,7 +34,7 @@ from supero.modules import ExplicitModule, submodule_module, validate_module
 from supero.rational import QQ
 from supero.weights import dominant_weights_in_box
 
-from full_basis import act_word
+from full_basis import act_word, induced_projective
 from helpers import direct_sum
 
 

@@ -13,7 +13,6 @@ from supero.algebra import (
 from supero.forms import (
     clifford_module,
     even_levi,
-    induced_projective,
     kac_module,
     simple_module,
     verma_module_truncated,
@@ -33,7 +32,7 @@ from supero.modules import (
 from supero.rational import QQ
 from supero.structure import projective_cover, projective_cover_h, tilting_module
 
-from full_basis import full_basis_closure, full_basis_hom_space
+from full_basis import full_basis_closure, full_basis_hom_space, induced_projective
 from helpers import ad_matrix, direct_sum
 
 

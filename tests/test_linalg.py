@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from supero.algebra import build_gl, install_grading
 from supero.errors import ResourceLimitError
-from supero.forms import induced_projective
 from supero.homs import hom_space
 from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into
 from supero.rational import QQ
 
-from full_basis import apply, full_basis_hom_system
+from full_basis import apply, full_basis_hom_system, induced_projective
 from helpers import assert_associative, plain
 
 
