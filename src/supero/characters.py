@@ -4,8 +4,9 @@ Characters are sparse dicts weight -> positive integer.  Two independent
 sources are kept: the product formula (Weyl characters for the even part
 times the odd-root factor) and the weight census of explicitly built
 modules; tests require them to agree.  A simple character is the census
-of K(lam) less the weights of the certified radical of its contravariant
-form, so the decomposition matrix never builds L(lam).
+of K(lam) less the weights of its certified maximal submodule, read off
+the odd raisings (``forms.kac_radical``), so the decomposition matrix
+never builds L(lam).
 
 Windows are ordered lists of dominant weights, lexicographically
 descending.  Matrix rows may have factors strictly below every window

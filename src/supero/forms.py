@@ -16,6 +16,16 @@ Levi Verma slice cut at the degree of w0.lam, followed by the form
 quotient), the finite induced modules built from them, and the exact
 Clifford modules for the q-type Cartan.
 
+The maximal submodule of a Kac module K(lam) = Lambda(g_-1) (x) L0(lam)
+is read off the odd raisings, without the form (Kac, Adv. Math. 26,
+1977).  Take v of Kac degree -k.  By PBW, U(g) = U(g_-1) U(g_0) U(g_1),
+and K has no positive degree, so the degree-0 part of U(g).v is
+U(g_0).Lambda^k(g_1).v.  The top layer 1 (x) L0(lam) is a simple
+g_0-module that generates K(lam), so U(g).v is proper iff
+Lambda^k(g_1).v = 0 (:func:`_odd_raising_kernel`).  The maximal
+submodule is the radical of the contravariant form; ``kac_radical``
+certifies it, and simple characters and L(lam) are read off it.
+
 Tensoring with a one-dimensional module C_chi is an exact
 autoequivalence, and it carries each standard module to the one at the
 shifted weight: L0(lam) (x) C_chi = L0(lam + chi) for a character
@@ -24,12 +34,14 @@ K(lam + chi) for a character chi = c (1^m | -1^n) of g (Kac, Adv. Math.
 26, 1977), hence also L(lam) (x) C_chi = L(lam + chi).  A character
 vanishes on every bracket, so the non-torus matrices of the twist are
 the module's own: K(lam + chi) has the coordinates and the Lie-generator
-matrices of K(lam), and the same form radical.  So ``simple_even_module``
-builds L0 only at lam_m = lam_{m+n} = 0 and ``kac_module``,
-``kac_radical`` and ``simple_module`` build only at lam_m = 0; every
-other weight is the representative twisted by ``modules.twist``, whose
-certificate is that C_chi is a module.
+matrices of K(lam), and the same maximal submodule.  So
+``simple_even_module`` builds L0 only at lam_m = lam_{m+n} = 0 and
+``kac_module``, ``kac_radical`` and ``simple_module`` build only at
+lam_m = 0; every other weight is the representative twisted by
+``modules.twist``, whose certificate is that C_chi is a module.
 """
+
+from itertools import combinations
 
 from .algebra import memo_entry, memoised, principal_dvector, w0_action
 from .config import DEFAULT_LIMITS
@@ -45,6 +57,7 @@ from .modules import (
     quotient_module,
     trivial_module,
     twist,
+    word_action,
 )
 from .rational import QQ, rational_sqrt
 from .weights import height, is_dominant_gl, root_leq, wdot, weight, wsub
@@ -299,32 +312,81 @@ def kac_module(g, lam, limits=DEFAULT_LIMITS):
     return K
 
 
+def _odd_raising_kernel(K):
+    """Canonical basis of the maximal submodule of a Kac module K, in
+    module coordinates, weights descending: the vectors and the order of
+    ``contravariant_form(K).radical_vectors()``.
+
+    A vector v at weight mu and Kac degree -k, k the length of its word
+    in K's one-block flag record, lies in it iff x_J.v = 0 for every
+    k-subset J of the odd raisings (proof in the module docstring).  Each
+    x_J.v lies in the top layer, basis indices 0..fdim-1, so the weight
+    space's part is the kernel of one matrix with rows (J, top index);
+    ``kernel_basis`` reads it off the reduced echelon form with a unit at
+    each free column, so any matrix with this kernel gives these vectors.
+
+    Raises ValueError unless K carries the one-block flag record of a
+    module induced from g_0 + g_1, and AssertionError if some x_J.v
+    leaves the top layer.
+    """
+    g = K.g
+    record = K.flag_record
+    if (record is None or len(record[1]) != 1 or g.grading_kind != "compatible"
+            or tuple(record[0]) != tuple(_borel(g)[0])):
+        raise ValueError(
+            "the odd raisings decide the maximal submodule only on a Kac "
+            "module with its one-block flag record"
+        )
+    _, ((_, fdim, words),) = record
+    raisings = g.positive_ids()
+    cols = {x: K.action[x].cols() for x in raisings}
+    out = []
+    for mu, idx in sorted(K.weight_spaces().items(), reverse=True):
+        subsets = list(combinations(raisings, len(words[idx[0] // fdim])))
+        rows, data = {}, {}  # only the rows (J, t) some x_J.v reaches
+        for c, i in enumerate(idx):
+            image = word_action(cols, {i: 1})
+            for J in subsets:
+                for t, v in image(J).items():
+                    if t >= fdim:
+                        raise AssertionError(
+                            f"odd raising {J} of vector {i} at "
+                            f"{g.weight_str(mu)} leaves the top layer"
+                        )
+                    data[(rows.setdefault((J, t), len(rows)), c)] = v
+        for kvec in SparseMatrix(len(rows), len(idx), data).kernel_basis():
+            out.append({idx[c]: v for c, v in kvec.items()})
+    return out
+
+
 @memoised
 def kac_radical(g, lam, limits=DEFAULT_LIMITS):
-    """(K, rad): the Kac module K(lam) and the canonical basis of the
-    radical of its contravariant form (a tuple), the maximal submodule,
-    so that L(lam) = K/rad and ch L(lam) is ch K less the weights of rad.
+    """(K, rad): the Kac module K(lam) and the canonical basis of its
+    maximal submodule (a tuple), the vectors of Kac degree -k that
+    Lambda^k(g_1) kills (:func:`_odd_raising_kernel`), which span the
+    radical of the contravariant form.  So L(lam) = K/rad, and ch L(lam)
+    is ch K less the weights of rad.
 
     Certified here: closing rad under the Lie generators must add no
-    vector, the check ``form_quotient`` makes as a quotient dimension.
-    Off the orbit representative, rad is the representative's: K(lam)
-    has the same basis and the same matrices for every Lie generator.
+    vector.  Off the orbit representative, rad is the representative's:
+    K(lam) has the same basis and the same matrices for every Lie
+    generator.
     """
     chi = _berezinian(g, lam)
     K = kac_module(g, lam, limits=limits)
     if any(chi):
         return K, kac_radical(g, wsub(lam, chi), limits=limits)[1]
-    rad = tuple(contravariant_form(K).radical_vectors())
+    rad = tuple(_odd_raising_kernel(K))
     cols = {x: K.action[x].cols() for x in intertwining_ids(K)}
     if len(_closure_echelon(K, rad, cols)) != len(rad):
-        raise AssertionError("form radical failed to be a submodule")
+        raise AssertionError("Kac radical failed to be a submodule")
     return K, rad
 
 
 @memoised
 def simple_module(g, lam, limits=DEFAULT_LIMITS):
-    """The simple highest-weight module L(lam): the quotient of the
-    induced module at lam by the certified radical of ``kac_radical``;
+    """The simple highest-weight module L(lam): the quotient of the Kac
+    module K(lam) by its certified maximal submodule (``kac_radical``);
     L(lam) = L(lam - chi) (x) C_chi off the orbit representative."""
     chi = _berezinian(g, lam)
     if any(chi):
@@ -335,8 +397,9 @@ def simple_module(g, lam, limits=DEFAULT_LIMITS):
 
 def simple_character(g, lam, limits=DEFAULT_LIMITS):
     """ch L(lam): ch K(lam) less one e^wt(v) for each vector v of the
-    certified radical of the contravariant form on K(lam)
-    (:func:`kac_radical`); no quotient module is built."""
+    certified maximal submodule of K(lam) (:func:`kac_radical`), the
+    vectors of Kac degree -k that Lambda^k(g_1) kills; no quotient
+    module is built."""
     K, rad = kac_radical(g, lam, limits=limits)
     ch = K.character()
     for v in rad:

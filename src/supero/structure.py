@@ -348,7 +348,7 @@ def projective_cover(g, lam, limits=DEFAULT_LIMITS):
     By BGG reciprocity its Kac factors are the K(mu) with
     [K(mu) : L(lam)] != 0, each mu a g0-highest weight of
     Lambda(g1) (x) L0(lam).  So nu(lam), the top of the flag, comes from
-    the certified form radicals (:func:`_cover_top`), and U(nu) from the
+    the certified Kac radicals (:func:`_cover_top`), and U(nu) from the
     memoised sweep of :func:`tilting_module`; typical lam gives nu = lam
     and U(lam) = K(lam).  The certificate, which a wrong nu fails:
 

@@ -296,14 +296,20 @@ def test_no_pipeline_builds_simple_modules(argv, monkeypatch, capsys):
 
 
 def test_kac_modules_and_levi_slices_are_built_once_per_character_orbit(monkeypatch, capsys):
-    """kdt on gl(2|1) box -2..2 asks for 127 Kac modules and 81 form
+    """kdt on gl(2|1) box -2..2 asks for 127 Kac modules and 81 Kac
     radicals, which fall into 41 and 36 orbits under the characters
     c(1,1|-1) of g, and for 127 simples L0 of the even part, which fall
-    into 6 orbits under its characters (a,a|b).  Each orbit is induced
-    and formed once, at lam_2 = 0 (and lam_3 = 0 for L0); the rest are
-    twists."""
-    forms_on, kac_inductions = [], []
-    real_form, real_induced = forms.contravariant_form, forms.induced_module
+    into 6 orbits under its characters (a,a|b).  Each orbit is induced,
+    and its radical read off the odd raisings, once, at lam_2 = 0; each
+    L0 orbit is formed once, at lam_2 = lam_3 = 0.  The rest are twists,
+    and only the Levi slices have a contravariant form computed."""
+    radicals, forms_on, kac_inductions = [], [], []
+    real_kernel, real_form = forms._odd_raising_kernel, forms.contravariant_form
+    real_induced = forms.induced_module
+
+    def kernel_spy(K):
+        radicals.append(K.highest_weight)
+        return real_kernel(K)
 
     def form_spy(module):
         forms_on.append((module.meta["kind"], module.highest_weight))
@@ -314,20 +320,19 @@ def test_kac_modules_and_levi_slices_are_built_once_per_character_orbit(monkeypa
             kac_inductions.append(kwargs["highest_weight"])
         return real_induced(g, sub_ids, fiber, **kwargs)
 
+    monkeypatch.setattr(forms, "_odd_raising_kernel", kernel_spy)
     monkeypatch.setattr(forms, "contravariant_form", form_spy)
     monkeypatch.setattr(forms, "induced_module", induced_spy)
     code, _, err = run(
         capsys, "verify", "--algebra", "gl:2,1", "--box=-2..2", "--which", "kdt",
     )
     assert code == 0, err
-    kac = [lam for kind, lam in forms_on if kind == "kac"]
-    slices = [lam for kind, lam in forms_on if kind == "verma_slice"]
-    assert len(kac) == len(set(kac)) == 36 and all(lam[1] == 0 for lam in kac)
-    assert len(slices) == len(set(slices)) == 6
-    assert all(lam[1] == lam[2] == 0 for lam in slices)
+    assert len(radicals) == len(set(radicals)) == 36
+    assert all(lam[1] == 0 for lam in radicals)
+    assert len(forms_on) == len(set(forms_on)) == 6
+    assert all(kind == "verma_slice" and lam[1] == lam[2] == 0 for kind, lam in forms_on)
     assert len(kac_inductions) == len(set(kac_inductions)) == 41
     assert all(lam[1] == 0 for lam in kac_inductions)
-    assert len(forms_on) == 42
 
 
 @pytest.mark.parametrize("twisted,counts", [

@@ -22,16 +22,24 @@ from supero.errors import (
     ResourceLimitError,
 )
 from supero.forms import (
+    _odd_raising_kernel,
     clifford_module,
     contravariant_form,
     form_quotient,
     kac_module,
+    kac_radical,
     simple_even_module,
     simple_module,
     verma_module_truncated,
 )
-from supero.modules import ExplicitModule, submodule_module, validate_module
+from supero.modules import ExplicitModule, parity_flip, submodule_module, validate_module
 from supero.rational import QQ
+from supero.structure import (
+    KacExtensions,
+    _central_core,
+    ext1_with_representative,
+    glue_extension,
+)
 from supero.weights import dominant_weights_in_box
 
 from full_basis import act_word, induced_projective
@@ -269,6 +277,81 @@ def test_simple_natural_gl31():
     unit = [tuple(QQ(int(i == k)) for i in range(4)) for k in range(4)]
     assert L.character() == {w: 1 for w in unit}
     assert validate_module(L)["passed"]
+
+
+# -- the Kac radical off the odd raisings ----------------------------------
+
+
+def orbit_representatives(m, n, lo, hi):
+    """(g, weights): the dominant weights of the box with lam_m = 0, one
+    per orbit under the characters c (1^m | -1^n) of g."""
+    g = install_grading(build_gl(m, n), "compatible")
+    return g, [lam for lam in dominant_weights_in_box(m, n, lo, hi) if lam[m - 1] == 0]
+
+
+@pytest.mark.parametrize("m,n,lo,hi,count", [
+    (1, 1, -3, 3, 7), (2, 1, -2, 2, 15), (1, 2, -2, 2, 15),
+    (3, 1, -1, 1, 9), (2, 2, -1, 1, 12), (3, 2, 0, 1, 9),
+])
+def test_kac_radical_is_the_form_radical(m, n, lo, hi, count):
+    """ker Lambda^k(g_1) into the top layer is the radical of the
+    contravariant form, vector for vector and in the same order."""
+    g, reps = orbit_representatives(m, n, lo, hi)
+    assert len(reps) == count
+    for lam in reps:
+        K, rad = kac_radical(g, lam)
+        assert repr(rad) == repr(tuple(contravariant_form(K).radical_vectors()))
+
+
+@pytest.mark.parametrize("a", [-2, 0, 1, 3])
+def test_kac_radical_calibration_gl11(a):
+    """gl(1|1): K(a|b) = span(v, y.v), alpha = (1|-1).  Atypical (a + b = 0):
+    the radical is the line y.v at lam - alpha; typical: none."""
+    g = gl11()
+    K, rad = kac_radical(g, (a, -a))
+    assert rad == ({1: 1},)
+    assert K.weights[1] == (QQ(a - 1), QQ(1 - a))
+    assert kac_radical(g, (a, 1 - a))[1] == ()
+
+
+@pytest.mark.parametrize("m,n,lo,hi", [(2, 1, -2, 2), (2, 2, -1, 1)])
+def test_kac_module_is_simple_iff_typical(m, n, lo, hi):
+    """Kac's theorem: K(lam) is simple iff lam is typical, that is iff the
+    central core of lam cancels no pair."""
+    g, reps = orbit_representatives(m, n, lo, hi)
+    for lam in reps:
+        xs, ys = _central_core(m, n, lam)
+        typical = len(xs) + len(ys) == m + n
+        assert (kac_radical(g, lam)[1] == ()) == typical, lam
+
+
+def test_odd_raising_kernel_needs_a_kac_flag_record():
+    """A glued Kac flag (two blocks, the tilting module U(0|0) of gl(1|1))
+    and a truncated Verma slice (no record) are refused."""
+    g = gl11()
+    K = kac_module(g, (0, 0))
+    top = parity_flip(kac_module(g, (-1, 1)))
+    _, block = ext1_with_representative(KacExtensions(K), (-1, 1), 1)
+    U = glue_extension(K, top, block)
+    assert len(U.flag_record[1]) == 2
+    with pytest.raises(ValueError, match="one-block flag record"):
+        _odd_raising_kernel(U)
+    slice_ = verma_module_truncated(install_grading(build_gl(1, 1), "principal"), (0, 0), 2)
+    with pytest.raises(ValueError, match="one-block flag record"):
+        _odd_raising_kernel(slice_)
+
+
+def test_odd_raising_kernel_refuses_a_raising_that_leaves_the_top():
+    """A record whose words are out of order makes the lower vector of
+    K(2|-1) claim Kac degree 0: its own image leaves the top layer."""
+    K = kac_module(gl11(), (2, -1))
+    s, ((offset, fdim, words),) = K.flag_record
+    swapped = ExplicitModule(
+        K.g, K.weights, K.parities, K.action, highest_weight=K.highest_weight,
+        flag_record=(s, ((offset, fdim, words[::-1]),)),
+    )
+    with pytest.raises(AssertionError, match="leaves the top layer"):
+        _odd_raising_kernel(swapped)
 
 
 # -- truncated slices ------------------------------------------------------
