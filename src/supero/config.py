@@ -15,8 +15,9 @@ class Limits:
     max_end_dim: bound on endomorphism/radical algebra dimension.
     max_hom_vars: bound on unknowns in each hom system (the values of a
         map on the fiber vectors of the source's flag record; every
-        weight-matched entry when the source has none), in the C^1 of
-        the extension cochain complex and in each singular-vector system
+        weight-matched entry when the source has none), in each
+        (weight, parity) block of the C^1 of the extension cochain
+        complex and in each singular-vector system
         of a truncated Verma module.  Library-only: no CLI flag sets it.
     iteration_budget: cap on the first-extension evaluations of one
         tilting sweep (one per candidate weight and parity of lam's

@@ -207,6 +207,21 @@ def _torus_pair_holds(g, x, y, suspect):
     return False
 
 
+def relation_pairs(g, ids):
+    """The ordered pairs (a, b, s), s = (-1)^{|a||b|}, whose bracket
+    relations decide all of them over the basis elements ``ids``: each
+    unordered pair a <= b once, and (b, a) too where the table breaks
+    [b, a] = -s [a, b] (elsewhere R(b, a) = -s R(a, b))."""
+    for pos, a in enumerate(ids):
+        for b in ids[pos:]:
+            sign = -1 if g.parity(a) and g.parity(b) else 1
+            yield a, b, sign
+            if b != a:
+                br = g.bracket(a, b)
+                if g.bracket(b, a) != {k: -sign * c for k, c in br.items()}:
+                    yield b, a, sign
+
+
 def validate_module(module):
     """Check that the stored matrices really define a weight supermodule.
 
@@ -217,12 +232,11 @@ def validate_module(module):
         R(a, b) = X_a X_b - s X_b X_a - X_{[a,b]} = 0,   s = (-1)^{|a||b|},
 
     on all pairs of algebra basis elements, in one pass over the row
-    views (:func:`_bracket_defect`).  Each unordered pair a <= b is
-    checked once: R(b, a) = -s R(a, b) whenever the table has
-    [b, a] = -s [a, b], so the relation at (b, a) adds nothing; where the
-    table breaks that antisymmetry (b, a) is checked as well, so the
-    verdict does not depend on the table being a valid one.  A pair with
-    a torus element is evaluated only if its two elements failed none of
+    views (:func:`_bracket_defect`), on the pairs of
+    :func:`relation_pairs`: each unordered pair once, and both orders
+    where the table breaks antisymmetry, so the verdict does not depend
+    on the table being a valid one.  A pair with a torus element is
+    evaluated only if its two elements failed none of
     the torus and additivity checks and the table has the value those
     checks imply (:func:`_torus_pair_holds`); otherwise it holds already,
     so the verdict and the failures are the same.  On a
@@ -286,32 +300,24 @@ def validate_module(module):
     guard = _truncation_guard(module) if module.truncated else None
     rows = {x: module.action[x].rows() for x in ids}
     pairs_checked = 0
-    for pos, a in enumerate(ids):
-        for b in ids[pos:]:
-            sign = -1 if g.parity(a) and g.parity(b) else 1
-            ordered = [(a, b)]
-            if b != a:
-                br = g.bracket(a, b)
-                if g.bracket(b, a) != {k: -sign * c for k, c in br.items()}:
-                    ordered.append((b, a))
-            for x, y in ordered:
-                if _torus_pair_holds(g, x, y, suspect):
-                    bad = ()
-                else:
-                    bad = _bracket_defect(rows, x, y, sign, g.bracket(x, y))
-                where = ""
-                if guard is None:
-                    pairs_checked += 1
-                else:
-                    exact = [i for i in range(n) if guard(i, x, y)]
-                    pairs_checked += len(exact)
-                    bad = [i for i in exact if i in bad]
-                    if bad:
-                        where = f" on vector {bad[0]}"
-                if bad:
-                    failures.append(
-                        f"bracket relation fails for ({g.label(x)},{g.label(y)}){where}"
-                    )
+    for x, y, sign in relation_pairs(g, ids):
+        if _torus_pair_holds(g, x, y, suspect):
+            bad = ()
+        else:
+            bad = _bracket_defect(rows, x, y, sign, g.bracket(x, y))
+        where = ""
+        if guard is None:
+            pairs_checked += 1
+        else:
+            exact = [i for i in range(n) if guard(i, x, y)]
+            pairs_checked += len(exact)
+            bad = [i for i in exact if i in bad]
+            if bad:
+                where = f" on vector {bad[0]}"
+        if bad:
+            failures.append(
+                f"bracket relation fails for ({g.label(x)},{g.label(y)}){where}"
+            )
 
     return {
         "module": repr(module),

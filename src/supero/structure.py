@@ -7,7 +7,8 @@ caller).  By Eckmann-Shapiro, Ext^1(K(mu), M) = Hom_{g0}(L0(mu), H^1):
 
 * ``KacExtensions.ext_dimension`` reads its dimension off the dimensions
   of H^1's weight spaces by Weyl's character formula.  The complex is
-  built once per M, and each weight space of H^1 costs two rank counts.
+  built once per M, and each weight space of H^1 costs two rank counts;
+  after a glue M -> E -> K(mu) it is extended to E, not rebuilt.
 * ``ext1_with_representative`` builds a glueing block for a nonzero
   class from a g0-highest-weight cocycle outside the coboundaries,
   extended to a g0-map out of L0(mu) and along the PBW words of K(mu);
@@ -15,20 +16,25 @@ caller).  By Eckmann-Shapiro, Ext^1(K(mu), M) = Hom_{g0}(L0(mu), H^1):
 
 The direct solve for an upper-triangular glueing block over every pair of
 basis elements of g is the tests' oracle for both (``tests/full_basis.py``).
+
+``glue_extension`` certifies a glued module on its glue block alone, on
+the premise that its bottom and top are modules: along a tilting sweep
+each K(mu) is one by PBW induction, as everywhere else in the library,
+and each bottom passed the previous glue's check.
 """
 
 from collections import Counter
 from functools import reduce
 from itertools import combinations
 
-from .linalg import SparseMatrix, Echelon
+from .linalg import SparseMatrix, Echelon, _integral
 from .weights import wadd, weight, wsub, root_leq, is_dominant_gl, weyl_shifts
 from .algebra import beta_reflect, memoised, rho_weight
 from .config import DEFAULT_LIMITS
 from .errors import GradingError, ResourceLimitError
 from .modules import (
-    ExplicitModule, assert_valid_module, copy_module, restrict_module,
-    induced_module, dual_module, parity_flip, twist, word_action,
+    ExplicitModule, _torus_pair_holds, copy_module, restrict_module,
+    induced_module, dual_module, parity_flip, relation_pairs, twist, word_action,
 )
 from .forms import _berezinian, _peel_factors, even_levi, kac_module, simple_even_module
 from .homs import end_ring, fitting_decompose, hom_dims, is_isomorphic
@@ -61,6 +67,14 @@ class KacExtensions:
     Everything is tracked per parity: cochains of parity 0 classify
     extensions with K(mu) on top, cochains of parity 1 classify the ones
     with the parity flip of K(mu) on top.
+
+    The complex is kept as column views, C^1 column k being the cochain
+    ``c1_basis[k] = (x, i)`` (x -> v_i) and C^2 row j * len(pairs) + q the
+    value at (pairs[q], v_j).  Both orders only grow with M, so
+    :meth:`extend` moves the complex of M to that of a module E holding M
+    as the submodule on its first dim M basis vectors (a glued module,
+    see ``glue_extension``) by appending what E's new basis vectors add;
+    a fresh build is that extension from the zero module.
     """
 
     def __init__(self, module, limits=DEFAULT_LIMITS):
@@ -70,18 +84,9 @@ class KacExtensions:
                 "extension cochains need gl with the compatible grading"
             )
         self.g = g
-        self.M = module
+        self.limits = limits
         self.pos = sorted(g.positive_ids())
         npos = len(self.pos)
-        if npos * module.dim > limits.max_hom_vars:
-            raise ResourceLimitError(
-                f"extension cochains have {npos * module.dim} C^1 unknowns "
-                f"({npos} odd raisings x module dim {module.dim}); "
-                f"max_hom_vars is {limits.max_hom_vars}"
-            )
-        # C^1 basis: (x, i) for x an odd raising and i a basis vector of M.
-        self.c1_basis = [(x, i) for x in self.pos for i in range(module.dim)]
-        self.c1_index = {key: k for k, key in enumerate(self.c1_basis)}
         # C^2 basis: unordered pairs x <= y (squares allowed: n+ is odd).
         self.pairs = [
             (self.pos[a], self.pos[b])
@@ -89,42 +94,88 @@ class KacExtensions:
             for b in range(a, npos)
         ]
         self.pair_index = {p: k for k, p in enumerate(self.pairs)}
-        # column views {x: [{row: entry} per column]} of the odd
-        # raisings, taken once and dropped with this object
-        self._cols = {x: module.action[x].cols() for x in self.pos}
-        self._build_differentials()
-        if not (self.d1 @ self.d0).is_zero():
-            raise AssertionError("d^2 != 0 on the extension cochain complex")
-        self.d0_cols, self.d1_cols = self.d0.cols(), self.d1.cols()
-        # C^1 columns grouped by (weight, cochain parity); the cochain
-        # x -> v_i has weight wt(v_i) - wt(x) and, x being odd, parity |v_i| + 1
+        self.c1_basis, self.c1_index = [], {}
+        # d0 per basis vector of M, d1 per C^1 column: {row: entry}
+        self.d0_cols, self.d1_cols = [], []
+        # C^1 columns grouped by (weight, cochain parity), in c1 key order
         self.blocks = {}
-        for k, (x, i) in enumerate(self.c1_basis):
-            key = (wsub(module.weights[i], g.weight_of(x)),
-                   (module.parities[i] + 1) % 2)
-            self.blocks.setdefault(key, []).append(k)
         self._h1 = {}
+        self._grow(module, 0)
 
-    def _build_differentials(self):
-        M, cols = self.M, self._cols
-        d0 = {}
-        for i in range(M.dim):
-            for x in self.pos:
-                for j, c in cols[x][i].items():
-                    d0[(self.c1_index[(x, j)], i)] = c
-        self.d0 = SparseMatrix(len(self.c1_basis), M.dim, d0)
+    def extend(self, module):
+        """Extend the complex in place from M to ``module`` = E, whose first
+        dim M basis vectors span M as a submodule: every odd raising acts
+        on them as on M.  Then C^1(E) and C^2(E) contain the complex of M
+        and d0, d1 are block upper triangular, so only the columns of E's
+        new basis vectors and of the cochains (x, i) into them are
+        computed, d^2 = 0 is checked on those, and H^1 is recomputed only
+        at the keys whose cochains or coboundaries grew."""
+        M, start = self.M, self.M.dim
+        if module.weights[:start] != M.weights or module.parities[:start] != M.parities or any(
+            {key: v for key, v in module.action[x].data.items() if key[1] < start}
+            != M.action[x].data for x in self.pos
+        ):
+            raise ValueError("the old module is not a submodule of the new one")
+        self._grow(module, start)
+
+    def _grow(self, module, start):
+        """Append the columns of basis vectors start.. of ``module`` and of
+        the cochains into them; the C^1 unknowns are guarded per block
+        (every rank is taken per block) before any differential is built."""
+        g, pos, npairs = self.g, self.pos, len(self.pairs)
+        new = [(x, i) for x in pos for i in range(start, module.dim)]
+        # the cochain x -> v_i has weight wt(v_i) - wt(x) and, x being
+        # odd, parity |v_i| + 1
+        keys = [
+            (wsub(module.weights[i], g.weight_of(x)), (module.parities[i] + 1) % 2)
+            for x, i in new
+        ]
+        grown = Counter(keys)
+        for key, count in grown.items():
+            size = count + len(self.blocks.get(key, ()))
+            if size > self.limits.max_hom_vars:
+                raise ResourceLimitError(
+                    f"extension cochains have {size} C^1 unknowns at weight "
+                    f"{g.weight_str(key[0])} parity {key[1]} (module dim "
+                    f"{module.dim}); max_hom_vars is {self.limits.max_hom_vars}"
+                )
+        first = len(self.c1_basis)
+        for k, (key, c1) in enumerate(zip(keys, new), first):
+            self.c1_index[c1] = k
+            self.c1_basis.append(c1)
+            self.blocks.setdefault(key, []).append(k)
+        if start:
+            for key in grown:
+                self.blocks[key].sort(key=self.c1_basis.__getitem__)
+        index, pair_index = self.c1_index, self.pair_index
+        cols = {x: module.action[x].cols() for x in pos}
+        # (d m)(x) = x.m
+        d0_new = [
+            {index[(x, j)]: c for x in pos for j, c in cols[x][i].items()}
+            for i in range(start, module.dim)
+        ]
         # (d f)(a, b) = a.f(b) + b.f(a); both signs positive because n+ is
         # odd abelian, which is exactly what makes d^2 = 0.
-        d1 = {}
-        for col, (x, i) in enumerate(self.c1_basis):
-            for a in self.pos:
-                img = cols[a][i]
-                p = (a, x) if a <= x else (x, a)
-                row0 = self.pair_index[p]
-                for j, c in img.items():
-                    key = (row0 * M.dim + j, col)
-                    d1[key] = d1.get(key, 0) + c
-        self.d1 = SparseMatrix(len(self.pairs) * M.dim, len(self.c1_basis), d1)
+        self.d1_cols.extend(
+            {
+                j * npairs + pair_index[(a, x) if a <= x else (x, a)]: c
+                for a in pos for j, c in cols[a][i].items()
+            }
+            for x, i in new
+        )
+        # d1 d0 on the old basis vectors vanished already
+        d1_cols = self.d1_cols
+        for col in d0_new:
+            acc = {}
+            for r, c in col.items():
+                for s, v in d1_cols[r].items():
+                    acc[s] = acc.get(s, 0) + c * v
+            if any(acc.values()):
+                raise AssertionError("d^2 != 0 on the extension cochain complex")
+        self.d0_cols.extend(d0_new)
+        for key in grown.keys() | set(zip(module.weights[start:], module.parities[start:])):
+            self._h1.pop(key, None)
+        self.M = module
 
     def h1_dimension(self, w, p):
         """dim H^1 at (weight w, cochain parity p): the block's columns,
@@ -275,15 +326,84 @@ def ext1_with_representative(ke, mu, p, limits=DEFAULT_LIMITS):
     return d, block
 
 
+def _assert_valid_glue(bottom, top, block):
+    """Raise ValueError unless E = [[B, G], [0, T]] is a module, given that
+    the bottom B and the top T are (valid, untruncated) modules and G is
+    ``block``, {x: {(i, j): entry}} with i in B and j in T.
+
+    The diagonal blocks of each relation R(a, b) = X_a X_b - s X_b X_a -
+    X_[a,b] of E are B's and T's, so E is a module exactly when G moves
+    weight and parity as X_x does, is zero on the torus (which acts
+    diagonally), and the off-diagonal block of every R(a, b),
+
+        B_a G_b + G_a T_b - s (B_b G_a + G_b T_a) - sum_k c_k G_k,
+
+    vanishes.  It is zero unless G_a, G_b or some G_k with k in [a, b] is
+    nonzero, so only those pairs of ``relation_pairs`` are evaluated, and
+    a torus pair among them holds by additivity (``_torus_pair_holds``).
+    The block is linear in G, so it is evaluated on the primitive integer
+    multiple of G, in ints wherever B and T are integral."""
+    g, nb = bottom.g, bottom.dim
+    flat = {(x, i, j): v for x, ent in block.items() for (i, j), v in ent.items() if v}
+    G = {}
+    for (x, i, j), v in _integral(flat)[0].items():
+        if x in g.t_coord:
+            fault = "is a torus entry off the diagonal"
+        elif bottom.weights[i] != wadd(top.weights[j], g.weight_of(x)):
+            fault = "breaks weight additivity"
+        elif bottom.parities[i] != (top.parities[j] + g.parity(x)) % 2:
+            fault = "breaks parity additivity"
+        else:
+            G.setdefault(x, {}).setdefault(i, {})[j] = v
+            continue
+        raise ValueError(f"{g.label(x)} at ({i},{nb + j}) of the glue block {fault}")
+    b_cols = [bottom.action[x].cols() for x in range(g.dim)]
+    t_rows = [top.action[x].rows() for x in range(g.dim)]
+    for a, b, sign in relation_pairs(g, range(g.dim)):
+        terms = g.bracket(a, b)
+        if (a not in G and b not in G and not any(k in G for k in terms)
+                or _torus_pair_holds(g, a, b, ())):
+            continue
+        acc = {}
+        for x, y, c in ((a, b, 1), (b, a, -sign)):
+            for k, row in G.get(y, {}).items():  # c B_x G_y
+                for i, u in b_cols[x][k].items():
+                    u *= c
+                    for j, v in row.items():
+                        acc[(i, j)] = acc.get((i, j), 0) + u * v
+            for i, row in G.get(x, {}).items():  # c G_x T_y
+                for k, u in row.items():
+                    u *= c
+                    for j, v in t_rows[y][k].items():
+                        acc[(i, j)] = acc.get((i, j), 0) + u * v
+        for k, c in terms.items():
+            for i, row in G.get(k, {}).items():
+                for j, v in row.items():
+                    acc[(i, j)] = acc.get((i, j), 0) - c * v
+        if any(acc.values()):
+            raise ValueError(
+                f"bracket relation fails for ({g.label(a)},{g.label(b)}) "
+                f"on the glue block"
+            )
+
+
 def glue_extension(bottom, top, block, kind="extension"):
     """Assemble the module bottom -> E -> top from a glueing block.
 
     E carries bottom's flag record followed by top's, shifted past bottom,
     when both are over s = g0 + g1 of the compatible grading and the block
     is zero outside g1, as ``ext1_with_representative`` builds it: then
-    g_{-1} acts on top's part of E as on top, so top's words still hold."""
+    g_{-1} acts on top's part of E as on top, so top's words still hold.
+
+    The certificate is :func:`_assert_valid_glue`, on the glue block
+    alone: its premise is that bottom and top are modules.  A Kac module
+    K(mu) (or its parity flip) is one by PBW induction, as everywhere else
+    in the library, and a bottom glued before passed this check itself,
+    so every module of a tilting sweep is certified, one glue at a time.
+    """
     g = bottom.g
     nb, nt = bottom.dim, top.dim
+    _assert_valid_glue(bottom, top, block)
     record = None
     if bottom.flag_record and top.flag_record and g.grading_kind == "compatible" and (
         bottom.flag_record[0] == top.flag_record[0]
@@ -299,7 +419,7 @@ def glue_extension(bottom, top, block, kind="extension"):
         for (i, j), v in block.get(x, {}).items():
             ent[(i, nb + j)] = v
         action[x] = SparseMatrix(nb + nt, nb + nt, ent)
-    E = ExplicitModule(
+    return ExplicitModule(
         g,
         list(bottom.weights) + list(top.weights),
         list(bottom.parities) + list(top.parities),
@@ -310,8 +430,6 @@ def glue_extension(bottom, top, block, kind="extension"):
         meta={"kind": kind},
         flag_record=record,
     )
-    assert_valid_module(E)
-    return E
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +580,19 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     so a glue at mu adds cochains only below mu.
 
     The candidates are the C^1 keys (weight, parity) of the current
-    cochain complex (``KacExtensions``) whose weight has lam's central
-    character: without a cochain there is no extension, and every Kac
-    factor of the module lies in lam's block.  Each glueing block comes
-    from a highest-weight cocycle of that complex
-    (``ext1_with_representative``).  The complex is rebuilt, and the
-    candidates re-read, only after a glue.  The certificate: every glued
-    module passes ``assert_valid_module``; each glue lowers dim Ext^1 at
-    its (mu, parity) by exactly one; Ext^1 vanishes at every dominant C^1
-    weight of the final complex, block filter or not; and the
+    cochain complex (``KacExtensions``) whose weight is dominant and has
+    lam's central character (each weight is tested once per sweep):
+    without a cochain there is no extension, and every Kac factor of the
+    module lies in lam's block.  Each glueing block comes from a
+    highest-weight cocycle of that complex (``ext1_with_representative``).
+    Only after a glue is the complex extended (``KacExtensions.extend``:
+    the old module is the glued one's submodule) and the candidates
+    re-read.  The certificate: every glued
+    module passes the glue-block check of ``glue_extension``, whose
+    premise is that its bottom and top are modules (K(mu) by PBW
+    induction, the bottom by the previous glue's check); each glue lowers
+    dim Ext^1 at its (mu, parity) by exactly one; Ext^1 vanishes at every
+    dominant C^1 weight of the final complex, block filter or not; and the
     endomorphism ring is local.  The sweep starts from the memoised K(lam)
     itself, and each glue concatenates the flag records, so ``end_ring``
     solves that ring on the Kac flag's record, never on the trivial one;
@@ -499,6 +621,13 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
         ))
     m, n = g.params
     core = _central_core(m, n, lam)
+    candidates = {}  # mu -> dominant, with lam's central character
+
+    def candidate(mu):
+        if mu not in candidates:
+            candidates[mu] = is_dominant_gl(mu, m, n) and _central_core(m, n, mu) == core
+        return candidates[mu]
+
     T = kac_module(g, lam, limits=limits)
     flag = [(lam, 0)]
     ke = KacExtensions(T, limits=limits)
@@ -508,8 +637,7 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     while True:
         below = [
             (mu, -p) for mu, p in ke.blocks
-            if (mu, -p) < bound and is_dominant_gl(mu, m, n)
-            and _central_core(m, n, mu) == core
+            if (mu, -p) < bound and candidate(mu)
         ]
         if not below:
             break
@@ -536,7 +664,7 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
             K = kac_module(g, mu, limits=limits)
             top = parity_flip(K) if p else K
             T = glue_extension(T, top, block, kind="tilting_step")
-            ke = KacExtensions(T, limits=limits)
+            ke.extend(T)
             flag.append((mu, p))
     # certification, without the block filter: nothing extends the result
     _assert_nothing_extends(ke, "extensions survive the sweep")

@@ -17,6 +17,10 @@ checked the Jacobi identity as the bracket relation of the adjoint module
 through `validate_module`: the super Jacobi identity on every ordered
 triple of basis elements, and the torus acting by the recorded weights.
 
+`cochain_matrices` assembles the differentials of a `KacExtensions`
+complex, which `src/` keeps as column views only, so that tests can
+check d1 d0 = 0 with the sparse matrix product.
+
 `ext_dimension_by_raisings` counts Ext^1 multiplicities as highest-weight
 vectors of H^1, solving for the classes the simple even raisings kill;
 `KacExtensions.ext_dimension` reads them off H^1's weight dimensions by
@@ -221,6 +225,19 @@ def jacobi_by_triples(g):
     return True
 
 
+def cochain_matrices(ke):
+    """(d0, d1) of the cochain complex ``ke`` as sparse matrices, read off
+    its column views, so a test can multiply them."""
+    n1 = len(ke.c1_basis)
+    d0 = SparseMatrix(n1, ke.M.dim, {
+        (r, i): v for i, col in enumerate(ke.d0_cols) for r, v in col.items()
+    })
+    d1 = SparseMatrix(len(ke.pairs) * ke.M.dim, n1, {
+        (r, k): v for k, col in enumerate(ke.d1_cols) for r, v in col.items()
+    })
+    return d0, d1
+
+
 def _cocycle_data(ke, cols_of, w, p):
     """(C^1 columns at (w, p), cocycle basis, coboundary basis) of the
     cochain complex ``ke``, coboundaries in block-local coordinates."""
@@ -228,8 +245,7 @@ def _cocycle_data(ke, cols_of, w, p):
     if not cols:
         return [], [], []
     local = {c: k for k, c in enumerate(cols)}
-    d1_cols = ke.d1.cols()
-    block = [d1_cols[c] for c in cols]
+    block = [ke.d1_cols[c] for c in cols]
     remap = {r: k for k, r in enumerate(sorted(set().union(*block)))}
     ent = {
         (remap[r], k): v for k, col in enumerate(block) for r, v in col.items()

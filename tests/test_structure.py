@@ -16,12 +16,15 @@ import pytest
 from supero import structure
 from supero.algebra import build_gl, build_q, install_grading
 from supero.characters import window_from_box
+from supero.cli import main as cli_main
 from supero.config import DEFAULT_LIMITS
 from supero.errors import GradingError, ResourceLimitError
 from supero.forms import _peel_factors, clifford_module, kac_module, simple_module
 from supero.homs import end_ring, hom_dims, is_isomorphic
 from supero.linalg import Echelon, SparseMatrix
-from supero.modules import copy_module, parity_flip, tau_dual, validate_module
+from supero.modules import (
+    ExplicitModule, assert_valid_module, copy_module, parity_flip, tau_dual, validate_module,
+)
 from supero.rational import QQ
 from supero.structure import (
     KacExtensions,
@@ -33,10 +36,11 @@ from supero.structure import (
     verify_kac_dual,
     verify_projective_dual,
 )
-from supero.weights import dominant_weights_in_box
+from supero.weights import dominant_weights_in_box, wscale
 
 from full_basis import (
     block_vector,
+    cochain_matrices,
     delta_flag,
     ext1_by_direct_solve,
     ext_dimension_by_raisings,
@@ -81,22 +85,25 @@ def test_d_squared_zero_gl21():
     g = gl21c()
     K = kac_module(g, (1, 0, 0))
     # the constructor asserts d^2 = 0; also check the matrix product here
-    ke = KacExtensions(K)
-    assert (ke.d1 @ ke.d0).is_zero()
+    d0, d1 = cochain_matrices(KacExtensions(K))
+    assert (d1 @ d0).is_zero()
 
 
 def test_cochain_unknowns_guard():
-    """gl(2|1) has two odd raisings, so K(1,0|0) (dim 8) needs 16 C^1
-    unknowns; one fewer allowed raises and names the knob."""
+    """gl(2|1) has two odd raisings, so K(1,0|0) (dim 8) has 16 C^1
+    unknowns; the largest (weight, parity) block holds 3 of them, and
+    allowing one fewer raises and names the block and the knob."""
     from supero.config import Limits
 
     K = kac_module(gl21c(), (1, 0, 0))
-    assert KacExtensions(K, limits=Limits(max_hom_vars=16)).d1.ncols == 16
+    ke = KacExtensions(K, limits=Limits(max_hom_vars=3))
+    assert len(ke.c1_basis) == 16
+    assert max(len(cols) for cols in ke.blocks.values()) == 3
     with pytest.raises(ResourceLimitError) as err:
-        KacExtensions(K, limits=Limits(max_hom_vars=15))
+        KacExtensions(K, limits=Limits(max_hom_vars=2))
     message = str(err.value)
-    assert "16 C^1 unknowns" in message and "module dim 8" in message
-    assert "max_hom_vars is 15" in message
+    assert "3 C^1 unknowns at weight (-1,0|2) parity 0" in message
+    assert "module dim 8" in message and "max_hom_vars is 2" in message
 
 
 def test_glue_unknowns_guard():
@@ -641,15 +648,24 @@ def test_tilting_atypical_gl11():
 
 
 def count_complexes(monkeypatch):
-    built = []
+    """The module dimension of every cochain complex the sweep makes, as
+    ("build", dim) for a construction and ("extend", dim) for an
+    extension to a glued module."""
+    events = []
     real = structure.KacExtensions
+    real_extend = real.extend
 
     def counting(module, limits):
-        built.append(module.dim)
+        events.append(("build", module.dim))
         return real(module, limits=limits)
 
+    def extending(ke, module):
+        events.append(("extend", module.dim))
+        return real_extend(ke, module)
+
     monkeypatch.setattr(structure, "KacExtensions", counting)
-    return built
+    monkeypatch.setattr(real, "extend", extending)
+    return events
 
 
 @pytest.mark.parametrize(
@@ -657,14 +673,120 @@ def count_complexes(monkeypatch):
     [(gl11, (0, 0)), (gl21c, (1, 0, 0))],
 )
 def test_tilting_builds_one_complex_per_glued_module(monkeypatch, algebra, lam):
-    built = count_complexes(monkeypatch)
+    events = count_complexes(monkeypatch)
     U = tilting_module(algebra(), lam)
     flag = U.meta["flag_bottom_up"]
     assert len(flag) == 2
-    # K(lam), then the module after each glue; the last one also
-    # answers the certification sweep
-    assert len(built) == len(flag)
-    assert built[-1] == U.dim
+    # the complex of K(lam) is built once and extended to the module
+    # after each glue; the last one also answers the certification sweep
+    assert [kind for kind, _ in events] == ["build"] + ["extend"] * (len(flag) - 1)
+    assert events[-1][1] == U.dim
+
+
+def cochains_by_key(ke):
+    """The complex of ``ke`` with every column and row named by what it
+    is: d0 per basis vector as {(x, j): entry}, d1 per cochain (x, i) as
+    {((y, z), j): entry}, and each block as its list of (x, i)."""
+    c1, npairs = ke.c1_basis, len(ke.pairs)
+    d0 = [{c1[r]: v for r, v in col.items()} for col in ke.d0_cols]
+    d1 = {
+        c1[k]: {(ke.pairs[r % npairs], r // npairs): v for r, v in col.items()}
+        for k, col in enumerate(ke.d1_cols)
+    }
+    blocks = {key: [c1[k] for k in cols] for key, cols in ke.blocks.items()}
+    return d0, d1, blocks
+
+
+# (algebra, box, sweep every weight instead of one per character orbit)
+KDT_BOXES = [
+    (algebra, box, every)
+    for algebra, box in (("gl:1,1", "--box=-3..3"), ("gl:2,1", "--box=-2..2"))
+    for every in (False, True)
+]
+
+
+def run_kdt(monkeypatch, tmp_path, algebra, box, every):
+    if every:
+        without_orbit_twist(monkeypatch)
+    code = cli_main(["verify", "--algebra", algebra, box, "--which", "kdt",
+                     "--out", str(tmp_path / "kdt.json")])
+    assert code == 0
+
+
+@pytest.mark.parametrize("algebra,box,every", KDT_BOXES)
+def test_every_glue_of_the_kdt_sweeps_passes_full_validation(
+    monkeypatch, tmp_path, algebra, box, every,
+):
+    """``glue_extension`` checks the glue block alone; every module it
+    returns on these sweeps, and every Kac top glued on, passes the full
+    bracket-relation check as well."""
+    real = structure.glue_extension
+    glued = []
+
+    def validated(bottom, top, block, kind="extension"):
+        E = real(bottom, top, block, kind=kind)
+        assert_valid_module(top)
+        assert_valid_module(E)
+        glued.append(E.dim)
+        return E
+
+    monkeypatch.setattr(structure, "glue_extension", validated)
+    run_kdt(monkeypatch, tmp_path, algebra, box, every)
+    assert glued
+
+
+@pytest.mark.parametrize("algebra,box,every", KDT_BOXES)
+def test_every_extended_complex_of_the_kdt_sweeps_equals_a_fresh_build(
+    monkeypatch, tmp_path, algebra, box, every,
+):
+    """After each glue the extended complex has the columns, the block
+    order and the H^1 dimensions of the complex built afresh from the
+    glued module; a stale H^1 value would show here."""
+    real = structure.KacExtensions.extend
+    extended = []
+
+    def compared(ke, module):
+        real(ke, module)
+        fresh = structure.KacExtensions(module, limits=ke.limits)
+        assert cochains_by_key(ke) == cochains_by_key(fresh)
+        for w, p in fresh.blocks:
+            assert ke.h1_dimension(w, p) == fresh.h1_dimension(w, p)
+        extended.append(module.dim)
+
+    monkeypatch.setattr(structure.KacExtensions, "extend", compared)
+    run_kdt(monkeypatch, tmp_path, algebra, box, every)
+    assert extended
+
+
+def test_extension_checks_d_squared_on_the_new_columns():
+    """K(2,-2) of gl(1|1) plus a bogus three-dimensional summand on which
+    the odd raising x squares to nonzero: K is a submodule, so the
+    complex extends, and d1 d0 = x.x fails on a new column."""
+    g = gl11()
+    K = kac_module(g, (2, -2))
+    x = g.id_of("e(-1,1)")
+    top = [wadd((5, -5), wscale(g.weight_of(x), k)) for k in range(3)]
+    weights, parities = list(K.weights) + top, list(K.parities) + [0, 1, 0]
+    n, nb = len(weights), K.dim
+    action = {}
+    for y in range(g.dim):
+        data = dict(K.action[y].data)
+        if y in g.t_coord:
+            data.update({(i, i): weights[i][g.t_coord[y]] for i in range(nb, n)})
+        elif y == x:
+            data.update({(nb + 1, nb): 1, (nb + 2, nb + 1): 1})
+        action[y] = SparseMatrix(n, n, data)
+    E = ExplicitModule(g, weights, parities, action)
+    ke = KacExtensions(K)
+    with pytest.raises(AssertionError, match="d\\^2 != 0"):
+        ke.extend(E)
+
+
+def test_extension_refuses_a_module_without_the_old_one_at_its_bottom():
+    g = gl11()
+    ke = KacExtensions(kac_module(g, (2, -2)))
+    with pytest.raises(ValueError, match="not a submodule"):
+        ke.extend(kac_module(g, (2, -1)))
 
 
 def tilting_golden_json(g, weights):

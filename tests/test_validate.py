@@ -13,7 +13,7 @@ import copy
 import pytest
 
 from full_basis import ordered_pair_validation
-from supero import modules
+from supero import modules, structure
 from supero.algebra import build_gl, build_q, install_grading
 from supero.forms import (
     clifford_module,
@@ -38,7 +38,7 @@ from supero.structure import (
     projective_cover,
     tilting_module,
 )
-from supero.weights import wdot
+from supero.weights import wadd, wdot
 
 
 def gl11():
@@ -228,6 +228,62 @@ def test_glue_extension_rejects_a_changed_glue_entry():
         changed[x][key] = changed[x][key] + 1
         with pytest.raises(ValueError, match="bracket relation"):
             glue_extension(bottom, top, changed)
+
+
+@pytest.mark.parametrize("algebra,lam,mu,every_position", [
+    (gl11, (2, -2), (1, -1), True),
+    (gl21c, (1, 0, 0), (1, -1, 1), False),
+])
+def test_glue_check_agrees_with_full_validation(monkeypatch, algebra, lam, mu, every_position):
+    """``glue_extension`` checks the glue block alone.  Add one to a
+    single entry of a valid glue block, at every position (gl(1|1), torus
+    and off-weight positions included) or at every weight-additive one
+    (gl(2|1)): it rejects exactly the blocks whose assembled module fails
+    the full ``validate_module``."""
+    g = algebra()
+    bottom = kac_module(g, lam)
+    top = parity_flip(kac_module(g, mu))
+    dim, block = ext1_with_representative(KacExtensions(bottom), mu, 1)
+    assert dim == 1
+    positions = [
+        (x, (i, j)) for x in range(g.dim)
+        for i in range(bottom.dim) for j in range(top.dim)
+        if every_position or bottom.weights[i] == wadd(top.weights[j], g.weight_of(x))
+    ]
+    verdicts = []
+    for x, key in [(None, None)] + positions:
+        changed = {y: dict(blk) for y, blk in block.items()}
+        if x is not None:
+            entries = changed.setdefault(x, {})
+            entries[key] = entries.get(key, 0) + 1
+        try:
+            glue_extension(bottom, top, changed)
+            accepted = True
+        except ValueError:
+            accepted = False
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr(structure, "_assert_valid_glue", lambda *args: None)
+            E = glue_extension(bottom, top, changed)
+        verdicts.append((accepted, validate_module(E)["passed"]))
+    assert all(accepted == valid for accepted, valid in verdicts)
+    assert verdicts[0] == (True, True) and (False, False) in verdicts
+
+
+def test_glue_extension_rejects_a_glue_on_the_torus(monkeypatch):
+    """Two copies of the one-dimensional gl(1|1)-module of weight (1|-1),
+    glued along e(-1,-1) - e(1,1): every bracket relation of the result
+    holds (the glue vanishes on [x, y] = e(-1,-1) + e(1,1)), but the torus
+    does not act diagonally, so it is no weight module."""
+    g = gl11()
+    C = trivial_module(g, (1, -1))
+    assert validate_module(C)["passed"]
+    block = {g.id_of("e(-1,-1)"): {(0, 0): 1}, g.id_of("e(1,1)"): {(0, 0): -1}}
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(structure, "_assert_valid_glue", lambda *args: None)
+        failures = validate_module(glue_extension(C, C, block))["failures"]
+    assert failures and all("torus" in f for f in failures)
+    with pytest.raises(ValueError, match="torus entry off the diagonal"):
+        glue_extension(C, C, block)
 
 
 def test_a_wrong_torus_entry_is_reported_as_by_evaluating_every_pair():
