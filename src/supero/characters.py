@@ -246,7 +246,7 @@ def flag_matrix(g, window, limits=DEFAULT_LIMITS):
     seen = set()
     for lam in window:
         P = projective_cover(g, lam, limits=limits)
-        mults = Counter(P.meta["flag"])
+        mults = Counter(mu for mu, _parity in P.meta["flag_bottom_up"])
         rows.append(mults)
         seen.update(mults)
     _check_support(g, window, seen)
@@ -282,6 +282,7 @@ def tilting_table(g, window, limits=DEFAULT_LIMITS):
     is empty.
     """
     window = [weight(w) for w in window]
+    _validate_window(g, window)
     left = []
     for lam in window:
         U = tilting_module(g, lam, limits=limits)

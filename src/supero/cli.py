@@ -25,6 +25,7 @@ from .algebra import (
     verify_semiinfinite,
 )
 from .characters import (
+    _validate_window,
     cartan_matrix_direct,
     cartan_matrix_via_bgg,
     decomposition_matrix,
@@ -148,8 +149,11 @@ def _report(args, command, body):
 
 def _emit(args, text):
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise WorkbenchError(f"cannot write --out {args.out}: {err.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -170,6 +174,8 @@ def _window(g, args):
         window = window_from_box(g, lo, hi, support_closure=args.closure)
     if not window:
         raise WorkbenchError("the weight window is empty")
+    if g.grading_kind == "compatible":  # Verma slices exist at every weight
+        _validate_window(g, window)
     return window
 
 

@@ -26,19 +26,16 @@ Lambda^k(g_1).v = 0 (:func:`_odd_raising_kernel`).  The maximal
 submodule is the radical of the contravariant form; ``kac_radical``
 certifies it, and simple characters and L(lam) are read off it.
 
-Tensoring with a one-dimensional module C_chi is an exact
-autoequivalence, and it carries each standard module to the one at the
-shifted weight: L0(lam) (x) C_chi = L0(lam + chi) for a character
-chi = (a^m | b^n) of the even part gl(m)+gl(n), and K(lam) (x) C_chi =
-K(lam + chi) for a character chi = c (1^m | -1^n) of g (Kac, Adv. Math.
-26, 1977), hence also L(lam) (x) C_chi = L(lam + chi).  A character
-vanishes on every bracket, so the non-torus matrices of the twist are
-the module's own: K(lam + chi) has the coordinates and the Lie-generator
-matrices of K(lam), and the same maximal submodule.  So
-``simple_even_module`` builds L0 only at lam_m = lam_{m+n} = 0 and
-``kac_module``, ``kac_radical`` and ``simple_module`` build only at
-lam_m = 0; every other weight is the representative twisted by
-``modules.twist``, whose certificate is that C_chi is a module.
+The standard modules are built once per character orbit by
+``modules.on_orbits``: tensoring with a one-dimensional module C_chi is
+an exact autoequivalence, and a character vanishes on every bracket, so
+M (x) C_chi keeps M's coordinates and non-torus matrices
+(``modules.twist``).  L0(lam) is built only at lam_m = lam_{m+n} = 0,
+for the characters (a^m | b^n) of gl(m)+gl(n) (:func:`_levi_character`);
+K(lam), L(lam), and P(lam) and U(lam) in ``structure``, only at
+lam_m = 0, for the characters c (1^m | -1^n) of g (:func:`_berezinian`;
+Kac, Adv. Math. 26, 1977).  ``kac_radical`` reads the representative's
+radical, which has the same coordinates in K(lam).
 """
 
 from itertools import combinations
@@ -54,9 +51,9 @@ from .modules import (
     induced_module,
     inflate_module,
     intertwining_ids,
+    on_orbits,
     quotient_module,
     trivial_module,
-    twist,
     word_action,
 )
 from .rational import QQ, rational_sqrt
@@ -215,7 +212,12 @@ def _levi(g):
     return g.subalgebra(h_ids, degrees=degs, family_tag="levi"), h_ids
 
 
-def _check_dominant(g, lam):
+def _check_weight(g, lam):
+    """GradingError unless g is gl with the compatible grading,
+    DominanceError unless lam is dominant for the even part: the weights
+    the standard modules are built at."""
+    if g.family != "gl" or g.grading_kind != "compatible":
+        raise GradingError("this construction needs gl with the compatible grading")
     m, n = g.params
     if not is_dominant_gl(lam, m, n):
         raise DominanceError(
@@ -226,32 +228,25 @@ def _check_dominant(g, lam):
 def _levi_character(g, lam):
     """(a^m | b^n), a = lam_m and b = lam_{m+n}: the character of
     gl(m)+gl(n) that carries the orbit representative lam - chi, whose
-    last coordinate on each side is zero, to lam."""
+    last coordinate on each side is zero, to lam.  Checks lam first
+    (:func:`_check_weight`)."""
+    _check_weight(g, lam)
     m, n = g.params
     return weight((lam[m - 1],) * m + (lam[-1],) * n)
 
 
-@memoised
+@on_orbits(_levi_character)
 def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
-    """The simple module of the even part gl(m) + gl(n) at a dominant weight.
-
-    Built exactly at the representative of lam's orbit under the
-    characters of the even part (:func:`_levi_character`): the Levi Verma
-    slice cut at the degree of w0.lam (:func:`verma_module_truncated`),
-    then the quotient by the radical of the contravariant form.  Every
-    positive Levi root has positive degree, so the slice holds every word
-    of every weight in [w0.lam, lam], which contains the support of the
-    simple quotient; a Gram block only reads higher weights, and at a
-    weight outside the support the whole weight space is radical.  Any
-    other weight of the orbit is the representative's module twisted by
-    the character, L0(lam) = L0(lam - chi) (x) C_chi (``modules.twist``).
-    The result is a module over the Levi subalgebra.
+    """The simple module of the even part gl(m) + gl(n) at a dominant
+    weight, a module over the Levi subalgebra: the Levi Verma slice cut
+    at the degree of w0.lam (:func:`verma_module_truncated`), modulo the
+    radical of the contravariant form.  Every positive Levi root has
+    positive degree, so the slice holds every word of every weight in
+    [w0.lam, lam], which contains the support of the simple quotient; a
+    Gram block only reads higher weights, and at a weight outside the
+    support the whole weight space is radical.
     """
-    _check_dominant(g, lam)
     levi, _ = even_levi(g)
-    chi = _levi_character(g, lam)
-    if any(chi):
-        return twist(simple_even_module(g, wsub(lam, chi), limits=limits), chi)
     m, n = g.params
     depth = wdot(wsub(lam, w0_action(m, n, lam)), principal_dvector(m, n))
     slice_ = verma_module_truncated(levi, lam, depth, limits=limits)
@@ -275,29 +270,18 @@ def _borel(g):
 def _berezinian(g, lam):
     """c (1^m | -1^n), c = lam_m: c times the supertrace (the weight of
     the Berezinian), the character of g that carries the orbit
-    representative lam - chi, whose coordinate m is zero, to lam.
-
-    Checks first that lam names a Kac module: GradingError unless g is
-    gl with the compatible grading, DominanceError unless lam is
-    dominant for the even part."""
-    if g.family != "gl" or g.grading_kind != "compatible":
-        raise GradingError("this induction needs gl with the compatible grading")
-    _check_dominant(g, lam)
+    representative lam - chi, whose coordinate m is zero, to lam.  Checks
+    lam first (:func:`_check_weight`)."""
+    _check_weight(g, lam)
     m, n = g.params
     c = lam[m - 1]
     return weight((c,) * m + (-c,) * n)
 
 
-@memoised
+@on_orbits(_berezinian)
 def kac_module(g, lam, limits=DEFAULT_LIMITS):
     """Induce the even-part simple V(lam) through the parabolic with the
-    odd raisings acting by zero.  Dimension 2^(m n) * dim V(lam).
-
-    Induced at the representative of lam's orbit under the characters of
-    g (:func:`_berezinian`); K(lam) = K(lam - chi) (x) C_chi elsewhere."""
-    chi = _berezinian(g, lam)
-    if any(chi):
-        return twist(kac_module(g, wsub(lam, chi), limits=limits), chi)
+    odd raisings acting by zero.  Dimension 2^(m n) * dim V(lam)."""
     m, n = g.params
     V = simple_even_module(g, lam, limits=limits)
     b_ids, parabolic = _borel(g)
@@ -368,14 +352,13 @@ def kac_radical(g, lam, limits=DEFAULT_LIMITS):
     is ch K less the weights of rad.
 
     Certified here: closing rad under the Lie generators must add no
-    vector.  Off the orbit representative, rad is the representative's:
-    K(lam) has the same basis and the same matrices for every Lie
-    generator.
+    vector.  Off the orbit representative of ``kac_module``, rad is the
+    representative's, in the same coordinates.
     """
-    chi = _berezinian(g, lam)
     K = kac_module(g, lam, limits=limits)
-    if any(chi):
-        return K, kac_radical(g, wsub(lam, chi), limits=limits)[1]
+    rep = kac_module.representative(g, lam)
+    if rep != lam:
+        return K, kac_radical(g, rep, limits=limits)[1]
     rad = tuple(_odd_raising_kernel(K))
     cols = {x: K.action[x].cols() for x in intertwining_ids(K)}
     if len(_closure_echelon(K, rad, cols)) != len(rad):
@@ -383,14 +366,10 @@ def kac_radical(g, lam, limits=DEFAULT_LIMITS):
     return K, rad
 
 
-@memoised
+@on_orbits(_berezinian)
 def simple_module(g, lam, limits=DEFAULT_LIMITS):
     """The simple highest-weight module L(lam): the quotient of the Kac
-    module K(lam) by its certified maximal submodule (``kac_radical``);
-    L(lam) = L(lam - chi) (x) C_chi off the orbit representative."""
-    chi = _berezinian(g, lam)
-    if any(chi):
-        return twist(simple_module(g, wsub(lam, chi), limits=limits), chi)
+    module K(lam) by its certified maximal submodule (``kac_radical``)."""
     K, rad = kac_radical(g, lam, limits=limits)
     return quotient_module(K, rad, kind="simple")[0]
 

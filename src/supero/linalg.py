@@ -113,9 +113,6 @@ class SparseMatrix:
             out[j][i] = v
         return out
 
-    def is_zero(self):
-        return not self.data
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)

@@ -15,9 +15,10 @@ cutoff; the validator knows which axiom instances are exact on the
 retained vectors and keeps only those.
 """
 
+from functools import wraps
 from types import MappingProxyType
 
-from .algebra import lie_generators, memo_entry
+from .algebra import lie_generators, memo_entry, memoised
 from .config import DEFAULT_LIMITS
 from .errors import ResourceLimitError, TruncationError
 from .linalg import Echelon, SparseMatrix, apply_cols, vec_add_into
@@ -29,7 +30,7 @@ from .pbw import (
     monomial_weight,
     monomials,
 )
-from .weights import wadd, weight, wneg
+from .weights import wadd, weight, wneg, wsub
 
 
 class ExplicitModule:
@@ -398,11 +399,11 @@ def twist(module, chi):
 
     chi vanishes on every bracket, so each non-torus basis element acts
     on M (x) C_chi by its matrix on M: the basis, parities, labels, meta,
-    flag record and non-torus matrices are M's (shared), the weights and
-    the highest weight shift by chi, and the torus acts by the shifted
-    weights.  Certified once per (algebra, chi) in ``g.memo``: C_chi must
-    pass ``assert_valid_module``, which holds exactly when chi vanishes
-    on every bracket.
+    flag record and non-torus matrices are M's (shared), the weights, the
+    highest weight and the Kac flag ``meta["flag_bottom_up"]`` shift by
+    chi, and the torus acts by the shifted weights.  Certified once per
+    (algebra, chi) in ``g.memo``: C_chi must pass ``assert_valid_module``,
+    which holds exactly when chi vanishes on every bracket.
     """
     g = module.g
     chi = weight(chi)
@@ -415,12 +416,43 @@ def twist(module, chi):
         coord = g.t_coord[t]
         action[t] = SparseMatrix(n, n, {(i, i): w[coord] for i, w in enumerate(weights)})
     hw = module.highest_weight
+    meta = dict(module.meta)
+    if "flag_bottom_up" in meta:
+        meta["flag_bottom_up"] = tuple((wadd(mu, chi), p) for mu, p in meta["flag_bottom_up"])
     return ExplicitModule(
         g, weights, module.parities, action, labels=module.labels,
         highest_weight=None if hw is None else wadd(hw, chi),
-        truncated=module.truncated, meta=module.meta,
-        flag_record=module.flag_record,
+        truncated=module.truncated, meta=meta, flag_record=module.flag_record,
     )
+
+
+def on_orbits(character):
+    """Memoise a builder ``(g, lam, limits) -> module`` that runs only at
+    the representative lam - chi of lam's orbit, chi = character(g, lam),
+    and answers ``twist(rep, chi)`` at every other weight.
+
+    Tensoring with C_chi is an exact autoequivalence carrying K(mu),
+    L(mu), L0(mu), Kac flags and indecomposable tilting and projective
+    modules to the same objects at mu + chi.  The twist keeps the basis
+    and every non-torus matrix, and translation keeps the lexicographic
+    order, dominance and central characters, so every certificate checked
+    at the representative holds on the orbit.  ``character`` checks the
+    requested weight before any build.  The decorated builder reads its
+    ``representative(g, lam)`` = lam - chi at every call.
+    """
+    def decorate(builder):
+        @memoised
+        @wraps(builder)
+        def build(g, lam, limits=DEFAULT_LIMITS):
+            rep = build.representative(g, lam)
+            if rep == lam:
+                return builder(g, lam, limits=limits)
+            return twist(build(g, rep, limits=limits), wsub(lam, rep))
+
+        build.representative = lambda g, lam: wsub(lam, character(g, lam))
+        return build
+
+    return decorate
 
 
 def inflate_module(module, big):

@@ -29,12 +29,12 @@ from itertools import combinations
 
 from .linalg import SparseMatrix, Echelon, _integral
 from .weights import wadd, weight, wsub, root_leq, is_dominant_gl, weyl_shifts
-from .algebra import beta_reflect, memoised, rho_weight
+from .algebra import beta_reflect, rho_weight
 from .config import DEFAULT_LIMITS
 from .errors import GradingError, ResourceLimitError
 from .modules import (
-    ExplicitModule, _torus_pair_holds, copy_module, restrict_module,
-    induced_module, dual_module, parity_flip, relation_pairs, twist, word_action,
+    ExplicitModule, _torus_pair_holds, copy_module, restrict_module, induced_module,
+    dual_module, on_orbits, parity_flip, relation_pairs, word_action,
 )
 from .forms import _berezinian, _peel_factors, even_levi, kac_module, simple_even_module
 from .homs import end_ring, fitting_decompose, hom_dims, is_isomorphic
@@ -454,7 +454,7 @@ def _cover_top(g, lam, limits):
     )
 
 
-@memoised
+@on_orbits(_berezinian)
 def projective_cover(g, lam, limits=DEFAULT_LIMITS):
     """The indecomposable projective P(lam), built as the tilting module
     Pi^p U(nu(lam)).
@@ -481,22 +481,9 @@ def projective_cover(g, lam, limits=DEFAULT_LIMITS):
     An indecomposable projective has its cosocle weight as the unique
     minimal weight of its Kac flag, so (a)-(c) make U = P(lam) up to the
     parity p of K(lam) in U's flag, which the flip moves to 0.  The meta
-    records the flag weights lexicographically descending, as a character
-    peel finds them, and U's endomorphism dimensions.
-
-    Built at the representative of lam's orbit under the characters of
-    g (``forms._berezinian``); elsewhere P(lam) = P(lam - chi) (x) C_chi,
-    its flag shifted by chi.  Tensoring with C_chi is an exact
-    autoequivalence taking K(mu) and L(mu) to K(mu + chi) and L(mu + chi)
-    and indecomposable projectives to indecomposable projectives, and the
-    twist keeps every non-torus matrix, so the representative's
-    certificate holds on the whole orbit.
+    records U's flag ``flag_bottom_up`` with each parity flipped by p, and
+    U's endomorphism dimensions.
     """
-    chi = _berezinian(g, lam)
-    if any(chi):
-        P = projective_cover(g, wsub(lam, chi), limits=limits)
-        flag = tuple(wadd(mu, chi) for mu in P.meta["flag"])
-        return copy_module(twist(P, chi), meta=dict(P.meta, flag=flag))
     nu = _cover_top(g, lam, limits)
     U = tilting_module(g, nu, limits=limits)
     flag = U.meta["flag_bottom_up"]
@@ -511,9 +498,10 @@ def projective_cover(g, lam, limits=DEFAULT_LIMITS):
         KacExtensions(dual_module(U), limits=limits),
         f"U({g.weight_str(nu)}) is not projective; Ext^1 out of it survives",
     )
-    return copy_module(parity_flip(U) if at_lam[0] else U, meta={
+    flip = at_lam[0]
+    return copy_module(parity_flip(U) if flip else U, meta={
         "kind": "projective_cover",
-        "flag": tuple(sorted((mu for mu, _ in flag), reverse=True)),
+        "flag_bottom_up": tuple((mu, (p + flip) % 2) for mu, p in flag),
         "end_even_dim": U.meta["end_even_dim"],
         "end_radical_dim": U.meta["end_radical_dim"],
     })
@@ -568,7 +556,7 @@ def _assert_nothing_extends(ke, what):
         raise AssertionError(f"{what}: {left}")
 
 
-@memoised
+@on_orbits(_berezinian)
 def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     """The indecomposable tilting module U(lam) by successive extension.
 
@@ -596,29 +584,9 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     endomorphism ring is local.  The sweep starts from the memoised K(lam)
     itself, and each glue concatenates the flag records, so ``end_ring``
     solves that ring on the Kac flag's record, never on the trivial one;
-    the result is a copy annotated with the flag (without the record).
-
-    The sweep runs only at the representative of lam's orbit under the
-    characters of g (``forms._berezinian``); elsewhere U(lam) =
-    U(lam - chi) (x) C_chi, both flags shifted by chi.  Tensoring with
-    C_chi is an exact autoequivalence taking K(mu) to K(mu + chi), and the
-    twist keeps the basis and the non-torus matrices (C_chi is certified
-    by ``modules.twist``): End(U (x) C_chi)_0 = End(U)_0 and
-    Ext^1(K(mu + chi), U (x) C_chi) = Ext^1(K(mu), U), so "nothing
-    extends", "Ext^1 drops by one per glue" and "the ring is local" on
-    the representative hold on the whole orbit.  Translation by chi keeps
-    the lexicographic order, dominance and central cores, so the shifted
-    flags are in a direct sweep's order.
+    the result is a copy annotated with the flag ``flag_bottom_up``, the
+    (mu, parity) of each glued Kac module in order (without the record).
     """
-    if g.family != "gl" or g.grading_kind != "compatible":
-        raise GradingError("tilting construction needs gl compatible grading")
-    chi = _berezinian(g, lam)
-    if any(chi):
-        U = tilting_module(g, wsub(lam, chi), limits=limits)
-        bottom_up = tuple((wadd(mu, chi), p) for mu, p in U.meta["flag_bottom_up"])
-        return copy_module(twist(U, chi), meta=dict(
-            U.meta, flag_bottom_up=bottom_up, flag=tuple(reversed(bottom_up)),
-        ))
     m, n = g.params
     core = _central_core(m, n, lam)
     candidates = {}  # mu -> dominant, with lam's central character
@@ -675,7 +643,7 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
         )
     # the top of the flag need not be a highest weight
     return copy_module(T, highest_weight=None, meta=dict(
-        T.meta, kind="tilting", flag_bottom_up=tuple(flag), flag=tuple(reversed(flag)),
+        T.meta, kind="tilting", flag_bottom_up=tuple(flag),
         end_even_dim=len(ring["basis"]), end_radical_dim=len(ring["radical"]),
     ))
 
@@ -714,5 +682,5 @@ def verify_projective_dual(g, lam, limits=DEFAULT_LIMITS):
     P = projective_cover(g, mu, limits=limits)
     U = tilting_module(g, lam, limits=limits)
     report = _duality_report(lam, P, U, limits, projective_weight=mu)
-    report["flag"] = U.meta["flag"]
+    report["flag"] = tuple(reversed(U.meta["flag_bottom_up"]))
     return report

@@ -759,7 +759,8 @@ def delta_flag(module, limits=DEFAULT_LIMITS):
 
 def projective_cover_by_splitting(g, lam, limits=DEFAULT_LIMITS):
     """P(lam) as the one Fitting summand of Ind_{g0} V(lam) with a map
-    onto L(lam), built at lam itself; its meta carries the peeled flag and
+    onto L(lam), built at lam itself; its meta carries the peeled flag
+    (``peeled_flag``, weights lexicographically descending) and
     the (even, odd) dimensions of Hom(P, L(lam)) as ``cosocle_hom``."""
     lam = weight(lam)
     big = induced_projective(g, lam, limits=limits)
@@ -772,4 +773,4 @@ def projective_cover_by_splitting(g, lam, limits=DEFAULT_LIMITS):
             f"summand flag {[g.weight_str(w) for w in flag]} does not have "
             f"{g.weight_str(lam)} as its unique minimal factor"
         )
-    return copy_module(P, meta=dict(P.meta, flag=flag, cosocle_hom=cosocle))
+    return copy_module(P, meta=dict(P.meta, peeled_flag=flag, cosocle_hom=cosocle))

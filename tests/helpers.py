@@ -16,7 +16,6 @@ from supero.algebra import same_algebra
 from supero.linalg import SparseMatrix, vec_add_into
 from supero.modules import ExplicitModule
 from supero.rational import rat_str
-from supero.weights import weight
 
 
 def ad_matrix(g, x_id, domain_ids=None):
@@ -113,11 +112,10 @@ def assert_associative(products):
 
 
 def without_orbit_twist(monkeypatch):
-    """Give ``structure.tilting_module`` and ``structure.projective_cover``
-    the zero character at every weight (after the real character's
-    grading and dominance checks), so each weight is built by its own
-    sweep instead of as the twist of its orbit representative."""
-    real = structure._berezinian
-    monkeypatch.setattr(
-        structure, "_berezinian", lambda g, lam: weight((0,) * len(real(g, lam))),
-    )
+    """Make every weight its own orbit representative for
+    ``structure.tilting_module`` and ``structure.projective_cover`` (after
+    the real character's grading and dominance checks), so each weight is
+    built by its own sweep instead of as the twist of its representative."""
+    for build in (structure.tilting_module, structure.projective_cover):
+        real = build.representative
+        monkeypatch.setattr(build, "representative", lambda g, lam, real=real: real(g, lam) and lam)

@@ -200,7 +200,7 @@ def test_criterion_8_property_suite(tmp_path):
     # the extension complex really is a complex
     for M in (kac_module(g21, (0, 0, 0)), tau_dual(kac_module(g, (2, -2)))):
         d0, d1 = cochain_matrices(KacExtensions(M))
-        assert (d1 @ d0).is_zero()
+        assert not (d1 @ d0).data
 
     # double dual is the identity up to isomorphism
     K = kac_module(g, (2, -1))

@@ -1,5 +1,7 @@
 """Character tables: decomposition, Cartan, tilting multiplicities."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +31,7 @@ from supero import (
     weyl_character,
     window_from_box,
 )
-from supero import forms
+from supero import characters, forms
 
 
 def gl11():
@@ -234,6 +236,19 @@ def test_window_rejects_duplicates():
     g = gl11()
     with pytest.raises(WindowError):
         decomposition_matrix(g, [(0, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("window,named", [
+    ([(0, 1, 0)], "window weight (0,1|0) is not dominant"),
+    ([(1, 0, 0), (1, 0, 0)], "window repeats (1,0|0)"),
+])
+def test_tilting_table_validates_its_window_before_any_build(window, named, monkeypatch):
+    """The refusal names the given weight, not its reflection beta - w0.lam."""
+    built = []
+    monkeypatch.setattr(characters, "tilting_module", lambda *a, **k: built.append(a))
+    with pytest.raises(WindowError, match=re.escape(named)):
+        tilting_table(gl21c(), window)
+    assert built == []
 
 
 def test_support_closed_window_still_validates():

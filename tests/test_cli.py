@@ -9,7 +9,7 @@ import pytest
 
 from helpers import without_orbit_twist
 from supero import forms, homs, structure
-from supero.cli import main
+from supero.cli import WHICH_CHOICES, main
 from supero.config import DEFAULT_LIMITS
 from supero.weights import parse_weight
 
@@ -133,6 +133,34 @@ def test_verify_empty_window_is_usage_error(capsys, which):
         assert code == 2, window
         assert out == ""
         assert "window is empty" in err
+
+
+@pytest.mark.parametrize("which", WHICH_CHOICES)
+@pytest.mark.parametrize("weights,named", [
+    ("(1,0|0);(1,0|0)", "window repeats (1,0|0)"),
+    ("(1.5,0|0)", "window weight (3/2,0|0) is not dominant"),
+])
+def test_every_pipeline_refuses_a_malformed_window_by_the_given_weight(
+    capsys, which, weights, named,
+):
+    code, out, err = run(
+        capsys, "verify", "--algebra", "gl:2,1", "--weights", weights, "--which", which,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"window error: {named}\n"
+
+
+@pytest.mark.parametrize("which", WHICH_CHOICES)
+def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path, which):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--algebra", "gl:1,1", "--box=0..0", "--which", which,
+        "--out", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: cannot write --out {target}: No such file or directory\n"
 
 
 def test_decompose_json_embeds_config(capsys):
@@ -426,6 +454,21 @@ def test_decompose_principal_grading_uses_depth(capsys):
     )
     assert code == 0
     assert out == "(1|-1)\t(1|-1)\t1\n(1|-1)\t(0|0)\t1\n"
+
+
+def test_decompose_principal_grading_takes_a_weight_that_is_not_dominant(capsys):
+    """Verma slices exist at every weight, so only windows of the
+    compatible grading must be dominant."""
+    code, out, _ = run(
+        capsys,
+        "decompose",
+        "--algebra", "gl:2,1",
+        "--grading", "principal",
+        "--weights", "(0,1|0)",
+        "--depth", "1",
+    )
+    assert code == 0
+    assert out == "(0,1|0)\t(0,1|0)\t1\n"
 
 
 def test_decompose_negative_depth_is_usage_error(capsys):

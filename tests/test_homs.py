@@ -442,7 +442,7 @@ def assert_cover_matches_matrix_route(g, lams, monkeypatch):
         assert len(built) <= 1  # only the summand it returns
         old, cosocle = matrix_route_cover(g, lam)
         assert P.super_character() == old.super_character()
-        assert P.meta["flag"] == delta_flag(old)
+        assert P.meta["peeled_flag"] == delta_flag(old)
         assert P.meta["cosocle_hom"] == cosocle
         r = is_isomorphic(P, old)
         assert r["isomorphic"] and r["parity"] == 0

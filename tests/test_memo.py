@@ -87,10 +87,10 @@ def test_action_matrices_refuse_writes():
 @pytest.mark.parametrize("name", ["projective_cover", "tilting_module"])
 def test_flags_refuse_appends(name):
     M = BUILDERS[name](gl21c(), GLUED)
-    flag = M.meta["flag"]
+    flag = M.meta["flag_bottom_up"]
     with pytest.raises(AttributeError):
         flag.append(flag[0])
-    assert BUILDERS[name](gl21c(), GLUED).meta["flag"] == flag
+    assert BUILDERS[name](gl21c(), GLUED).meta["flag_bottom_up"] == flag
 
 
 def test_memo_hands_out_one_module_per_key():

@@ -8,12 +8,15 @@ attribute access; a local variable of the same name does not count, nor
 does the re-export list in ``__init__.py``), a demo, a ``python`` or
 ``sh`` code block of the README (the Layout block is prose) or a
 ``perfbench/`` script (which also looks functions up by name, so its
-strings count).  Methods are not checked, because their names collide
-across classes.
+strings count).  The same holds for a method whose name only one library
+class defines (dunder methods aside): a reference to the name anywhere
+outside the method counts, since a name two classes share cannot be
+traced to one of them.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,14 +83,30 @@ def _defined_names(node):
     return []
 
 
-def orphans():
-    """(module, name) for every top-level definition nothing else uses."""
-    trees = {
+def _methods(tree):
+    """(class name, method node) for every method of a top-level class,
+    dunder methods aside."""
+    return [
+        (cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    ]
+
+
+def _trees():
+    return {
         p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
         if p.name != "__init__.py"
     }
+
+
+def orphans(trees):
+    """(module, name) for every top-level definition of the library's
+    module trees that nothing else uses, and (module, class.method) for
+    every method with a name of its own that nothing else uses."""
     refs = {stem: _imported(tree) for stem, tree in trees.items()}
     external = _external_references()
+    owners = Counter(node.name for tree in trees.values() for _, node in _methods(tree))
     found = []
     for stem, tree in trees.items():
         elsewhere = external.union(*(r for s, r in refs.items() if s != stem))
@@ -95,8 +114,22 @@ def orphans():
             for name in _defined_names(node):
                 if name not in elsewhere and name not in _references(tree, skip=node):
                     found.append((stem, name))
+        for cls, node in _methods(tree):
+            if owners[node.name] == 1 and node.name not in elsewhere | _references(tree, skip=node):
+                found.append((stem, f"{cls}.{node.name}"))
     return found
 
 
 def test_no_top_level_helper_only_tests_use():
-    assert not orphans(), f"library definitions only tests use: {orphans()}"
+    found = orphans(_trees())
+    assert not found, f"library definitions only tests use: {found}"
+
+
+def test_the_method_check_sees_a_method_only_tests_use():
+    """A method added to one class under a name of its own, and called by
+    no library code, is reported."""
+    trees = _trees()
+    tree = trees["linalg"]
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SparseMatrix")
+    cls.body.append(ast.parse("def only_tests_call_this(self):\n    return 0").body[0])
+    assert orphans(trees) == [("linalg", "SparseMatrix.only_tests_call_this")]

@@ -127,7 +127,7 @@ def test_half_integral_orbit_is_twisted_exactly():
     for name in ("tilting_module", "projective_cover"):
         got = [module_bytes(getattr(structure, name)(g, mu)) for mu in weights]
         assert got == swept_directly(name, (1, 1), weights)
-        assert len(getattr(structure, name)(g, lam).meta["flag"]) == 2
+        assert len(getattr(structure, name)(g, lam).meta["flag_bottom_up"]) == 2
 
 
 def test_a_character_that_does_not_vanish_on_brackets_is_refused(monkeypatch):
@@ -135,10 +135,11 @@ def test_a_character_that_does_not_vanish_on_brackets_is_refused(monkeypatch):
     value 1 on it.  A split that hands it to the twist is refused by the
     twist's certificate, and nothing is stored under the weight."""
     g = gl(2, 1)
-    real = forms._berezinian
+    real = kac_module.representative
     bad = weight((1, 0, 0))
     monkeypatch.setattr(
-        forms, "_berezinian", lambda g, lam: bad if lam == bad else real(g, lam),
+        kac_module, "representative",
+        lambda g, lam: (0, 0, 0) if lam == bad else real(g, lam),
     )
     with pytest.raises(ValueError, match="module validation failed"):
         kac_module(g, bad)
