@@ -5,7 +5,7 @@ sources are kept: the product formula (Weyl characters for the even part
 times the odd-root factor) and the weight census of explicitly built
 modules; tests require them to agree.  A simple character is the census
 of K(lam) less the weights of its certified maximal submodule, read off
-the odd raisings (``forms.kac_radical``), so the decomposition matrix
+the simple raisings (``forms.kac_radical``), so the decomposition matrix
 never builds L(lam).
 
 Windows are ordered lists of dominant weights, lexicographically
@@ -18,14 +18,16 @@ would silently misreport the numbers the identities quantify over.
 from collections import Counter
 
 from .rational import as_int
-from .linalg import SparseMatrix
 from .weights import dominant_weights_in_box, is_dominant_gl, wadd, weight
 from .algebra import beta_reflect
 from .config import DEFAULT_LIMITS
 from .errors import (
     DominanceError, GradingError, ResourceLimitError, WindowError,
 )
-from .forms import _peel_factors, simple_character, verma_module_truncated
+from .forms import (
+    _peel_factors, _raising_rows, _simple_raisings, simple_character,
+    verma_module_truncated,
+)
 from .structure import projective_cover, tilting_module
 
 
@@ -136,10 +138,12 @@ def window_from_box(g, lo, hi, support_closure=True):
     return sorted(window, reverse=True)
 
 
-def _validate_window(g, window):
+def _validate_window(g, window, dominant=True):
+    """WindowError naming a weight that repeats, or, with dominant, one
+    that is not dominant."""
     seen = set()
     for w in window:
-        if not is_dominant_gl(w, *g.params):
+        if dominant and not is_dominant_gl(w, *g.params):
             raise WindowError(f"window weight {g.weight_str(w)} is not dominant")
         if w in seen:
             raise WindowError(f"window repeats {g.weight_str(w)}")
@@ -315,30 +319,25 @@ def verma_decomposition_truncated(g, lam, depth, limits=DEFAULT_LIMITS):
     """Singular-vector counts per weight in the depth-truncated Verma.
 
     Each entry (mu, k) is a depth-limited lower bound: k independent
-    vectors of weight mu are annihilated by every raising operator, so at
-    least that many highest-weight factors occur there.  Raisings move up
-    in degree, hence act exactly on the truncation.  Raises
-    ResourceLimitError when a weight space has more than max_hom_vars
-    unknowns.
+    vectors of weight mu are annihilated by every simple raising, hence
+    by n+, so at least that many highest-weight factors occur there.
+    Raisings move up in degree, hence act exactly on the truncation; the
+    rows are those of ``forms.maximal_submodule``, with nothing to reduce
+    modulo.  Raises ResourceLimitError when a weight space has more than
+    max_hom_vars unknowns.
     """
     M = verma_module_truncated(g, lam, depth, limits=limits)
-    pos = g.positive_ids()
-    cols = {x: M.action[x].cols() for x in pos}
+    raisings = dict.fromkeys(_simple_raisings(g))
+    cols = {x: M.action[x].cols() for x in raisings}
     out = []
     for w, idxs in sorted(M.weight_spaces().items(), reverse=True):
         if len(idxs) > limits.max_hom_vars:
             raise ResourceLimitError(
                 f"singular-vector system at {g.weight_str(w)} has "
-                f"{len(idxs)} unknowns and {len(pos) * M.dim} equations; "
+                f"{len(idxs)} unknowns and {len(raisings) * M.dim} equations; "
                 f"max_hom_vars is {limits.max_hom_vars}"
             )
-        ent = {}
-        for r, x in enumerate(pos):
-            for k, i in enumerate(idxs):
-                for j, c in cols[x][i].items():
-                    ent[(r * M.dim + j, k)] = c
-        mat = SparseMatrix(len(pos) * M.dim, len(idxs), ent)
-        sing = len(idxs) - mat.rank()
+        sing = len(idxs) - _raising_rows(cols, idxs, raisings).rank()
         if sing:
             out.append((w, sing))
     return out

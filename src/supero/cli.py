@@ -13,7 +13,9 @@ budget was exhausted before an answer was certified.
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 
 from . import __version__
@@ -147,6 +149,16 @@ def _report(args, command, body):
     }
 
 
+def _check_out(path):
+    """Usage error, before any work and creating nothing, unless the
+    directory of --out exists and is writable; ``_emit`` still maps an
+    OSError that opening the file raises later."""
+    parent = os.path.dirname(path) or "."
+    if not os.access(parent, os.W_OK):
+        code = errno.EACCES if os.path.isdir(parent) else errno.ENOENT
+        raise WorkbenchError(f"cannot write --out {path}: {os.strerror(code)}")
+
+
 def _emit(args, text):
     if getattr(args, "out", None):
         try:
@@ -166,6 +178,8 @@ def _window(g, args):
     if g.family != "gl":
         raise WorkbenchError("weight windows are defined for gl(m|n) only")
     if args.weights is not None:
+        if args.closure:
+            raise WorkbenchError("--closure extends a --box window only, not --weights")
         window = [
             _parse_weight(g, p) for p in args.weights.split(";") if p.strip()
         ]
@@ -174,8 +188,8 @@ def _window(g, args):
         window = window_from_box(g, lo, hi, support_closure=args.closure)
     if not window:
         raise WorkbenchError("the weight window is empty")
-    if g.grading_kind == "compatible":  # Verma slices exist at every weight
-        _validate_window(g, window)
+    # Verma slices exist at every weight
+    _validate_window(g, window, dominant=g.grading_kind == "compatible")
     return window
 
 
@@ -204,6 +218,8 @@ def cmd_check_semiinfinite(args):
 def cmd_decompose(args):
     if args.depth is not None and args.depth < 0:
         raise WorkbenchError(f"--depth must be >= 0, got {args.depth}")
+    if args.depth is not None and args.grading != "principal":
+        raise WorkbenchError("--depth applies to the principal grading only")
     g = _build_algebra(args.algebra, args.grading)
     limits = args.limits
     window = _window(g, args)
@@ -395,6 +411,8 @@ def main(argv=None):
             parser.error(f"{args.command} needs --box or --weights")
     try:
         args.limits = _limits(args)
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except WindowError as err:
         print(f"window error: {err}", file=sys.stderr)

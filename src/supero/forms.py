@@ -1,4 +1,5 @@
-"""Contravariant forms and the standard highest-weight constructions.
+"""Contravariant forms, maximal submodules and the standard
+highest-weight constructions.
 
 The contravariant form on a cyclic highest-weight module is computed by
 peeling: every weight space below the top is spanned by images of higher
@@ -10,21 +11,16 @@ pushes each pairing up to an already-known block.  The form starts from
 the identity pairing on the top weight space; ranks of the per-weight
 Gram blocks are independent of that normalization.
 
-On top of the form sit the standard constructions: truncated Verma
-slices (words cut at one degree), simple modules of the even part (the
-Levi Verma slice cut at the degree of w0.lam, followed by the form
-quotient), the finite induced modules built from them, and the exact
-Clifford modules for the q-type Cartan.
+Every simple quotient is read off the simple raisings x, the basis
+elements whose weight has height 1 (:func:`maximal_submodule`).  Let M
+be generated by a one-dimensional top M_lam, and N the largest
+submodule that misses it.  For v at mu != lam the M_lam part of U(g).v
+is U(n+)_{lam-mu}.v, and U(n+)_+ = sum U(n+) x as the x generate n+; so
+v lies in N iff every x.v does.  N is the radical of the form.
 
-The maximal submodule of a Kac module K(lam) = Lambda(g_-1) (x) L0(lam)
-is read off the odd raisings, without the form (Kac, Adv. Math. 26,
-1977).  Take v of Kac degree -k.  By PBW, U(g) = U(g_-1) U(g_0) U(g_1),
-and K has no positive degree, so the degree-0 part of U(g).v is
-U(g_0).Lambda^k(g_1).v.  The top layer 1 (x) L0(lam) is a simple
-g_0-module that generates K(lam), so U(g).v is proper iff
-Lambda^k(g_1).v = 0 (:func:`_odd_raising_kernel`).  The maximal
-submodule is the radical of the contravariant form; ``kac_radical``
-certifies it, and simple characters and L(lam) are read off it.
+On top sit the standard constructions: truncated Verma slices, the even
+simples L0(lam) (a Levi slice modulo N), Kac modules K(lam), their simple
+quotients L(lam) = K(lam)/N, and Clifford modules for the q-type Cartan.
 
 The standard modules are built once per character orbit by
 ``modules.on_orbits``: tensoring with a one-dimensional module C_chi is
@@ -38,15 +34,14 @@ Kac, Adv. Math. 26, 1977).  ``kac_radical`` reads the representative's
 radical, which has the same coordinates in K(lam).
 """
 
-from itertools import combinations
+from itertools import product
 
 from .algebra import memo_entry, memoised, principal_dvector, w0_action
 from .config import DEFAULT_LIMITS
 from .errors import CliffordWeightError, DominanceError, GradingError
-from .linalg import SparseMatrix, apply_cols
+from .linalg import Echelon, SparseMatrix, apply_cols
 from .modules import (
     ExplicitModule,
-    _closure_echelon,
     copy_module,
     induced_module,
     inflate_module,
@@ -54,36 +49,40 @@ from .modules import (
     on_orbits,
     quotient_module,
     trivial_module,
-    word_action,
 )
 from .rational import QQ, rational_sqrt
-from .weights import height, is_dominant_gl, root_leq, wdot, weight, wsub
+from .weights import height, is_dominant_gl, root_leq, wadd, wdot, weight, wsub, wzero
 
 
 class ContravariantForm:
     """Per-weight Gram blocks of the contravariant form on a module."""
 
-    __slots__ = ("module", "gram", "_ranks")
+    __slots__ = ("module", "gram")
 
     def __init__(self, module, gram):
         self.module = module
         self.gram = gram
-        self._ranks = None
 
     def ranks(self):
-        if self._ranks is None:
-            self._ranks = {w: mat.rank() for w, mat in self.gram.items()}
-        return self._ranks
+        return {w: mat.rank() for w, mat in self.gram.items()}
 
-    def radical_vectors(self):
-        """Canonical homogeneous basis of the radical, in module coordinates."""
-        out = []
-        spaces = self.module.weight_spaces()
-        for w in sorted(self.gram, reverse=True):
-            idx = spaces[w]
-            for kvec in self.gram[w].kernel_basis():
-                out.append({idx[k]: c for k, c in kvec.items()})
-        return out
+
+def _check_top(module):
+    """The recorded highest weight lam of a module and its weight spaces;
+    ValueError unless lam has vectors and every weight lies below it."""
+    g = module.g
+    lam = module.highest_weight
+    if lam is None:
+        raise ValueError("module has no recorded highest weight")
+    spaces = module.weight_spaces()
+    if lam not in spaces:
+        raise ValueError(f"highest weight {g.weight_str(lam)} has no vectors")
+    for w in spaces:
+        if not root_leq(w, lam):
+            raise ValueError(
+                f"weight {g.weight_str(w)} is not below the top {g.weight_str(lam)}"
+            )
+    return lam, spaces
 
 
 def contravariant_form(module):
@@ -97,18 +96,7 @@ def contravariant_form(module):
     g = module.g
     if g.transpose is None:
         raise ValueError(f"{g.family}{g.params} has no transpose map")
-    lam = module.highest_weight
-    if lam is None:
-        raise ValueError("module has no recorded highest weight")
-    spaces = module.weight_spaces()
-    if lam not in spaces:
-        raise ValueError(f"highest weight {g.weight_str(lam)} has no vectors")
-    for w in spaces:
-        if not root_leq(w, lam):
-            raise ValueError(
-                f"weight {g.weight_str(w)} is not below the top {g.weight_str(lam)}"
-            )
-
+    lam, spaces = _check_top(module)
     order = sorted(spaces, key=lambda w: height(w, lam))
     views = {x: mat.cols() for x, mat in module.action.items()}
     gram = {lam: SparseMatrix.identity(len(spaces[lam]))}
@@ -178,17 +166,68 @@ def contravariant_form(module):
     return ContravariantForm(module, gram)
 
 
-def form_quotient(module, kind=None):
-    """Quotient by the radical of the contravariant form.
+def _simple_raisings(g):
+    """The basis ids whose weight has height 1 in the root order: the
+    simple root vectors, which generate n+ of g's distinguished Borel and
+    of the Levi's Borel."""
+    zero = wzero(g.weight_len)
+    return [
+        x for x in range(g.dim)
+        if root_leq(zero, g.weight_of(x)) and height(zero, g.weight_of(x)) == 1
+    ]
 
-    For an untruncated highest-weight module this is the simple quotient.
-    Returns (quotient, projection).
+
+def _raising_rows(cols, idx, modulo):
+    """The matrix of v -> (x.v)_x on the weight space idx, a row per pair
+    (x, coordinate) that some x.v reaches, with x.v reduced modulo the
+    ``Echelon`` modulo[x] unless that is None."""
+    rows, data = {}, {}
+    for c, i in enumerate(idx):
+        for x, found in modulo.items():
+            image = cols[x][i]
+            if found is not None and image:
+                image = found.reduce(image)
+            for t, v in image.items():
+                data[(rows.setdefault((x, t), len(rows)), c)] = v
+    return SparseMatrix(len(rows), len(idx), data)
+
+
+def maximal_submodule(module):
+    """Canonical basis of the maximal submodule N of a module generated
+    by a one-dimensional top weight space, as K(lam) and Verma slices are
+    by PBW: vectors in module coordinates, weights descending.
+
+    v below the top lies in N iff x.v does for every simple raising x
+    (module docstring), so, weights descending, N_mu is the kernel of the
+    x.v reduced modulo N at mu + wt(x) (:func:`_raising_rows`; raisings
+    are exact on slices).  ``kernel_basis`` is canonical: these are the
+    vectors of the radical of the contravariant form.  Certified per
+    weight: every Lie-generator image of a vector of N lies in N at its
+    weight (AssertionError otherwise).
     """
-    rad = contravariant_form(module).radical_vectors()
-    quot, proj = quotient_module(module, rad, kind=kind)
-    if quot.dim != module.dim - len(rad):
-        raise AssertionError("form radical failed to be a submodule")
-    return quot, proj
+    g = module.g
+    lam, spaces = _check_top(module)
+    if len(spaces[lam]) != 1:
+        raise ValueError(f"the top weight space {g.weight_str(lam)} has "
+                         f"dimension {len(spaces[lam])}, not 1")
+    cols = {x: mat.cols() for x, mat in module.action.items()}
+    raisings = _simple_raisings(g)
+    found = {lam: Echelon()}
+    out = []
+    for mu, idx in sorted(spaces.items(), reverse=True)[1:]:  # every weight is below lam
+        modulo = {x: found.get(wadd(mu, g.weight_of(x))) for x in raisings}
+        part = [
+            {idx[c]: v for c, v in kvec.items()}
+            for kvec in _raising_rows(cols, idx, modulo).kernel_basis()
+        ]
+        found[mu] = Echelon(part)
+        out.extend(part)
+    for v, x in product(out, intertwining_ids(module)):
+        image = apply_cols(cols[x], v)
+        if image and not found[module.weights[min(image)]].contains(image):
+            raise AssertionError(f"maximal submodule failed to be a submodule: "
+                                 f"{g.label(x)} moves a vector out of it")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +278,16 @@ def _levi_character(g, lam):
 def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
     """The simple module of the even part gl(m) + gl(n) at a dominant
     weight, a module over the Levi subalgebra: the Levi Verma slice cut
-    at the degree of w0.lam (:func:`verma_module_truncated`), modulo the
-    radical of the contravariant form.  Every positive Levi root has
-    positive degree, so the slice holds every word of every weight in
-    [w0.lam, lam], which contains the support of the simple quotient; a
-    Gram block only reads higher weights, and at a weight outside the
-    support the whole weight space is radical.
+    at the degree of w0.lam (:func:`verma_module_truncated`) modulo its
+    maximal submodule.  Every positive Levi root has positive degree, so
+    the slice holds every weight in [w0.lam, lam], the support of the
+    quotient, which is therefore not truncated.
     """
     levi, _ = even_levi(g)
     m, n = g.params
     depth = wdot(wsub(lam, w0_action(m, n, lam)), principal_dvector(m, n))
     slice_ = verma_module_truncated(levi, lam, depth, limits=limits)
-    V, _ = form_quotient(slice_, kind="simple_even")
-    # the support of the simple lies inside the slice
+    V, _ = quotient_module(slice_, maximal_submodule(slice_), kind="simple_even")
     return copy_module(V, truncated=False)
 
 
@@ -296,74 +332,16 @@ def kac_module(g, lam, limits=DEFAULT_LIMITS):
     return K
 
 
-def _odd_raising_kernel(K):
-    """Canonical basis of the maximal submodule of a Kac module K, in
-    module coordinates, weights descending: the vectors and the order of
-    ``contravariant_form(K).radical_vectors()``.
-
-    A vector v at weight mu and Kac degree -k, k the length of its word
-    in K's one-block flag record, lies in it iff x_J.v = 0 for every
-    k-subset J of the odd raisings (proof in the module docstring).  Each
-    x_J.v lies in the top layer, basis indices 0..fdim-1, so the weight
-    space's part is the kernel of one matrix with rows (J, top index);
-    ``kernel_basis`` reads it off the reduced echelon form with a unit at
-    each free column, so any matrix with this kernel gives these vectors.
-
-    Raises ValueError unless K carries the one-block flag record of a
-    module induced from g_0 + g_1, and AssertionError if some x_J.v
-    leaves the top layer.
-    """
-    g = K.g
-    record = K.flag_record
-    if (record is None or len(record[1]) != 1 or g.grading_kind != "compatible"
-            or tuple(record[0]) != tuple(_borel(g)[0])):
-        raise ValueError(
-            "the odd raisings decide the maximal submodule only on a Kac "
-            "module with its one-block flag record"
-        )
-    _, ((_, fdim, words),) = record
-    raisings = g.positive_ids()
-    cols = {x: K.action[x].cols() for x in raisings}
-    out = []
-    for mu, idx in sorted(K.weight_spaces().items(), reverse=True):
-        subsets = list(combinations(raisings, len(words[idx[0] // fdim])))
-        rows, data = {}, {}  # only the rows (J, t) some x_J.v reaches
-        for c, i in enumerate(idx):
-            image = word_action(cols, {i: 1})
-            for J in subsets:
-                for t, v in image(J).items():
-                    if t >= fdim:
-                        raise AssertionError(
-                            f"odd raising {J} of vector {i} at "
-                            f"{g.weight_str(mu)} leaves the top layer"
-                        )
-                    data[(rows.setdefault((J, t), len(rows)), c)] = v
-        for kvec in SparseMatrix(len(rows), len(idx), data).kernel_basis():
-            out.append({idx[c]: v for c, v in kvec.items()})
-    return out
-
-
 @memoised
 def kac_radical(g, lam, limits=DEFAULT_LIMITS):
-    """(K, rad): the Kac module K(lam) and the canonical basis of its
-    maximal submodule (a tuple), the vectors of Kac degree -k that
-    Lambda^k(g_1) kills (:func:`_odd_raising_kernel`), which span the
-    radical of the contravariant form.  So L(lam) = K/rad, and ch L(lam)
-    is ch K less the weights of rad.
-
-    Certified here: closing rad under the Lie generators must add no
-    vector.  Off the orbit representative of ``kac_module``, rad is the
-    representative's, in the same coordinates.
-    """
+    """(K, rad): K(lam) and its certified maximal submodule, so L(lam) =
+    K/rad (:func:`maximal_submodule`).  Off the orbit representative of
+    ``kac_module``, rad is the representative's, in the same coordinates."""
     K = kac_module(g, lam, limits=limits)
     rep = kac_module.representative(g, lam)
     if rep != lam:
         return K, kac_radical(g, rep, limits=limits)[1]
-    rad = tuple(_odd_raising_kernel(K))
-    cols = {x: K.action[x].cols() for x in intertwining_ids(K)}
-    if len(_closure_echelon(K, rad, cols)) != len(rad):
-        raise AssertionError("Kac radical failed to be a submodule")
-    return K, rad
+    return K, maximal_submodule(K)
 
 
 @on_orbits(_berezinian)
@@ -376,9 +354,8 @@ def simple_module(g, lam, limits=DEFAULT_LIMITS):
 
 def simple_character(g, lam, limits=DEFAULT_LIMITS):
     """ch L(lam): ch K(lam) less one e^wt(v) for each vector v of the
-    certified maximal submodule of K(lam) (:func:`kac_radical`), the
-    vectors of Kac degree -k that Lambda^k(g_1) kills; no quotient
-    module is built."""
+    certified maximal submodule of K(lam) (:func:`kac_radical`); no
+    quotient module is built."""
     K, rad = kac_radical(g, lam, limits=limits)
     ch = K.character()
     for v in rad:

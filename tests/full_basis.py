@@ -21,6 +21,10 @@ triple of basis elements, and the torus acting by the recorded weights.
 complex, which `src/` keeps as column views only, so that tests can
 check d1 d0 = 0 with the sparse matrix product.
 
+`form_radical` is the radical of the contravariant form, a canonical
+basis read off its Gram blocks; `forms.maximal_submodule` reads the same
+vectors off the simple raisings instead.
+
 `ext_dimension_by_raisings` counts Ext^1 multiplicities as highest-weight
 vectors of H^1, solving for the classes the simple even raisings kill;
 `KacExtensions.ext_dimension` reads them off H^1's weight dimensions by
@@ -44,7 +48,9 @@ from itertools import chain, product
 from supero.config import DEFAULT_LIMITS
 from supero.algebra import same_algebra
 from supero.errors import DominanceError, GradingError, ResourceLimitError
-from supero.forms import even_levi, kac_module, simple_even_module, simple_module
+from supero.forms import (
+    contravariant_form, even_levi, kac_module, simple_even_module, simple_module,
+)
 from supero.homs import (
     _canonical_basis, _combine, _divide_linear, _primitive_idempotents,
     _rational_roots, _summand, end_ring, hom_space,
@@ -125,6 +131,19 @@ def full_basis_hom_space(src, dst, parity):
         SparseMatrix(dst.dim, src.dim, {variables[var]: c for var, c in kvec.items()})
         for kvec in mat.kernel_basis()
     ]
+
+
+def form_radical(module):
+    """Canonical basis of the radical of the contravariant form, in
+    module coordinates: the kernel basis of each Gram block, weights
+    descending."""
+    form = contravariant_form(module)
+    spaces = module.weight_spaces()
+    return tuple(
+        {spaces[w][k]: c for k, c in kvec.items()}
+        for w in sorted(form.gram, reverse=True)
+        for kvec in form.gram[w].kernel_basis()
+    )
 
 
 def full_basis_closure(module, vectors):

@@ -130,7 +130,7 @@ def test_simple_character_dimensions_gl11():
 @pytest.mark.parametrize("character_first", [True, False])
 @pytest.mark.parametrize("m,n,lo,hi", [(1, 1, -3, 3), (2, 1, -2, 2), (3, 1, 0, 1)])
 def test_simple_character_is_the_census_of_the_simple_module(m, n, lo, hi, character_first):
-    """ch L(lam) read off the form radical equals the weight census of the
+    """ch L(lam) read off the maximal submodule equals the weight census of the
     quotient module, whichever of the two a fresh algebra builds first."""
     g = install_grading(build_gl(m, n), "compatible")
     weights = dominant_weights_in_box(m, n, lo, hi)
@@ -147,15 +147,16 @@ def test_simple_character_is_the_census_of_the_simple_module(m, n, lo, hi, chara
 
 @pytest.mark.parametrize("build", [simple_character, simple_module])
 def test_a_radical_that_is_no_submodule_is_refused(build, monkeypatch):
-    """Both routes to L(lam) run the closure certificate of the radical:
-    a top vector slipped into the radical of K(lam) generates all of it."""
-    real = forms._odd_raising_kernel
+    """Both routes to L(lam) run the certificate of ``maximal_submodule``:
+    with the odd simple raising left out of its rows, vectors of K(lam)
+    that it moves up out of the maximal submodule are taken into it."""
+    real = forms._simple_raisings
 
-    def with_top(K):
-        return real(K) + [{K.weight_space(K.highest_weight)[0]: 1}]
+    def even_only(g):
+        return [x for x in real(g) if not g.parity(x)]
 
-    monkeypatch.setattr(forms, "_odd_raising_kernel", with_top)
-    with pytest.raises(AssertionError, match="Kac radical failed to be a submodule"):
+    monkeypatch.setattr(forms, "_simple_raisings", even_only)
+    with pytest.raises(AssertionError, match="maximal submodule failed to be a submodule"):
         build(gl21c(), (1, 0, 0))
 
 

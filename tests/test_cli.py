@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import without_orbit_twist
-from supero import forms, homs, structure
+from supero import cli, forms, homs, structure
 from supero.cli import WHICH_CHOICES, main
 from supero.config import DEFAULT_LIMITS
 from supero.weights import parse_weight
@@ -163,6 +163,69 @@ def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path, which):
     assert err == f"usage error: cannot write --out {target}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("command", sorted(WINDOWED))
+def test_an_out_in_a_missing_directory_is_refused_before_any_work(
+    command, capsys, tmp_path, monkeypatch,
+):
+    """The directory of --out is checked before the algebra is built, and
+    nothing is created on disk."""
+    def no_build(*args):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(cli, "_build_algebra", no_build)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys, command, "--algebra", "gl:2,2", *WINDOWED[command], "--out", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: cannot write --out {target}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_that_opens_late_is_still_a_usage_error(capsys, tmp_path):
+    """A directory passes the early check on its parent; opening it after
+    the verdict fails, and that is a usage error too."""
+    code, out, err = run(
+        capsys, "verify", "--algebra", "gl:1,1", "--box=0..0", "--which", "kdt",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert err == f"usage error: cannot write --out {tmp_path}: Is a directory\n"
+
+
+def test_decompose_depth_needs_the_principal_grading(capsys):
+    code, out, err = run(
+        capsys, "decompose", "--algebra", "gl:2,1", "--box=0..0", "--depth", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --depth applies to the principal grading only\n"
+
+
+@pytest.mark.parametrize("grading", ["principal", "compatible"])
+def test_decompose_refuses_a_repeated_weight_under_every_grading(grading, capsys):
+    depth = ("--depth", "1") if grading == "principal" else ()
+    code, out, err = run(
+        capsys, "decompose", "--algebra", "gl:2,1", "--grading", grading,
+        "--weights", "(0,0|0);(0,0|0)", *depth,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "window error: window repeats (0,0|0)\n"
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_closure_with_explicit_weights_is_usage_error(command, capsys):
+    which = ("--which", "kdt") if command == "verify" else ()
+    code, out, err = run(
+        capsys, command, "--algebra", "gl:2,1", "--weights", "(1,0|0)", "--closure", *which,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --closure extends a --box window only, not --weights\n"
+
+
 def test_decompose_json_embeds_config(capsys):
     code, out, _ = run(
         capsys,
@@ -228,7 +291,6 @@ def test_verify_half_integral_weights_matches_golden(capsys):
         "verify",
         "--algebra", "gl:1,1",
         "--weights", "(1/2|-1/2);(-1/2|1/2);(3/2|-3/2)",
-        "--closure",
         "--which", "all",
     )
     assert code == 0, err
@@ -298,7 +360,7 @@ def test_no_pipeline_solves_a_recorded_source_on_the_trivial_record(
     ("verify", "--algebra", "gl:2,1", "--box=-1..1", "--which", "bgg"),
 ])
 def test_no_pipeline_builds_simple_modules(argv, monkeypatch, capsys):
-    """Decomposition matrices read simple characters off the form radical,
+    """Decomposition matrices read simple characters off the maximal submodule,
     and projective covers are tilting modules certified without a map onto
     L(lam): no pipeline asks for L(lam) or forms the quotient K/rad."""
     calls, simples = [], []
@@ -328,19 +390,20 @@ def test_kac_modules_and_levi_slices_are_built_once_per_character_orbit(monkeypa
     radicals, which fall into 41 and 36 orbits under the characters
     c(1,1|-1) of g, and for 127 simples L0 of the even part, which fall
     into 6 orbits under its characters (a,a|b).  Each orbit is induced,
-    and its radical read off the odd raisings, once, at lam_2 = 0; each
-    L0 orbit is formed once, at lam_2 = lam_3 = 0.  The rest are twists,
-    and only the Levi slices have a contravariant form computed."""
-    radicals, forms_on, kac_inductions = [], [], []
-    real_kernel, real_form = forms._odd_raising_kernel, forms.contravariant_form
+    and its maximal submodule read off the simple raisings, once, at
+    lam_2 = 0; each L0 orbit is cut from its Levi slice once, at
+    lam_2 = lam_3 = 0.  The rest are twists, and no contravariant form
+    is computed."""
+    maximal, forms_on, kac_inductions = [], [], []
+    real_maximal, real_form = forms.maximal_submodule, forms.contravariant_form
     real_induced = forms.induced_module
 
-    def kernel_spy(K):
-        radicals.append(K.highest_weight)
-        return real_kernel(K)
+    def maximal_spy(module):
+        maximal.append((module.meta["kind"], module.highest_weight))
+        return real_maximal(module)
 
     def form_spy(module):
-        forms_on.append((module.meta["kind"], module.highest_weight))
+        forms_on.append(module.highest_weight)
         return real_form(module)
 
     def induced_spy(g, sub_ids, fiber, **kwargs):
@@ -348,17 +411,19 @@ def test_kac_modules_and_levi_slices_are_built_once_per_character_orbit(monkeypa
             kac_inductions.append(kwargs["highest_weight"])
         return real_induced(g, sub_ids, fiber, **kwargs)
 
-    monkeypatch.setattr(forms, "_odd_raising_kernel", kernel_spy)
+    monkeypatch.setattr(forms, "maximal_submodule", maximal_spy)
     monkeypatch.setattr(forms, "contravariant_form", form_spy)
     monkeypatch.setattr(forms, "induced_module", induced_spy)
     code, _, err = run(
         capsys, "verify", "--algebra", "gl:2,1", "--box=-2..2", "--which", "kdt",
     )
     assert code == 0, err
-    assert len(radicals) == len(set(radicals)) == 36
-    assert all(lam[1] == 0 for lam in radicals)
-    assert len(forms_on) == len(set(forms_on)) == 6
-    assert all(kind == "verma_slice" and lam[1] == lam[2] == 0 for kind, lam in forms_on)
+    assert len(maximal) == len(set(maximal)) == 36 + 6
+    radicals = [lam for kind, lam in maximal if kind == "kac"]
+    slices = [lam for kind, lam in maximal if kind == "verma_slice"]
+    assert len(radicals) == 36 and all(lam[1] == 0 for lam in radicals)
+    assert len(slices) == 6 and all(lam[1] == lam[2] == 0 for lam in slices)
+    assert forms_on == []
     assert len(kac_inductions) == len(set(kac_inductions)) == 41
     assert all(lam[1] == 0 for lam in kac_inductions)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supero.algebra import build_gl, build_q, install_grading
+from supero.algebra import build_gl, build_q, install_grading, principal_dvector, w0_action
 from supero.characters import even_character
 from supero.config import Limits
 from supero.errors import (
@@ -22,33 +22,28 @@ from supero.errors import (
     ResourceLimitError,
 )
 from supero.forms import (
-    _odd_raising_kernel,
     clifford_module,
     contravariant_form,
-    form_quotient,
+    even_levi,
     kac_module,
     kac_radical,
+    maximal_submodule,
     simple_even_module,
     simple_module,
     verma_module_truncated,
 )
-from supero.modules import ExplicitModule, parity_flip, submodule_module, validate_module
+from supero.modules import ExplicitModule, quotient_module, submodule_module, validate_module
 from supero.rational import QQ
-from supero.structure import (
-    KacExtensions,
-    _central_core,
-    ext1_with_representative,
-    glue_extension,
-)
-from supero.weights import dominant_weights_in_box
+from supero.structure import _central_core
+from supero.weights import dominant_weights_in_box, wdot, wsub
 
-from full_basis import act_word, induced_projective
+from full_basis import act_word, form_radical, induced_projective
 from helpers import direct_sum
 
 
 def is_nondegenerate(form):
-    spaces = form.module.weight_spaces()
-    return all(form.ranks()[w] == len(spaces[w]) for w in form.gram)
+    spaces, ranks = form.module.weight_spaces(), form.ranks()
+    return all(ranks[w] == len(spaces[w]) for w in form.gram)
 
 
 def gl11():
@@ -246,7 +241,7 @@ def test_atypical_kac_has_radical():
     K = kac_module(g, (3, -3))
     form = contravariant_form(K)
     assert not is_nondegenerate(form)
-    L, _ = form_quotient(K)
+    L, _ = quotient_module(K, form_radical(K))
     assert L.dim == 1
     assert validate_module(L)["passed"]
 
@@ -258,7 +253,7 @@ def test_simple_quotient_character_gl21():
     """K(0,0|0) for gl(2|1): the trivial module is its top quotient."""
     g = gl21c()
     K = kac_module(g, (0, 0, 0))
-    L, _ = form_quotient(K)
+    L, _ = quotient_module(K, form_radical(K))
     assert L.dim < K.dim
     assert L.weight_space((QQ(0), QQ(0), QQ(0)))
     assert validate_module(L)["passed"]
@@ -279,7 +274,7 @@ def test_simple_natural_gl31():
     assert validate_module(L)["passed"]
 
 
-# -- the Kac radical off the odd raisings ----------------------------------
+# -- maximal submodules off the simple raisings ----------------------------
 
 
 def orbit_representatives(m, n, lo, hi):
@@ -289,18 +284,28 @@ def orbit_representatives(m, n, lo, hi):
     return g, [lam for lam in dominant_weights_in_box(m, n, lo, hi) if lam[m - 1] == 0]
 
 
+def levi_slice(g, lam):
+    """The Levi Verma slice ``simple_even_module`` cuts L0(lam) from."""
+    m, n = g.params
+    depth = wdot(wsub(lam, w0_action(m, n, lam)), principal_dvector(m, n))
+    return verma_module_truncated(even_levi(g)[0], lam, depth)
+
+
 @pytest.mark.parametrize("m,n,lo,hi,count", [
     (1, 1, -3, 3, 7), (2, 1, -2, 2, 15), (1, 2, -2, 2, 15),
     (3, 1, -1, 1, 9), (2, 2, -1, 1, 12), (3, 2, 0, 1, 9),
 ])
 def test_kac_radical_is_the_form_radical(m, n, lo, hi, count):
-    """ker Lambda^k(g_1) into the top layer is the radical of the
-    contravariant form, vector for vector and in the same order."""
+    """The maximal submodule read off the simple raisings is the radical
+    of the contravariant form, vector for vector and in the same order,
+    on K(lam) and on the Levi slice L0(lam) is cut from."""
     g, reps = orbit_representatives(m, n, lo, hi)
     assert len(reps) == count
     for lam in reps:
         K, rad = kac_radical(g, lam)
-        assert repr(rad) == repr(tuple(contravariant_form(K).radical_vectors()))
+        assert repr(rad) == repr(form_radical(K))
+        slice_ = levi_slice(g, lam)
+        assert repr(maximal_submodule(slice_)) == repr(form_radical(slice_))
 
 
 @pytest.mark.parametrize("a", [-2, 0, 1, 3])
@@ -325,33 +330,16 @@ def test_kac_module_is_simple_iff_typical(m, n, lo, hi):
         assert (kac_radical(g, lam)[1] == ()) == typical, lam
 
 
-def test_odd_raising_kernel_needs_a_kac_flag_record():
-    """A glued Kac flag (two blocks, the tilting module U(0|0) of gl(1|1))
-    and a truncated Verma slice (no record) are refused."""
-    g = gl11()
-    K = kac_module(g, (0, 0))
-    top = parity_flip(kac_module(g, (-1, 1)))
-    _, block = ext1_with_representative(KacExtensions(K), (-1, 1), 1)
-    U = glue_extension(K, top, block)
-    assert len(U.flag_record[1]) == 2
-    with pytest.raises(ValueError, match="one-block flag record"):
-        _odd_raising_kernel(U)
-    slice_ = verma_module_truncated(install_grading(build_gl(1, 1), "principal"), (0, 0), 2)
-    with pytest.raises(ValueError, match="one-block flag record"):
-        _odd_raising_kernel(slice_)
-
-
-def test_odd_raising_kernel_refuses_a_raising_that_leaves_the_top():
-    """A record whose words are out of order makes the lower vector of
-    K(2|-1) claim Kac degree 0: its own image leaves the top layer."""
-    K = kac_module(gl11(), (2, -1))
-    s, ((offset, fdim, words),) = K.flag_record
-    swapped = ExplicitModule(
-        K.g, K.weights, K.parities, K.action, highest_weight=K.highest_weight,
-        flag_record=(s, ((offset, fdim, words[::-1]),)),
+def test_maximal_submodule_needs_a_one_dimensional_top():
+    """Two copies of K(0|0) of gl(1|1) under one recorded highest weight
+    are refused: the simple raisings decide nothing there."""
+    K = kac_module(gl11(), (0, 0))
+    M = direct_sum(K, K)
+    M = ExplicitModule(
+        M.g, M.weights, M.parities, M.action, highest_weight=K.highest_weight,
     )
-    with pytest.raises(AssertionError, match="leaves the top layer"):
-        _odd_raising_kernel(swapped)
+    with pytest.raises(ValueError, match=r"top weight space \(0\|0\) has dimension 2"):
+        maximal_submodule(M)
 
 
 # -- truncated slices ------------------------------------------------------
@@ -396,7 +384,7 @@ def test_form_rejects_weights_above_top():
 def test_form_detects_non_cyclic():
     g = gl11()
     K = kac_module(g, (0, 0))
-    L, _ = form_quotient(K)
+    L, _ = quotient_module(K, form_radical(K))
     sub, _ = submodule_module(K, [{1: 1}])
     M = direct_sum(L, sub)
     M = ExplicitModule(
