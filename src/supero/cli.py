@@ -150,17 +150,17 @@ def _report(args, command, body):
 
 
 def _check_out(path):
-    """Usage error, before any work and creating nothing, unless the
-    directory of --out exists and is writable; ``_emit`` still maps an
-    OSError that opening the file raises later."""
+    """Usage error, before any work and creating nothing, unless the path
+    is not empty and the directory of --out exists and is writable;
+    ``_emit`` still maps an OSError that opening the file raises later."""
     parent = os.path.dirname(path) or "."
-    if not os.access(parent, os.W_OK):
-        code = errno.EACCES if os.path.isdir(parent) else errno.ENOENT
+    if not path or not os.access(parent, os.W_OK):
+        code = errno.EACCES if path and os.path.isdir(parent) else errno.ENOENT
         raise WorkbenchError(f"cannot write --out {path}: {os.strerror(code)}")
 
 
 def _emit(args, text):
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)

@@ -1,5 +1,5 @@
-"""Hom spaces between explicit modules, Fitting decomposition and the
-isomorphism certificate.
+"""Hom spaces between explicit modules, the isomorphism certificate and
+Fitting decomposition.
 
 A parity-p morphism F: M -> N preserves weights, shifts parities by p,
 and intertwines the action of every x up to the sign (-1)^{p |x|}.  One
@@ -39,7 +39,14 @@ on the record.  Each basis map is one at its own free entry and zero at
 the others, so the structure constants of A = End(M)_0 are entries of
 products of basis maps.
 
-Decomposition works inside A, on those constants (the idempotent view of
+Isomorphism is decided, not searched for, by one rule: when one side has
+a local even endomorphism ring, an isomorphism exists iff some element of
+the canonical hom basis is invertible (proof at ``is_isomorphic``).  Every
+module the pipelines compare has such a side: K(mu) has a simple top, and
+a tilting module or projective cover is certified local when built.
+
+``fitting_decompose`` is a library tool that no pipeline calls.  It
+works inside A, on its structure constants (the idempotent view of
 Lux-Szoke, Experiment. Math. 16 (2007), and Holt-Eick-O'Brien, Handbook
 of Computational Group Theory (2005), 7.5).  The summand im E of an
 idempotent E of A has the corner E A E as its even endomorphism ring and
@@ -52,11 +59,6 @@ search for z is deterministic (the corner's basis, then sums of two
 basis elements); a provably non-local corner it cannot split is a
 resource error, never a pass.  Matrices are formed only for the summands
 ``fitting_decompose`` returns.
-
-Isomorphism is decided, not searched for: when one side has a local even
-endomorphism ring, an isomorphism exists iff some element of the
-canonical hom basis is invertible (proof at ``is_isomorphic``); otherwise
-both sides are decomposed and their summands matched (Krull-Schmidt).
 """
 
 from itertools import chain
@@ -487,10 +489,12 @@ def is_isomorphic(src, dst, allow_parity_flip=False, limits=DEFAULT_LIMITS):
     F_i is an isomorphism, then id = sum a_i phi^-1 F_i; the non-units of
     a local ring form its radical, so some phi^-1 F_i is a unit and F_i
     has full rank (argue with F_i phi^-1 when dst is the local side).  An
-    empty basis, or a single singular element, answers no without a ring.
-    When neither side is local both are split by ``fitting_decompose``
-    and the summands matched greedily by the same rule (Krull-Schmidt);
-    the witness is the sum of include_b F project_a over matched pairs.
+    empty basis, or a single singular element, answers no without a ring;
+    otherwise a local side is certified by ``end_ring``, src first, and
+    ValueError is raised when neither side is local.  The rule is
+    symmetric, so both argument orders give the same answer and parity;
+    the Hom is solved on src's flag record, so callers put the recorded
+    side first.
     """
     if not same_algebra(src.g, dst.g):
         raise ValueError("modules live over different algebras")
@@ -506,58 +510,20 @@ def is_isomorphic(src, dst, allow_parity_flip=False, limits=DEFAULT_LIMITS):
     if not parities:
         return _verdict("character mismatch")
 
-    summands = None
+    local = False  # a local side, once certified
     for s in parities:
         basis = hom_space(src, dst, parity=s, limits=limits)
-        F = _invertible_element(basis, src.dim)
+        F = next((F for F in basis if F.rank() == src.dim), None)
         if F is not None:
             return _verdict("invertible morphism in the hom basis", F, s)
-        if len(basis) < 2:  # Hom_s is zero or spanned by a singular map
-            continue
-        if summands is None:
-            summands = _summands_unless_local(src, dst, limits)
-        if summands:
-            W = _match_summands(*summands, src.dim, s, limits)
-            if W is not None:
-                return _verdict("summands matched by invertible morphisms", W, s)
+        if len(basis) > 1 and not local:
+            local = any(end_ring(M, limits=limits)["local"] for M in (src, dst))
+            if not local:
+                raise ValueError(
+                    "is_isomorphic needs a side with a local even endomorphism "
+                    "ring; neither side is local"
+                )
     return _verdict("no invertible morphism exists")
-
-
-def _invertible_element(basis, n):
-    return next((F for F in basis if F.rank() == n), None)
-
-
-def _summands_unless_local(src, dst, limits):
-    """Fitting summands of both sides, or () when either side is local."""
-    a = fitting_decompose(src, limits=limits)
-    if len(a) == 1:
-        return ()
-    b = fitting_decompose(dst, limits=limits)
-    if len(b) == 1:
-        return ()
-    return a, b
-
-
-def _match_summands(src_recs, dst_recs, n, s, limits):
-    """A parity-s isomorphism assembled from summand isomorphisms, or None
-    when some summand of the source has no partner."""
-    W = SparseMatrix(n, n)
-    free = list(dst_recs)
-    for ra in src_recs:
-        A = ra["module"]
-        for rb in free:
-            if rb["module"].dim != A.dim:
-                continue
-            F = _invertible_element(
-                hom_space(A, rb["module"], parity=s, limits=limits), A.dim
-            )
-            if F is not None:
-                W = W + rb["include"] @ F @ ra["project"]
-                free.remove(rb)
-                break
-        else:
-            return None
-    return W
 
 
 def _verdict(reason, witness=None, parity=None):

@@ -48,8 +48,9 @@ class ExplicitModule:
     ``(offset, fdim, words)``, vector ``offset + k * fdim + j`` is
     ``words[k] . v_j`` for the fiber vector ``v_j = offset + j``
     (``words[0] = ()``).  :func:`induced_module` writes one block,
-    ``structure.glue_extension`` concatenates two records and
-    :func:`parity_flip` keeps one; it is None on every other module.
+    ``structure.glue_extension`` concatenates two records, and
+    :func:`parity_flip`, :func:`twist` and :func:`copy_module` keep one:
+    a record is a fact about the basis and the action, which they share.
     """
 
     __slots__ = (
@@ -378,8 +379,8 @@ def copy_module(module, **changes):
     """The same module with some of ``highest_weight``, ``truncated`` and
     ``meta`` replaced.
 
-    The copy shares the algebra, the basis and the action matrices; it
-    never carries the flag record.
+    The copy shares the algebra, the basis, the action matrices and the
+    flag record.
     """
     fields = dict(
         highest_weight=module.highest_weight, truncated=module.truncated,
@@ -390,7 +391,7 @@ def copy_module(module, **changes):
     fields.update(changes)
     return ExplicitModule(
         module.g, module.weights, module.parities, module.action,
-        labels=module.labels, **fields,
+        labels=module.labels, flag_record=module.flag_record, **fields,
     )
 
 

@@ -37,7 +37,7 @@ from .modules import (
     dual_module, on_orbits, parity_flip, relation_pairs, word_action,
 )
 from .forms import _berezinian, _peel_factors, even_levi, kac_module, simple_even_module
-from .homs import end_ring, fitting_decompose, hom_dims, is_isomorphic
+from .homs import end_ring, hom_dims, is_isomorphic
 
 
 # ---------------------------------------------------------------------------
@@ -508,31 +508,35 @@ def projective_cover(g, lam, limits=DEFAULT_LIMITS):
 
 
 def projective_cover_h(halg, fiber, limits=DEFAULT_LIMITS):
-    """Projective cover of a Cartan-type module for the q-family Cartan.
+    """Projective cover of the simple module u(lam) of the q-family Cartan
+    h = h0 + h1 (``forms.clifford_module``), by one induction.
 
-    Induces the fiber from the even torus part through the full Cartan
-    (odd letters first), then selects the Fitting summand that still maps
-    onto the fiber.
+    On u(lam) the odd c of h1 anticommute and c^2 = [c, c]/2 acts by a
+    scalar, lam_i for c_i.  The c with a nonzero square generate a
+    semisimple Clifford algebra C and the others an exterior algebra, so u
+    is projective over s = h0 + C and P = Ind_s^h u is projective (odd
+    letters first).  The certificate: End(P)_0 is local, so P is
+    indecomposable, and Hom(P, u) != 0, so P covers u.
     """
+    lam = fiber.weights[0]
     t_ids = sorted(halg.t_coord)
-    sub = halg.subalgebra(t_ids)
-    fib = restrict_module(fiber, sub)
-    odd = [i for i in range(halg.dim) if i not in set(t_ids)]
-    keyf = lambda i: (halg.degree_of(i) if halg.degrees else 0, i)
-    order = sorted(odd, key=keyf) + sorted(t_ids, key=keyf)
-    big = induced_module(
-        halg, t_ids, fib, order=order, kind="cartan_projective", limits=limits,
+    odd = [x for x in range(halg.dim) if x not in halg.t_coord]
+    clifford = [
+        x for x in odd
+        if sum(c * lam[halg.t_coord[t]] for t, c in halg.bracket(x, x).items())
+    ]
+    free = [x for x in odd if x not in clifford]
+    sub_ids = t_ids + clifford
+    P = induced_module(
+        halg, sub_ids, restrict_module(fiber, halg.subalgebra(sub_ids)),
+        order=free + clifford + t_ids, kind="cartan_projective", limits=limits,
     )
-    recs = fitting_decompose(big, limits=limits)
-    hits = []
-    for rec in recs:
-        ev, od = hom_dims(rec["module"], fiber, limits=limits)
-        if ev + od > 0:
-            hits.append(rec)
-    if not hits:
-        raise AssertionError("no summand maps onto the fiber")
-    P = hits[0]["module"]
-    return copy_module(P, meta=dict(P.meta, summands=len(recs)))
+    local = end_ring(P, limits=limits)["local"]
+    if not local or not sum(hom_dims(P, fiber, limits=limits)):
+        raise AssertionError(
+            f"Ind of u({halg.weight_str(lam)}) is not a local module mapping onto it"
+        )
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +588,8 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     endomorphism ring is local.  The sweep starts from the memoised K(lam)
     itself, and each glue concatenates the flag records, so ``end_ring``
     solves that ring on the Kac flag's record, never on the trivial one;
-    the result is a copy annotated with the flag ``flag_bottom_up``, the
-    (mu, parity) of each glued Kac module in order (without the record).
+    the result is a copy, record kept, annotated with the flag
+    ``flag_bottom_up``, the (mu, parity) of each glued Kac module in order.
     """
     m, n = g.params
     core = _central_core(m, n, lam)
@@ -654,9 +658,11 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
 
 def _duality_report(lam, dualised, target, limits, **partner):
     """The report of both duality checks: dualised^* against target,
-    ``partner`` naming the weight beta - w0.lam on the other side."""
+    ``partner`` naming the weight beta - w0.lam on the other side.  The
+    Hom is solved out of target, K(mu) or U(lam), on its Kac-flag record;
+    a dual carries none, and the isomorphism rule is symmetric."""
     D = dual_module(dualised)
-    result = is_isomorphic(D, target, allow_parity_flip=True, limits=limits)
+    result = is_isomorphic(target, D, allow_parity_flip=True, limits=limits)
     return {
         "weight": lam,
         **partner,

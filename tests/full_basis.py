@@ -41,6 +41,11 @@ took before it built P(lam) as a tilting module: induce V(lam) from the
 even part alone (`induced_projective`, dimension 4^(m n) dim V(lam)),
 keep the one Fitting summand with a map onto L(lam) (`summand_onto`) and
 peel its Kac flag off its character (`delta_flag`).
+
+`cartan_cover_by_splitting` is the route `structure.projective_cover_h`
+took before it induced u(lam) from h0 plus the odd Cartan elements with
+a nonzero square: induce from h0 alone (`cartan_induced`) and keep the
+first Fitting summand with a map onto u(lam).
 """
 
 from itertools import chain, product
@@ -53,10 +58,12 @@ from supero.forms import (
 )
 from supero.homs import (
     _canonical_basis, _combine, _divide_linear, _primitive_idempotents,
-    _rational_roots, _summand, end_ring, hom_space,
+    _rational_roots, _summand, end_ring, fitting_decompose, hom_dims, hom_space,
 )
 from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into
-from supero.modules import _truncation_guard, copy_module, induced_module, submodule_module
+from supero.modules import (
+    _truncation_guard, copy_module, induced_module, restrict_module, submodule_module,
+)
 from supero.rational import QQ
 from supero.weights import root_leq, wadd, weight, wsub
 
@@ -793,3 +800,24 @@ def projective_cover_by_splitting(g, lam, limits=DEFAULT_LIMITS):
             f"{g.weight_str(lam)} as its unique minimal factor"
         )
     return copy_module(P, meta=dict(P.meta, peeled_flag=flag, cosocle_hom=cosocle))
+
+
+def cartan_induced(halg, fiber, limits=DEFAULT_LIMITS):
+    """Ind_{h0}^h of a module over the q-family Cartan h, odd letters
+    first."""
+    t_ids = sorted(halg.t_coord)
+    odd = [x for x in range(halg.dim) if x not in halg.t_coord]
+    return induced_module(
+        halg, t_ids, restrict_module(fiber, halg.subalgebra(t_ids)),
+        order=odd + t_ids, kind="cartan_projective", limits=limits,
+    )
+
+
+def cartan_cover_by_splitting(halg, fiber, limits=DEFAULT_LIMITS):
+    """The first Fitting summand of ``cartan_induced`` with a nonzero map
+    onto fiber."""
+    recs = fitting_decompose(cartan_induced(halg, fiber, limits=limits), limits=limits)
+    return next(
+        rec["module"] for rec in recs
+        if sum(hom_dims(rec["module"], fiber, limits=limits))
+    )

@@ -1,6 +1,7 @@
 """Character tables: decomposition, Cartan, tilting multiplicities."""
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ from supero import (
     weyl_character,
     window_from_box,
 )
-from supero import characters, forms
+from supero import characters, forms, structure
 
 
 def gl11():
@@ -275,6 +276,31 @@ def test_gl21_decomposition_entries():
         ((0, 0, -1), (-1, -1, 1)),
         ((0, -1, -1), (-1, -1, 0)),
     }
+
+
+def atypicality(m, n, lam):
+    """The number of atypical pairs that ``_central_core`` cancels."""
+    xs, _ = structure._central_core(m, n, lam)
+    return m - len(xs)
+
+
+@pytest.mark.parametrize("m, n, lo, hi", [
+    (1, 1, -3, 3), (2, 1, -2, 2), (1, 2, -2, 2), (2, 2, -1, 1),
+])
+def test_kac_factors_meet_the_calibration_invariants(m, n, lo, hi):
+    """Every [K(lam) : L(mu)] is 0 or 1; a typical K(lam) is simple, an
+    atypicality-1 K(lam) has two factors and, on gl(2|2), an
+    atypicality-2 K(lam) three, four or five."""
+    g = install_grading(build_gl(m, n), "compatible")
+    counts = Counter()
+    for lam in dominant_weights_in_box(m, n, lo, hi):
+        factors = forms._peel_factors(g, lam, Limits())
+        assert set(factors.values()) == {1}, lam
+        counts[atypicality(m, n, lam), len(factors)] += 1
+    allowed = {0: {1}, 1: {2}, 2: {3, 4, 5}}
+    assert all(k in allowed[a] for a, k in counts), counts
+    if (m, n) == (2, 2):
+        assert counts == {(0, 1): 6, (1, 2): 24, (2, 3): 3, (2, 4): 1, (2, 5): 2}
 
 
 # -- Cartan matrices: predicted against assembled --------------------------

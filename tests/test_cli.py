@@ -152,8 +152,9 @@ def test_every_pipeline_refuses_a_malformed_window_by_the_given_weight(
 
 
 @pytest.mark.parametrize("which", WHICH_CHOICES)
-def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path, which):
-    target = tmp_path / "missing" / "report.json"
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-directory", "empty"])
+def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path, which, missing):
+    target = tmp_path / "missing" / "report.json" if missing else ""
     code, out, err = run(
         capsys, "verify", "--algebra", "gl:1,1", "--box=0..0", "--which", which,
         "--out", str(target),
@@ -306,6 +307,16 @@ def test_verify_gl22_tilting_matches_golden(capsys):
     )
     assert code == 0, err
     assert out == (GOLDEN / "gl22_tilting.json").read_text()
+
+
+def test_verify_gl22_projective_duality_matches_golden(capsys):
+    """gl(2|2) pdual on box -1..1: each P(beta - w0.lam)^* against U(lam),
+    the Hom solved out of U on its Kac-flag record."""
+    code, out, err = run(
+        capsys, "verify", "--algebra", "gl:2,2", "--box=-1..1", "--which", "pdual",
+    )
+    assert code == 0, err
+    assert out == (GOLDEN / "gl22_pdual.json").read_text()
 
 
 def test_verify_gl22_reciprocity_on_the_box_around_zero(capsys):

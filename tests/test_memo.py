@@ -99,11 +99,11 @@ def test_memo_hands_out_one_module_per_key():
         assert build(g, GLUED) is build(g, qq(GLUED))
 
 
-def test_copy_module_shares_the_action_and_drops_the_induction_record():
+def test_copy_module_shares_the_action_and_the_flag_record():
     K = kac_module(gl21c(), GLUED)
     assert K.flag_record is not None
     C = copy_module(K, highest_weight=None, meta={"kind": "copy"})
-    assert C.flag_record is None and C.highest_weight is None
+    assert C.flag_record is K.flag_record and C.highest_weight is None
     assert dict(C.meta) == {"kind": "copy"} and dict(K.meta)["kind"] == "kac"
     assert (C.weights, C.parities, C.labels, C.truncated) == (
         K.weights, K.parities, K.labels, K.truncated,
@@ -144,7 +144,8 @@ def test_tilting_takes_the_adjunction_route_when_nothing_glues(monkeypatch):
     g = gl21c()
     U = tilting_module(g, UNGLUED)
     assert seen == [kac_module(g, UNGLUED)]
-    assert U.flag_record is None and U.meta["flag_bottom_up"] == ((qq(UNGLUED), 0),)
+    assert U.flag_record is kac_module(g, UNGLUED).flag_record
+    assert U.meta["flag_bottom_up"] == ((qq(UNGLUED), 0),)
     assert U.meta["end_even_dim"] - U.meta["end_radical_dim"] == 1
 
 

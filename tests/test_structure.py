@@ -40,6 +40,7 @@ from supero.weights import dominant_weights_in_box, wscale
 
 from full_basis import (
     block_vector,
+    cartan_cover_by_splitting,
     cochain_matrices,
     delta_flag,
     ext1_by_direct_solve,
@@ -949,7 +950,6 @@ def test_q1_cover_of_trivial_weight():
     u = clifford_module(h, (0,))
     P = projective_cover_h(h, u)
     assert P.dim == 2
-    assert P.meta["summands"] == 1
     assert end_ring(P)["local"]
     assert hom_dims(P, u) == (1, 0)
 
@@ -968,4 +968,21 @@ def test_q2_cover_dimensions():
     u = clifford_module(h, (1, -1))
     P = projective_cover_h(h, u)
     assert P.dim == 2
-    assert P.meta["summands"] == 4
+    assert end_ring(P)["local"]
+    assert hom_dims(P, u) == (1, 0)
+
+
+@pytest.mark.parametrize("lam", [
+    (0,), (1,),
+    (1, -1), (1, 0), (0, 0), (1, -4),
+    (1, -1, 2), (1, 0, 0), (0, 0, 0), (1, -1, 0),
+    (1, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (1, -1, 2, -2), (1, -1, 2, 0),
+])
+def test_q_cover_matches_the_fitting_route(lam):
+    """One induction against the Fitting summand of Ind_{h0} u(lam) that
+    maps onto u(lam): isomorphic, with parity 0."""
+    h = q_cartan(len(lam))
+    u = clifford_module(h, lam)
+    P = projective_cover_h(h, u)
+    r = is_isomorphic(P, cartan_cover_by_splitting(h, u))
+    assert r["isomorphic"] and r["parity"] == 0
