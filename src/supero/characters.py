@@ -227,18 +227,13 @@ def decomposition_matrix(g, window, limits=DEFAULT_LIMITS):
 def cartan_matrix_via_bgg(D):
     """Predicted Cartan matrix D^T D; always symmetric."""
     k = len(D.weights)
-    out = [
+    return [
         [
             sum(D.entries[r][i] * D.entries[r][j] for r in range(k))
             for j in range(k)
         ]
         for i in range(k)
     ]
-    for i in range(k):
-        for j in range(i):
-            if out[i][j] != out[j][i]:
-                raise AssertionError("product of a matrix with itself skewed")
-    return out
 
 
 def flag_matrix(g, window, limits=DEFAULT_LIMITS):

@@ -151,12 +151,17 @@ def _report(args, command, body):
 
 def _check_out(path):
     """Usage error, before any work and creating nothing, unless the path
-    is not empty and the directory of --out exists and is writable;
-    ``_emit`` still maps an OSError that opening the file raises later."""
+    is not empty, is not a directory, and the directory of --out exists
+    and is writable; ``_emit`` still maps an OSError that opening the file
+    raises later."""
     parent = os.path.dirname(path) or "."
-    if not path or not os.access(parent, os.W_OK):
+    if path and os.path.isdir(path):
+        code = errno.EISDIR
+    elif not path or not os.access(parent, os.W_OK):
         code = errno.EACCES if path and os.path.isdir(parent) else errno.ENOENT
-        raise WorkbenchError(f"cannot write --out {path}: {os.strerror(code)}")
+    else:
+        return
+    raise WorkbenchError(f"cannot write --out {path}: {os.strerror(code)}")
 
 
 def _emit(args, text):

@@ -17,12 +17,13 @@ class Limits:
         map on the fiber vectors of the source's flag record; every
         weight-matched entry when the source has none), in each
         (weight, parity) block of the C^1 of the extension cochain
-        complex and in each singular-vector system
-        of a truncated Verma module.  Library-only: no CLI flag sets it.
+        complex, in each glue-cocycle system (fiber dim x block
+        unknowns) and in each singular-vector system of a truncated
+        Verma module.  Library-only: no CLI flag sets it.
     iteration_budget: cap on the first-extension evaluations of one
         tilting sweep (one per candidate weight and parity of lam's
-        block, plus one after each glue) and on the peeling steps of one
-        Kac flag.
+        block, plus one after each glue), the only library code that
+        reads it.
     """
 
     max_module_dim: int = 4096

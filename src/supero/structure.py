@@ -8,7 +8,8 @@ caller).  By Eckmann-Shapiro, Ext^1(K(mu), M) = Hom_{g0}(L0(mu), H^1):
 * ``KacExtensions.ext_dimension`` reads its dimension off the dimensions
   of H^1's weight spaces by Weyl's character formula.  The complex is
   built once per M, and each weight space of H^1 costs two rank counts;
-  after a glue M -> E -> K(mu) it is extended to E, not rebuilt.
+  ``KacExtensions.glue`` glues K(mu) onto M and grows the complex to the
+  glued module E, not rebuilt.
 * ``ext1_with_representative`` builds a glueing block for a nonzero
   class from a g0-highest-weight cocycle outside the coboundaries,
   extended to a g0-map out of L0(mu) and along the PBW words of K(mu);
@@ -71,10 +72,10 @@ class KacExtensions:
     The complex is kept as column views, C^1 column k being the cochain
     ``c1_basis[k] = (x, i)`` (x -> v_i) and C^2 row j * len(pairs) + q the
     value at (pairs[q], v_j).  Both orders only grow with M, so
-    :meth:`extend` moves the complex of M to that of a module E holding M
-    as the submodule on its first dim M basis vectors (a glued module,
-    see ``glue_extension``) by appending what E's new basis vectors add;
-    a fresh build is that extension from the zero module.
+    :meth:`glue` moves the complex of M to that of the glued module E,
+    which holds M as the submodule on its first dim M basis vectors, by
+    appending what E's new basis vectors add; a fresh build is that growth
+    from the zero module, and only a fresh build checks d^2 = 0.
     """
 
     def __init__(self, module, limits=DEFAULT_LIMITS):
@@ -101,22 +102,27 @@ class KacExtensions:
         self.blocks = {}
         self._h1 = {}
         self._grow(module, 0)
+        # (d1 d0 m)(a, b) = (X_a X_b + X_b X_a) m
+        for col in self.d0_cols:
+            acc = {}
+            for r, c in col.items():
+                for s, v in self.d1_cols[r].items():
+                    acc[s] = acc.get(s, 0) + c * v
+            if any(acc.values()):
+                raise AssertionError("d^2 != 0 on the extension cochain complex")
 
-    def extend(self, module):
-        """Extend the complex in place from M to ``module`` = E, whose first
-        dim M basis vectors span M as a submodule: every odd raising acts
-        on them as on M.  Then C^1(E) and C^2(E) contain the complex of M
-        and d0, d1 are block upper triangular, so only the columns of E's
-        new basis vectors and of the cochains (x, i) into them are
-        computed, d^2 = 0 is checked on those, and H^1 is recomputed only
-        at the keys whose cochains or coboundaries grew."""
-        M, start = self.M, self.M.dim
-        if module.weights[:start] != M.weights or module.parities[:start] != M.parities or any(
-            {key: v for key, v in module.action[x].data.items() if key[1] < start}
-            != M.action[x].data for x in self.pos
-        ):
-            raise ValueError("the old module is not a submodule of the new one")
-        self._grow(module, start)
+    def glue(self, top, block):
+        """Glue ``top`` onto M along ``block`` (``glue_extension``), grow
+        the complex in place from M to the glued module E and return E.
+        M is E's submodule on its first dim M basis vectors, so d0, d1 are
+        block upper triangular: only the columns of E's new basis vectors
+        and of the cochains into them are appended, and H^1 is recomputed
+        only at the keys that grew.  On those columns d1 d0 is
+        X_a X_b + X_b X_a, the top's relation on the diagonal block and
+        the glue's on the other, so d^2 = 0 is not checked again."""
+        module = glue_extension(self.M, top, block)
+        self._grow(module, self.M.dim)
+        return module
 
     def _grow(self, module, start):
         """Append the columns of basis vectors start.. of ``module`` and of
@@ -150,10 +156,10 @@ class KacExtensions:
         index, pair_index = self.c1_index, self.pair_index
         cols = {x: module.action[x].cols() for x in pos}
         # (d m)(x) = x.m
-        d0_new = [
+        self.d0_cols.extend(
             {index[(x, j)]: c for x in pos for j, c in cols[x][i].items()}
             for i in range(start, module.dim)
-        ]
+        )
         # (d f)(a, b) = a.f(b) + b.f(a); both signs positive because n+ is
         # odd abelian, which is exactly what makes d^2 = 0.
         self.d1_cols.extend(
@@ -163,16 +169,6 @@ class KacExtensions:
             }
             for x, i in new
         )
-        # d1 d0 on the old basis vectors vanished already
-        d1_cols = self.d1_cols
-        for col in d0_new:
-            acc = {}
-            for r, c in col.items():
-                for s, v in d1_cols[r].items():
-                    acc[s] = acc.get(s, 0) + c * v
-            if any(acc.values()):
-                raise AssertionError("d^2 != 0 on the extension cochain complex")
-        self.d0_cols.extend(d0_new)
         for key in grown.keys() | set(zip(module.weights[start:], module.parities[start:])):
             self._h1.pop(key, None)
         self.M = module
@@ -241,7 +237,7 @@ def _glue_cocycle(ke, mu, p, fiber, d, limits):
     if len(unknowns) > limits.max_hom_vars:
         raise ResourceLimitError(
             f"{len(unknowns)} glueing cochain unknowns exceed limit "
-            f"{limits.max_hom_vars}"
+            f"{limits.max_hom_vars} (max_hom_vars)"
         )
     rows = {}
 
@@ -387,8 +383,9 @@ def _assert_valid_glue(bottom, top, block):
             )
 
 
-def glue_extension(bottom, top, block, kind="extension"):
-    """Assemble the module bottom -> E -> top from a glueing block.
+def glue_extension(bottom, top, block):
+    """Assemble the module bottom -> E -> top from a glueing block; E's
+    meta kind is "extension".
 
     E carries bottom's flag record followed by top's, shifted past bottom,
     when both are over s = g0 + g1 of the compatible grading and the block
@@ -427,7 +424,7 @@ def glue_extension(bottom, top, block, kind="extension"):
         labels=[f"b.{l}" for l in bottom.labels]
         + [f"t.{l}" for l in top.labels],
         truncated=bottom.truncated or top.truncated,
-        meta={"kind": kind},
+        meta={"kind": "extension"},
         flag_record=record,
     )
 
@@ -576,11 +573,11 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     lam's central character (each weight is tested once per sweep):
     without a cochain there is no extension, and every Kac factor of the
     module lies in lam's block.  Each glueing block comes from a
-    highest-weight cocycle of that complex (``ext1_with_representative``).
-    Only after a glue is the complex extended (``KacExtensions.extend``:
-    the old module is the glued one's submodule) and the candidates
-    re-read.  The certificate: every glued
-    module passes the glue-block check of ``glue_extension``, whose
+    highest-weight cocycle of that complex (``ext1_with_representative``),
+    and ``KacExtensions.glue`` glues K(mu) on and grows the complex to the
+    glued module, which is the sweep's only module (``ke.M``); only then
+    are the candidates re-read.  The certificate: every glued module
+    passes the glue-block check of ``glue_extension``, whose
     premise is that its bottom and top are modules (K(mu) by PBW
     induction, the bottom by the previous glue's check); each glue lowers
     dim Ext^1 at its (mu, parity) by exactly one; Ext^1 vanishes at every
@@ -600,9 +597,8 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
             candidates[mu] = is_dominant_gl(mu, m, n) and _central_core(m, n, mu) == core
         return candidates[mu]
 
-    T = kac_module(g, lam, limits=limits)
     flag = [(lam, 0)]
-    ke = KacExtensions(T, limits=limits)
+    ke = KacExtensions(kac_module(g, lam, limits=limits), limits=limits)
     steps = 0
     # sweep keys (mu, -p): mu descending, parity 0 before parity 1
     bound = (lam, 1)
@@ -620,7 +616,9 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
             steps += 1
             if steps > limits.iteration_budget:
                 raise ResourceLimitError(
-                    "tilting construction exceeded iteration budget"
+                    f"tilting sweep of U{g.weight_str(lam)} exceeded its "
+                    f"iteration budget at K{g.weight_str(mu)} parity {p}; "
+                    f"iteration_budget is {limits.iteration_budget}"
                 )
             d, block = ext1_with_representative(ke, mu, p, limits=limits)
             # Hom(K, K) is spanned by the identity, Ext^1(K, K) = 0, and
@@ -635,11 +633,11 @@ def tilting_module(g, lam, limits=DEFAULT_LIMITS):
             prev = d
             K = kac_module(g, mu, limits=limits)
             top = parity_flip(K) if p else K
-            T = glue_extension(T, top, block, kind="tilting_step")
-            ke.extend(T)
+            ke.glue(top, block)
             flag.append((mu, p))
     # certification, without the block filter: nothing extends the result
     _assert_nothing_extends(ke, "extensions survive the sweep")
+    T = ke.M
     ring = end_ring(T, limits=limits)
     if not ring["local"]:
         raise AssertionError(

@@ -1,7 +1,9 @@
 """End-to-end runs of the command-line front end."""
 
+import errno
 import importlib
 import json
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -165,34 +167,42 @@ def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path, which, missing):
 
 
 @pytest.mark.parametrize("command", sorted(WINDOWED))
+@pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
 def test_an_out_in_a_missing_directory_is_refused_before_any_work(
-    command, capsys, tmp_path, monkeypatch,
+    command, directory, capsys, tmp_path, monkeypatch,
 ):
-    """The directory of --out is checked before the algebra is built, and
-    nothing is created on disk."""
+    """The directory of --out, and --out itself when it is a directory,
+    are checked before the algebra is built, and nothing is created on
+    disk."""
     def no_build(*args):
         raise AssertionError("the algebra was built")
 
     monkeypatch.setattr(cli, "_build_algebra", no_build)
-    target = tmp_path / "missing" / "report.json"
+    target = tmp_path if directory else tmp_path / "missing" / "report.json"
     code, out, err = run(
         capsys, command, "--algebra", "gl:2,2", *WINDOWED[command], "--out", str(target),
     )
+    reason = "Is a directory" if directory else "No such file or directory"
     assert code == 2
     assert out == ""
-    assert err == f"usage error: cannot write --out {target}: No such file or directory\n"
+    assert err == f"usage error: cannot write --out {target}: {reason}\n"
     assert list(tmp_path.iterdir()) == []
 
 
-def test_an_out_that_opens_late_is_still_a_usage_error(capsys, tmp_path):
-    """A directory passes the early check on its parent; opening it after
-    the verdict fails, and that is a usage error too."""
+def test_an_out_that_opens_late_is_still_a_usage_error(capsys, tmp_path, monkeypatch):
+    """An --out that passes the early check but fails to open after the
+    verdict is a usage error too."""
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", full, raising=False)
+    target = tmp_path / "report.json"
     code, out, err = run(
         capsys, "verify", "--algebra", "gl:1,1", "--box=0..0", "--which", "kdt",
-        "--out", str(tmp_path),
+        "--out", str(target),
     )
     assert code == 2
-    assert err == f"usage error: cannot write --out {tmp_path}: Is a directory\n"
+    assert err == f"usage error: cannot write --out {target}: No space left on device\n"
 
 
 def test_decompose_depth_needs_the_principal_grading(capsys):
@@ -441,9 +451,9 @@ def test_kac_modules_and_levi_slices_are_built_once_per_character_orbit(monkeypa
 
 @pytest.mark.parametrize("twisted,counts", [
     (True, {"glue_extension": 14, "end_ring": 47, "KacExtensions": 59,
-            "KacExtensions.extend": 14, "dual_module": 12}),
+            "KacExtensions.glue": 14, "dual_module": 12}),
     (False, {"glue_extension": 34, "end_ring": 93, "KacExtensions": 111,
-             "KacExtensions.extend": 34, "dual_module": 18}),
+             "KacExtensions.glue": 34, "dual_module": 18}),
 ])
 def test_tilting_modules_and_projective_covers_are_built_once_per_character_orbit(
     twisted, counts, monkeypatch, capsys,
@@ -453,8 +463,8 @@ def test_tilting_modules_and_projective_covers_are_built_once_per_character_orbi
     builds 18 projective covers, which fall into 12; each orbit's sweep
     runs once, at lam_2 = 0, and each cover's projectivity certificate
     (the cochain complex of U^*, one ``dual_module`` each) once per orbit.
-    A sweep builds the cochain complex of its K(lam) once and extends it
-    after each glue.  With the twist switched off, every weight is swept
+    A sweep builds the cochain complex of its K(lam) once and grows it by
+    each glue.  With the twist switched off, every weight is swept
     and certified itself."""
     if not twisted:
         without_orbit_twist(monkeypatch)
@@ -477,6 +487,19 @@ def test_tilting_modules_and_projective_covers_are_built_once_per_character_orbi
         code, _, err = run(capsys, "verify", "--algebra", "gl:2,1", *argv)
         assert code == 0, err
     assert calls == counts
+
+
+def test_an_exhausted_tilting_sweep_names_its_weight_and_budget(capsys):
+    code, out, err = run(
+        capsys, "verify", "--algebra", "gl:1,1", "--box=0..0", "--which", "kdt",
+        "--iteration-budget", "1",
+    )
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "resource limit: tilting sweep of U(0|0) exceeded its iteration budget "
+        "at K(-1|1) parity 1; iteration_budget is 1\n"
+    )
 
 
 def test_verify_budget_zero_is_resource_not_pass(capsys):

@@ -653,22 +653,23 @@ def test_tilting_atypical_gl11():
 
 def count_complexes(monkeypatch):
     """The module dimension of every cochain complex the sweep makes, as
-    ("build", dim) for a construction and ("extend", dim) for an
-    extension to a glued module."""
+    ("build", dim) for a construction and ("glue", dim) for a glue that
+    grows it to the glued module."""
     events = []
     real = structure.KacExtensions
-    real_extend = real.extend
+    real_glue = real.glue
 
     def counting(module, limits):
         events.append(("build", module.dim))
         return real(module, limits=limits)
 
-    def extending(ke, module):
-        events.append(("extend", module.dim))
-        return real_extend(ke, module)
+    def glueing(ke, top, block):
+        E = real_glue(ke, top, block)
+        events.append(("glue", E.dim))
+        return E
 
     monkeypatch.setattr(structure, "KacExtensions", counting)
-    monkeypatch.setattr(real, "extend", extending)
+    monkeypatch.setattr(real, "glue", glueing)
     return events
 
 
@@ -681,9 +682,9 @@ def test_tilting_builds_one_complex_per_glued_module(monkeypatch, algebra, lam):
     U = tilting_module(algebra(), lam)
     flag = U.meta["flag_bottom_up"]
     assert len(flag) == 2
-    # the complex of K(lam) is built once and extended to the module
-    # after each glue; the last one also answers the certification sweep
-    assert [kind for kind, _ in events] == ["build"] + ["extend"] * (len(flag) - 1)
+    # the complex of K(lam) is built once and grown by each glue; the
+    # last one also answers the certification sweep
+    assert [kind for kind, _ in events] == ["build"] + ["glue"] * (len(flag) - 1)
     assert events[-1][1] == U.dim
 
 
@@ -727,8 +728,8 @@ def test_every_glue_of_the_kdt_sweeps_passes_full_validation(
     real = structure.glue_extension
     glued = []
 
-    def validated(bottom, top, block, kind="extension"):
-        E = real(bottom, top, block, kind=kind)
+    def validated(bottom, top, block):
+        E = real(bottom, top, block)
         assert_valid_module(top)
         assert_valid_module(E)
         glued.append(E.dim)
@@ -743,29 +744,31 @@ def test_every_glue_of_the_kdt_sweeps_passes_full_validation(
 def test_every_extended_complex_of_the_kdt_sweeps_equals_a_fresh_build(
     monkeypatch, tmp_path, algebra, box, every,
 ):
-    """After each glue the extended complex has the columns, the block
-    order and the H^1 dimensions of the complex built afresh from the
-    glued module; a stale H^1 value would show here."""
-    real = structure.KacExtensions.extend
-    extended = []
+    """After each glue the grown complex has the columns, the block order
+    and the H^1 dimensions of the complex built afresh from the glued
+    module; a stale H^1 value would show here.  The fresh build checks
+    d^2 = 0, which a glue does not, on every glued module of the sweeps."""
+    real = structure.KacExtensions.glue
+    glued = []
 
-    def compared(ke, module):
-        real(ke, module)
+    def compared(ke, top, block):
+        module = real(ke, top, block)
         fresh = structure.KacExtensions(module, limits=ke.limits)
         assert cochains_by_key(ke) == cochains_by_key(fresh)
         for w, p in fresh.blocks:
             assert ke.h1_dimension(w, p) == fresh.h1_dimension(w, p)
-        extended.append(module.dim)
+        glued.append(module.dim)
+        return module
 
-    monkeypatch.setattr(structure.KacExtensions, "extend", compared)
+    monkeypatch.setattr(structure.KacExtensions, "glue", compared)
     run_kdt(monkeypatch, tmp_path, algebra, box, every)
-    assert extended
+    assert glued
 
 
-def test_extension_checks_d_squared_on_the_new_columns():
+def test_a_fresh_complex_checks_d_squared():
     """K(2,-2) of gl(1|1) plus a bogus three-dimensional summand on which
-    the odd raising x squares to nonzero: K is a submodule, so the
-    complex extends, and d1 d0 = x.x fails on a new column."""
+    the odd raising x squares to nonzero: d1 d0 = x.x fails on the
+    summand's columns of the fresh build."""
     g = gl11()
     K = kac_module(g, (2, -2))
     x = g.id_of("e(-1,1)")
@@ -781,16 +784,8 @@ def test_extension_checks_d_squared_on_the_new_columns():
             data.update({(nb + 1, nb): 1, (nb + 2, nb + 1): 1})
         action[y] = SparseMatrix(n, n, data)
     E = ExplicitModule(g, weights, parities, action)
-    ke = KacExtensions(K)
     with pytest.raises(AssertionError, match="d\\^2 != 0"):
-        ke.extend(E)
-
-
-def test_extension_refuses_a_module_without_the_old_one_at_its_bottom():
-    g = gl11()
-    ke = KacExtensions(kac_module(g, (2, -2)))
-    with pytest.raises(ValueError, match="not a submodule"):
-        ke.extend(kac_module(g, (2, -1)))
+        KacExtensions(E)
 
 
 def tilting_golden_json(g, weights):
@@ -883,7 +878,10 @@ def test_tilting_budget_exhaustion():
     from supero.config import Limits
 
     g = gl11()
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=(
+        r"tilting sweep of U\(0\|0\) exceeded its iteration budget at "
+        r"K\(-1\|1\) parity 1; iteration_budget is 1$"
+    )):
         tilting_module(g, (-2, 2), limits=Limits(iteration_budget=1))
 
 
