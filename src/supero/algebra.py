@@ -224,8 +224,8 @@ def memoised(builder):
 
     lam is normalised by ``weights.weight`` (ints where integral) and the
     result stored under (builder name, lam, limits); ``Limits`` is a
-    frozen dataclass, so it hashes by value.  Modules are immutable, so
-    one stored result can be handed to every caller.
+    named tuple, so it hashes by value.  Stored results are immutable
+    values, so one can be handed to every caller.
     """
     @wraps(builder)
     def build(g, lam, limits=DEFAULT_LIMITS):

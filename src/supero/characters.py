@@ -45,10 +45,8 @@ def char_mul(a, b):
 
 
 def _gt_rows(upper):
-    """All rows interlacing a weakly decreasing integer row from above."""
+    """All rows interlacing a weakly decreasing integer row (length >= 2) from above."""
     k = len(upper)
-    if k == 1:
-        return [()]
     out = []
 
     def rec(prefix, i):
@@ -187,8 +185,8 @@ class DecompositionMatrix:
     """Composition multiplicities [K(mu) : L(lam)] over a window.
 
     rows/cols are indexed by the window (lex descending).  full_rows
-    keeps the complete factor dicts including the ones below the window,
-    so character identities can be tested exactly.
+    keeps the complete read-only factor mappings, including the factors
+    below the window, so character identities can be tested exactly.
     """
 
     def __init__(self, weights, entries, full_rows):

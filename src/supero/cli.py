@@ -12,7 +12,6 @@ budget was exhausted before an answer was certified.
 """
 
 import argparse
-import dataclasses
 import errno
 import json
 import os
@@ -124,7 +123,7 @@ def _limits(args):
             if value < 0:
                 raise WorkbenchError(f"{flag} must be >= 0, got {value}")
             overrides[key] = value
-    return dataclasses.replace(DEFAULT_LIMITS, **overrides)
+    return DEFAULT_LIMITS._replace(**overrides)
 
 
 def _config_doc(args):

@@ -4,11 +4,13 @@ Every computation is deterministic, so a run is configured by its inputs
 and these budgets alone; exhausting one raises ResourceLimitError.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(namedtuple(
+    "Limits", "max_module_dim max_end_dim max_hom_vars iteration_budget",
+    defaults=(4096, 512, 20000, 48),
+)):
     """Budgets bounding the exact computations.
 
     max_module_dim: refuse to build explicit modules larger than this.
@@ -26,10 +28,7 @@ class Limits:
         reads it.
     """
 
-    max_module_dim: int = 4096
-    max_end_dim: int = 512
-    max_hom_vars: int = 20000
-    iteration_budget: int = 48
+    __slots__ = ()
 
 
 DEFAULT_LIMITS = Limits()

@@ -35,6 +35,7 @@ radical, which has the same coordinates in K(lam).
 """
 
 from itertools import product
+from types import MappingProxyType
 
 from .algebra import memo_entry, memoised, principal_dvector, w0_action
 from .config import DEFAULT_LIMITS
@@ -274,7 +275,7 @@ def _levi_character(g, lam):
     return weight((lam[m - 1],) * m + (lam[-1],) * n)
 
 
-@on_orbits(_levi_character)
+@on_orbits(_levi_character, "L0")
 def simple_even_module(g, lam, limits=DEFAULT_LIMITS):
     """The simple module of the even part gl(m) + gl(n) at a dominant
     weight, a module over the Levi subalgebra: the Levi Verma slice cut
@@ -314,7 +315,7 @@ def _berezinian(g, lam):
     return weight((c,) * m + (-c,) * n)
 
 
-@on_orbits(_berezinian)
+@on_orbits(_berezinian, "K")
 def kac_module(g, lam, limits=DEFAULT_LIMITS):
     """Induce the even-part simple V(lam) through the parabolic with the
     odd raisings acting by zero.  Dimension 2^(m n) * dim V(lam)."""
@@ -344,7 +345,7 @@ def kac_radical(g, lam, limits=DEFAULT_LIMITS):
     return K, maximal_submodule(K)
 
 
-@on_orbits(_berezinian)
+@on_orbits(_berezinian, "L")
 def simple_module(g, lam, limits=DEFAULT_LIMITS):
     """The simple highest-weight module L(lam): the quotient of the Kac
     module K(lam) by its certified maximal submodule (``kac_radical``)."""
@@ -363,8 +364,15 @@ def simple_character(g, lam, limits=DEFAULT_LIMITS):
     return {w: c for w, c in ch.items() if c}
 
 
-def _peel_factors(g, mu, limits):
-    """Full factor multiset of ch K(mu) as a dict weight -> multiplicity."""
+@memoised
+def _peel_factors(g, mu, limits=DEFAULT_LIMITS):
+    """Full factor multiset of ch K(mu), a read-only mapping weight ->
+    multiplicity: peeled at ``kac_module``'s orbit representative only,
+    translated by chi elsewhere, as tensoring with C_chi takes L(nu) to L(nu + chi)."""
+    rep = kac_module.representative(g, mu)
+    if rep != mu:
+        chi, base = wsub(mu, rep), _peel_factors(g, rep, limits)
+        return MappingProxyType({wadd(w, chi): c for w, c in base.items()})
     remaining = dict(kac_module(g, mu, limits=limits).character())
     factors = {}
     while any(remaining.values()):
@@ -384,7 +392,7 @@ def _peel_factors(g, mu, limits):
                 )
             remaining[w] = left
         factors[top] = factors.get(top, 0) + mult
-    return factors
+    return MappingProxyType(factors)
 
 
 def verma_module_truncated(g, lam, depth, limits=DEFAULT_LIMITS):

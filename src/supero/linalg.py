@@ -135,9 +135,6 @@ class SparseMatrix:
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, coeff):
         q = exact(coeff)
         return SparseMatrix(
@@ -149,11 +146,6 @@ class SparseMatrix:
             raise ValueError(
                 f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
-
-    def __mul__(self, other):
-        if isinstance(other, SparseMatrix):
-            return self.matmul(other)
-        raise TypeError("use .scale for scalars, apply_cols(cols(), v) for vectors")
 
     def matmul(self, other):
         if self.ncols != other.nrows:

@@ -427,10 +427,11 @@ def twist(module, chi):
     )
 
 
-def on_orbits(character):
+def on_orbits(character, symbol):
     """Memoise a builder ``(g, lam, limits) -> module`` that runs only at
     the representative lam - chi of lam's orbit, chi = character(g, lam),
-    and answers ``twist(rep, chi)`` at every other weight.
+    and answers ``twist(rep, chi)`` at every other weight, where a
+    ResourceLimitError at rep names ``symbol`` (e.g. "U") at lam first.
 
     Tensoring with C_chi is an exact autoequivalence carrying K(mu),
     L(mu), L0(mu), Kac flags and indecomposable tilting and projective
@@ -448,7 +449,11 @@ def on_orbits(character):
             rep = build.representative(g, lam)
             if rep == lam:
                 return builder(g, lam, limits=limits)
-            return twist(build(g, rep, limits=limits), wsub(lam, rep))
+            try:
+                return twist(build(g, rep, limits=limits), wsub(lam, rep))
+            except ResourceLimitError as err:
+                asked = f"{symbol}{g.weight_str(lam)}, built at its orbit representative"
+                raise ResourceLimitError(f"{asked} {symbol}{g.weight_str(rep)}: {err}") from err
 
         build.representative = lambda g, lam: wsub(lam, character(g, lam))
         return build
@@ -493,7 +498,8 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     PBW order is kept in ``g.memo`` under ``("pbw", order)``, and its
     split table for ``sub_ids`` (``PbwAlgebra.split_word``) holds each
     x.w already grouped by free prefix, so every module induced along the
-    same order straightens each x.w once.  Within one call, each fiber
+    same order straightens each x.w once; its free words and their data
+    are kept there too (:func:`_free_words`).  Within one call, each fiber
     suffix is applied to each fiber vector once (:func:`word_action`).
 
     A ``min_degree`` cutoff yields a truncated module: free monomials
@@ -527,14 +533,16 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     if any(pbw.rank[f] >= min_sub_rank for f in free_ids):
         raise ValueError("PBW order must rank all free ids before sub ids")
 
-    words = tuple(monomials(pbw, free_ids, min_degree=min_degree))
+    words, word_index, word_data = memo_entry(
+        g, ("pbw_words", order, tuple(free_ids), min_degree),
+        lambda: _free_words(pbw, free_ids, min_degree),
+    )
     fdim = fiber.dim
     total = len(words) * fdim
     if total > limits.max_module_dim:
         raise ResourceLimitError(
             f"induced module dimension {total} exceeds limit {limits.max_module_dim}"
         )
-    word_index = {w: k for k, w in enumerate(words)}
     truncated = min_degree is not None or fiber.truncated
 
     weights = []
@@ -542,11 +550,7 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
     labels = []
     word_deg = []
     graded = g.degrees is not None
-    for w in words:
-        mw = monomial_weight(g, w)
-        mp = monomial_parity(g, w)
-        md = monomial_degree(g, w) if graded else None
-        ms = monomial_str(g, w)
+    for mw, mp, md, ms in word_data:
         for j in range(fdim):
             weights.append(wadd(mw, fiber.weights[j]))
             parities.append((mp + fiber.parities[j]) % 2)
@@ -589,6 +593,16 @@ def induced_module(g, sub_ids, fiber, order=None, min_degree=None,
         highest_weight=highest_weight, truncated=truncated, meta=meta,
         flag_record=None if truncated else (tuple(sorted(sub_ids)), ((0, fdim, words),)),
     )
+
+
+def _free_words(pbw, free_ids, min_degree):
+    """(words, word_index, per-word (weight, parity, degree, label)) of
+    one PBW order, free ids and cutoff."""
+    g, words = pbw.g, tuple(monomials(pbw, free_ids, min_degree=min_degree))
+    return words, {w: k for k, w in enumerate(words)}, tuple(
+        (monomial_weight(g, w), monomial_parity(g, w),
+         None if g.degrees is None else monomial_degree(g, w), monomial_str(g, w))
+        for w in words)
 
 
 def word_action(cols, vec):

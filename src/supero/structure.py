@@ -451,7 +451,7 @@ def _cover_top(g, lam, limits):
     )
 
 
-@on_orbits(_berezinian)
+@on_orbits(_berezinian, "P")
 def projective_cover(g, lam, limits=DEFAULT_LIMITS):
     """The indecomposable projective P(lam), built as the tilting module
     Pi^p U(nu(lam)).
@@ -557,7 +557,7 @@ def _assert_nothing_extends(ke, what):
         raise AssertionError(f"{what}: {left}")
 
 
-@on_orbits(_berezinian)
+@on_orbits(_berezinian, "U")
 def tilting_module(g, lam, limits=DEFAULT_LIMITS):
     """The indecomposable tilting module U(lam) by successive extension.
 

@@ -23,7 +23,10 @@ check d1 d0 = 0 with the sparse matrix product.
 
 `form_radical` is the radical of the contravariant form, a canonical
 basis read off its Gram blocks; `forms.maximal_submodule` reads the same
-vectors off the simple raisings instead.
+vectors off the simple raisings instead.  `peel_by_form_radical` peels
+ch K(mu) at mu itself, each simple character ch K(top) less the weights
+of that radical; `forms._peel_factors` peels once per character orbit
+and translates the factors instead.
 
 `ext_dimension_by_raisings` counts Ext^1 multiplicities as highest-weight
 vectors of H^1, solving for the classes the simple even raisings kill;
@@ -151,6 +154,29 @@ def form_radical(module):
         for w in sorted(form.gram, reverse=True)
         for kvec in form.gram[w].kernel_basis()
     )
+
+
+def peel_by_form_radical(g, mu, limits=DEFAULT_LIMITS):
+    """The composition factors of K(mu), the module ``kac_module`` returns
+    at mu, as a dict weight -> multiplicity: peel its character from the
+    top down by ch L(top) = ch K(top) less the weights of
+    ``form_radical(K(top))``."""
+    remaining = dict(kac_module(g, mu, limits=limits).character())
+    factors = {}
+    while any(remaining.values()):
+        top = max(w for w, c in remaining.items() if c)
+        mult = remaining[top]
+        K = kac_module(g, top, limits=limits)
+        simple = dict(K.character())
+        for v in form_radical(K):
+            simple[K.weights[min(v)]] -= 1
+        for w, c in simple.items():
+            remaining[w] = remaining.get(w, 0) - mult * c
+            if remaining[w] < 0:
+                raise AssertionError(f"peel of K{g.weight_str(mu)} overshoots at "
+                                     f"{g.weight_str(w)}")
+        factors[top] = mult
+    return factors
 
 
 def full_basis_closure(module, vectors):

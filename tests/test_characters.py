@@ -33,6 +33,9 @@ from supero import (
     window_from_box,
 )
 from supero import characters, forms, structure
+from supero.weights import wadd
+
+from full_basis import peel_by_form_radical
 
 
 def gl11():
@@ -301,6 +304,36 @@ def test_kac_factors_meet_the_calibration_invariants(m, n, lo, hi):
     assert all(k in allowed[a] for a, k in counts), counts
     if (m, n) == (2, 2):
         assert counts == {(0, 1): 6, (1, 2): 24, (2, 3): 3, (2, 4): 1, (2, 5): 2}
+
+
+@pytest.mark.parametrize("m, n, lo, hi", [(1, 1, -3, 3), (2, 1, -2, 2), (2, 2, -1, 1)])
+def test_orbit_translated_peel_matches_a_peel_at_each_weight(m, n, lo, hi):
+    """``_peel_factors`` peels K(lam) only at its orbit representative and
+    translates; the oracle peels the twisted K(lam) itself, with simple
+    characters read off the radical of the contravariant form."""
+    g = install_grading(build_gl(m, n), "compatible")
+    for lam in dominant_weights_in_box(m, n, lo, hi):
+        assert forms._peel_factors(g, lam) == peel_by_form_radical(g, lam), lam
+
+
+def test_peeled_factors_cannot_be_changed_by_a_caller():
+    g = gl21c()
+    W = window_from_box(g, -1, 1, support_closure=False)
+    expected = [dict(forms._peel_factors(g, mu)) for mu in W]
+    rep, other = (0, 0, 0), (1, 1, -1)  # one Kac orbit: other = rep + (1,1|-1)
+    for mu in (rep, other):
+        with pytest.raises(TypeError):
+            forms._peel_factors(g, mu)[mu] = 2
+    D = decomposition_matrix(g, W)
+    for mu, row in zip(W, D.full_rows):
+        with pytest.raises(TypeError):
+            del row[mu]
+    D.full_rows[0] = {}
+    assert [dict(row) for row in decomposition_matrix(g, W).full_rows] == expected
+    assert [dict(forms._peel_factors(g, mu)) for mu in W] == expected
+    assert forms._peel_factors(g, other) == {
+        wadd(w, (1, 1, -1)): c for w, c in forms._peel_factors(g, rep).items()
+    }
 
 
 # -- Cartan matrices: predicted against assembled --------------------------

@@ -19,6 +19,7 @@ from supero.modules import (
     copy_module,
     induced_module,
     inflate_module,
+    trivial_module,
     validate_module,
 )
 from supero.pbw import PbwAlgebra
@@ -210,6 +211,29 @@ def test_induced_modules_do_not_depend_on_warm_tables(lam):
     assert _induced(warm, lam) == fresh
     # the slice on engines no untruncated induction has touched
     assert _value(_kac_slice(gl21c(), lam)) == fresh["kac_slice"]
+
+
+def _along_one_order(g, sub):
+    """Ind of the trivial module at (1|0) from the torus or the Borel of
+    gl(1|1), along the order (lowering, raising, torus) in both cases."""
+    torus, pos = sorted(g.t_ids), sorted(g.positive_ids())
+    ids = torus if sub == "torus" else sorted(pos + torus)
+    order = sorted(g.negative_ids()) + pos + torus
+    fiber = trivial_module(g.subalgebra(ids), (1, 0))
+    return _value(induced_module(g, ids, fiber, order=order))
+
+
+def test_free_words_are_kept_per_free_ids():
+    """The torus and the Borel induce along the same order with different
+    free words; on one algebra, either first, each equals a fresh build."""
+    fresh = {
+        sub: _along_one_order(install_grading(build_gl(1, 1), "compatible"), sub)
+        for sub in ("torus", "borel")
+    }
+    assert len(fresh["torus"][1]) == 4 and len(fresh["borel"][1]) == 2
+    for subs in (("torus", "borel"), ("borel", "torus")):
+        g = install_grading(build_gl(1, 1), "compatible")
+        assert {sub: _along_one_order(g, sub) for sub in subs} == fresh
 
 
 @pytest.mark.parametrize("name", [
