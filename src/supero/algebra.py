@@ -43,14 +43,16 @@ class LieSuperAlgebra:
     new instance.  Its one mutable attribute is ``memo``, a dict of values
     that are pure functions of the algebra, each kept under a tuple key
     whose first element names it (see :func:`memo_entry`): the results of
-    the module builders decorated with ``memoised`` (``kac_radical``) or
-    ``modules.on_orbits`` (a representative's module and each twist of
-    it), ``lie_generators``, the even Levi and the Borel-type subalgebra
-    (``forms``), one PBW straightening engine per basis order with its
-    split tables (``modules.induced_module``), and the certificate of each
-    character a module was twisted by (``modules.twist``).  So each lives
-    exactly as long as the algebra, and a copy with a changed table needs
-    a fresh ``memo``.
+    the builders decorated with ``memoised`` (``kac_radical`` and the
+    composition factors ``_peel_factors``) or ``modules.on_orbits`` (a
+    representative's module and each twist of it), ``lie_generators``,
+    the even Levi and the Borel-type subalgebra (``forms``), one PBW
+    straightening engine per basis order with its split tables, the free
+    PBW words of each order and cutoff (``("pbw_words", ...)``, both in
+    ``modules.induced_module``), and the certificate of each character a
+    module was twisted by (``modules.twist``).  So each lives exactly as
+    long as the algebra, and a copy with a changed table needs a fresh
+    ``memo``.
     """
 
     def __init__(

@@ -1,12 +1,11 @@
 """Character arithmetic, decomposition matrices and multiplicity tables.
 
-Characters are sparse dicts weight -> positive integer.  Two independent
-sources are kept: the product formula (Weyl characters for the even part
-times the odd-root factor) and the weight census of explicitly built
-modules; tests require them to agree.  A simple character is the census
-of K(lam) less the weights of its certified maximal submodule, read off
-the simple raisings (``forms.kac_radical``), so the decomposition matrix
-never builds L(lam).
+Characters are sparse dicts weight -> positive integer, each the weight
+census of a built module; a simple character is the census of K(lam)
+less the weights of its certified maximal submodule, read off the simple
+raisings (``forms.kac_radical``), so no L(lam) is built.  The product
+formula for ch K(lam) (Gelfand-Tsetlin patterns times the odd roots) is
+the oracle in ``tests/full_basis.py`` that the census is checked against.
 
 Windows are ordered lists of dominant weights, lexicographically
 descending.  Matrix rows may have factors strictly below every window
@@ -17,122 +16,33 @@ would silently misreport the numbers the identities quantify over.
 
 from collections import Counter
 
-from .rational import as_int
-from .weights import dominant_weights_in_box, is_dominant_gl, wadd, weight
+from .weights import dominant_weights_in_box, is_dominant_gl, weight
 from .algebra import beta_reflect
 from .config import DEFAULT_LIMITS
-from .errors import (
-    DominanceError, GradingError, ResourceLimitError, WindowError,
-)
+from .errors import ResourceLimitError, WindowError
 from .forms import (
-    _peel_factors, _raising_rows, _simple_raisings, simple_character,
-    verma_module_truncated,
+    _peel_factors, _raising_rows, _simple_raisings, kac_module,
+    simple_character, verma_module_truncated,
 )
 from .structure import projective_cover, tilting_module
-
-
-# ---------------------------------------------------------------------------
-# characters
-
-
-def char_mul(a, b):
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wadd(wa, wb)
-            out[w] = out.get(w, 0) + ca * cb
-    return {w: c for w, c in out.items() if c}
-
-
-def _gt_rows(upper):
-    """All rows interlacing a weakly decreasing integer row (length >= 2) from above."""
-    k = len(upper)
-    out = []
-
-    def rec(prefix, i):
-        if i == k - 1:
-            out.append(tuple(prefix))
-            return
-        hi = upper[i]
-        lo = upper[i + 1]
-        v = hi
-        while v >= lo:
-            rec(prefix + [v], i + 1)
-            v -= 1
-
-    rec([], 0)
-    return out
-
-
-def weyl_character(hw):
-    """Character of the irreducible gl(k)-module with highest weight hw.
-
-    Enumerates triangular interlacing patterns; the weight of a pattern
-    reads off the successive row-sum differences.  Entirely combinatorial,
-    independent of any module construction.
-    """
-    hw = tuple(as_int(c) for c in hw)
-    for a, b in zip(hw, hw[1:]):
-        if a < b:
-            raise DominanceError(f"{hw} is not weakly decreasing")
-    k = len(hw)
-    chars = {}
-
-    def rec(row, acc):
-        if len(row) == 1:
-            w = tuple(acc + [row[0]])
-            chars[w] = chars.get(w, 0) + 1
-            return
-        for nxt in _gt_rows(row):
-            rec(nxt, acc + [sum(row) - sum(nxt)])
-
-    rec(hw, [])
-    # the recursion collects coordinates top row first; our convention
-    # lists the eigenvalue of the first diagonal entry first as well
-    return chars
-
-
-def even_character(m, n, lam):
-    """Character of the simple module of gl(m) + gl(n) at lam."""
-    lam = weight(lam)
-    if not is_dominant_gl(lam, m, n):
-        raise DominanceError(f"{lam} is not dominant for gl({m})+gl({n})")
-    left = weyl_character(lam[:m])
-    right = weyl_character(lam[m:])
-    out = {}
-    for wl, cl in left.items():
-        for wr, cr in right.items():
-            out[wl + wr] = cl * cr
-    return out
-
-
-def kac_character(g, lam):
-    """ch of the induced module at lam by the product formula."""
-    if g.family != "gl" or g.grading_kind != "compatible":
-        raise GradingError("the product formula needs gl compatible grading")
-    m, n = g.params
-    ch = even_character(m, n, lam)
-    for x in g.positive_ids():
-        gamma = g.weight_of(x)
-        ch = char_mul(ch, {tuple(0 * c for c in gamma): 1, tuple(-c for c in gamma): 1})
-    return ch
 
 
 # ---------------------------------------------------------------------------
 # windows
 
 
-def window_from_box(g, lo, hi, support_closure=True):
+def window_from_box(g, lo, hi, support_closure=True, limits=DEFAULT_LIMITS):
     """Window construction: dominant weights in the box, optionally
-    extended by the dominant support of their induced characters."""
-    window = set(dominant_weights_in_box(*g.params, lo, hi))
+    extended once by the dominant weights of each K(mu), mu in the box,
+    read off the built module (``kac_module`` under ``limits``)."""
+    box = dominant_weights_in_box(*g.params, lo, hi)
+    window = set(box)
     if support_closure:
-        extra = set()
-        for mu in window:
-            for nu in kac_character(g, mu):
-                if is_dominant_gl(nu, *g.params):
-                    extra.add(nu)
-        window |= extra
+        for mu in box:
+            window.update(
+                nu for nu in kac_module(g, mu, limits=limits).weight_spaces()
+                if is_dominant_gl(nu, *g.params)
+            )
     return sorted(window, reverse=True)
 
 

@@ -135,6 +135,8 @@ def _config_doc(args):
     for key in ("box", "depth", "which", "weights", "format"):
         if getattr(args, key, None) is not None:
             doc[key] = getattr(args, key)
+    if getattr(args, "closure", False):
+        doc["closure"] = True
     return doc
 
 
@@ -188,8 +190,12 @@ def _window(g, args):
             _parse_weight(g, p) for p in args.weights.split(";") if p.strip()
         ]
     else:
+        if args.closure and g.grading_kind != "compatible":
+            raise WorkbenchError("--closure applies to the compatible grading only")
         lo, hi = _parse_box(args.box)
-        window = window_from_box(g, lo, hi, support_closure=args.closure)
+        window = window_from_box(
+            g, lo, hi, support_closure=args.closure, limits=args.limits
+        )
     if not window:
         raise WorkbenchError("the weight window is empty")
     # Verma slices exist at every weight

@@ -45,6 +45,12 @@ even part alone (`induced_projective`, dimension 4^(m n) dim V(lam)),
 keep the one Fitting summand with a map onto L(lam) (`summand_onto`) and
 peel its Kac flag off its character (`delta_flag`).
 
+`kac_character` is ch K(lam) by the product formula: the even part's
+character from Gelfand-Tsetlin patterns (`weyl_character`,
+`even_character`) times (1 + e^-gamma) for each odd positive root gamma.
+It builds no module; `src/` reads every character, including the one
+`characters.window_from_box` closes a box under, off built modules.
+
 `cartan_cover_by_splitting` is the route `structure.projective_cover_h`
 took before it induced u(lam) from h0 plus the odd Cartan elements with
 a nonzero square: induce from h0 alone (`cartan_induced`) and keep the
@@ -67,8 +73,8 @@ from supero.linalg import Echelon, SparseMatrix, algebra_radical, vec_add_into
 from supero.modules import (
     _truncation_guard, copy_module, induced_module, restrict_module, submodule_module,
 )
-from supero.rational import QQ
-from supero.weights import root_leq, wadd, weight, wsub
+from supero.rational import QQ, as_int
+from supero.weights import is_dominant_gl, root_leq, wadd, weight, wsub
 
 
 def apply(mat, vec):
@@ -847,3 +853,90 @@ def cartan_cover_by_splitting(halg, fiber, limits=DEFAULT_LIMITS):
         rec["module"] for rec in recs
         if sum(hom_dims(rec["module"], fiber, limits=limits))
     )
+
+
+# ---------------------------------------------------------------------------
+# ch K(lam) by the product formula
+
+
+def char_mul(a, b):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            w = wadd(wa, wb)
+            out[w] = out.get(w, 0) + ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def _gt_rows(upper):
+    """All rows interlacing a weakly decreasing integer row (length >= 2) from above."""
+    k = len(upper)
+    out = []
+
+    def rec(prefix, i):
+        if i == k - 1:
+            out.append(tuple(prefix))
+            return
+        hi = upper[i]
+        lo = upper[i + 1]
+        v = hi
+        while v >= lo:
+            rec(prefix + [v], i + 1)
+            v -= 1
+
+    rec([], 0)
+    return out
+
+
+def weyl_character(hw):
+    """Character of the irreducible gl(k)-module with highest weight hw.
+
+    Enumerates triangular interlacing patterns; the weight of a pattern
+    reads off the successive row-sum differences.  Entirely combinatorial,
+    independent of any module construction.
+    """
+    hw = tuple(as_int(c) for c in hw)
+    for a, b in zip(hw, hw[1:]):
+        if a < b:
+            raise DominanceError(f"{hw} is not weakly decreasing")
+    k = len(hw)
+    chars = {}
+
+    def rec(row, acc):
+        if len(row) == 1:
+            w = tuple(acc + [row[0]])
+            chars[w] = chars.get(w, 0) + 1
+            return
+        for nxt in _gt_rows(row):
+            rec(nxt, acc + [sum(row) - sum(nxt)])
+
+    rec(hw, [])
+    # the recursion collects coordinates top row first; our convention
+    # lists the eigenvalue of the first diagonal entry first as well
+    return chars
+
+
+def even_character(m, n, lam):
+    """Character of the simple module of gl(m) + gl(n) at lam."""
+    lam = weight(lam)
+    if not is_dominant_gl(lam, m, n):
+        raise DominanceError(f"{lam} is not dominant for gl({m})+gl({n})")
+    left = weyl_character(lam[:m])
+    right = weyl_character(lam[m:])
+    out = {}
+    for wl, cl in left.items():
+        for wr, cr in right.items():
+            out[wl + wr] = cl * cr
+    return out
+
+
+def kac_character(g, lam):
+    """ch of the induced module at lam by the product formula."""
+    if g.family != "gl" or g.grading_kind != "compatible":
+        raise GradingError("the product formula needs gl compatible grading")
+    m, n = g.params
+    ch = even_character(m, n, lam)
+    for x in g.positive_ids():
+        gamma = g.weight_of(x)
+        ch = char_mul(ch, {tuple(0 * c for c in gamma): 1, tuple(-c for c in gamma): 1})
+    return ch

@@ -21,7 +21,6 @@ from supero import (
     hom_dims,
     install_grading,
     is_isomorphic,
-    kac_character,
     kac_module,
     projective_cover,
     tau_dual,
@@ -35,7 +34,7 @@ from supero import (
 )
 from supero.cli import main as cli_main
 
-from full_basis import cochain_matrices, delta_flag
+from full_basis import cochain_matrices, delta_flag, kac_character
 
 GOLDEN = Path(__file__).parent / "golden"
 

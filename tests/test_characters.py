@@ -18,10 +18,8 @@ from supero import (
     cartan_matrix_via_bgg,
     decomposition_matrix,
     dominant_weights_in_box,
-    even_character,
     flag_matrix,
     install_grading,
-    kac_character,
     kac_module,
     matrix_to_json_dict,
     matrix_to_tsv,
@@ -29,13 +27,14 @@ from supero import (
     simple_module,
     tilting_table,
     verma_decomposition_truncated,
-    weyl_character,
     window_from_box,
 )
 from supero import characters, forms, structure
-from supero.weights import wadd
+from supero.weights import is_dominant_gl, wadd
 
-from full_basis import peel_by_form_radical
+from full_basis import (
+    even_character, kac_character, peel_by_form_radical, weyl_character,
+)
 
 
 def gl11():
@@ -179,9 +178,45 @@ def test_dominant_box_gl21_respects_dominance():
     assert all(w[0] >= w[1] for w in W)
 
 
-def test_window_support_closure_of_origin():
-    g = gl11()
-    assert window_from_box(g, 0, 0) == [qq((0, 0)), qq((-1, 1))]
+def product_formula_closure(g, lo, hi):
+    """The box extended by the dominant support of ``kac_character`` at
+    each of its weights: the closure without building a module."""
+    box = dominant_weights_in_box(*g.params, lo, hi)
+    window = set(box)
+    for mu in box:
+        window.update(nu for nu in kac_character(g, mu) if is_dominant_gl(nu, *g.params))
+    return sorted(window, reverse=True)
+
+
+CLOSURE_BOXES = [
+    (1, 1, -3, 3), (2, 1, -2, 2), (1, 2, -2, 2), (2, 2, -1, 1),
+    (2, 2, -2, 2), (3, 1, -1, 1), (3, 2, 0, 1),
+]
+
+
+@pytest.mark.parametrize("m,n,lo,hi", CLOSURE_BOXES)
+def test_window_support_closure_of_origin(m, n, lo, hi):
+    """The closure read off the built K(mu) is the product formula's."""
+    g = install_grading(build_gl(m, n), "compatible")
+    box = window_from_box(g, lo, hi, support_closure=False)
+    closed = window_from_box(g, lo, hi)
+    assert closed == product_formula_closure(g, lo, hi)
+    assert set(box) < set(closed)
+
+
+def test_window_support_closure_builds_under_its_limits():
+    """The closure builds each K(mu) under the budget it is given, and
+    leaves them in g.memo for the pipelines that run on the window."""
+    small = Limits(max_module_dim=2)
+    with pytest.raises(ResourceLimitError, match="exceeds limit 2"):
+        window_from_box(gl21c(), 0, 1, limits=small)
+    assert window_from_box(gl21c(), 0, 1, support_closure=False, limits=small)
+    g = gl21c()
+    window_from_box(g, 0, 1)
+    before = len(g.memo)
+    for mu in dominant_weights_in_box(2, 1, 0, 1):
+        kac_module(g, mu)
+    assert len(g.memo) == before
 
 
 def test_reflected_window_is_involutive():

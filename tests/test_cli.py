@@ -237,6 +237,45 @@ def test_closure_with_explicit_weights_is_usage_error(command, capsys):
     assert err == "usage error: --closure extends a --box window only, not --weights\n"
 
 
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_closure_under_the_principal_grading_is_usage_error(command, capsys):
+    which = ("--which", "kdt") if command == "verify" else ()
+    code, out, err = run(
+        capsys, command, "--algebra", "gl:1,1", "--grading", "principal",
+        "--box=0..0", "--closure", *which,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --closure applies to the compatible grading only\n"
+
+
+@pytest.mark.parametrize("closure", [(), ("--closure",)])
+def test_decompose_json_config_records_the_closure(closure, capsys):
+    """``closure`` appears in the config only when the flag is given, so
+    reports of runs without it keep their bytes."""
+    code, out, _ = run(
+        capsys, "decompose", "--algebra", "gl:1,1", "--box=0..0", "--format", "json",
+        *closure,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"].get("closure") is (True if closure else None)
+    assert len(doc["matrix"]["rows"]) == (2 if closure else 1)
+
+
+def test_closure_builds_under_max_module_dim(capsys):
+    code, out, err = run(
+        capsys, "decompose", "--algebra", "gl:2,1", "--box=0..1", "--closure",
+        "--max-module-dim", "2",
+    )
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "resource limit: K(1,1|1), built at its orbit representative K(0,0|2): "
+        "induced module dimension 4 exceeds limit 2\n"
+    )
+
+
 def test_decompose_json_embeds_config(capsys):
     code, out, _ = run(
         capsys,

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supero.algebra import build_gl, build_q, install_grading, principal_dvector, w0_action
-from supero.characters import even_character
 from supero.config import Limits
 from supero.errors import (
     CliffordWeightError,
@@ -37,7 +36,7 @@ from supero.rational import QQ
 from supero.structure import _central_core
 from supero.weights import dominant_weights_in_box, wdot, wsub
 
-from full_basis import act_word, form_radical, induced_projective
+from full_basis import act_word, even_character, form_radical, induced_projective
 from helpers import direct_sum
 
 
